@@ -12,18 +12,23 @@ algorithm from scratch so the reproduction runs offline:
   *extended set* lookahead, with a decay factor discouraging ping-pong swaps,
   and apply the best one.
 
-SWAPs are emitted as ``swap`` macros; metric accounting later expands them to
-three CNOTs, exactly as the paper counts them.
+SWAPs are emitted as ``swap`` macros; metric accounting counts each as three
+CNOTs, exactly as the paper does.
 
-The hot path is vectorized (PR 5) while staying **output-identical** to the
-original gate-by-gate implementation (the golden suite in
-``tests/test_routing_equivalence.py`` pins this):
+The decision loop runs on plain Python ints and lists while staying
+**output-identical** to the original gate-by-gate implementation (the golden
+suite in ``tests/test_routing_equivalence.py`` pins this):
 
-* the logical<->physical mapping lives in numpy index arrays instead of dicts;
-* all candidate SWAPs are scored in one batched distance-matrix gather
-  instead of a per-candidate Python loop (a scalar fallback reproduces the
-  historic float-accumulation order for the rare non-integer distance
-  matrices, where summation order could flip a tie at the 1e-12 threshold);
+* the logical<->physical mapping is a pair of lists, and distances and
+  couplings are the topology's cached row lists;
+* swapping edge ``(a, b)`` changes the front (or extended-set) distance by
+  ``D(a->b) + D(b->a)``, where the directed term ``D(u->v)`` is the distance
+  change of the pairs of ``u``'s occupant when it moves to ``v``.  The terms
+  are cached and invalidated only where a SWAP or a front change can move
+  them (see :class:`_DeltaScorer`), so a decision mostly re-reads cached sums;
+  when a distance is not an exact integer the historic per-candidate loop
+  (:meth:`SabreRouter._score_swaps_scalar`) scores instead, because there the
+  summation order can flip a tie at the 1e-12 threshold;
 * the executable front is drained generation by generation through a ready
   queue — after a SWAP only the blocked gates touching the swapped qubits are
   re-examined — instead of re-scanning ``sorted(front)`` until a full pass
@@ -98,32 +103,31 @@ class SabreRouter:
         self.cross_chip_weight = cross_chip_weight
         self.respect_commutation = respect_commutation
         self._rng = np.random.default_rng(seed)
-        self._distance = topology.distance_matrix(cross_chip_weight=cross_chip_weight)
-        self._coupled = topology.adjacency_matrix()
-        # Batched scoring sums distance deltas in a different order than the
-        # historic per-candidate loop.  When every distance is an exactly
-        # representable integer (the ubiquitous case: hop counts, possibly
-        # with integer cross-chip weights) float addition is exact in any
-        # order, so the batched scores are bit-identical; otherwise fall back
-        # to the scalar loop to preserve the historic rounding near ties.
+        matrix = topology.distance_matrix(cross_chip_weight=cross_chip_weight)
+        # When every distance is an exactly representable integer (the
+        # ubiquitous case: hop counts, possibly with integer cross-chip
+        # weights) float addition is exact in any order, so cached partial
+        # sums score bit-identically to the historic per-candidate loop;
+        # otherwise that loop runs to preserve its rounding near ties.
         self._exact_distances = bool(
-            np.all(np.isfinite(self._distance))
-            and np.all(self._distance == np.floor(self._distance))
+            np.all(np.isfinite(matrix)) and np.all(matrix == np.floor(matrix))
         )
-        # Candidate generation tables: every normalized edge once, ascending
-        # lexicographically (the historic sorted-set-of-tuples order), plus
-        # per-qubit arrays of indices into that list.  A SWAP's candidate set
-        # is then a boolean scatter over edge ids — no per-swap sorting.
+        self._distance = topology.distance_rows(cross_chip_weight=cross_chip_weight)
+        self._coupled = topology.coupling_rows()
+        # Every normalized edge once, ascending lexicographically (the
+        # historic sorted-set-of-tuples candidate order), plus per-qubit
+        # incident edge ids and the matching far endpoints.
         n = topology.num_qubits
         edges = sorted(topology.edges())
-        self._edge_list = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        edge_ids_of: dict[int, list[int]] = {q: [] for q in range(n)}
+        self._edge_u = [u for u, _ in edges]
+        self._edge_v = [v for _, v in edges]
+        self._edge_ids: list[list[int]] = [[] for _ in range(n)]
+        self._neighbours: list[list[int]] = [[] for _ in range(n)]
         for index, (u, v) in enumerate(edges):
-            edge_ids_of[u].append(index)
-            edge_ids_of[v].append(index)
-        self._edge_ids: list[np.ndarray] = [
-            np.asarray(edge_ids_of[q], dtype=np.int64) for q in range(n)
-        ]
+            self._edge_ids[u].append(index)
+            self._edge_ids[v].append(index)
+            self._neighbours[u].append(v)
+            self._neighbours[v].append(u)
 
     # ------------------------------------------------------------------ #
     # public entry point
@@ -139,14 +143,15 @@ class SabreRouter:
         if layout is None:
             layout = initial_layout(circuit.num_qubits, self.topology, layout_strategy)
         num_physical = self.topology.num_qubits
-        l2p = np.full(circuit.num_qubits, -1, dtype=np.int64)
-        p2l = np.full(num_physical, -1, dtype=np.int64)
+        l2p = [-1] * circuit.num_qubits
+        p2l = [-1] * num_physical
         for logical, physical in layout.items():
             if not 0 <= logical < circuit.num_qubits:
                 raise ValueError(
                     f"layout maps logical qubit {logical}, which is outside"
                     f" the circuit's 0..{circuit.num_qubits - 1} register"
                 )
+            physical = int(physical)  # emitted gates carry built-in ints
             l2p[logical] = physical
             if p2l[physical] >= 0:
                 raise ValueError(
@@ -157,9 +162,9 @@ class SabreRouter:
         if len(layout) < circuit.num_qubits:
             # the historic dict-based mapping failed loudly (KeyError) when a
             # gate touched a logical qubit the explicit layout did not map;
-            # -1 sentinels in the index array would route silently instead,
-            # so reject partial layouts up front (idle unmapped qubits are
-            # fine, as before)
+            # -1 sentinels in the mapping would route silently instead, so
+            # reject partial layouts up front (idle unmapped qubits are fine,
+            # as before)
             for op in circuit.operations:
                 for qubit in op.qubits:
                     if l2p[qubit] < 0:
@@ -179,41 +184,38 @@ class SabreRouter:
         # gates make the size cut.
         front: set[int] = {i for i in range(num_nodes) if in_degree[i] == 0}
         executed = 0
+        # each node's qubit pair when it is a 2-qubit node (the extended set's
+        # membership test), else None
+        node_pairs = [op.qubits if len(op.qubits) == 2 else None for op in ops]
 
         out = Circuit(num_physical, name=f"{circuit.name}@{self.topology.name}")
         # direct op-list append: every emitted qubit index is an l2p value or
         # a topology edge endpoint, both < num_physical by construction
         out_append = out.operations.append
-        decay = np.ones(num_physical)
+        decay = [1.0] * num_physical
         swaps_inserted = 0
         steps_since_progress = 0
+        coupled = self._coupled
+        edge_u = self._edge_u
+        edge_v = self._edge_v
+        scorer = _DeltaScorer(self, l2p, p2l) if self._exact_distances else None
 
-        # Lazily rebuilt whenever a gate executes (the front layer changed).
-        # Pairs live in LOGICAL space (stable between SWAPs): the *unique*
-        # logical pairs feed the delta term as per-qubit partner CSR tables
-        # (the historic scorer dedups affected physical pairs, and an
-        # injective layout makes logical dedup equivalent), and the involved
-        # physical qubits / base distance sums are maintained incrementally
-        # across SWAPs — a SWAP exchanges two occupancies and shifts each base
-        # by exactly its own scored delta.
-        front_pairs: np.ndarray | None = None  # logical (F, 2)
-        ext_pairs: np.ndarray | None = None  # logical (E, 2)
-        merged_csr = None
-        involved = np.zeros(num_physical, dtype=bool)
-        base_front = 0.0
-        base_ext = 0.0
+        # Rebuilt whenever a gate executes (the front layer changed): the
+        # logical pairs of the blocked front and of the extended set, the
+        # logical qubits of the front, and the candidate SWAPs — the edge ids
+        # touching those qubits' current positions, ascending.
+        front_list: list[tuple[int, ...]] = []
+        ext_list: list[tuple[int, ...]] = []
+        front_qubits: set[int] = set()
+        candidates: list[int] = []
         front_dirty = True
-        num_logical = circuit.num_qubits
-        edge_u = self._edge_list[:, 0]
-        edge_v = self._edge_list[:, 1]
-        dist = self._distance
 
         # blocked 2-qubit front gates bucketed by their *current* physical
         # endpoints: after a SWAP of (a, b) only bucket[a] | bucket[b] can
         # have become executable, so nothing else is re-examined.  The
         # parallel ``blocked_pairs`` map keeps their logical pairs at hand so
-        # dirty rebuilds need not re-scan the whole front (batched path only
-        # — the scalar fallback replays the historic front-set scan order).
+        # exact-path rebuilds need not re-scan the whole front (the scalar
+        # fallback replays the historic front-set scan order).
         buckets: list[set[int]] = [set() for _ in range(num_physical)]
         blocked_pairs: dict[int, tuple[int, ...]] = {}
 
@@ -234,7 +236,7 @@ class SabreRouter:
                     qubits = op.qubits
                     if len(qubits) == 2 and not (op.is_barrier or op.is_measurement):
                         a, b = l2p[qubits[0]], l2p[qubits[1]]
-                        if not self._coupled[a, b]:
+                        if not coupled[a][b]:
                             # stays blocked: only a SWAP can free it
                             buckets[a].add(index)
                             buckets[b].add(index)
@@ -243,17 +245,16 @@ class SabreRouter:
                         buckets[a].discard(index)
                         buckets[b].discard(index)
                         blocked_pairs.pop(index, None)
+                        mapped: tuple[int, ...] = (a, b)
                     elif len(qubits) > 2 and not (op.is_barrier or op.is_measurement):
                         raise ValueError(
                             "baseline router only handles 1- and 2-qubit "
                             f"operations; got {op}"
                         )
-                    if len(qubits) == 2:
-                        mapped = (int(l2p[qubits[0]]), int(l2p[qubits[1]]))
                     elif len(qubits) == 1:
-                        mapped = (int(l2p[qubits[0]]),)
+                        mapped = (l2p[qubits[0]],)
                     else:
-                        mapped = tuple(int(l2p[q]) for q in qubits)
+                        mapped = tuple(l2p[q] for q in qubits)
                     out_append(_rebuild_trusted(op, mapped))
                     executed += 1
                     front_dirty = True
@@ -268,50 +269,34 @@ class SabreRouter:
         drain(sorted(front))
         while executed < num_nodes:
             if front_dirty:
-                if self._exact_distances:
-                    # the batched scorer is order-insensitive (exact sums),
-                    # so the maintained blocked map replaces the front scan
+                ext_list = self._extended_pairs(node_pairs, successors, front)
+                if scorer is not None:
+                    # exact sums are order-insensitive, so the maintained
+                    # blocked map replaces the front scan
                     front_list = list(blocked_pairs.values())
+                    scorer.rebuild(front_list, ext_list)
                 else:
                     front_list = self._front_pairs(ops, front)
-                ext_list = self._extended_pairs(ops, successors, front)
-                front_pairs = _pair_array(front_list)
-                ext_pairs = _pair_array(ext_list)
-                merged_csr = _partner_csr(
-                    dict.fromkeys(front_list), dict.fromkeys(ext_list), num_logical
-                )
-                involved[:] = False
-                if len(front_pairs):
-                    involved[l2p[front_pairs].ravel()] = True
-                base_front = _base_sum(dist, l2p, front_pairs)
-                base_ext = _base_sum(dist, l2p, ext_pairs)
+                front_qubits = {q for pair in front_list for q in pair}
+                candidates = self._candidate_edges(front_qubits, l2p)
                 front_dirty = False
-            if front_pairs is None or not len(front_pairs):  # pragma: no cover
+            if not front_list:  # pragma: no cover
                 raise RuntimeError(
                     "router made no progress but no 2-qubit gate is blocked"
                 )
 
-            # candidate SWAPs: every edge with an involved endpoint, in the
-            # pre-sorted edge list's (historic sorted-set) order
-            candidates = self._edge_list[involved[edge_u] | involved[edge_v]]
-            if self._exact_distances:
-                scores, delta_front, delta_ext = self._score_swaps_batched(
-                    candidates,
-                    front_pairs,
-                    ext_pairs,
-                    merged_csr,
-                    base_front,
-                    base_ext,
+            if scorer is not None:
+                scores = scorer.scores(candidates, decay)
+            else:
+                scores = self._score_swaps_scalar(
+                    [(edge_u[e], edge_v[e]) for e in candidates],
+                    front_list,
+                    ext_list,
                     l2p,
-                    p2l,
                     decay,
                 )
-            else:
-                delta_front = delta_ext = None
-                scores = self._score_swaps_scalar(
-                    candidates, front_pairs, ext_pairs, l2p, decay
-                )
-            chosen, (a, b) = self._pick_swap(candidates, scores)
+            edge = candidates[self._pick_swap(scores)]
+            a, b = edge_u[edge], edge_v[edge]
             out_append(Gate.trusted("swap", (a, b)))
             swaps_inserted += 1
             la, lb = p2l[a], p2l[b]
@@ -320,29 +305,25 @@ class SabreRouter:
             if lb >= 0:
                 l2p[lb] = a
             p2l[a], p2l[b] = lb, la
+            if scorer is not None:
+                scorer.swapped(edge)
             decay[a] += self.decay_factor
             decay[b] += self.decay_factor
             steps_since_progress += 1
             if steps_since_progress % self.decay_reset_interval == 0:
-                decay[:] = 1.0
+                decay = [1.0] * num_physical
 
             # the SWAP exchanged the two qubits' blocked-gate populations;
             # only those gates can have become executable
             buckets[a], buckets[b] = buckets[b], buckets[a]
             drain(sorted(buckets[a] | buckets[b]))
-            if not front_dirty:
-                # nothing executed: the front is unchanged, so the involved
-                # set just exchanged the two occupancies and each base moved
-                # by exactly the chosen SWAP's (exact-integer) delta
-                involved[a], involved[b] = bool(involved[b]), bool(involved[a])
-                if delta_front is not None:
-                    base_front = base_front + float(delta_front[chosen])
-                    base_ext = base_ext + float(delta_ext[chosen])
+            if not front_dirty and (la in front_qubits) != (lb in front_qubits):
+                # nothing executed, but the SWAP carried a front qubit off the
+                # front's positions: the candidate set moved
+                candidates = self._candidate_edges(front_qubits, l2p)
 
         final_layout = {
-            int(logical): int(physical)
-            for logical, physical in enumerate(l2p)
-            if physical >= 0
+            logical: physical for logical, physical in enumerate(l2p) if physical >= 0
         }
         return CompilationResult(
             circuit=out,
@@ -360,9 +341,8 @@ class SabreRouter:
     def _front_pairs(ops: Sequence[Gate], front: set[int]) -> list[tuple[int, ...]]:
         """Logical qubit pairs of the blocked 2-qubit front gates.
 
-        Iterates ``front`` in set order like the historic list comprehension;
-        the order is irrelevant to the batched scorer (exact sums) but keeps
-        the scalar fallback's accumulation sequence identical.
+        Iterates ``front`` in set order like the historic list comprehension,
+        which keeps the scalar fallback's accumulation sequence identical.
         """
         return [
             ops[i].qubits
@@ -373,7 +353,7 @@ class SabreRouter:
 
     def _extended_pairs(
         self,
-        ops: Sequence[Gate],
+        node_pairs: Sequence[tuple[int, ...] | None],
         successors: Sequence[Sequence[int]],
         front: set[int],
     ) -> list[tuple[int, ...]]:
@@ -383,7 +363,8 @@ class SabreRouter:
         at ``extended_set_size`` — the exact traversal (and therefore the
         exact membership at the truncation boundary) of the historic
         implementation, seeded from ``list(front)`` and walking the cached
-        successor lists in their sets' iteration order.
+        successor lists in their sets' iteration order.  ``node_pairs`` holds
+        each node's qubit pair, or None when it is not a 2-qubit node.
         """
         limit = self.extended_set_size
         extended: list[tuple[int, ...]] = []
@@ -396,9 +377,9 @@ class SabreRouter:
                     if succ in seen:
                         continue
                     seen.add(succ)
-                    op = ops[succ]
-                    if op.num_qubits == 2:
-                        extended.append(op.qubits)
+                    pair = node_pairs[succ]
+                    if pair is not None:
+                        extended.append(pair)
                         if len(extended) >= limit:
                             break
                     next_frontier.append(succ)
@@ -407,113 +388,23 @@ class SabreRouter:
             frontier = next_frontier
         return extended
 
-    def _candidate_swaps(self, front_pairs: np.ndarray, l2p: np.ndarray) -> np.ndarray:
-        """Edges touching any physical qubit involved in a blocked gate, (K, 2).
+    def _candidate_edges(self, front_qubits: set[int], l2p: list[int]) -> list[int]:
+        """Ids of the edges touching a front qubit's position, ascending.
 
-        Rows ascend lexicographically with ``row[0] < row[1]``, matching the
-        historic ``sorted(set(...))`` of normalized edge tuples: the edge list
-        is pre-sorted, so masking it by involved endpoints reads back in that
-        same order.  (The run loop maintains the involved mask incrementally;
-        this method recomputes it from scratch.)
+        Edge ids follow the sorted edge list, so ascending ids are the
+        historic ``sorted(set(...))`` order of normalized edge tuples.
         """
-        involved = np.zeros(self.topology.num_qubits, dtype=bool)
-        if len(front_pairs):
-            involved[l2p[front_pairs].ravel()] = True
-        return self._edge_list[
-            involved[self._edge_list[:, 0]] | involved[self._edge_list[:, 1]]
-        ]
-
-    def _score_swaps_batched(
-        self,
-        candidates: np.ndarray,
-        front_pairs: np.ndarray,
-        ext_pairs: np.ndarray,
-        merged_csr: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        base_front: float,
-        base_ext: float,
-        l2p: np.ndarray,
-        p2l: np.ndarray,
-        decay: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Score all candidate SWAPs in one batched distance-matrix gather.
-
-        For a SWAP ``(a, b)`` only gates with an endpoint on ``a`` or ``b``
-        change distance, and (matching the historic set-based accumulation)
-        duplicated physical pairs contribute their delta once — the per-qubit
-        partner CSR tables over the *unique logical* pairs are that dedup,
-        built once per front change.  The delta is assembled adjacency-list
-        style over both candidate endpoints at once, so the work is
-        proportional to the affected pairs — the historic algorithm's
-        complexity — rather than candidates x pairs.  All distances are
-        exactly representable integers here, so the vector sums equal the
-        historic per-candidate accumulation bit for bit.
-
-        Returns ``(scores, delta_front, delta_ext)``; the caller advances the
-        cached base sums by the chosen candidate's deltas.
-        """
-        dist = self._distance
-        a = candidates[:, 0]
-        b = candidates[:, 1]
-        num_candidates = len(candidates)
-        # both endpoints of every candidate in one flat batch: rows 0..K-1
-        # twice, owning qubit a then b, partner-facing qubit b then a; the
-        # front and extended groups ride the same batch (group-tagged CSR),
-        # so each SWAP pays for one gather pipeline, not two
-        own_phys = np.concatenate((a, b))
-        other_phys = np.concatenate((b, a))
-        own_log = p2l[own_phys]
-        occupied = own_log >= 0
-        safe_log = np.where(occupied, own_log, 0)
-        counts, starts, partners, groups = merged_csr
-
-        delta_front = np.zeros(num_candidates)
-        delta_ext = np.zeros(num_candidates)
-        if len(partners):
-            cnt = np.where(occupied, counts[safe_log], 0)
-            total = int(cnt.sum())
-            if total:
-                row_of = np.concatenate(
-                    (np.arange(num_candidates), np.arange(num_candidates))
-                )
-                rows = np.repeat(row_of, cnt)
-                prefix = np.zeros(len(cnt), dtype=np.int64)
-                np.cumsum(cnt[:-1], out=prefix[1:])
-                within = np.arange(total) - np.repeat(prefix, cnt)
-                flat = np.repeat(starts[safe_log], cnt) + within
-                partner_phys = l2p[partners[flat]]
-                other_r = np.repeat(other_phys, cnt)
-                # a pair whose endpoints are *both* swapped keeps its distance
-                # (the matrix is symmetric) — the historic np_/nq remap
-                terms = dist[other_r, partner_phys] - dist[
-                    np.repeat(own_phys, cnt), partner_phys
-                ]
-                terms[partner_phys == other_r] = 0.0
-                # one histogram over (row, group): first K bins = front, next
-                # K bins = extended
-                merged = np.bincount(
-                    rows + groups[flat] * num_candidates,
-                    weights=terms,
-                    minlength=2 * num_candidates,
-                )
-                delta_front = merged[:num_candidates]
-                delta_ext = merged[num_candidates:]
-
-        n_front = max(len(front_pairs), 1)
-        n_ext = max(len(ext_pairs), 1)
-        front_cost = (base_front + delta_front) / n_front
-        ext_cost = (base_ext + delta_ext) / n_ext
-        decay_max = np.maximum(decay[a], decay[b])
-        scores = decay_max * (front_cost + self.extended_set_weight * ext_cost)
-        return scores, delta_front, delta_ext
+        edge_ids = self._edge_ids
+        return sorted({e for q in front_qubits for e in edge_ids[l2p[q]]})
 
     def _score_swaps_scalar(
         self,
         candidates: Sequence[tuple[int, int]],
-        front_pairs: np.ndarray,
-        ext_pairs: np.ndarray,
-        l2p: np.ndarray,
-        decay: np.ndarray,
-    ) -> np.ndarray:
+        front_pairs: Sequence[tuple[int, ...]],
+        ext_pairs: Sequence[tuple[int, ...]],
+        l2p: Sequence[int],
+        decay: Sequence[float],
+    ) -> list[float]:
         """The historic per-candidate scoring loop (non-integer distances).
 
         Kept verbatim so float accumulation order — and therefore tie
@@ -521,13 +412,12 @@ class SabreRouter:
         distance sums are not exact.
         """
         dist = self._distance
-        candidates = [(int(a), int(b)) for a, b in candidates]
-        blocked_phys = [(int(p), int(q)) for p, q in l2p[front_pairs]]
-        ext_phys = [(int(p), int(q)) for p, q in l2p[ext_pairs]] if len(ext_pairs) else []
+        blocked_phys = [(l2p[p], l2p[q]) for p, q in front_pairs]
+        ext_phys = [(l2p[p], l2p[q]) for p, q in ext_pairs]
         n_front = max(len(blocked_phys), 1)
         n_ext = max(len(ext_phys), 1)
-        base_front = sum(dist[p, q] for p, q in blocked_phys)
-        base_ext = sum(dist[p, q] for p, q in ext_phys)
+        base_front = sum(dist[p][q] for p, q in blocked_phys)
+        base_ext = sum(dist[p][q] for p, q in ext_phys)
 
         touching_front: dict[int, list[tuple[int, int]]] = {}
         touching_ext: dict[int, list[tuple[int, int]]] = {}
@@ -547,100 +437,202 @@ class SabreRouter:
             for p, q in affected:
                 np_ = b if p == a else (a if p == b else p)
                 nq = b if q == a else (a if q == b else q)
-                change += dist[np_, nq] - dist[p, q]
+                change += dist[np_][nq] - dist[p][q]
             return change
 
-        scores = np.empty(len(candidates))
-        for i, (a, b) in enumerate(candidates):
+        scores = []
+        for a, b in candidates:
             front_cost = (base_front + delta(touching_front, a, b)) / n_front
             ext_cost = (base_ext + delta(touching_ext, a, b)) / n_ext
-            scores[i] = max(decay[a], decay[b]) * (
-                front_cost + self.extended_set_weight * ext_cost
+            scores.append(
+                max(decay[a], decay[b]) * (front_cost + self.extended_set_weight * ext_cost)
             )
         return scores
 
-    def _pick_swap(
-        self, candidates: np.ndarray, scores: np.ndarray
-    ) -> tuple[int, tuple[int, int]]:
+    def _pick_swap(self, scores: Sequence[float]) -> int:
         """The historic sequential tie-break over ascending candidates.
 
-        The running-best chain (a candidate within ``1e-12`` of the current
-        best joins the tie *without* lowering the bar) is order-sensitive, so
-        it is replayed candidate by candidate over the precomputed scores;
-        ties consume one draw from the router's RNG exactly as before.
+        A candidate within ``1e-12`` of the running best joins the tie
+        *without* lowering the bar, so the chain is order-sensitive; ties
+        consume one draw from the router's RNG exactly as before, and a
+        unique best consumes none.
         """
-        # Fast paths.  (1) When no other score lands within 2*eps of the
-        # minimum, the chain provably ends as [argmin] — no tie, no RNG draw.
-        # (2) Otherwise, scores above smin + 4*eps cannot influence the final
-        # tie set: the first score <= smin + 2*eps strictly resets whatever
-        # best they produced (gap > eps), and afterwards they are ignored
-        # (gap > eps again), so the chain restricted to the <= smin + 2*eps
-        # subsequence is exact — unless the (2*eps, 4*eps] band is occupied,
-        # where a bridge through a band score could alter an append/reset
-        # decision; then the full replay runs.
-        smin = scores.min()
-        near_mask = scores <= smin + 2 * _TIE_EPS
-        near = int(near_mask.sum())
-        if near == 1:
-            chosen = int(np.argmin(scores))
-            return chosen, (int(candidates[chosen, 0]), int(candidates[chosen, 1]))
-        if int((scores <= smin + 4 * _TIE_EPS).sum()) == near:
-            indices = np.flatnonzero(near_mask)
-            replay = zip(indices.tolist(), scores[indices].tolist(), strict=True)
-        else:
-            replay = enumerate(scores.tolist())
         best_score = float("inf")
         best: list[int] = []
-        for i, score in replay:
+        for i, score in enumerate(scores):
+            if score - best_score > _TIE_EPS:
+                # neither better nor tied (both tests below fail): skip them
+                continue
             if score < best_score - _TIE_EPS:
                 best_score = score
                 best = [i]
             elif abs(score - best_score) <= _TIE_EPS:
                 best.append(i)
-        chosen = best[int(self._rng.integers(len(best)))] if len(best) > 1 else best[0]
-        return chosen, (int(candidates[chosen, 0]), int(candidates[chosen, 1]))
+        return best[int(self._rng.integers(len(best)))] if len(best) > 1 else best[0]
 
 
-def _pair_array(pairs: list[tuple[int, ...]]) -> np.ndarray:
-    """Qubit-pair tuples as an (N, 2) int64 array (empty-safe)."""
-    if not pairs:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64)
+class _DeltaScorer:
+    """Exact-integer SWAP scores from cached directed delta terms.
 
+    Swapping edge ``(a, b)`` changes a pair group's total distance by
+    ``D(a->b) + D(b->a)``.  The directed term ``D(u->v)`` sums, over the
+    unique pairs of ``u``'s occupant, ``dist[v][partner] - dist[u][partner]``
+    (a pair whose partner sits on ``v`` keeps its distance).  It depends only
+    on ``u``'s occupant, that occupant's partner lists and the partners'
+    positions, so the terms are cached per owner ``u`` (front and extended
+    group together) and dropped only when one of those changes:
 
-def _partner_csr(
-    front_unique, ext_unique, num_logical: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-logical-qubit partner lists of both unique-pair groups, CSR layout.
+    * a SWAP on ``(a, b)`` stales the owners ``a`` and ``b`` and the current
+      positions of the swapped occupants' partners;
+    * a front or extended-set rebuild stales the positions of the endpoints
+      of the unique pairs that joined or left a group.
 
-    ``(counts, starts, partners, groups)`` where the partners of logical
-    qubit ``q`` are ``partners[starts[q] : starts[q] + counts[q]]`` and
-    ``groups`` tags each slot 0 (front) or 1 (extended).  Built once per
-    front change; the scorer gathers through the current layout to land in
-    physical space and splits its histogram by the group tag.
+    Each edge also caches its summed ``(front, extended)`` delta.  As in the
+    historic scorer, deltas count unique pairs while the pair counts
+    ``n_front``/``n_ext`` and the base sums count duplicates; between
+    rebuilds each base advances by the chosen SWAP's delta.
     """
-    f = _pair_array(list(front_unique))
-    e = _pair_array(list(ext_unique))
-    u = np.concatenate((f, e)) if len(e) else f
-    if not len(u):
-        empty = np.zeros(num_logical, dtype=np.int64)
-        return empty, np.zeros(num_logical + 1, dtype=np.int64), u[:, :1].ravel(), u[:, :1].ravel()
-    tag = np.concatenate(
-        (np.zeros(len(f), dtype=np.int64), np.ones(len(e), dtype=np.int64))
-    )
-    ends = np.concatenate((u[:, 0], u[:, 1]))
-    partners = np.concatenate((u[:, 1], u[:, 0]))
-    group = np.concatenate((tag, tag))
-    order = np.argsort(ends, kind="stable")
-    counts = np.bincount(ends, minlength=num_logical)
-    starts = np.zeros(num_logical + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    return counts, starts, partners[order], group[order]
 
+    def __init__(self, router: SabreRouter, l2p: list[int], p2l: list[int]) -> None:
+        self._dist = router._distance
+        self._edge_u = router._edge_u
+        self._edge_v = router._edge_v
+        self._edge_ids = router._edge_ids
+        self._neighbours = router._neighbours
+        self._weight = router.extended_set_weight
+        self._l2p = l2p
+        self._p2l = p2l
+        # unique logical pairs per group and the partner lists they induce
+        self._front_set: set[tuple[int, ...]] = set()
+        self._ext_set: set[tuple[int, ...]] = set()
+        self._front: dict[int, list[int]] = {}
+        self._ext: dict[int, list[int]] = {}
+        # owner -> {neighbour v: (front D(u->v), extended D(u->v))}
+        self._terms: list[dict[int, tuple[float, float]] | None] = [None] * len(p2l)
+        # edge id -> (front delta, extended delta, u, v) of swapping that edge
+        self._edge_delta: list[tuple[float, float, int, int] | None] = [None] * len(
+            self._edge_u
+        )
+        self._base_front = 0.0
+        self._base_ext = 0.0
+        self._n_front = 1
+        self._n_ext = 1
 
-def _base_sum(dist: np.ndarray, l2p: np.ndarray, pairs: np.ndarray) -> float:
-    """Total current distance of a pair group (float, exact for hop counts)."""
-    if not len(pairs):
-        return 0.0
-    phys = l2p[pairs]
-    return float(dist[phys[:, 0], phys[:, 1]].sum())
+    def rebuild(
+        self, front_pairs: list[tuple[int, ...]], ext_pairs: list[tuple[int, ...]]
+    ) -> None:
+        """Adopt a new front and extended set (logical pairs, duplicates kept)."""
+        front_set = set(front_pairs)
+        ext_set = set(ext_pairs)
+        self._regroup(self._front, self._front_set, front_set)
+        self._regroup(self._ext, self._ext_set, ext_set)
+        self._front_set, self._ext_set = front_set, ext_set
+        dist, l2p = self._dist, self._l2p
+        self._n_front = max(len(front_pairs), 1)
+        self._n_ext = max(len(ext_pairs), 1)
+        self._base_front = float(sum(dist[l2p[p]][l2p[q]] for p, q in front_pairs))
+        self._base_ext = float(sum(dist[l2p[p]][l2p[q]] for p, q in ext_pairs))
+
+    def scores(self, candidates: list[int], decay: list[float]) -> list[float]:
+        """``max(decay) * (front cost + weight * extended cost)`` per edge id."""
+        edge_delta = self._edge_delta
+        base_front, base_ext = self._base_front, self._base_ext
+        n_front, n_ext, weight = self._n_front, self._n_ext, self._weight
+        scores = []
+        for e in candidates:
+            cached = edge_delta[e]
+            if cached is None:
+                cached = edge_delta[e] = self._delta(e)
+            delta_front, delta_ext, a, b = cached
+            decay_a = decay[a]
+            decay_b = decay[b]
+            scores.append(
+                (decay_a if decay_a > decay_b else decay_b)
+                * (
+                    (base_front + delta_front) / n_front
+                    + weight * ((base_ext + delta_ext) / n_ext)
+                )
+            )
+        return scores
+
+    def swapped(self, edge: int) -> None:
+        """Invalidate after the SWAP on ``edge`` (mapping already updated)
+        and move each base sum by that SWAP's delta, scored just before; a
+        rebuild, if the front changes next, recomputes the bases anyway."""
+        moved = self._edge_delta[edge]
+        assert moved is not None
+        self._base_front += moved[0]
+        self._base_ext += moved[1]
+        a, b = moved[2], moved[3]
+        stale = self._stale
+        stale(a)
+        stale(b)
+        l2p = self._l2p
+        for logical in (self._p2l[a], self._p2l[b]):
+            for partner in self._front.get(logical, ()):
+                stale(l2p[partner])
+            for partner in self._ext.get(logical, ()):
+                stale(l2p[partner])
+
+    def _regroup(
+        self,
+        partners: dict[int, list[int]],
+        old: set[tuple[int, ...]],
+        new: set[tuple[int, ...]],
+    ) -> None:
+        """Apply one group's pair changes to its partner lists and stale the
+        positions of every endpoint whose list changed."""
+        l2p = self._l2p
+        for p, q in old - new:
+            partners[p].remove(q)
+            partners[q].remove(p)
+            self._stale(l2p[p])
+            self._stale(l2p[q])
+        for p, q in new - old:
+            partners.setdefault(p, []).append(q)
+            partners.setdefault(q, []).append(p)
+            self._stale(l2p[p])
+            self._stale(l2p[q])
+
+    def _stale(self, owner: int) -> None:
+        self._terms[owner] = None
+        edge_delta = self._edge_delta
+        for e in self._edge_ids[owner]:
+            edge_delta[e] = None
+
+    def _delta(self, e: int) -> tuple[float, float, int, int]:
+        a, b = self._edge_u[e], self._edge_v[e]
+        terms = self._terms
+        from_a = terms[a]
+        if from_a is None:
+            from_a = terms[a] = self._owner_terms(a)
+        from_b = terms[b]
+        if from_b is None:
+            from_b = terms[b] = self._owner_terms(b)
+        front_a, ext_a = from_a[b]
+        front_b, ext_b = from_b[a]
+        return front_a + front_b, ext_a + ext_b, a, b
+
+    def _owner_terms(self, u: int) -> dict[int, tuple[float, float]]:
+        """``D(u->v)`` for every neighbour ``v`` of ``u``, both groups."""
+        logical = self._p2l[u]
+        l2p = self._l2p
+        front = [l2p[m] for m in self._front.get(logical, ())]
+        ext = [l2p[m] for m in self._ext.get(logical, ())]
+        if not front and not ext:
+            return dict.fromkeys(self._neighbours[u], (0.0, 0.0))
+        dist = self._dist
+        dist_u = dist[u]
+        terms: dict[int, tuple[float, float]] = {}
+        for v in self._neighbours[u]:
+            dist_v = dist[v]
+            delta_front = 0.0
+            for partner in front:
+                if partner != v:
+                    delta_front += dist_v[partner] - dist_u[partner]
+            delta_ext = 0.0
+            for partner in ext:
+                if partner != v:
+                    delta_ext += dist_v[partner] - dist_u[partner]
+            terms[v] = (delta_front, delta_ext)
+        return terms

@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         " BENCH_<timestamp>.json document.  With --against FILE the run is"
         " compared to a previous document (old timings rescaled by the"
         " recorded machine-calibration ratio) and the exit code is 1 when the"
-        " geometric-mean wall-clock regresses beyond --max-regression.  With"
+        " geometric-mean wall-clock regresses beyond --max-regression or a"
+        " matched row's swaps, depth or eff-CNOTs differ.  With"
         " --history DIR no compilation happens at all: every accumulated"
         " BENCH_*.json under DIR is analysed into per-backend trend series"
         " and a TREND_<timestamp>.json report, exiting 1 when any backend's"
@@ -320,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--against",
         metavar="FILE",
         default=None,
-        help="compare this run against a previous BENCH_*.json document",
+        help="compare this run against a previous BENCH_*.json document;"
+        " any change in a matched row's swaps, depth or eff-CNOTs fails the run",
     )
     bench.add_argument(
         "--max-regression",
@@ -1208,7 +1210,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(format_comparison(comparison))
     if dirty_rows:
         return 1
-    return 1 if comparison is not None and comparison["regressed"] else 0
+    return 1 if comparison is not None and comparison["failed"] else 0
 
 
 #: Version stamp of the VERIFY_*.json report document schema.

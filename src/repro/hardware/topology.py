@@ -55,12 +55,14 @@ class Topology:
         self.graph = nx.freeze(graph)
         self.name = name
         self._dist_cache: dict[float, np.ndarray] = {}
+        self._dist_rows: dict[float, list[list[float]]] = {}
         self._qubits: tuple[int, ...] | None = None
         self._edges: tuple[tuple[int, int], ...] | None = None
         self._cross_chip_edges: tuple[tuple[int, int], ...] | None = None
         self._on_chip_edges: tuple[tuple[int, int], ...] | None = None
         self._neighbors: dict[int, tuple[int, ...]] = {}
         self._adjacency: np.ndarray | None = None
+        self._coupling_rows: list[list[bool]] | None = None
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -113,6 +115,16 @@ class Topology:
                 adjacency[b, a] = True
             self._adjacency = adjacency
         return self._adjacency
+
+    def coupling_rows(self) -> list[list[bool]]:
+        """:meth:`adjacency_matrix` as nested lists (``rows[a][b]``), cached.
+
+        Plain-Python inner loops index lists several times faster than they
+        index numpy arrays element by element.
+        """
+        if self._coupling_rows is None:
+            self._coupling_rows = self.adjacency_matrix().tolist()
+        return self._coupling_rows
 
     def is_cross_chip(self, a: int, b: int) -> bool:
         """Whether the coupler between ``a`` and ``b`` is a cross-chip link."""
@@ -177,6 +189,13 @@ class Topology:
         if key not in self._dist_cache:
             self._dist_cache[key] = self._compute_distances(key)
         return self._dist_cache[key]
+
+    def distance_rows(self, *, cross_chip_weight: float = 1.0) -> list[list[float]]:
+        """:meth:`distance_matrix` as nested lists (``rows[a][b]``), cached."""
+        key = float(cross_chip_weight)
+        if key not in self._dist_rows:
+            self._dist_rows[key] = self.distance_matrix(cross_chip_weight=key).tolist()
+        return self._dist_rows[key]
 
     def distance(self, a: int, b: int, *, cross_chip_weight: float = 1.0) -> float:
         return float(self.distance_matrix(cross_chip_weight=cross_chip_weight)[a, b])

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from collections.abc import Iterable
 
 from .circuits.circuit import Circuit
-from .circuits.library import expand_macros
 from .hardware.noise import DEFAULT_NOISE, NoiseModel
 from .hardware.topology import Topology
 
@@ -97,56 +96,99 @@ def count_operations(
 ) -> OperationCounts:
     """Count on-chip CNOTs, cross-chip CNOTs and measurements.
 
-    ``circuit`` should be a *physical* circuit (SWAPs and multi-target gates
-    are expanded to CNOT-level operations first).  When ``topology`` is given,
-    each 2-qubit operation is classified as on-chip or cross-chip by the edge
-    it uses; with ``strict=True`` an operation on an uncoupled pair raises,
-    which doubles as a routing-correctness check.
+    ``circuit`` should be a *physical* circuit; SWAPs count as three CNOTs and
+    multi-target gates as one 2-qubit gate per target.  When ``topology`` is
+    given, each 2-qubit operation is classified as on-chip or cross-chip by
+    the edge it uses; with ``strict=True`` an operation on an uncoupled pair
+    raises, which doubles as a routing-correctness check.
     """
-    return _count_expanded(expand_macros(circuit), topology, strict=strict)
+    return _tally(circuit, topology, strict=strict)[0]
 
 
-def _count_expanded(
-    expanded: Circuit, topology: Topology | None, *, strict: bool
-) -> OperationCounts:
-    """Count operations of an already macro-expanded circuit."""
+def _tally(
+    circuit: Circuit,
+    topology: Topology | None,
+    *,
+    strict: bool,
+    meas_latency: float = 2.0,
+) -> tuple[OperationCounts, float, int]:
+    """Counts, weighted depth and expanded operation count in one pass.
+
+    Equivalent to counting and timing ``expand_macros(circuit)`` without
+    building it: a ``swap`` is three CNOTs on its pair, each advancing both
+    qubit clocks by one 2-qubit weight, and a multi-target gate is its
+    per-target components in order.  1-qubit gates weigh nothing in the
+    depth; barriers synchronise their qubits; measurements weigh
+    ``meas_latency``.
+    """
     on_chip = 0
     cross_chip = 0
     measurements = 0
     one_qubit = 0
+    num_operations = 0
+    clock = [0.0] * circuit.num_qubits
+    meas_weight = float(meas_latency)
     # set-based coupling lookups: routed circuits classify hundreds of
     # thousands of CNOTs, and the cached edge tuples make both membership
     # tests O(1) without touching the networkx graph per operation
     if topology is not None:
         coupled_edges = frozenset(topology.edges())
         cross_edges = frozenset(topology.cross_chip_edges())
-    for op in expanded:
+    for op in circuit:
+        qubits = op.qubits
         if op.is_barrier:
+            num_operations += 1
+            sync = max((clock[q] for q in qubits), default=0.0)
+            for q in qubits:
+                clock[q] = sync
             continue
         if op.is_measurement:
+            num_operations += 1
             measurements += 1
-        elif op.name in _TWO_QUBIT_NAMES:
+            finish = max(clock[q] for q in qubits) + meas_weight
+            for q in qubits:
+                clock[q] = finish
+            continue
+        name = op.name
+        if name == "swap":
+            repeats = 3
+            pairs: tuple[tuple[int, ...], ...] = (qubits,)
+        elif op.is_multi_target:
+            repeats = 1
+            pairs = tuple((qubits[0], target) for target in qubits[1:])
+        elif name in _TWO_QUBIT_NAMES:
+            repeats = 1
+            pairs = (qubits,)
+        elif len(qubits) == 1:
+            num_operations += 1
+            one_qubit += 1
+            continue
+        else:
+            raise ValueError(f"unexpected operation {op} in physical circuit")
+        for a, b in pairs:
+            num_operations += repeats
             if topology is None:
-                on_chip += 1
+                on_chip += repeats
             else:
-                a, b = op.qubits
                 edge = (a, b) if a < b else (b, a)
                 if edge in coupled_edges:
                     if edge in cross_edges:
-                        cross_chip += 1
+                        cross_chip += repeats
                     else:
-                        on_chip += 1
+                        on_chip += repeats
                 elif strict:
                     raise ValueError(
-                        f"2-qubit operation {op} acts on uncoupled qubits {op.qubits}"
+                        f"2-qubit operation {op} acts on uncoupled qubits {(a, b)}"
                     )
                 else:
-                    on_chip += 1
-        elif op.num_qubits == 1:
-            one_qubit += 1
-        else:
-            raise ValueError(f"unexpected operation {op} in physical circuit")
-    return OperationCounts(on_chip, cross_chip, measurements, one_qubit)
+                    on_chip += repeats
+            finish = (clock[a] if clock[a] > clock[b] else clock[b]) + 1.0
+            if repeats == 3:
+                # three sequential CNOTs, accumulated one weight at a time
+                finish = finish + 1.0 + 1.0
+            clock[a] = clock[b] = finish
+    counts = OperationCounts(on_chip, cross_chip, measurements, one_qubit)
+    return counts, max(clock, default=0.0), num_operations
 
 
 def circuit_metrics(
@@ -157,15 +199,15 @@ def circuit_metrics(
     strict: bool = True,
 ) -> CircuitMetrics:
     """Compute the paper's depth and eff_CNOT metrics for a physical circuit."""
-    expanded = expand_macros(circuit)
-    counts = _count_expanded(expanded, topology, strict=strict)
-    depth = expanded.depth(meas_latency=noise.meas_latency)
+    counts, depth, num_operations = _tally(
+        circuit, topology, strict=strict, meas_latency=noise.meas_latency
+    )
     return CircuitMetrics(
         depth=depth,
         counts=counts,
         eff_cnots=counts.effective_cnots(noise),
         num_physical_qubits=circuit.num_qubits,
-        num_operations=len(expanded),
+        num_operations=num_operations,
     )
 
 

@@ -248,6 +248,10 @@ def load_bench(path: str | Path) -> dict[str, object]:
     return document
 
 
+#: Routing-output fields of a bench row that must match across a comparison.
+_OUTPUT_FIELDS = ("swaps", "depth", "eff_cnots")
+
+
 def compare_bench(
     old: Mapping[str, object],
     new: Mapping[str, object],
@@ -262,6 +266,11 @@ def compare_bench(
     machine speed.  The run *regresses* when the geometric-mean speedup drops
     below ``1 / (1 + max_regression)`` (i.e. wall-clock grew by more than the
     threshold).
+
+    Routing output is gated too: ``drift`` lists every matched row whose
+    ``swaps``, ``depth`` or ``eff_cnots`` differ (fields absent from either
+    row are not compared), and ``failed`` is true on a regression or any
+    drift.  A change in routing output must regenerate the old document.
     """
     if max_regression < 0:
         raise ValueError("max_regression must be >= 0")
@@ -273,9 +282,15 @@ def compare_bench(
 
     rows: list[dict[str, object]] = []
     speedups: list[float] = []
+    drift: list[str] = []
     for key in sorted(new_rows):
         if key not in old_rows:
             continue
+        for field in _OUTPUT_FIELDS:
+            before = old_rows[key].get(field)
+            after = new_rows[key].get(field)
+            if before is not None and after is not None and before != after:
+                drift.append(f"{key[0]}::{key[1]} {field} {before:.12g} -> {after:.12g}")
         old_seconds = float(old_rows[key]["seconds"]) * ratio
         new_seconds = float(new_rows[key]["seconds"])
         speedup = old_seconds / new_seconds if new_seconds > 0 else float("inf")
@@ -291,6 +306,7 @@ def compare_bench(
         )
     geomean = geometric_mean(s for s in speedups if np.isfinite(s)) if speedups else 0.0
     floor = 1.0 / (1.0 + max_regression)
+    regressed = bool(rows) and geomean < floor
     return {
         "matched": len(rows),
         "missing": sorted(
@@ -300,7 +316,9 @@ def compare_bench(
         "geomean_speedup": geomean,
         "max_regression": max_regression,
         "speedup_floor": floor,
-        "regressed": bool(rows) and geomean < floor,
+        "regressed": regressed,
+        "drift": drift,
+        "failed": regressed or bool(drift),
         "rows": rows,
     }
 
@@ -367,4 +385,6 @@ def format_comparison(comparison: Mapping[str, object]) -> str:
             f"REGRESSION: wall-clock grew beyond the"
             f" {comparison['max_regression']:.0%} threshold"
         )
+    for change in comparison["drift"]:
+        lines.append(f"OUTPUT DRIFT: {change}")
     return "\n".join(lines)

@@ -223,6 +223,27 @@ class TestCompareBench:
         assert cmp["rows"][0]["speedup"] == pytest.approx(1.0)
         assert not cmp["regressed"]
 
+    def test_routing_output_drift_fails(self):
+        old = _fake_doc({("w1", "baseline"): 1.0, ("w2", "mech"): 1.0})
+        new = _fake_doc({("w1", "baseline"): 1.0, ("w2", "mech"): 1.0})
+        for doc in (old, new):
+            for row in doc["rows"]:
+                row.update(swaps=476.0, depth=1165.0, eff_cnots=4969.8)
+        same = compare_bench(old, new)
+        assert same["drift"] == [] and not same["failed"]
+        new["rows"][1]["swaps"] = 508.0
+        drifted = compare_bench(old, new)
+        assert not drifted["regressed"]  # wall-clock is unchanged ...
+        assert drifted["failed"]  # ... but the routed output moved
+        assert drifted["drift"] == ["w2::mech swaps 476 -> 508"]
+        assert "OUTPUT DRIFT: w2::mech swaps 476 -> 508" in format_comparison(drifted)
+
+    def test_rows_without_output_fields_are_not_drift(self):
+        cmp = compare_bench(
+            _fake_doc({("w1", "baseline"): 1.0}), _fake_doc({("w1", "baseline"): 1.0})
+        )
+        assert cmp["drift"] == [] and not cmp["failed"]
+
     def test_unmatched_rows_reported(self):
         old = _fake_doc({("w1", "baseline"): 1.0})
         new = _fake_doc({("w2", "baseline"): 1.0})
@@ -292,6 +313,28 @@ class TestBenchCli:
         )
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_bench_against_fails_on_output_drift(self, tiny_suite, tmp_path, capsys):
+        assert main(["bench", "--quick", "--out-dir", str(tmp_path), "--quiet"]) == 0
+        doc = json.loads(next(iter(tmp_path.glob("BENCH_*.json"))).read_text())
+        doc["rows"][0]["depth"] += 1  # a stale pinned routing output
+        stale = tmp_path / "BENCH_stale.json"
+        stale.write_text(json.dumps(doc))
+        code = main(
+            [
+                "bench",
+                "--quick",
+                "--out-dir",
+                str(tmp_path),
+                "--quiet",
+                "--against",
+                str(stale),
+                "--max-regression",
+                "1000",
+            ]
+        )
+        assert code == 1
+        assert "OUTPUT DRIFT" in capsys.readouterr().out
 
     def test_bench_usage_errors(self, tmp_path, capsys):
         assert main(["bench", "--repeat", "0"]) == 2

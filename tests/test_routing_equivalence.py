@@ -1,11 +1,13 @@
-"""Golden-output equivalence suite for the vectorized routing cores (PR 5).
+"""Golden-output equivalence suite for the optimized routing cores.
 
 ``tests/goldens/routing_goldens.json`` pins the exact routed output — swap
 sequence, operation counts, depth, effective CNOTs, final layout — that the
 *pre-vectorization* SABRE router and MECH scheduler produced for fixed-seed
 GHZ/QFT/QAOA inputs at two device sizes, for **every registered backend**
 (the PR-4 contract surface).  The optimized hot paths must reproduce those
-circuits bit for bit, which is what keeps every paper figure unchanged.
+circuits bit for bit, which is what keeps every paper figure unchanged.  A
+differential test also routes every coupling structure through both SABRE
+scorers, the cached delta scorer and the historic scalar loop.
 
 If a future PR changes routing behaviour *on purpose*, regenerate with::
 
@@ -30,10 +32,10 @@ from generate_goldens import (  # noqa: E402  (path inserted above)
     record_result,
 )
 from repro.backends import available_backends, get_backend  # noqa: E402
-from repro.baseline.sabre import SabreRouter  # noqa: E402
+from repro.baseline.sabre import SabreRouter, _DeltaScorer  # noqa: E402
 from repro.hardware.array import ChipletArray  # noqa: E402
 from repro.highway.layout import HighwayLayout  # noqa: E402
-from repro.programs import qft_circuit  # noqa: E402
+from repro.programs import build_benchmark, qft_circuit  # noqa: E402
 
 GOLDENS = json.loads(Path(GOLDEN_PATH).read_text())
 
@@ -97,49 +99,81 @@ def test_routed_output_matches_golden(case, environments):
 
 
 class TestScalarFallbackEquivalence:
-    """The batched scorer and the historic scalar scorer agree bit for bit
-    whenever the distance matrix is integral (the default everywhere)."""
+    """The cached delta scorer (the exact-integer path) and the historic
+    scalar scorer agree bit for bit whenever the distance matrix is integral
+    (the default everywhere)."""
+
+    @staticmethod
+    def _shuffled_mapping(topo, num_logical):
+        rng = np.random.default_rng(0)
+        perm = np.arange(topo.num_qubits, dtype=np.int64)
+        rng.shuffle(perm)
+        l2p = perm[:num_logical].tolist()
+        p2l = [-1] * topo.num_qubits
+        for logical, physical in enumerate(l2p):
+            p2l[physical] = logical
+        return l2p, p2l
 
     def test_batched_and_scalar_scores_identical(self):
-        from repro.baseline.sabre import _base_sum, _partner_csr
-
         array = ChipletArray("square", 4, 1, 2)
         topo = array.topology
         router = SabreRouter(topo, seed=3)
         assert router._exact_distances
         circuit = qft_circuit(topo.num_qubits - 4)
-        num_logical = circuit.num_qubits
-        rng = np.random.default_rng(0)
-        l2p = np.arange(topo.num_qubits, dtype=np.int64)
-        rng.shuffle(l2p)
-        l2p = l2p[:num_logical]
-        p2l = np.full(topo.num_qubits, -1, dtype=np.int64)
-        p2l[l2p] = np.arange(num_logical)
+        l2p, p2l = self._shuffled_mapping(topo, circuit.num_qubits)
         front_list = [(0, 5), (1, 9), (2, 5), (0, 5)]  # duplicate pair on purpose
         ext_list = [(3, 7), (0, 5), (4, 8)]
-        front_pairs = np.asarray(front_list, dtype=np.int64)
-        ext_pairs = np.asarray(ext_list, dtype=np.int64)
-        decay = np.ones(topo.num_qubits)
+        decay = [1.0] * topo.num_qubits
         decay[3] = 1.002
-        candidates = router._candidate_swaps(front_pairs, l2p)
-        batched, delta_front, delta_ext = router._score_swaps_batched(
-            candidates,
-            front_pairs,
-            ext_pairs,
-            _partner_csr(
-                dict.fromkeys(front_list), dict.fromkeys(ext_list), num_logical
-            ),
-            _base_sum(router._distance, l2p, front_pairs),
-            _base_sum(router._distance, l2p, ext_pairs),
+        front_qubits = {q for pair in front_list for q in pair}
+        candidates = router._candidate_edges(front_qubits, l2p)
+        scorer = _DeltaScorer(router, l2p, p2l)
+        scorer.rebuild(front_list, ext_list)
+        fast = scorer.scores(candidates, decay)
+        scalar = router._score_swaps_scalar(
+            [(router._edge_u[e], router._edge_v[e]) for e in candidates],
+            front_list,
+            ext_list,
             l2p,
-            p2l,
             decay,
         )
-        scalar = router._score_swaps_scalar(
-            candidates, front_pairs, ext_pairs, l2p, decay
-        )
-        assert batched.tolist() == scalar.tolist()
-        assert len(delta_front) == len(candidates) == len(delta_ext)
+        assert fast == scalar
+        assert len(fast) == len(candidates)
+
+    def test_cached_terms_match_a_fresh_scorer_after_swaps(self):
+        """Invalidation after each SWAP and each extended-set change leaves no
+        stale delta behind."""
+        array = ChipletArray("square", 4, 1, 2)
+        topo = array.topology
+        router = SabreRouter(topo, seed=3)
+        l2p, p2l = self._shuffled_mapping(topo, topo.num_qubits - 4)
+        front_list = [(0, 5), (1, 9), (2, 6)]
+        ext_lists = ([(3, 7), (0, 5), (4, 8), (9, 2), (3, 7)], [(3, 7), (1, 4), (8, 9)])
+        ext_list = ext_lists[0]
+        front_qubits = {q for pair in front_list for q in pair}
+        decay = [1.0] * topo.num_qubits
+        scorer = _DeltaScorer(router, l2p, p2l)
+        scorer.rebuild(front_list, ext_list)
+        rng = np.random.default_rng(1)
+        for step in range(30):
+            if step % 5 == 4:
+                ext_list = ext_lists[(step // 5 + 1) % 2]
+                scorer.rebuild(front_list, ext_list)
+            candidates = router._candidate_edges(front_qubits, l2p)
+            cached = scorer.scores(candidates, decay)
+            fresh = _DeltaScorer(router, l2p, p2l)
+            fresh.rebuild(front_list, ext_list)
+            fresh._base_front, fresh._base_ext = scorer._base_front, scorer._base_ext
+            assert fresh.scores(candidates, decay) == cached
+            edge = candidates[int(rng.integers(len(candidates)))]
+            a, b = router._edge_u[edge], router._edge_v[edge]
+            la, lb = p2l[a], p2l[b]
+            if la >= 0:
+                l2p[la] = b
+            if lb >= 0:
+                l2p[lb] = a
+            p2l[a], p2l[b] = lb, la
+            scorer.swapped(edge)
 
     def test_non_integer_distances_use_scalar_path(self):
         array = ChipletArray("square", 4, 1, 2)
@@ -186,3 +220,24 @@ class TestPartialLayoutRejected:
         router = SabreRouter(array.topology, seed=0)
         with pytest.raises(ValueError, match="outside"):
             router.run(Circuit(2).cx(0, 1), layout={0: 0, 1: 1, 7: 2})
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("program", ["QFT", "QAOA", "BV", "VQE"])
+@pytest.mark.parametrize(
+    "structure", ["square", "hexagon", "heavy_square", "heavy_hexagon"]
+)
+def test_exact_path_matches_scalar_fallback(structure, program, seed):
+    """Whole-router differential: the cached delta scorer against the historic
+    scalar loop, forced on the same integral distances."""
+    array = ChipletArray(structure, 4, 1, 2)
+    width = HighwayLayout(array, density=1).num_data_qubits
+    kwargs = {"seed": seed} if program != "QFT" else {}
+    circuit = build_benchmark(program, width, **kwargs)
+    fast = SabreRouter(array.topology, seed=seed)
+    scalar = SabreRouter(array.topology, seed=seed)
+    assert fast._exact_distances
+    scalar._exact_distances = False
+    fast_ops = [(op.name, op.qubits) for op in fast.run(circuit).circuit]
+    scalar_ops = [(op.name, op.qubits) for op in scalar.run(circuit).circuit]
+    assert fast_ops == scalar_ops
