@@ -1433,7 +1433,7 @@ def _format_submit_rows(responses: list, jobs: list) -> str:
 def _cmd_submit(args: argparse.Namespace) -> int:
     """``repro submit``: client for a running ``repro serve``."""
     from .experiments.engine import Job
-    from .serve.client import ServeClient, submit_jobs, wait_until_ready
+    from .serve.client import ServeClient, submit_jobs
     from .serve.retry import BackoffPolicy
     from .serve.schema import ServeProtocolError
 
@@ -1451,7 +1451,17 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         initial=0.1, cap=2.0, max_total_seconds=args.max_connect_seconds
     )
     if args.ping:
-        if wait_until_ready(args.host, args.port, attempts=30, delay=0.2):
+        try:
+            with ServeClient(
+                args.host,
+                args.port,
+                connect_timeout=args.connect_timeout,
+                connect_policy=connect_policy,
+            ) as client:
+                up = client.ping().ok
+        except (OSError, ServeProtocolError):
+            up = False
+        if up:
             print(f"repro serve at {args.host}:{args.port} is up")
             return 0
         print(f"error: no server answered at {args.host}:{args.port}", file=sys.stderr)

@@ -56,7 +56,6 @@ from .runner import (
     ComparisonRecord,
     CompiledSet,
     MultiComparisonRecord,
-    compare,
     compare_many,
     compile_many,
     format_multi_records,
@@ -105,7 +104,6 @@ __all__ = [
     "ComparisonRecord",
     "CompiledSet",
     "MultiComparisonRecord",
-    "compare",
     "compare_many",
     "compile_many",
     "format_multi_records",

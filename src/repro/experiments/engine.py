@@ -2175,7 +2175,14 @@ def run_jobs_report(
 
     try:
         if len(items) > 1 and workers > 1:
-            with multiprocessing.get_context().Pool(processes=min(workers, len(items))) as pool:
+            # workers die on SIGTERM by default: a Python-level handler runs
+            # only between bytecodes, so a worker blocked on the task queue's
+            # lock can swallow the SIGTERM of Pool.terminate() and hang it
+            with multiprocessing.get_context().Pool(
+                processes=min(workers, len(items)),
+                initializer=signal.signal,
+                initargs=(signal.SIGTERM, signal.SIG_DFL),
+            ) as pool:
                 for key, payload in pool.imap_unordered(_execute_keyed, items, chunksize=1):
                     collect(key, payload)
         else:

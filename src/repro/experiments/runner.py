@@ -19,22 +19,17 @@ Two record shapes exist:
   compatibility properties (``depth_improvement``, ``normalized_depth``, ...)
   report the *primary* backend — ``"mech"`` when present, else the last
   non-reference compiler — so figure-series helpers work on either shape.
-
-:func:`compile_pair` and :func:`compare` survive as thin two-backend wrappers
-over the new API and emit a :class:`DeprecationWarning` pointing at
-:func:`compile_many` / :func:`compare_many`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from ..backends import DEFAULT_COMPILERS, CompilerBackend, get_backend
 from ..circuits.circuit import Circuit
-from ..compiler import CompilationResult, MechCompiler
+from ..compiler import CompilationResult
 from ..hardware.array import ChipletArray
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
 from ..highway.layout import HighwayLayout
@@ -43,14 +38,11 @@ from ..programs import build_benchmark
 
 __all__ = [
     "ComparisonRecord",
-    "CompiledPair",
     "CompiledSet",
     "MultiComparisonRecord",
     "backend_stat_extras",
-    "compare",
     "compare_many",
     "compile_many",
-    "compile_pair",
     "format_failed_rows",
     "format_multi_records",
     "format_records",
@@ -504,130 +496,6 @@ def compare_many(
         benchmark_kwargs=benchmark_kwargs,
     )
     return compiled.record(noise, extra=backend_stat_extras(compiled))
-
-
-# --------------------------------------------------------------------------
-# deprecated two-backend wrappers
-
-
-@dataclass
-class CompiledPair:
-    """Both compilers' outputs for one benchmark on one array (deprecated
-    shape; :class:`CompiledSet` is the N-way replacement)."""
-
-    benchmark: str
-    array: ChipletArray
-    mech: MechCompiler
-    circuit_width: int
-    mech_result: CompilationResult
-    baseline_result: CompilationResult
-    mech_seconds: float
-    baseline_seconds: float
-
-    def record(self, noise: NoiseModel, extra: dict[str, float] | None = None) -> ComparisonRecord:
-        """Assemble the comparison record under ``noise``."""
-        mech_metrics = self.mech_result.metrics(noise)
-        baseline_metrics = self.baseline_result.metrics(noise)
-        return ComparisonRecord(
-            benchmark=self.benchmark.upper(),
-            architecture=self.array.topology.name,
-            num_data_qubits=self.circuit_width,
-            num_physical_qubits=self.array.num_qubits,
-            baseline_depth=baseline_metrics.depth,
-            mech_depth=mech_metrics.depth,
-            baseline_eff_cnots=baseline_metrics.eff_cnots,
-            mech_eff_cnots=mech_metrics.eff_cnots,
-            highway_qubit_fraction=self.mech.highway_qubit_fraction,
-            baseline_seconds=self.baseline_seconds,
-            mech_seconds=self.mech_seconds,
-            extra=dict(extra or {}),
-        )
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (the N-way backend API) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def compile_pair(
-    benchmark: str,
-    array: ChipletArray,
-    *,
-    noise: NoiseModel = DEFAULT_NOISE,
-    highway_density: int = 1,
-    num_data_qubits: int | None = None,
-    min_components: int = 2,
-    baseline_trials: int = 1,
-    seed: int = 0,
-    benchmark_kwargs: dict[str, object] | None = None,
-) -> CompiledPair:
-    """Deprecated: compile with MECH and the baseline only.
-
-    Thin wrapper over :func:`compile_many` with the default
-    ``("baseline", "mech")`` backend pair; produces metrics identical to the
-    historic hard-coded implementation.
-    """
-    _deprecated("compile_pair", "compile_many")
-    compiled = compile_many(
-        benchmark,
-        array,
-        compilers=DEFAULT_COMPILERS,
-        noise=noise,
-        highway_density=highway_density,
-        num_data_qubits=num_data_qubits,
-        min_components=min_components,
-        baseline_trials=baseline_trials,
-        seed=seed,
-        benchmark_kwargs=benchmark_kwargs,
-    )
-    mech_backend = compiled.backends["mech"]
-    assert isinstance(mech_backend.compiler, MechCompiler)
-    return CompiledPair(
-        benchmark=benchmark,
-        array=array,
-        mech=mech_backend.compiler,
-        circuit_width=compiled.circuit_width,
-        mech_result=compiled.results["mech"],
-        baseline_result=compiled.results["baseline"],
-        mech_seconds=compiled.seconds["mech"],
-        baseline_seconds=compiled.seconds["baseline"],
-    )
-
-
-def compare(
-    benchmark: str,
-    array: ChipletArray,
-    *,
-    noise: NoiseModel = DEFAULT_NOISE,
-    highway_density: int = 1,
-    num_data_qubits: int | None = None,
-    min_components: int = 2,
-    baseline_trials: int = 1,
-    seed: int = 0,
-    benchmark_kwargs: dict[str, object] | None = None,
-) -> ComparisonRecord:
-    """Deprecated: two-backend comparison; use :func:`compare_many`.
-
-    Still returns the exact record the historic implementation produced —
-    same metrics, same ``extra`` statistics keys.
-    """
-    _deprecated("compare", "compare_many")
-    compiled = compile_many(
-        benchmark,
-        array,
-        compilers=DEFAULT_COMPILERS,
-        noise=noise,
-        highway_density=highway_density,
-        num_data_qubits=num_data_qubits,
-        min_components=min_components,
-        baseline_trials=baseline_trials,
-        seed=seed,
-        benchmark_kwargs=benchmark_kwargs,
-    )
-    return compiled.comparison_record(noise, extra=backend_stat_extras(compiled))
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import os
 import signal
-import socket
 import threading
 import time
 from pathlib import Path
@@ -54,21 +53,15 @@ from ..experiments.engine import (
     plan_jobs,
     record_from_payload,
 )
-from ..chaos import chaos_controller
 from ..experiments.runner import AnyRecord
-from ..serve.dedup import ResponseLog
 from ..serve.schema import (
     FARM_PROTOCOL_VERSION,
-    FrameTooLargeError,
     ServeProtocolError,
     ServeRequest,
     ServeResponse,
-    decode_line,
-    encode_message,
-    protocol_error_response,
-    read_frame,
     work_stats,
 )
+from ..serve.server import FramedServer, Respond
 from .launcher import WorkerHandle, WorkerLauncher, stop_workers
 from .queue import COMPLETED, FAILED, LEASED, PENDING, LeaseQueue
 from .schema import parse_claim, parse_complete, parse_fail, parse_heartbeat
@@ -80,7 +73,7 @@ __all__ = ["FarmCoordinator", "run_farm"]
 _FLUSH_SECONDS = 1.0
 
 
-class FarmCoordinator:
+class FarmCoordinator(FramedServer):
     """Lease-queue coordinator for one planned job list.
 
     Parameters mirror :func:`run_jobs_report` where they overlap: ``cache``
@@ -90,6 +83,9 @@ class FarmCoordinator:
     ``checkpoint_meta`` the resumable progress file.  ``lease_seconds`` is
     the heartbeat horizon: a worker silent for longer forfeits its leases.
     """
+
+    site = "coordinator"
+    thread_prefix = "repro-farm"
 
     def __init__(
         self,
@@ -104,9 +100,8 @@ class FarmCoordinator:
         checkpoint_meta: Mapping[str, object] | None = None,
         progress: Callable[[str], None] | None = None,
     ) -> None:
+        super().__init__(host, port)
         self.jobs = list(jobs)
-        self.host = host
-        self.port = port
         self.store = _coerce_cache(cache)
         self.policy = policy if policy is not None else JobPolicy()
         self.lease_seconds = float(lease_seconds)
@@ -120,23 +115,14 @@ class FarmCoordinator:
         self.payloads: dict[str, dict[str, object]] = {}
         self._cached_keys: list[str] = []
         self._started = time.perf_counter()
-        self._sock: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
         self._expiry_thread: threading.Thread | None = None
-        self._connection_threads: list[threading.Thread] = []
-        self._connections: set[socket.socket] = set()
-        self._conn_lock = threading.Lock()
         #: Serialises journal appends + checkpoint compaction + cache puts.
         self._io_lock = threading.Lock()
-        #: Replays recorded responses when a worker retries after a drop —
-        #: without it a lost claim *reply* would burn a lease attempt.
-        self.dedup = ResponseLog()
         #: Checkpoint compactions that failed at the filesystem (degraded
         #: persistence: the run continues, resumability is what's at risk).
         self.checkpoint_write_errors = 0
         self._last_flush = 0.0
         self._done = threading.Event()
-        self._shutdown = threading.Event()
 
     @property
     def journal_path(self) -> Path | None:
@@ -147,9 +133,7 @@ class FarmCoordinator:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def start(self) -> "FarmCoordinator":
-        if self._sock is not None:
-            raise RuntimeError("coordinator is already running")
+    def _open(self) -> None:
         self._started = time.perf_counter()
         self.plan = plan_jobs(self.jobs, cache=self.store, refresh=True)
         self.payloads = dict(self.plan.payloads)
@@ -169,48 +153,17 @@ class FarmCoordinator:
         self.flush(force=True)
         if self.queue.done():
             self._done.set()
-        self._sock = socket.create_server((self.host, self.port))
-        self.port = self._sock.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-farm-accept", daemon=True
-        )
-        self._accept_thread.start()
         self._expiry_thread = threading.Thread(
             target=self._expiry_loop, name="repro-farm-expiry", daemon=True
         )
         self._expiry_thread.start()
-        return self
 
-    def shutdown(self) -> None:
-        if self._shutdown.is_set() and self._sock is None:
-            return
-        self._shutdown.set()
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            with contextlib.suppress(OSError):
-                sock.close()
-        for thread in (self._accept_thread, self._expiry_thread):
-            if thread is not None:
-                thread.join(timeout=5.0)
-        self._accept_thread = None
-        self._expiry_thread = None
-        with self._conn_lock:
-            open_conns = list(self._connections)
-        for conn in open_conns:
-            with contextlib.suppress(OSError):
-                conn.shutdown(socket.SHUT_RDWR)
-            with contextlib.suppress(OSError):
-                conn.close()
-        for thread in list(self._connection_threads):
-            thread.join(timeout=5.0)
-        self._connection_threads.clear()
+    def _close(self) -> None:
+        if self._expiry_thread is not None:
+            self._expiry_thread.join(timeout=5.0)
+            self._expiry_thread = None
+        # after the sever: no connection can change the state any more
         self.flush(force=True)
-
-    def __enter__(self) -> "FarmCoordinator":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until every unique job is completed or permanently failed."""
@@ -323,119 +276,23 @@ class FarmCoordinator:
         }
 
     # ------------------------------------------------------------------ #
-    # connection handling
+    # request handling
     # ------------------------------------------------------------------ #
-    def _accept_loop(self) -> None:
-        sock = self._sock
-        if sock is None:
-            return
-        try:
-            sock.settimeout(0.2)
-        except OSError:
-            return
-        while not self._shutdown.is_set():
-            try:
-                conn, _addr = sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="repro-farm-conn",
-                daemon=True,
-            )
-            self._connection_threads = [t for t in self._connection_threads if t.is_alive()]
-            self._connection_threads.append(thread)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with self._conn_lock:
-            self._connections.add(conn)
-
-        def transmit(response: ServeResponse) -> None:
-            # record before the write so a reply lost to a drop is replayed
-            # verbatim when the worker retries with the same request_id
-            self.dedup.record(response)
-            data = encode_message(response)
-            chaos = chaos_controller()
-            if chaos is not None:
-                data = chaos.on_frame("coordinator.send", data)
-            conn.sendall(data)
-
-        try:
-            reader = conn.makefile("rb")
-            while True:
-                try:
-                    line = read_frame(reader)
-                except FrameTooLargeError as exc:
-                    # framing is unrecoverable past the cap: answer + sever
-                    with contextlib.suppress(OSError):
-                        transmit(protocol_error_response(b"", exc))
-                    break
-                if line is None:
-                    break
-                if not line.strip():
-                    continue
-                chaos = chaos_controller()
-                if chaos is not None:
-                    line = chaos.on_frame("coordinator.recv", line)
-                try:
-                    request = decode_line(line, ServeRequest)
-                except ServeProtocolError as exc:
-                    response = protocol_error_response(line, exc)
-                else:
-                    replayed = self.dedup.replay(request.request_id)
-                    if replayed is not None:
-                        response = replayed
-                    else:
-                        try:
-                            response = self._dispatch(request)
-                        except ServeProtocolError as exc:
-                            response = ServeResponse(
-                                request_id=request.request_id,
-                                ok=False,
-                                payload={"code": "protocol-error"},
-                                error=f"protocol error: {exc}",
-                                protocol=request.protocol,
-                            )
-                try:
-                    transmit(response)
-                except OSError:
-                    break
-        except OSError:  # includes an injected ChaosDrop (a ConnectionError)
-            pass
-        finally:
-            with contextlib.suppress(OSError):
-                conn.close()
-            with self._conn_lock:
-                self._connections.discard(conn)
-
-    def _dispatch(self, request: ServeRequest) -> ServeResponse:
+    def _dispatch(self, request: ServeRequest, respond: Respond) -> ServeResponse | None:
         assert self.queue is not None
         op = request.op
-
-        def reply(payload: dict[str, Any] | None = None, **kwargs: Any) -> ServeResponse:
-            return ServeResponse(
-                request_id=request.request_id,
-                ok=True,
-                payload=payload or {},
-                protocol=request.protocol,
-                **kwargs,
-            )
-
         if op == "ping":
-            return reply({"protocol": request.protocol, "role": "farm-coordinator"})
+            return request.reply({"protocol": request.protocol, "role": "farm-coordinator"})
         if op in ("stats", "progress"):
-            return reply(self.progress_payload())
+            return request.reply(self.progress_payload())
         if op == "shutdown":
-            # an operator abort: flush what we have and wake the driver
+            # an operator abort: flush what we have, answer, wake the driver
             self.interrupted = True
             self.flush(force=True, finished=False)
+            respond(request.reply())
             self._done.set()
             self._shutdown.set()
-            return reply()
+            return None
         if op == "claim":
             return self._handle_claim(request)
         if op == "complete":
@@ -445,14 +302,11 @@ class FarmCoordinator:
         if op == "heartbeat":
             worker_id, keys = parse_heartbeat(request)
             extended = self.queue.heartbeat(worker_id, keys)
-            return reply({"extended": extended})
-        if op == "compile":
-            return ServeResponse(
-                request_id=request.request_id,
-                ok=False,
-                error="this endpoint is a farm coordinator; submit compiles to `repro serve`",
-            )
-        raise ServeProtocolError(f"unhandled op {op!r}")  # pragma: no cover
+            return request.reply({"extended": extended})
+        # compile: the one remaining op, which only `repro serve` runs
+        return request.reply(
+            error="this endpoint is a farm coordinator; submit compiles to `repro serve`"
+        )
 
     def _handle_claim(self, request: ServeRequest) -> ServeResponse:
         assert self.queue is not None
@@ -471,15 +325,12 @@ class FarmCoordinator:
                     "deadline_unix": lease.deadline_unix,
                 }
             )
-        return ServeResponse(
-            request_id=request.request_id,
-            ok=True,
-            payload={
+        return request.reply(
+            {
                 "leases": [lease.to_dict() for lease in leases],
                 "done": self.queue.done(),
                 "lease_seconds": self.lease_seconds,
-            },
-            protocol=FARM_PROTOCOL_VERSION,
+            }
         )
 
     def _handle_complete(self, request: ServeRequest) -> ServeResponse:
@@ -502,12 +353,7 @@ class FarmCoordinator:
                 done = counts[COMPLETED] + counts[FAILED]
                 self.progress(f"{done}/{len(self.queue)} jobs executed")
         self._after_transition()
-        return ServeResponse(
-            request_id=request.request_id,
-            ok=True,
-            payload={"accepted": accepted},
-            protocol=FARM_PROTOCOL_VERSION,
-        )
+        return request.reply({"accepted": accepted})
 
     def _handle_fail(self, request: ServeRequest) -> ServeResponse:
         assert self.queue is not None
@@ -532,12 +378,7 @@ class FarmCoordinator:
                 f" {'re-queued' if requeued else 'budget exhausted'}"
             )
         self._after_transition(force=not requeued)
-        return ServeResponse(
-            request_id=request.request_id,
-            ok=True,
-            payload={"requeued": requeued},
-            protocol=FARM_PROTOCOL_VERSION,
-        )
+        return request.reply({"requeued": requeued})
 
     def _after_transition(self, *, force: bool = False) -> None:
         assert self.queue is not None

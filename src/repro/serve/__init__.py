@@ -13,7 +13,7 @@ repeated compiles pay it once per *device configuration*:
   helpers used by ``repro submit`` and the latency bench.
 """
 
-from .client import ServeClient, submit_jobs, wait_until_ready
+from .client import ServeClient, submit_jobs
 from .schema import (
     SERVE_PROTOCOL_VERSION,
     ServeProtocolError,
@@ -38,5 +38,4 @@ __all__ = [
     "device_key",
     "encode_message",
     "submit_jobs",
-    "wait_until_ready",
 ]

@@ -39,7 +39,7 @@ from .schema import (
     request_token,
 )
 
-__all__ = ["ServeClient", "submit_jobs", "wait_until_ready"]
+__all__ = ["ServeClient", "submit_jobs"]
 
 _REQUEST_COUNTER = itertools.count(1)
 
@@ -209,21 +209,6 @@ class ServeClient:
             policy=policy.to_dict() if policy is not None else None,
         )
         return self.request(request)
-
-
-def wait_until_ready(
-    host: str, port: int, *, attempts: int = 50, delay: float = 0.1
-) -> bool:
-    """Poll ``ping`` until the server answers; True once it does."""
-    for _ in range(attempts):
-        try:
-            with ServeClient(host, port, timeout=5.0, request_retries=0) as client:
-                if client.ping().ok:
-                    return True
-        except (OSError, ServeProtocolError):
-            pass
-        time.sleep(delay)
-    return False
 
 
 def submit_jobs(

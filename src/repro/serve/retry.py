@@ -1,8 +1,8 @@
 """Capped exponential backoff with jitter and a total-deadline budget.
 
 Shared by every reconnect loop in the serve & farm layers: the
-``ServeClient`` connect path, the farm worker's coordinator reconnects,
-and ``repro submit``'s readiness wait.  One policy object answers both
+``ServeClient`` connect path (``repro submit`` included) and the farm
+worker's coordinator reconnects.  One policy object answers both
 "how long do I sleep before attempt N?" and "have I blown my budget?",
 so callers can't drift apart on semantics.
 """

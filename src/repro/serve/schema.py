@@ -226,6 +226,19 @@ class ServeRequest:
             out["body"] = self.body
         return out
 
+    def reply(
+        self, payload: dict[str, Any] | None = None, *, error: str | None = None
+    ) -> "ServeResponse":
+        """The response to this request, echoing its id and protocol version;
+        ``ok`` unless ``error`` is given."""
+        return ServeResponse(
+            request_id=self.request_id,
+            ok=error is None,
+            payload=payload if payload is not None else {},
+            error=error,
+            protocol=self.protocol,
+        )
+
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ServeRequest":
         version = _check_protocol(payload)

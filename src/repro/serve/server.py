@@ -1,9 +1,14 @@
-"""The warm-state compile server behind ``repro serve``.
+"""The framed TCP server shared by ``repro serve`` and the farm coordinator,
+and the warm-state compile server behind ``repro serve``.
 
-A :class:`CompileServer` owns three things:
+:class:`FramedServer` owns the connection machinery both services speak:
+a listening socket carrying the newline-JSON protocol of
+:mod:`repro.serve.schema`, one reader thread per connection, bounded
+framing with structured protocol-error replies, request-id dedup and the
+chaos hooks.  Subclasses only answer decoded requests.
 
-* a listening TCP socket speaking the newline-JSON protocol of
-  :mod:`repro.serve.schema` (one reader thread per connection);
+A :class:`CompileServer` adds two things:
+
 * a :class:`~concurrent.futures.ThreadPoolExecutor` whose workers run
   :func:`repro.experiments.engine._execute_keyed` — the *same* entry point
   the batch engine's process pool uses, so a served compile produces the
@@ -19,12 +24,14 @@ concurrently-finishing responses from interleaving on the socket.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any
+from typing import Any, TypeVar
 
-from ..chaos import ChaosDrop, chaos_controller
+from ..chaos import chaos_controller
 from ..experiments.engine import (
     JobPolicy,
     ResultCache,
@@ -48,10 +55,218 @@ from .schema import (
 )
 from .state import WarmStateRegistry
 
-__all__ = ["CompileServer"]
+__all__ = ["CompileServer", "FramedServer"]
+
+_S = TypeVar("_S", bound="FramedServer")
+
+#: Sends one response on the connection its request arrived on.
+Respond = Callable[[ServeResponse], None]
 
 
-class CompileServer:
+class FramedServer:
+    """Threaded TCP server for newline-JSON request/response frames.
+
+    The base class binds, accepts, reads frames, answers illegal ones with
+    a structured protocol-error reply, replays duplicate request ids from
+    :attr:`dedup`, and severs open connections on :meth:`shutdown`.
+    Subclasses answer each new request in :meth:`_dispatch` and may
+    override the lifecycle hooks.
+
+    ``site`` labels the chaos hook points (``<site>.send`` /
+    ``<site>.recv``); ``thread_prefix`` names the accept and connection
+    threads.
+    """
+
+    site = "server"
+    thread_prefix = "repro-serve"
+
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = port
+        #: Replays recorded responses when a client retries after a drop —
+        #: the retried op is answered without executing twice.
+        self.dedup = ResponseLog()
+        self._sock: socket.socket | None = None
+        self._accept_thread: threading.Thread | None = None
+        self._connection_threads: list[threading.Thread] = []
+        self._connections: set[socket.socket] = set()
+        self._conn_lock = threading.Lock()
+        self._shutdown = threading.Event()
+
+    # ------------------------------------------------------------------ #
+    # subclass hooks
+    # ------------------------------------------------------------------ #
+    def _open(self) -> None:
+        """Runs in :meth:`start` once the port is bound, before accepting."""
+
+    def _drain(self) -> None:
+        """Runs in :meth:`shutdown` once accepting stopped, while open
+        connections can still be answered."""
+
+    def _close(self) -> None:
+        """Runs last in :meth:`shutdown`, once every connection is closed."""
+
+    def _count_error(self) -> None:
+        """Called once per protocol error answered."""
+
+    def _dispatch(self, request: ServeRequest, respond: Respond) -> ServeResponse | None:
+        """Answer a new request: return the response, or ``None`` after
+        arranging for ``respond`` to be called later.  A raised
+        :class:`ServeProtocolError` becomes a ``protocol-error`` reply."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    # lifecycle
+    # ------------------------------------------------------------------ #
+    def start(self: _S) -> _S:
+        """Bind, run :meth:`_open`, and begin accepting."""
+        if self._sock is not None:
+            raise RuntimeError(f"{self.site} is already running")
+        self._shutdown.clear()
+        sock = socket.create_server((self.host, self.port))
+        self.port = sock.getsockname()[1]
+        # accept() wakes up periodically to notice shutdown()
+        sock.settimeout(0.2)
+        try:
+            self._open()
+        except BaseException:
+            sock.close()
+            raise
+        self._sock = sock
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop,
+            args=(sock,),
+            name=f"{self.thread_prefix}-accept",
+            daemon=True,
+        )
+        self._accept_thread.start()
+        return self
+
+    def shutdown(self) -> None:
+        """Stop accepting, drain, sever open connections, then close."""
+        if self._shutdown.is_set() and self._sock is None:
+            return
+        self._shutdown.set()
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            with contextlib.suppress(OSError):
+                sock.close()
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5.0)
+            self._accept_thread = None
+        self._drain()
+        with self._conn_lock:
+            open_conns = list(self._connections)
+        for conn in open_conns:
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+            with contextlib.suppress(OSError):
+                conn.close()
+        for thread in list(self._connection_threads):
+            thread.join(timeout=5.0)
+        self._connection_threads.clear()
+        self._close()
+
+    def __enter__(self: _S) -> _S:
+        return self.start()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.shutdown()
+
+    # ------------------------------------------------------------------ #
+    # connection handling
+    # ------------------------------------------------------------------ #
+    def _accept_loop(self, sock: socket.socket) -> None:
+        while not self._shutdown.is_set():
+            try:
+                conn, _addr = sock.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                break
+            thread = threading.Thread(
+                target=self._serve_connection,
+                args=(conn,),
+                name=f"{self.thread_prefix}-conn",
+                daemon=True,
+            )
+            # only this thread mutates the list, so prune-then-append is safe
+            self._connection_threads = [
+                t for t in self._connection_threads if t.is_alive()
+            ]
+            self._connection_threads.append(thread)
+            thread.start()
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        with self._conn_lock:
+            self._connections.add(conn)
+        write_lock = threading.Lock()
+
+        def respond(response: ServeResponse) -> None:
+            # record before the first write: a reply lost to a connection
+            # drop must be replayable when the client retries its request
+            self.dedup.record(response)
+            data = encode_message(response)
+            try:
+                chaos = chaos_controller()
+                if chaos is not None:
+                    data = chaos.on_frame(f"{self.site}.send", data)
+                with write_lock:
+                    conn.sendall(data)
+            except OSError:  # includes an injected ChaosDrop
+                # replies may come from worker threads, so a failed send
+                # severs the socket and the reader loop below ends on it
+                with contextlib.suppress(OSError):
+                    conn.shutdown(socket.SHUT_RDWR)
+
+        try:
+            reader = conn.makefile("rb")
+            while True:
+                try:
+                    line = read_frame(reader)
+                except FrameTooLargeError as exc:
+                    # unrecoverable: framing is lost, so answer and sever
+                    self._count_error()
+                    respond(protocol_error_response(b"", exc))
+                    break
+                if line is None:
+                    break
+                if not line.strip():
+                    continue
+                chaos = chaos_controller()
+                if chaos is not None:
+                    line = chaos.on_frame(f"{self.site}.recv", line)
+                try:
+                    request = decode_line(line, ServeRequest)
+                except ServeProtocolError as exc:
+                    self._count_error()
+                    respond(protocol_error_response(line, exc))
+                    continue
+                replayed = self.dedup.replay(request.request_id)
+                if replayed is not None:
+                    respond(replayed)
+                    continue
+                try:
+                    response = self._dispatch(request, respond)
+                except ServeProtocolError as exc:
+                    self._count_error()
+                    response = request.reply(
+                        {"code": "protocol-error"}, error=f"protocol error: {exc}"
+                    )
+                if response is not None:
+                    respond(response)
+                if request.op == "shutdown":
+                    break
+        except OSError:
+            pass
+        finally:
+            with contextlib.suppress(OSError):
+                conn.close()
+            with self._conn_lock:
+                self._connections.discard(conn)
+
+
+class CompileServer(FramedServer):
     """Persistent compile server with warm per-device routing state.
 
     Parameters
@@ -84,20 +299,13 @@ class CompileServer:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.workers = workers
         self.cache = cache
         self.policy = policy if policy is not None else JobPolicy()
         self.registry = WarmStateRegistry(max_devices=max_devices)
-        self._sock: socket.socket | None = None
         self._pool: ThreadPoolExecutor | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._connection_threads: list[threading.Thread] = []
-        self._connections: set[socket.socket] = set()
         self._previous_provider: Any = None
-        self.dedup = ResponseLog()
-        self._shutdown = threading.Event()
         self._state_lock = threading.Lock()
         self._requests_served = 0
         self._compiles = 0
@@ -113,56 +321,18 @@ class CompileServer:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def start(self) -> "CompileServer":
-        """Bind, install the warm-state provider, and begin accepting."""
-        if self._sock is not None:
-            raise RuntimeError("server is already running")
-        self._shutdown.clear()
-        self._sock = socket.create_server((self.host, self.port))
-        self.port = self._sock.getsockname()[1]
+    def _open(self) -> None:
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve-worker"
         )
         self._previous_provider = set_warm_state_provider(self.registry.get)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-serve-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
 
-    def shutdown(self) -> None:
-        """Stop accepting, drain in-flight work, restore the engine hook."""
-        if self._shutdown.is_set() and self._sock is None:
-            return
-        self._shutdown.set()
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-            self._accept_thread = None
+    def _drain(self) -> None:
+        # in-flight compiles finish before connections are severed, so their
+        # responses still reach clients
         if self._pool is not None:
-            # drain in-flight compiles first so their responses still reach
-            # clients, then sever idle connections to unblock reader threads
             self._pool.shutdown(wait=True)
             self._pool = None
-        with self._state_lock:
-            open_conns = list(self._connections)
-        for conn in open_conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for thread in list(self._connection_threads):
-            thread.join(timeout=5.0)
-        self._connection_threads.clear()
         set_warm_state_provider(self._previous_provider)
         self._previous_provider = None
 
@@ -178,159 +348,45 @@ class CompileServer:
         finally:
             self.shutdown()
 
-    def __enter__(self) -> "CompileServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
     # ------------------------------------------------------------------ #
-    # connection handling
+    # request handling
     # ------------------------------------------------------------------ #
-    def _accept_loop(self) -> None:
-        sock = self._sock
-        if sock is None:
-            return
-        try:
-            sock.settimeout(0.2)
-        except OSError:  # shutdown() closed the socket before we got here
-            return
-        while not self._shutdown.is_set():
-            try:
-                conn, _addr = sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="repro-serve-conn",
-                daemon=True,
-            )
-            # only this thread mutates the list, so prune-then-append is safe
-            self._connection_threads = [
-                t for t in self._connection_threads if t.is_alive()
-            ]
-            self._connection_threads.append(thread)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
+    def _count_error(self) -> None:
         with self._state_lock:
-            self._connections.add(conn)
-        write_lock = threading.Lock()
+            self._errors += 1
 
-        def respond(response: ServeResponse) -> None:
-            # record before the first write: a reply lost to a connection
-            # drop must be replayable when the client retries its request
-            self.dedup.record(response)
-            data = encode_message(response)
-            chaos = chaos_controller()
-            if chaos is not None:
-                try:
-                    data = chaos.on_frame("server.send", data)
-                except ChaosDrop:
-                    try:
-                        conn.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass
-                    return
-            with write_lock:
-                try:
-                    conn.sendall(data)
-                except OSError:
-                    pass
-
-        try:
-            reader = conn.makefile("rb")
-            while True:
-                try:
-                    line = read_frame(reader)
-                except FrameTooLargeError as exc:
-                    # unrecoverable: framing is lost, so answer and sever
-                    with self._state_lock:
-                        self._errors += 1
-                    respond(protocol_error_response(b"", exc))
-                    break
-                if line is None:
-                    break
-                if not line.strip():
-                    continue
-                chaos = chaos_controller()
-                if chaos is not None:
-                    line = chaos.on_frame("server.recv", line)
-                try:
-                    request = decode_line(line, ServeRequest)
-                except ServeProtocolError as exc:
-                    with self._state_lock:
-                        self._errors += 1
-                    respond(protocol_error_response(line, exc))
-                    continue
-                replayed = self.dedup.replay(request.request_id)
-                if replayed is not None:
-                    respond(replayed)
-                    continue
-                with self._state_lock:
-                    self._requests_served += 1
-                if request.op == "ping":
-                    respond(
-                        ServeResponse(
-                            request_id=request.request_id,
-                            ok=True,
-                            payload={"protocol": SERVE_PROTOCOL_VERSION},
-                        )
-                    )
-                elif request.op == "stats":
-                    respond(
-                        ServeResponse(
-                            request_id=request.request_id, ok=True, payload=self.stats()
-                        )
-                    )
-                elif request.op == "shutdown":
-                    respond(ServeResponse(request_id=request.request_id, ok=True))
-                    self._shutdown.set()
-                    break
-                else:  # compile — run on the worker pool, respond when done
-                    pool = self._pool
-                    if pool is None or self._shutdown.is_set():
-                        respond(
-                            ServeResponse(
-                                request_id=request.request_id,
-                                ok=False,
-                                error="server is shutting down",
-                            )
-                        )
-                        continue
-                    with self._state_lock:
-                        self._queued += 1
-                    pool.submit(self._run_compile, request, respond)
-        except OSError:
-            pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-            with self._state_lock:
-                self._connections.discard(conn)
+    def _dispatch(self, request: ServeRequest, respond: Respond) -> ServeResponse | None:
+        with self._state_lock:
+            self._requests_served += 1
+        if request.op == "ping":
+            return request.reply({"protocol": SERVE_PROTOCOL_VERSION})
+        if request.op == "stats":
+            return request.reply(self.stats())
+        if request.op == "shutdown":
+            respond(request.reply())
+            self._shutdown.set()
+            return None
+        # compile — run on the worker pool, respond when done
+        pool = self._pool
+        if pool is None or self._shutdown.is_set():
+            return request.reply(error="server is shutting down")
+        with self._state_lock:
+            self._queued += 1
+        pool.submit(self._run_compile, request, respond)
+        return None
 
     # ------------------------------------------------------------------ #
     # compile execution
     # ------------------------------------------------------------------ #
-    def _run_compile(self, request: ServeRequest, respond: Any) -> None:
+    def _run_compile(self, request: ServeRequest, respond: Respond) -> None:
         with self._state_lock:
             self._queued -= 1
             self._running += 1
         try:
             response = self._compile_response(request)
         except Exception as exc:  # defensive: a worker must never die silently
-            with self._state_lock:
-                self._errors += 1
-            response = ServeResponse(
-                request_id=request.request_id,
-                ok=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            self._count_error()
+            response = request.reply(error=f"{type(exc).__name__}: {exc}")
         finally:
             with self._state_lock:
                 self._running -= 1
@@ -346,25 +402,15 @@ class CompileServer:
         try:
             job = job_from_dict(request.job)
         except Exception as exc:
-            with self._state_lock:
-                self._errors += 1
-            return ServeResponse(
-                request_id=request.request_id,
-                ok=False,
-                error=f"invalid job: {type(exc).__name__}: {exc}",
-            )
+            self._count_error()
+            return request.reply(error=f"invalid job: {type(exc).__name__}: {exc}")
         policy = self.policy
         if request.policy is not None:
             try:
                 policy = JobPolicy(**request.policy)
             except Exception as exc:
-                with self._state_lock:
-                    self._errors += 1
-                return ServeResponse(
-                    request_id=request.request_id,
-                    ok=False,
-                    error=f"invalid policy: {type(exc).__name__}: {exc}",
-                )
+                self._count_error()
+                return request.reply(error=f"invalid policy: {type(exc).__name__}: {exc}")
         key = config_key(job)
         warm = job in self.registry
         cached = False
@@ -383,23 +429,16 @@ class CompileServer:
         with self._state_lock:
             self._compiles += 1
         if "job_error" in payload:
-            with self._state_lock:
-                self._errors += 1
+            self._count_error()
             job_error = payload["job_error"]
             message = (
                 job_error.get("message", "") if isinstance(job_error, dict) else str(job_error)
             )
-            return ServeResponse(
-                request_id=request.request_id,
-                ok=False,
-                payload={"key": key, "warm": warm, "job_error": job_error},
+            return request.reply(
+                {"key": key, "warm": warm, "job_error": job_error},
                 error=f"job failed: {message}",
             )
-        return ServeResponse(
-            request_id=request.request_id,
-            ok=True,
-            payload={"key": key, "warm": warm, "cached": cached, "result": payload},
-        )
+        return request.reply({"key": key, "warm": warm, "cached": cached, "result": payload})
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -526,11 +526,11 @@ class TestJournalQuarantine:
 
 @pytest.fixture(scope="class")
 def server():
-    from repro.serve import CompileServer
-    from repro.serve.client import wait_until_ready
+    from repro.serve import CompileServer, ServeClient
 
     with CompileServer(workers=1) as running:
-        assert wait_until_ready(running.host, running.port)
+        with ServeClient(running.host, running.port) as client:
+            assert client.ping().ok
         yield running
 
 
@@ -588,9 +588,8 @@ class TestHardenedServer:
         )
         first, second = _raw_exchange(server, [ping, ping])
         assert first == second
-        stats = server.stats()
-        assert stats["dedup"]["replayed"] >= 1
-        assert stats["dedup"]["recorded"] >= 1
+        assert server.dedup.replayed >= 1
+        assert len(server.dedup) >= 1
 
     def test_client_retries_through_injected_drop(self, server):
         from repro.serve.client import ServeClient
@@ -600,6 +599,17 @@ class TestHardenedServer:
             response = client.ping()
         assert response.ok
         assert chaos_controller().counters() == {"conn-drop@client.send": 1}
+
+
+class TestHardenedCoordinator(TestHardenedServer):
+    """The same wire-level contract, served by the farm coordinator."""
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        from repro.farm import FarmCoordinator
+
+        with FarmCoordinator([Job("BV")]) as running:
+            yield running
 
 
 class TestWorkerConnectBudget:

@@ -7,7 +7,7 @@ from repro.experiments import (
     TABLE1_SETTINGS,
     TABLE2_PAPER_REFERENCE,
     ArchitectureSetting,
-    compare,
+    Job,
     format_fig12,
     format_fig13,
     format_fig14,
@@ -24,10 +24,10 @@ from repro.experiments import (
     run_fig14,
     run_fig15,
     run_fig16,
+    run_jobs_report,
     run_table2,
     scaled_setting,
 )
-from repro.hardware import ChipletArray
 from repro.metrics import improvement
 
 
@@ -56,8 +56,8 @@ class TestSettings:
 class TestCompare:
     @pytest.fixture(scope="class")
     def record(self):
-        array = ChipletArray("square", 4, 1, 2)
-        return compare("BV", array, seed=1)
+        records, _ = run_jobs_report([Job("BV", seed=1)])
+        return records[0]
 
     def test_record_fields(self, record):
         assert record.benchmark == "BV"

@@ -26,10 +26,8 @@ from repro.experiments.engine import (
 from repro.experiments.registry import build_experiment_jobs
 from repro.experiments.runner import (
     MultiComparisonRecord,
-    compare,
     compare_many,
     compile_many,
-    compile_pair,
     format_records,
     normalize_compilers,
     primary_compiler,
@@ -117,21 +115,6 @@ class TestCompileMany:
         assert "baseline*" in text  # the reference is marked
         assert "sabre-x" in text
         assert text.splitlines()[0] == "three-way"
-
-
-class TestDeprecatedWrappers:
-    def test_compile_pair_warns_and_matches_compile_many(self, small_array):
-        with pytest.deprecated_call(match="compile_many"):
-            pair = compile_pair("BV", small_array, seed=1)
-        compiled = compile_many("BV", small_array, seed=1)
-        assert pair.mech_result.depth == compiled.results["mech"].depth
-        assert pair.baseline_result.depth == compiled.results["baseline"].depth
-
-    def test_compare_warns_and_matches_the_engine_record(self, small_array):
-        with pytest.deprecated_call(match="compare_many"):
-            legacy = compare("BV", small_array, seed=1)
-        records, _ = run_jobs_report([Job("BV", seed=1)])
-        assert records[0].as_dict() == legacy.as_dict()
 
 
 class TestPlanValidation:

@@ -41,7 +41,6 @@ from repro.serve import (
     device_key,
     encode_message,
     submit_jobs,
-    wait_until_ready,
 )
 
 SMALL = dict(chiplet_width=4, rows=1, cols=2)
@@ -276,7 +275,8 @@ class TestWorkerThreadTimeout:
 @pytest.fixture(scope="module")
 def server():
     with CompileServer(workers=3) as running:
-        assert wait_until_ready(running.host, running.port)
+        with ServeClient(running.host, running.port) as client:
+            assert client.ping().ok
         yield running
 
 
@@ -356,6 +356,8 @@ class TestCompileServer:
         assert after["compiles"] >= before["compiles"] + 1
         assert after["warm_state"]["devices_resident"] >= 1
         assert after["protocol"] == SERVE_PROTOCOL_VERSION
+        assert after["dedup"]["recorded"] >= 1
+        assert after["dedup"]["replayed"] == server.dedup.replayed
 
 
 class TestServerLifecycle:
@@ -476,13 +478,23 @@ class TestServeCli:
 
     def test_submit_no_server_fails_cleanly(self, capsys):
         code = cli.main(
-            ["submit", "--port", "1", "--benchmark", "QFT", "--chiplet-width", "4"]
+            [
+                "submit",
+                "--port",
+                "1",
+                "--max-connect-seconds",
+                "0.5",
+                "--benchmark",
+                "QFT",
+                "--chiplet-width",
+                "4",
+            ]
         )
         assert code == 1
         assert "cannot talk to repro serve" in capsys.readouterr().err
 
     def test_ping_no_server(self, capsys):
-        code = cli.main(["submit", "--port", "1", "--ping"])
+        code = cli.main(["submit", "--port", "1", "--ping", "--max-connect-seconds", "0.5"])
         assert code == 1
 
     def test_control_ops_mutually_exclusive(self, capsys):
