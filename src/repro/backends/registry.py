@@ -42,11 +42,10 @@ def register_backend(
     error unless ``replace=True`` — silent shadowing of a built-in backend
     would change every cache key's meaning without changing the key.
 
-    Worker processes re-import the registry rather than inheriting it, so a
-    backend that should be visible to parallel sweeps (``--jobs > 1`` on a
-    spawn-based platform) must be registered at import time of a module the
-    workers import — not from inside ``if __name__ == "__main__"``.  On
-    fork-based platforms (Linux) the parent's registrations are inherited.
+    Forked ``--jobs N`` workers inherit the parent's registrations, but
+    remote ``repro farm-worker`` processes re-import the registry, so a
+    backend they must see has to be registered at import time of a module
+    they import — not from inside ``if __name__ == "__main__"``.
     """
     key = name.strip().lower()
     if not key:

@@ -12,7 +12,7 @@ The subsystem has three pieces:
   counts every injected fault per site.
 * the process-level singleton — ``controller()`` lazily parses the
   ``REPRO_CHAOS`` environment variable once per process, so worker
-  subprocesses inherit the scenario for free.  When the variable is unset
+  processes inherit the scenario for free.  When the variable is unset
   every hook is a no-op costing one ``is None`` check.
 
 Faults are deterministic: probabilistic clauses draw from a

@@ -738,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="TEMPLATE",
         help="launch each worker with this shell command template instead of"
-        " a local subprocess; placeholders: {host} {port} {index} {workers}"
+        " a forked local process; placeholders: {host} {port} {index} {workers}"
         " (e.g. 'ssh node{index} python -m repro farm-worker --connect"
         " {host}:{port} --workers {workers}')",
     )
@@ -1748,8 +1748,10 @@ def _emit_experiment(
     print(f"[{name}] artifacts: {paths['json']}, {paths['csv']}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    unknown = [name for name in args.experiments if name not in EXPERIMENTS]
+def _check_names(experiments: Sequence[str], benchmarks: Sequence[str]) -> int | None:
+    """Exit code 2, after a one-line error, for unknown experiments or
+    benchmarks (``run`` and ``farm run`` share the check); else None."""
+    unknown = [name for name in experiments if name not in EXPERIMENTS]
     if unknown:
         print(
             f"error: unknown experiment(s) {', '.join(sorted(set(unknown)))}; "
@@ -1758,11 +1760,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 2
     known = {name.upper() for name in BENCHMARK_NAMES}
-    bad = [name for name in args.benchmarks if name.upper() not in known]
-    if bad or not args.benchmarks:
+    bad = [name for name in benchmarks if name.upper() not in known]
+    if bad or not benchmarks:
         what = f"unknown benchmark(s) {', '.join(sorted(set(bad)))}" if bad else "no benchmarks given"
         print(f"error: {what}; choose from {', '.join(BENCHMARK_NAMES)}", file=sys.stderr)
         return 2
+    return None
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    usage_error = _check_names(args.experiments, args.benchmarks)
+    if usage_error is not None:
+        return usage_error
     usage_error = _validate_common_flags(args)
     if usage_error is not None:
         return usage_error
@@ -1848,23 +1857,9 @@ def _cmd_farm_run(args: argparse.Namespace) -> int:
     from .farm import CommandWorkerLauncher, LocalWorkerLauncher, run_farm
 
     name = args.experiment
-    if name not in EXPERIMENTS:
-        print(
-            f"error: unknown experiment {name!r};"
-            f" choose from {', '.join(sorted(EXPERIMENTS))}",
-            file=sys.stderr,
-        )
-        return 2
-    known = {candidate.upper() for candidate in BENCHMARK_NAMES}
-    bad = [bench for bench in args.benchmarks if bench.upper() not in known]
-    if bad or not args.benchmarks:
-        what = (
-            f"unknown benchmark(s) {', '.join(sorted(set(bad)))}"
-            if bad
-            else "no benchmarks given"
-        )
-        print(f"error: {what}; choose from {', '.join(BENCHMARK_NAMES)}", file=sys.stderr)
-        return 2
+    usage_error = _check_names([name], args.benchmarks)
+    if usage_error is not None:
+        return usage_error
     if args.cache_max_mb is not None and not (args.cache_max_mb > 0):
         print("error: --cache-max-mb must be positive", file=sys.stderr)
         return 2

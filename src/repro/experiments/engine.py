@@ -4,12 +4,12 @@ Every cell of the paper's tables and figures is modelled as a hashable
 :class:`Job`: the benchmark name, the device (structure, chiplet footprint,
 array shape, link density, highway density), the compiler list (registered
 backend names, reference first — see :mod:`repro.backends`), the compiler
-knobs and the seed.  The engine fans jobs out over a :mod:`multiprocessing`
-pool, memoizes each record in an on-disk JSON cache keyed by the job's config
-hash (the compiler list is part of the hash), and emits JSON/CSV artifacts
-per experiment.  The default ``("baseline", "mech")`` pair produces the
-historic two-column :class:`~repro.experiments.runner.ComparisonRecord`; any
-other compiler list produces an N-way
+knobs and the seed.  The engine runs jobs in-process or over leased local
+worker processes, memoizes each record in an on-disk JSON cache keyed by the
+job's config hash (the compiler list is part of the hash), and emits JSON/CSV
+artifacts per experiment.  The default ``("baseline", "mech")`` pair produces
+the historic two-column :class:`~repro.experiments.runner.ComparisonRecord`;
+any other compiler list produces an N-way
 :class:`~repro.experiments.runner.MultiComparisonRecord` with per-backend
 columns.
 
@@ -18,9 +18,10 @@ The design splits each experiment into three deterministic phases:
 1. a *jobs builder* (``jobs_for_fig12`` and friends) expands the experiment's
    scale preset into a flat list of jobs — pure configuration, no compilation;
 2. :func:`run_jobs` executes the jobs — first consulting the cache, then
-   deduplicating identical jobs within the run, then dispatching the misses
-   either serially or over a worker pool (results are reassembled in job
-   order, so parallel and serial runs return identical records);
+   deduplicating identical jobs within the run, then executing the misses
+   either in-process or, with ``workers > 1``, through the compile farm's
+   lease queue served to forked local workers (results are reassembled in
+   job order, so parallel and serial runs return identical records);
 3. :func:`write_artifacts` serialises the records as JSON and CSV so figures
    can be regenerated and diffed without recompiling anything.
 
@@ -31,11 +32,13 @@ no matter how the experiment labels them.
 
 Execution is fault tolerant: a :class:`JobPolicy` attaches a per-job
 wall-clock timeout, a retry budget and an ``on_error`` disposition to every
-dispatch, worker processes capture exceptions as structured :class:`JobError`
-records instead of poisoning the pool, and an optional checkpoint file tracks
-exactly which jobs are cached, completed, failed and still pending — so an
-interrupted or partially failed sweep loses nothing that already compiled and
-a rerun against the same cache executes only what remains.
+job, executors capture exceptions as structured :class:`JobError` records
+instead of dying, a worker process lost mid-job is healed by lease expiry,
+and an optional checkpoint file tracks exactly which jobs are cached,
+completed, failed and still pending — so an interrupted or partially failed
+sweep loses nothing that already compiled and a rerun against the same cache
+executes only what remains.  Both executors keep that bookkeeping in one
+:class:`RunLedger`.
 
 Execution is also *incremental*: :func:`run_jobs_report` is split into a pure
 :func:`plan_jobs` phase (keys, cache consultation, deduplication — no
@@ -56,7 +59,6 @@ import csv
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import signal
 import threading
@@ -101,6 +103,7 @@ __all__ = [
     "JobPolicy",
     "JobTimeoutError",
     "ResultCache",
+    "RunLedger",
     "RunReport",
     "append_journal",
     "checkpoint_document",
@@ -365,9 +368,9 @@ def _verify_enabled() -> bool:
 #: Optional provider of resident per-device state, installed by a compile
 #: server's worker pool (:mod:`repro.serve`).  Maps a :class:`Job` to an
 #: object with ``array``/``layout``/``router`` attributes matching the job's
-#: device configuration, or ``None`` for the cold path.  Process-global: the
-#: engine's own worker *processes* never inherit an installed provider
-#: (spawn) or install one (fork happens before any server exists).
+#: device configuration, or ``None`` for the cold path.  Process-global; a
+#: forked farm worker inherits its parent's, which is harmless because warm
+#: state is a pure function of the device configuration.
 _WARM_STATE_PROVIDER: Callable[[Job], Any] | None = None
 
 
@@ -656,8 +659,8 @@ def _deadline(seconds: float | None):
     """Raise :class:`JobTimeoutError` in the body after ``seconds`` of wall
     clock.
 
-    On the main thread (worker *processes* always run jobs there) the timer
-    is SIGALRM-based, exactly as it always was.  Off the main thread — serve
+    On the main thread (in-process runs) the timer is SIGALRM-based.  Off
+    the main thread — farm workers (behind ``repro run --jobs N`` too), serve
     workers, or any embedding that dispatches jobs from a thread pool — a
     monotonic-deadline watchdog thread schedules the timeout asynchronously
     instead: SIGALRM cannot be armed there, and the historic behaviour was to
@@ -719,11 +722,13 @@ WorkItem = tuple[str, dict[str, object], dict[str, object] | None]
 
 
 def _execute_keyed(item: WorkItem) -> tuple[str, dict[str, object]]:
-    """Worker entry point: (key, job dict, policy dict) -> (key, payload).
+    """Executor entry point: (key, job dict, policy dict) -> (key, payload).
 
-    The payload is either a record payload or ``{"job_error": {...}}`` — the
-    worker never lets an exception (other than ``KeyboardInterrupt``) escape,
-    so one poisoned job cannot kill the pool or discard in-flight results.
+    The payload is either a record payload or ``{"job_error": {...}}`` — no
+    exception (other than ``KeyboardInterrupt``) escapes, so one poisoned job
+    cannot kill a worker or discard in-flight results.  The retry loop here
+    serves in-process runs and ``repro serve``; farm leases carry a
+    single-attempt policy because the lease queue owns the budget.
     """
     key, job_dict, policy_dict = item
     policy = JobPolicy(**policy_dict) if policy_dict else JobPolicy()
@@ -1738,13 +1743,7 @@ def checkpoint_document(
     pending_entries: Sequence[Mapping[str, object]],
     serialized_jobs: Sequence[Mapping[str, object]],
 ) -> dict[str, object]:
-    """The checkpoint-schema-v2 document both checkpoint writers share.
-
-    :func:`run_jobs_report`'s in-process flush and the farm coordinator's
-    journal compaction build their files through this one constructor, so a
-    farm checkpoint is indistinguishable from a batch one and ``repro
-    resume`` works unchanged against either.
-    """
+    """The checkpoint-schema-v2 document :meth:`RunLedger.flush` writes."""
     return {
         "checkpoint_version": CHECKPOINT_VERSION,
         "finished": finished,
@@ -2008,6 +2007,177 @@ def load_checkpoint(path: str | Path, *, quarantine: bool = False) -> Checkpoint
         raise CheckpointError(f"checkpoint {path} has malformed fields: {exc}") from exc
 
 
+class RunLedger:
+    """One run's bookkeeping, shared by both executors.
+
+    Opening a ledger plans the run (one cache lookup per unique key).  The
+    in-process loop of :func:`run_jobs_report` and the farm coordinator
+    record payloads and permanent failures here; the ledger writes the
+    checkpoint, reassembles records in job order, builds the
+    :class:`RunReport` and flushes on SIGTERM.  ``on_flush(finished)``
+    runs after each checkpoint write (the coordinator journals it).
+    """
+
+    def __init__(
+        self,
+        jobs: Sequence[Job],
+        *,
+        cache: None | str | Path | ResultCache = None,
+        checkpoint: None | str | Path = None,
+        meta: Mapping[str, object] | None = None,
+        on_flush: Callable[[bool], None] | None = None,
+    ) -> None:
+        self.store = _coerce_cache(cache)
+        self._started = time.perf_counter()
+        self._corrupt_base = self.store.corrupt_seen if self.store is not None else 0
+        self._write_error_base = self.store.write_errors if self.store is not None else 0
+        self.plan = plan_jobs(jobs, cache=self.store, refresh=True)
+        #: Record payloads by config key: the cache hits, then each completion.
+        self.payloads: dict[str, dict[str, object]] = dict(self.plan.payloads)
+        #: Jobs that exhausted every attempt (never cached), by config key.
+        self.errors: dict[str, JobError] = {}
+        self.interrupted = False
+        self.checkpoint_path = Path(checkpoint) if checkpoint is not None else None
+        self.checkpoint_write_errors = 0
+        self._meta = meta
+        self._on_flush = on_flush
+        self._cached_keys = sorted(self.plan.payloads)
+        self._serialized_jobs = (
+            [job_to_dict(job) for job in self.plan.jobs] if self.checkpoint_path else []
+        )
+        self._lock = threading.RLock()
+        self._last_flush = 0.0
+        self._trailing: threading.Timer | None = None
+
+    def complete(self, key: str, payload: dict[str, object]) -> None:
+        """Keep a finished job's payload and cache it."""
+        self.payloads[key] = payload
+        if self.store is not None:
+            self.store.put(key, self.plan.pending[key], payload)
+
+    def flush(self, *, force: bool = True) -> None:
+        """Write the checkpoint.  A routine flush (``force=False``) within
+        :data:`_CHECKPOINT_FLUSH_SECONDS` of the last write is deferred: the
+        next routine flush usually writes it, a trailing timer covers a lull."""
+        if self.checkpoint_path is None:
+            return
+        with self._lock:
+            if not force and time.monotonic() - self._last_flush < _CHECKPOINT_FLUSH_SECONDS:
+                if self._trailing is None:
+                    self._trailing = threading.Timer(_CHECKPOINT_FLUSH_SECONDS, self._flush_late)
+                    self._trailing.daemon = True
+                    self._trailing.start()
+                return
+            if self._trailing is not None:
+                self._trailing.cancel()
+                self._trailing = None
+            self._last_flush = time.monotonic()
+            payloads, failed = dict(self.payloads), dict(self.errors)
+            remaining = [
+                {"key": key, "benchmark": job.benchmark, "kind": job.kind}
+                for key, job in self.plan.pending.items()
+                if key not in payloads and key not in failed
+            ]
+            finished = not remaining and not self.interrupted
+            document = checkpoint_document(
+                finished=finished,
+                interrupted=self.interrupted,
+                meta=self._meta,
+                total_jobs=self.plan.total,
+                cache_hits=self.plan.cache_hits,
+                cached_keys=self._cached_keys,
+                completed_keys=[key for key in self.plan.pending if key in payloads],
+                failed=list(failed.values()),
+                pending_entries=remaining,
+                serialized_jobs=self._serialized_jobs,
+            )
+            try:
+                _atomic_write_json(self.checkpoint_path, document)
+            except OSError:
+                # a full/read-only disk must not abort the sweep; only
+                # resumability degrades
+                self.checkpoint_write_errors += 1
+                return
+            if self._on_flush is not None:
+                self._on_flush(finished)
+
+    def _flush_late(self) -> None:
+        with self._lock:
+            if self._trailing is not None:  # else a later flush superseded it
+                self.flush()
+
+    @contextlib.contextmanager
+    def interruptible(self, on_sigterm: Callable[[], None] | None = None):
+        """Flush the checkpoint, marked interrupted, if the body is stopped.
+
+        Ctrl-C flushes and re-raises.  On SIGTERM (how launchers and batch
+        schedulers stop a run) a handler flushes, runs ``on_sigterm``, then
+        re-delivers the signal under the default disposition so the exit
+        status still says "killed by SIGTERM".  Only the main thread may
+        install the handler; other threads leave the signal alone.
+        """
+
+        def on_term(signum, frame):
+            self.interrupted = True
+            self.flush()
+            if on_sigterm is not None:
+                on_sigterm()
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        installed = False
+        previous: Any = None
+        main_thread = threading.current_thread() is threading.main_thread()
+        if self.checkpoint_path is not None and main_thread:
+            with contextlib.suppress(ValueError, OSError):
+                previous = signal.signal(signal.SIGTERM, on_term)
+                installed = True
+        try:
+            yield
+        except KeyboardInterrupt:
+            self.interrupted = True
+            self.flush()
+            raise
+        finally:
+            if installed:
+                with contextlib.suppress(ValueError, OSError):
+                    signal.signal(signal.SIGTERM, previous)
+
+    def records(self) -> list[AnyRecord]:
+        """Records in original job order (tags re-applied); failed jobs are
+        left out."""
+        records: list[AnyRecord] = []
+        for job, key in zip(self.plan.jobs, self.plan.keys, strict=True):
+            payload = self.payloads.get(key)
+            if payload is None:
+                continue
+            record = record_from_payload(payload)
+            for tag, value in job.tags:
+                record.extra[tag] = value
+            records.append(record)
+        return records
+
+    def report(self, *, workers: int, transport_replays: int = 0) -> RunReport:
+        store = self.store
+        write_errors = store.write_errors - self._write_error_base if store is not None else 0
+        return RunReport(
+            total=self.plan.total,
+            cache_hits=self.plan.cache_hits,
+            executed=len(self.plan.pending),
+            deduplicated=self.plan.deduplicated,
+            workers=workers,
+            seconds=time.perf_counter() - self._started,
+            failed=len(self.errors),
+            errors=list(self.errors.values()),
+            corrupt_entries=store.corrupt_seen - self._corrupt_base if store is not None else 0,
+            interrupted=self.interrupted,
+            cache_write_errors=write_errors,
+            cache_degraded=write_errors > 0,
+            checkpoint_write_errors=self.checkpoint_write_errors,
+            transport_replays=transport_replays,
+        )
+
+
 def run_jobs_report(
     jobs: Sequence[Job],
     *,
@@ -2018,203 +2188,66 @@ def run_jobs_report(
     checkpoint: None | str | Path = None,
     checkpoint_meta: Mapping[str, object] | None = None,
 ) -> tuple[list[AnyRecord], RunReport]:
-    """Execute jobs (plan -> pool) and report what happened.
+    """Execute jobs (plan, then execute) and report what happened.
 
-    Records come back in job order regardless of the completion order of the
-    pool, so a parallel run is record-for-record identical to a serial one.
-    ``workers <= 1`` stays in-process; ``workers > 1`` dispatches cache misses
-    over a ``multiprocessing`` pool.  ``cache`` may be a directory path or a
-    :class:`ResultCache`; ``None`` disables memoization (identical jobs are
-    still computed only once per call).  The cached/pending split comes from
-    :func:`plan_jobs` — the same phase ``repro run --dry-run`` prints.
+    Records come back in job order, so a parallel run is record-for-record
+    identical to a serial one.  ``workers <= 1`` stays in-process;
+    ``workers > 1`` serves the cache misses from the compile farm's lease
+    queue to that many forked local workers (:func:`repro.farm.run_farm`),
+    which heals a worker lost mid-job by lease expiry.  ``cache`` may be a
+    directory path or a :class:`ResultCache`; ``None`` disables memoization
+    (identical jobs are still computed only once per call).
 
     ``policy`` governs per-job timeouts, retries and error disposition (see
-    :class:`JobPolicy`; the default re-raises failures).  Jobs that fail under
-    ``on_error="skip"``/``"record"`` are dropped from the returned records and
-    reported in :attr:`RunReport.errors`.  ``checkpoint`` names a JSON file
-    kept up to date with exactly which jobs are cached, completed, failed and
-    pending; it serialises the full job list (plus the caller's
-    ``checkpoint_meta``, e.g. the experiment name), so after a crash or
-    ``KeyboardInterrupt`` it can be re-hydrated by :func:`load_checkpoint`
-    and resumed without re-expanding the experiment spec.
+    :class:`JobPolicy`; the default re-raises the first failure).  Jobs that
+    fail under ``on_error="skip"``/``"record"`` are dropped from the
+    returned records and reported in :attr:`RunReport.errors`.
+    ``checkpoint`` names a JSON file kept up to date with exactly which jobs
+    are cached, completed, failed and pending, plus the full job list and
+    the caller's ``checkpoint_meta``, so :func:`load_checkpoint` can resume
+    the run after a crash, ``KeyboardInterrupt`` or SIGTERM.
     """
-    store = _coerce_cache(cache)
     policy = policy if policy is not None else JobPolicy()
-    workers = max(1, int(workers))
-    start = time.perf_counter()
-    corrupt_base = store.corrupt_seen if store is not None else 0
-    write_error_base = store.write_errors if store is not None else 0
+    if workers > 1:
+        from ..farm import coordinator as farm
+        from ..farm.launcher import LocalWorkerLauncher
 
-    plan = plan_jobs(jobs, cache=store, refresh=True)
-    keys = plan.keys
-    payloads = plan.payloads
-    pending = plan.pending
-    report = RunReport(
-        total=plan.total,
-        workers=workers,
-        cache_hits=plan.cache_hits,
-        deduplicated=plan.deduplicated,
-        executed=len(pending),
-    )
-
-    checkpoint_path = Path(checkpoint) if checkpoint is not None else None
-    cached_keys = sorted(payloads)
-    serialized_jobs = (
-        [job_to_dict(job) for job in jobs] if checkpoint_path is not None else []
-    )
-    errors: dict[str, JobError] = {}
-    last_flush = 0.0
-
-    def flush_checkpoint(*, finished: bool, force: bool = True) -> None:
-        # routine per-job flushes are throttled so huge sweeps don't rewrite
-        # an O(jobs) file O(jobs) times; failures, interrupts and completion
-        # always flush, which is what the resume guarantee rests on
-        nonlocal last_flush
-        if checkpoint_path is None:
-            return
-        now = time.monotonic()
-        if not force and now - last_flush < _CHECKPOINT_FLUSH_SECONDS:
-            return
-        last_flush = now
-        remaining = [
-            {"key": key, "benchmark": job.benchmark, "kind": job.kind}
-            for key, job in pending.items()
-            if key not in payloads and key not in errors
-        ]
-        try:
-            _atomic_write_json(
-                checkpoint_path,
-                checkpoint_document(
-                    finished=finished,
-                    interrupted=report.interrupted,
-                    meta=checkpoint_meta,
-                    total_jobs=report.total,
-                    cache_hits=report.cache_hits,
-                    cached_keys=cached_keys,
-                    completed_keys=[key for key in pending if key in payloads],
-                    failed=list(errors.values()),
-                    pending_entries=remaining,
-                    serialized_jobs=serialized_jobs,
-                ),
-            )
-        except OSError:
-            # a full/read-only disk must not abort the sweep — results are
-            # still collected in memory; only resumability is degraded
-            report.checkpoint_write_errors += 1
-
+        return farm.run_farm(
+            jobs,
+            launcher=LocalWorkerLauncher(),
+            workers=workers,
+            cache=cache,
+            policy=policy,
+            lease_seconds=farm.LEASE_SECONDS,
+            checkpoint=checkpoint,
+            checkpoint_meta=checkpoint_meta,
+            progress=progress,
+        )
+    ledger = RunLedger(jobs, cache=cache, checkpoint=checkpoint, meta=checkpoint_meta)
+    pending = ledger.plan.pending
     policy_dict = policy.to_dict()
-    items: list[WorkItem] = [
-        (key, job_to_dict(job), policy_dict) for key, job in pending.items()
-    ]
-    done = 0
-    flush_checkpoint(finished=not items)
-
-    def collect(key: str, payload: dict[str, object]) -> None:
-        nonlocal done
-        done += 1
-        job_error = payload.get("job_error")
-        if isinstance(job_error, dict):
-            # never cache a failure: a rerun should retry exactly these jobs
-            error = JobError(**job_error)
-            errors[key] = error
-            report.errors.append(error)
-            # throttled like success flushes — a mass-failure sweep would
-            # otherwise rewrite the O(jobs) file once per failure; the raise
-            # path forces because it abandons the run right after
-            flush_checkpoint(finished=False, force=policy.on_error == "raise")
+    ledger.flush()
+    with ledger.interruptible():
+        for done, (key, job) in enumerate(pending.items(), 1):
+            _, payload = _execute_keyed((key, job_to_dict(job), policy_dict))
+            note = f"{done}/{len(pending)} jobs executed"
+            job_error = payload.get("job_error")
+            error = JobError(**job_error) if isinstance(job_error, dict) else None
+            if error is not None:
+                # never cache a failure: a rerun should retry exactly these jobs
+                ledger.errors[key] = error
+                # the raise path abandons the run right after, so it forces
+                ledger.flush(force=policy.on_error == "raise")
+                note += f" ({error.benchmark} failed: {error.error_type})"
+            else:
+                ledger.complete(key, payload)
+                ledger.flush(force=False)
             if progress is not None:
-                progress(
-                    f"{done}/{len(items)} jobs executed"
-                    f" ({error.benchmark} failed: {error.error_type})"
-                )
-            if policy.on_error == "raise":
-                report.failed = len(errors)
-                report.seconds = time.perf_counter() - start
+                progress(note)
+            if error is not None and policy.on_error == "raise":
                 _raise_job_error(error)
-            return
-        # persist each result as it lands, so an interrupted or partially
-        # failed sweep keeps everything that already compiled
-        payloads[key] = payload
-        if store is not None:
-            store.put(key, pending[key], payload)
-        flush_checkpoint(finished=False, force=False)
-        if progress is not None:
-            progress(f"{done}/{len(items)} jobs executed")
-
-    # A launcher or batch scheduler stops a run with SIGTERM, not Ctrl-C;
-    # without this handler the process dies between throttled flushes and
-    # leaves a checkpoint that under-reports what already completed.  Flush,
-    # then restore the default disposition and re-deliver the signal so the
-    # exit status still says "killed by SIGTERM".  Only the main thread may
-    # install signal handlers; embeddings that dispatch from other threads
-    # simply keep the historic behaviour.
-    sigterm_installed = False
-    sigterm_previous: Any = None
-    sigterm_owner = os.getpid()
-
-    def _flush_on_sigterm(signum, frame):
-        # forked pool workers inherit this handler; a process-group SIGTERM
-        # must not let a child overwrite the checkpoint with its stale
-        # fork-time copy of the run state, so only the owning process flushes
-        if os.getpid() == sigterm_owner:
-            report.interrupted = True
-            flush_checkpoint(finished=False)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        os.kill(os.getpid(), signal.SIGTERM)
-
-    if (
-        checkpoint_path is not None
-        and hasattr(signal, "SIGTERM")
-        and threading.current_thread() is threading.main_thread()
-    ):
-        try:
-            sigterm_previous = signal.signal(signal.SIGTERM, _flush_on_sigterm)
-            sigterm_installed = True
-        except (ValueError, OSError):  # pragma: no cover - exotic embeddings
-            sigterm_installed = False
-
-    try:
-        if len(items) > 1 and workers > 1:
-            # workers die on SIGTERM by default: a Python-level handler runs
-            # only between bytecodes, so a worker blocked on the task queue's
-            # lock can swallow the SIGTERM of Pool.terminate() and hang it
-            with multiprocessing.get_context().Pool(
-                processes=min(workers, len(items)),
-                initializer=signal.signal,
-                initargs=(signal.SIGTERM, signal.SIG_DFL),
-            ) as pool:
-                for key, payload in pool.imap_unordered(_execute_keyed, items, chunksize=1):
-                    collect(key, payload)
-        else:
-            for item in items:
-                collect(*_execute_keyed(item))
-    except KeyboardInterrupt:
-        report.interrupted = True
-        flush_checkpoint(finished=False)
-        raise
-    finally:
-        if sigterm_installed:
-            with contextlib.suppress(ValueError, OSError):
-                signal.signal(signal.SIGTERM, sigterm_previous)
-
-    report.failed = len(errors)
-    report.corrupt_entries = (store.corrupt_seen - corrupt_base) if store is not None else 0
-    if store is not None:
-        report.cache_write_errors = store.write_errors - write_error_base
-        report.cache_degraded = report.cache_write_errors > 0
-    flush_checkpoint(finished=True)
-
-    records: list[AnyRecord] = []
-    for job, key in zip(jobs, keys, strict=True):
-        payload = payloads.get(key)
-        if payload is None:  # failed under on_error="skip"/"record"
-            continue
-        record = record_from_payload(payload)
-        for tag, value in job.tags:
-            record.extra[tag] = value
-        records.append(record)
-    report.seconds = time.perf_counter() - start
-    return records, report
+    ledger.flush()
+    return ledger.records(), ledger.report(workers=1)
 
 
 def run_jobs(

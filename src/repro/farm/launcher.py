@@ -2,8 +2,8 @@
 
 A launcher answers one question: *given a coordinator address, start worker
 number ``index`` somewhere and hand back a process-like handle*.  The
-built-in :class:`LocalWorkerLauncher` spawns ``python -m repro farm-worker``
-subprocesses on this machine; :class:`CommandWorkerLauncher` renders a
+built-in :class:`LocalWorkerLauncher` forks workers on this machine (it also
+serves ``repro run --jobs N``); :class:`CommandWorkerLauncher` renders a
 user-supplied command template (``{host}``/``{port}``/``{index}``/
 ``{workers}`` placeholders) through the shell, which is enough to wrap
 ``ssh``, ``kubectl run``, a batch scheduler, or anything else that can
@@ -17,14 +17,22 @@ started.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import signal
 import subprocess
-import sys
+import time
+import traceback
 from pathlib import Path
-from typing import Any, Protocol
+from typing import Any, NoReturn, Protocol
+
+from ..chaos import chaos_controller, reset_chaos
+from ..serve.server import close_listeners
+from .worker import exit_on_sigterm, run_worker
 
 __all__ = [
     "CommandWorkerLauncher",
+    "ForkedWorker",
     "LocalWorkerLauncher",
     "WorkerHandle",
     "WorkerLauncher",
@@ -49,30 +57,43 @@ class WorkerLauncher(Protocol):
     def launch(self, index: int, host: str, port: int) -> WorkerHandle: ...  # noqa: E704
 
 
-def _env_with_src_on_path() -> dict[str, str]:
-    """Ensure the spawned interpreter can import :mod:`repro`.
+class ForkedWorker:
+    """A forked worker process behind the :class:`subprocess.Popen` surface."""
 
-    ``repro farm run`` may be invoked via ``PYTHONPATH=src`` from the repo
-    root or from an installed package; prepending the package's own parent
-    directory covers both without clobbering an existing ``PYTHONPATH``.
-    """
-    import repro
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: int | None = None
 
-    src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    parts = [src_dir] + ([existing] if existing else [])
-    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
-    return env
+    def poll(self) -> int | None:
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+            except ChildProcessError:  # already reaped elsewhere
+                self.returncode = -1
+            else:
+                if pid:
+                    self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def terminate(self, signum: int = signal.SIGTERM) -> None:
+        if self.poll() is None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.pid, signum)
+
+    def kill(self) -> None:
+        self.terminate(signal.SIGKILL)
 
 
 class LocalWorkerLauncher:
-    """Spawn ``python -m repro farm-worker`` subprocesses on this host.
+    """Fork workers on this host.
 
-    ``threads`` is the per-worker ``--workers`` value (executor threads
-    inside each worker process); ``log_dir`` captures each worker's stdout +
-    stderr to ``worker-<index>.log`` for post-mortems, otherwise output is
-    discarded.
+    The child runs :func:`~repro.farm.worker.run_worker` from the parent's
+    memory, with no interpreter start-up or re-import.  ``threads`` is each
+    worker's executor-thread count; ``log_dir`` captures each worker's
+    stdout + stderr to ``worker-<index>.log``, otherwise output is
+    discarded.  Launch before the coordinator starts any thread: a child
+    inherits every lock as it was at the fork, so a lock another thread
+    held then stays held forever.
     """
 
     def __init__(self, *, threads: int = 1, log_dir: str | Path | None = None) -> None:
@@ -81,33 +102,57 @@ class LocalWorkerLauncher:
         self.threads = threads
         self.log_dir = Path(log_dir) if log_dir is not None else None
 
-    def launch(self, index: int, host: str, port: int) -> subprocess.Popen[bytes]:
-        argv = [
-            sys.executable,
-            "-m",
-            "repro",
-            "farm-worker",
-            "--connect",
-            f"{host}:{port}",
-            "--workers",
-            str(self.threads),
-            "--worker-id",
-            f"local-{index}-{os.getpid()}",
-        ]
-        stdout: Any = subprocess.DEVNULL
+    def launch(self, index: int, host: str, port: int) -> ForkedWorker:
+        log: str | Path = os.devnull
         if self.log_dir is not None:
             self.log_dir.mkdir(parents=True, exist_ok=True)
-            stdout = open(self.log_dir / f"worker-{index}.log", "ab")  # noqa: SIM115
+            log = self.log_dir / f"worker-{index}.log"
+        log_fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        # the child must not run the parent's SIGTERM handler (it would
+        # flush the parent's checkpoint) before it installs its own
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
         try:
-            return subprocess.Popen(
-                argv,
-                stdout=stdout,
-                stderr=subprocess.STDOUT,
-                env=_env_with_src_on_path(),
-            )
+            pid = os.fork()
+            if pid == 0:
+                _worker_child(index, host, port, self.threads, log_fd, mask)
         finally:
-            if stdout is not subprocess.DEVNULL:
-                stdout.close()  # Popen holds its own descriptor
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            os.close(log_fd)
+        return ForkedWorker(pid)
+
+
+def _worker_child(
+    index: int, host: str, port: int, threads: int, log_fd: int, mask: Any
+) -> NoReturn:
+    """The body of a forked worker; never returns into the parent's stack."""
+    code = 1
+    try:
+        exit_on_sigterm()
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        close_listeners()
+        reset_chaos()  # count this process's injections, not the parent's
+        os.dup2(log_fd, 1)
+        os.dup2(log_fd, 2)
+        os.close(log_fd)
+
+        def note(message: str) -> None:
+            os.write(2, f"[farm-worker] {message}\n".encode())
+
+        code = run_worker(
+            host, port, workers=threads, worker_id=f"local-{index}-{os.getpid()}", progress=note
+        )
+    except SystemExit:  # stop_workers' SIGTERM
+        code = 0
+    except Exception:
+        with contextlib.suppress(OSError):
+            os.write(2, traceback.format_exc().encode())
+    finally:
+        try:
+            chaos = chaos_controller()
+            if chaos is not None:
+                chaos.flush_report()
+        finally:
+            os._exit(code)
 
 
 def render_worker_command(template: str, *, index: int, host: str, port: int, workers: int) -> str:
@@ -153,26 +198,17 @@ class CommandWorkerLauncher:
             shell=True,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.STDOUT,
-            env=_env_with_src_on_path(),
         )
 
 
 def stop_workers(handles: list[Any], *, timeout: float = 5.0) -> None:
-    """Terminate (then kill) every still-running worker handle."""
-    for handle in handles:
-        if handle.poll() is None:
-            try:
-                handle.terminate()
-            except OSError:
-                continue
-    for handle in handles:
-        waiter = getattr(handle, "wait", None)
-        if waiter is None:
-            continue
-        try:
-            waiter(timeout=timeout)
-        except Exception:
-            try:
-                handle.kill()
-            except OSError:
-                pass
+    """Terminate every still-running worker handle, then kill (and reap)
+    the ones still alive ``timeout`` seconds later."""
+    for stop in ("terminate", "kill"):
+        live = [handle for handle in handles if handle.poll() is None]
+        for handle in live:
+            with contextlib.suppress(OSError):
+                getattr(handle, stop)()
+        deadline = time.monotonic() + timeout
+        while any(handle.poll() is None for handle in live) and time.monotonic() < deadline:
+            time.sleep(0.01)

@@ -235,10 +235,6 @@ class LeaseQueue:
         with self._lock:
             return [e.error for e in self._entries.values() if e.state == FAILED and e.error]
 
-    def job_for(self, key: str) -> Job | None:
-        entry = self._entries.get(key)
-        return entry.job if entry is not None else None
-
     def entry_state(self, key: str) -> str | None:
         with self._lock:
             entry = self._entries.get(key)

@@ -2,8 +2,8 @@
 
 A worker is deliberately dumb: it claims a batch of leases, executes each
 through :func:`repro.experiments.engine._execute_keyed` — the *same* entry
-point the batch engine's process pool and the compile server use, so a
-farm-built record payload is byte-identical to a local one — and reports
+point the in-process engine and the compile server use, so a farm-built
+record payload is byte-identical to a local one — and reports
 ``complete`` or ``fail`` per lease.  Every lease carries a single-attempt
 policy (the coordinator owns the retry budget), so the worker never loops on
 a failing job.
@@ -42,7 +42,7 @@ from .schema import (
     heartbeat_request,
 )
 
-__all__ = ["default_worker_id", "run_worker"]
+__all__ = ["default_worker_id", "exit_on_sigterm", "run_worker"]
 
 
 def default_worker_id() -> str:
@@ -212,6 +212,12 @@ def _check(response: ServeResponse) -> None:
         raise ServeProtocolError(response.error or "coordinator rejected the report")
 
 
+def exit_on_sigterm() -> None:
+    """Turn the SIGTERM that stops a drained worker into ``SystemExit(0)``,
+    so the chaos report flushes instead of the process dying mid-frame."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
+
+
 def main_loop_with_retry(
     host: str,
     port: int,
@@ -231,13 +237,8 @@ def main_loop_with_retry(
     ``max_connect_seconds`` bound the whole wait (whichever budget runs
     out first).
     """
-    # the farm driver stops workers with SIGTERM once the queue drains;
-    # converting it to SystemExit lets atexit hooks (chaos report flush)
-    # run instead of the process dying mid-frame
-    try:
-        signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
-    except ValueError:
-        pass  # not the main thread (embedded in tests); leave signals alone
+    with contextlib.suppress(ValueError):  # not the main thread: leave signals alone
+        exit_on_sigterm()
     policy = BackoffPolicy(
         initial=0.1,
         cap=2.0,

@@ -11,7 +11,7 @@ A :class:`CompileServer` adds two things:
 
 * a :class:`~concurrent.futures.ThreadPoolExecutor` whose workers run
   :func:`repro.experiments.engine._execute_keyed` — the *same* entry point
-  the batch engine's process pool uses, so a served compile produces the
+  the batch engine and the farm workers use, so a served compile produces the
   byte-identical record payload and cache key a ``repro run`` would;
 * a :class:`~repro.serve.state.WarmStateRegistry` installed as the engine's
   warm-state provider while the server runs, so repeat compiles against one
@@ -55,12 +55,24 @@ from .schema import (
 )
 from .state import WarmStateRegistry
 
-__all__ = ["CompileServer", "FramedServer"]
+__all__ = ["CompileServer", "FramedServer", "close_listeners"]
 
 _S = TypeVar("_S", bound="FramedServer")
 
 #: Sends one response on the connection its request arrived on.
 Respond = Callable[[ServeResponse], None]
+
+#: The listening sockets of this process's bound servers.
+_LISTENERS: set[socket.socket] = set()
+
+
+def close_listeners() -> None:
+    """Close a forked child's copies of its parent's listening sockets, so
+    a port whose server died refuses connections instead of queueing them."""
+    for sock in list(_LISTENERS):
+        with contextlib.suppress(OSError):
+            sock.close()
+    _LISTENERS.clear()
 
 
 class FramedServer:
@@ -118,8 +130,9 @@ class FramedServer:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def start(self: _S) -> _S:
-        """Bind, run :meth:`_open`, and begin accepting."""
+    def bind(self: _S) -> _S:
+        """Bind the port and run :meth:`_open`; no thread starts yet, so a
+        caller may still fork safely (see :func:`close_listeners`)."""
         if self._sock is not None:
             raise RuntimeError(f"{self.site} is already running")
         self._shutdown.clear()
@@ -133,14 +146,24 @@ class FramedServer:
             sock.close()
             raise
         self._sock = sock
+        _LISTENERS.add(sock)
+        return self
+
+    def serve(self: _S) -> _S:
+        """Begin accepting on the bound port."""
+        assert self._sock is not None, "bind() first"
         self._accept_thread = threading.Thread(
             target=self._accept_loop,
-            args=(sock,),
+            args=(self._sock,),
             name=f"{self.thread_prefix}-accept",
             daemon=True,
         )
         self._accept_thread.start()
         return self
+
+    def start(self: _S) -> _S:
+        """Bind, run :meth:`_open`, and begin accepting."""
+        return self.bind().serve()
 
     def shutdown(self) -> None:
         """Stop accepting, drain, sever open connections, then close."""
@@ -149,6 +172,11 @@ class FramedServer:
         self._shutdown.set()
         sock, self._sock = self._sock, None
         if sock is not None:
+            _LISTENERS.discard(sock)
+            # shutdown() wakes an accept() blocked in another thread at
+            # once (on Linux); close() alone waits out the accept timeout
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
             with contextlib.suppress(OSError):
                 sock.close()
         if self._accept_thread is not None:

@@ -3,25 +3,34 @@
 Covers the protocol-v2 schema (including that the v1 wire format is
 untouched), the lease queue's transition semantics — the attempt-budget
 invariant above all — the coordinator served over real TCP against a
-hand-rolled worker client, the launcher plumbing, and an in-process
-``run_farm`` smoke (real subprocess workers).
+hand-rolled worker client, the launcher plumbing, an in-process
+``run_farm`` smoke (real forked workers), and ``run_jobs_report(workers=2)``
+healing a SIGKILLed worker instead of hanging.
 """
 
 import json
+import os
+import signal
+import threading
 import time
 
 import pytest
 
 from repro.experiments.engine import (
+    FAULT_INJECT_ENV,
+    STALL_ENV,
     Job,
     JobError,
     JobPolicy,
     ResultCache,
     config_key,
     job_to_dict,
+    journal_path_for,
     read_journal,
+    run_jobs_report,
 )
 from repro.farm import FarmCoordinator, LeaseQueue, LocalWorkerLauncher, run_farm
+from repro.farm import coordinator as farm_coordinator
 from repro.farm.launcher import render_worker_command
 from repro.farm.queue import COMPLETED, FAILED, LEASED, PENDING
 from repro.farm.schema import (
@@ -403,6 +412,9 @@ class TestRunFarm:
         assert report.executed == 3
         doc = json.loads((tmp_path / "farm.checkpoint.json").read_text())
         assert doc["finished"] is True
+        # --worker-log-dir: the forked worker's stderr landed in its log
+        log = tmp_path / "logs" / "worker-0.log"
+        assert log.exists() and log.stat().st_size > 0
 
     def test_run_farm_skips_workers_when_everything_is_cached(self, tmp_path):
         class ExplodingLauncher:
@@ -424,6 +436,76 @@ class TestRunFarm:
         assert len(records) == 1
         assert report.cache_hits == 1
 
+    def test_raise_policy_aborts_at_the_first_exhausted_job(self, monkeypatch):
+        # QFT fails at once while BV stalls for 30 s: aborting at the first
+        # failure (instead of draining the queue) returns long before that
+        monkeypatch.setenv(FAULT_INJECT_ENV, "QFT")
+        monkeypatch.setenv(STALL_ENV, "BV:30")
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="injected fault"):
+            run_farm([_job("BV"), _job("QFT")], launcher=LocalWorkerLauncher(), workers=2)
+        assert time.monotonic() - start < 15.0
+
     def test_run_farm_validates_workers(self):
         with pytest.raises(ValueError, match="workers"):
             run_farm([_job()], launcher=LocalWorkerLauncher(), workers=0)
+
+
+class TestParallelRunHealsLostWorker:
+    """A SIGKILLed worker under ``run_jobs_report(workers=2)`` heals by lease
+    expiry; the run neither hangs nor loses the job silently."""
+
+    JOBS = [_job("BV", seed=1), _job("QFT", seed=1)]
+
+    @pytest.fixture(autouse=True)
+    def stalled_qft(self, monkeypatch):
+        monkeypatch.setenv(STALL_ENV, "QFT:2")
+        monkeypatch.setattr(farm_coordinator, "LEASE_SECONDS", 1.5)
+
+    def _run_killing_qft_worker(self, tmp_path, *, retries):
+        checkpoint = tmp_path / "run.checkpoint.json"
+        journal = journal_path_for(checkpoint)
+        qft_key = config_key(self.JOBS[1])
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = run_jobs_report(
+                    self.JOBS,
+                    workers=2,
+                    cache=tmp_path / "cache",
+                    policy=JobPolicy(retries=retries, on_error="record"),
+                    checkpoint=checkpoint,
+                )
+            except BaseException as exc:  # surfaced by the asserts below
+                outcome["error"] = exc
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        victim = None
+        deadline = time.monotonic() + 10.0
+        while victim is None and time.monotonic() < deadline:
+            events = read_journal(journal) if journal.exists() else []
+            leases = [e for e in events if e["event"] == "lease" and e["key"] == qft_key]
+            if leases:
+                # forked workers are named local-<index>-<pid>
+                victim = int(leases[0]["worker"].rsplit("-", 1)[1])
+            else:
+                time.sleep(0.05)
+        assert victim is not None, "the QFT job was never leased to a worker"
+        os.kill(victim, signal.SIGKILL)  # mid-job: QFT stalls for 2 s
+        runner.join(timeout=12.0)
+        assert not runner.is_alive(), "run_jobs_report hung after a worker was SIGKILLed"
+        assert "error" not in outcome, outcome.get("error")
+        return outcome["result"]
+
+    def test_lost_job_is_retried_within_budget(self, tmp_path):
+        records, report = self._run_killing_qft_worker(tmp_path, retries=1)
+        assert [record.benchmark for record in records] == ["BV", "QFT"]
+        assert report.failed == 0
+
+    def test_lost_job_without_budget_is_reported_not_hung(self, tmp_path):
+        records, report = self._run_killing_qft_worker(tmp_path, retries=0)
+        assert [record.benchmark for record in records] == ["BV"]
+        assert report.failed == 1
+        assert report.errors[0].error_type == "WorkerLostError"
