@@ -1,15 +1,16 @@
-"""Deterministic, seedable fault injection for the serve & farm layers.
+"""Deterministic, seedable fault injection for the serve, farm and job layers.
 
 The subsystem has three pieces:
 
 * :mod:`repro.chaos.plan` — the scenario-spec grammar.  A spec string such
   as ``conn-drop:after=3;garble:rate=0.1;enospc:op=put;torn-tail:journal``
-  parses into a schema-versioned :class:`ChaosPlan` of fault clauses.
+  parses into a validated :class:`ChaosPlan` of fault clauses.
 * :mod:`repro.chaos.inject` — the runtime.  A :class:`ChaosController`
-  built from a plan exposes the hook points the transport and storage
+  built from a plan exposes the hook points the transport, storage and job
   layers call (``on_frame`` around socket send/recv, ``on_fs_op`` around
-  cache/checkpoint writes, ``journal_line`` around journal appends) and
-  counts every injected fault per site.
+  cache/checkpoint writes, ``journal_line`` around journal appends,
+  ``on_job`` at the start of every job attempt) and counts every injected
+  fault per site.
 * the process-level singleton — ``controller()`` lazily parses the
   ``REPRO_CHAOS`` environment variable once per process, so worker
   processes inherit the scenario for free.  When the variable is unset

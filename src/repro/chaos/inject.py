@@ -1,6 +1,6 @@
 """The chaos runtime: a controller with injectable hook points.
 
-The transport and storage layers call three hooks:
+The transport, storage and job layers call four hooks:
 
 * ``on_frame(site, data)`` — around every socket send/recv.  May raise
   :class:`ChaosDrop` (connection drop), return garbled bytes, or sleep.
@@ -8,6 +8,8 @@ The transport and storage layers call three hooks:
   May raise ``OSError`` with ``ENOSPC`` or ``EROFS``.
 * ``journal_line(path, line)`` — around a journal append.  May return a
   torn prefix of the line, simulating a crash mid-``write(2)``.
+* ``on_job(benchmark)`` — at the start of every job attempt.  May sleep
+  (``job-stall``) and then raise ``RuntimeError`` (``job-fail``).
 
 All hooks are thread-safe (the serve layers are threaded) and count
 every injected fault per (kind, site) pair; ``report()`` snapshots the
@@ -36,6 +38,9 @@ from repro.chaos.plan import (
 )
 
 CHAOS_REPORT_VERSION = 1
+
+#: Upper bound on a ``job-stall``, so a typo cannot wedge a run for hours.
+JOB_STALL_MAX_SECONDS = 60.0
 
 
 class ChaosDrop(ConnectionError):
@@ -209,6 +214,40 @@ class ChaosController:
                 keep = max(1, len(data) // 2)
                 return data[:keep]
         return data
+
+    # -- job hook ------------------------------------------------------
+
+    def on_job(self, benchmark: str) -> None:
+        """Called at the start of every attempt of a ``benchmark`` job.
+
+        Sleeps for ``job-stall`` clauses (outside the lock, so a stalled
+        serve thread never blocks other threads' hooks), then raises
+        ``RuntimeError`` for ``job-fail`` clauses.  Both fire on every
+        matching job: they carry no ``times`` budget.
+        """
+
+        name = benchmark.upper()
+        stall = 0.0
+        fail = False
+        with self._lock:
+            for state in self._states:
+                clause = state.clause
+                if clause.kind not in ("job-fail", "job-stall"):
+                    continue
+                if str(clause.params["benchmark"]).upper() != name:
+                    continue
+                self._count(clause.kind, name)
+                if clause.kind == "job-fail":
+                    fail = True
+                else:
+                    seconds = min(float(clause.params["seconds"]), JOB_STALL_MAX_SECONDS)
+                    stall = max(stall, seconds)
+        if stall > 0.0:
+            time.sleep(stall)
+        if fail:
+            raise RuntimeError(
+                f"injected fault for benchmark {benchmark!r} ({CHAOS_ENV} job-fail)"
+            )
 
     # -- reporting -----------------------------------------------------
 

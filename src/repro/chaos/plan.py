@@ -31,6 +31,13 @@ Recognised fault kinds and their parameters (defaults in parens):
     Truncate a journal append (or checkpoint write) mid-line, leaving a
     torn tail on disk: ``target`` = ``journal``/``checkpoint``
     (journal), ``times`` (1).  Bare token → ``target``.
+``job-fail``
+    Make every job of ``benchmark`` raise ``RuntimeError``.  Bare token
+    → ``benchmark``.
+``job-stall``
+    Make every job of ``benchmark`` sleep ``seconds`` (1.0, at most 60)
+    before it compiles.  Bare token → ``benchmark``.  Both job kinds fire
+    on every matching job (case-insensitively), on every attempt.
 ``seed``
     Not a fault: seeds the plan's RNG.  ``seed=7`` or ``seed:7``.
 
@@ -50,23 +57,17 @@ CHAOS_ENV = "REPRO_CHAOS"
 CHAOS_REPORT_ENV = "REPRO_CHAOS_REPORT"
 CHAOS_PLAN_VERSION = 1
 
-# kind -> (default-parameter name, {param: coercion})
-_FAULT_KINDS: dict[str, tuple[str, dict[str, type]]] = {
-    "conn-drop": ("site", {"after": int, "times": int, "site": str, "on": str}),
-    "garble": ("site", {"rate": float, "times": int, "site": str, "mode": str}),
-    "slow": ("site", {"seconds": float, "rate": float, "times": int, "site": str}),
-    "enospc": ("op", {"op": str, "after": int, "times": int, "sticky": int}),
-    "readonly": ("op", {"op": str, "after": int, "times": int, "sticky": int}),
-    "torn-tail": ("target", {"target": str, "times": int}),
-}
-
-_DEFAULTS: dict[str, dict[str, object]] = {
-    "conn-drop": {"after": 3, "times": 1, "site": "", "on": "any"},
-    "garble": {"rate": 0.1, "times": 1, "site": "", "mode": "flip"},
-    "slow": {"seconds": 0.05, "rate": 1.0, "times": 1, "site": ""},
-    "enospc": {"op": "any", "after": 0, "times": 1, "sticky": 0},
-    "readonly": {"op": "any", "after": 0, "times": 1, "sticky": 0},
-    "torn-tail": {"target": "journal", "times": 1},
+# kind -> (default-parameter name, {param: default}); each default's type is
+# the coercion its parameter's values go through
+_FAULT_KINDS: dict[str, tuple[str, dict[str, int | float | str]]] = {
+    "conn-drop": ("site", {"after": 3, "times": 1, "site": "", "on": "any"}),
+    "garble": ("site", {"rate": 0.1, "times": 1, "site": "", "mode": "flip"}),
+    "slow": ("site", {"seconds": 0.05, "rate": 1.0, "times": 1, "site": ""}),
+    "enospc": ("op", {"op": "any", "after": 0, "times": 1, "sticky": 0}),
+    "readonly": ("op", {"op": "any", "after": 0, "times": 1, "sticky": 0}),
+    "torn-tail": ("target", {"target": "journal", "times": 1}),
+    "job-fail": ("benchmark", {"benchmark": ""}),
+    "job-stall": ("benchmark", {"benchmark": "", "seconds": 1.0}),
 }
 
 _ENUM_PARAMS: dict[tuple[str, str], tuple[str, ...]] = {
@@ -89,65 +90,24 @@ class FaultClause:
     kind: str
     params: dict[str, object] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, object]:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, object]) -> "FaultClause":
-        kind = doc.get("kind")
-        if kind not in _FAULT_KINDS:
-            raise ChaosSpecError(f"unknown fault kind in plan document: {kind!r}")
-        params = dict(_DEFAULTS[kind])
-        raw = doc.get("params")
-        if isinstance(raw, dict):
-            params.update(raw)
-        return cls(kind=str(kind), params=params)
-
 
 @dataclass
 class ChaosPlan:
-    """A schema-versioned, fully-validated chaos scenario."""
+    """A fully-validated chaos scenario."""
 
     clauses: list[FaultClause] = field(default_factory=list)
     seed: int = 0
     spec: str = ""
-    version: int = CHAOS_PLAN_VERSION
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "chaos_plan_version": self.version,
-            "seed": self.seed,
-            "spec": self.spec,
-            "clauses": [clause.to_dict() for clause in self.clauses],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, object]) -> "ChaosPlan":
-        version = doc.get("chaos_plan_version")
-        if version != CHAOS_PLAN_VERSION:
-            raise ChaosSpecError(
-                f"unsupported chaos plan version {version!r}"
-                f" (this build reads version {CHAOS_PLAN_VERSION})"
-            )
-        clauses_doc = doc.get("clauses")
-        if not isinstance(clauses_doc, list):
-            raise ChaosSpecError("chaos plan document has no clause list")
-        return cls(
-            clauses=[FaultClause.from_dict(c) for c in clauses_doc],
-            seed=int(doc.get("seed", 0)),
-            spec=str(doc.get("spec", "")),
-            version=CHAOS_PLAN_VERSION,
-        )
 
 
 def _coerce(kind: str, name: str, raw: str) -> object:
-    _, schema = _FAULT_KINDS[kind]
-    if name not in schema:
-        known = ", ".join(sorted(schema))
+    _, defaults = _FAULT_KINDS[kind]
+    if name not in defaults:
+        known = ", ".join(sorted(defaults))
         raise ChaosSpecError(
             f"unknown parameter {name!r} for fault {kind!r} (known: {known})"
         )
-    target = schema[name]
+    target = type(defaults[name])
     try:
         value: object = target(raw)
     except ValueError as exc:
@@ -190,8 +150,8 @@ def parse_chaos_spec(spec: str) -> ChaosPlan:
                 f"unknown fault kind {head!r} in clause {clause_text!r}"
                 f" (known kinds: {known}, plus seed=N)"
             )
-        default_param, _ = _FAULT_KINDS[head]
-        params = dict(_DEFAULTS[head])
+        default_param, defaults = _FAULT_KINDS[head]
+        params = dict(defaults)
         if rest.strip():
             for item in rest.split(","):
                 item = item.strip()

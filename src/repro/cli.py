@@ -60,6 +60,7 @@ from pathlib import Path
 from collections.abc import Sequence
 
 from .backends import DEFAULT_COMPILERS, available_backends, backend_descriptions
+from .chaos import CHAOS_ENV, ChaosSpecError, chaos_controller
 from .experiments.engine import (
     SCALE_TIERS,
     VERIFY_ENV,
@@ -1105,7 +1106,6 @@ def _cache_stats_summary(cache_dir: str, as_json: bool = False) -> int:
         f"  entries:      {stats['entries']}"
         f" ({stats['total_bytes'] / 1048576:.2f} MiB in {stats['shards']} shards)"
     )
-    print(f"  legacy flat:  {stats['legacy_entries']} (migrated on next access)")
     print(f"  tmp litter:   {stats['tmp_files']}")
     print(f"  corrupt:      {stats['corrupt_entries']}")
     for label, mtime in (("oldest", stats["oldest_mtime"]), ("newest", stats["newest_mtime"])):
@@ -1528,7 +1528,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                     compilers=tuple(compilers),
                 )
             ]
-        policy = JobPolicy(timeout=args.timeout) if args.timeout is not None else None
+        try:
+            policy = JobPolicy(timeout=args.timeout) if args.timeout is not None else None
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         responses = submit_jobs(
             jobs,
             args.host,
@@ -1625,13 +1629,18 @@ def _build_cache(args: argparse.Namespace) -> ResultCache | None:
     return ResultCache(args.cache_dir, max_bytes=max_bytes)
 
 
-def _build_policy(args: argparse.Namespace) -> JobPolicy:
-    return JobPolicy(
-        timeout=args.timeout,
-        retries=args.retries,
-        reseed_on_retry=args.reseed_on_retry,
-        on_error=args.on_error,
-    )
+def _build_policy(args: argparse.Namespace) -> JobPolicy | None:
+    """The run's :class:`JobPolicy`, or None after a one-line usage error."""
+    try:
+        return JobPolicy(
+            timeout=args.timeout,
+            retries=args.retries,
+            reseed_on_retry=args.reseed_on_retry,
+            on_error=args.on_error,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _workers(args: argparse.Namespace) -> int:
@@ -1775,6 +1784,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     usage_error = _validate_common_flags(args)
     if usage_error is not None:
         return usage_error
+    policy = _build_policy(args)
+    if policy is None:
+        return 2
     # normalise case so "bv" and "BV" share cache entries
     benchmarks = [name.upper() for name in args.benchmarks]
     compilers = _parse_compilers(args.compilers)
@@ -1808,7 +1820,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         }
         return _emit_plans(plans, header, args.json)
 
-    policy = _build_policy(args)
     if args.verify:
         # worker processes inherit the environment, so the flag reaches every
         # compile job without touching the (cache-key-relevant) job config
@@ -1880,8 +1891,10 @@ def _cmd_farm_run(args: argparse.Namespace) -> int:
     # byte for byte, so the smoke alias resolves before anything records it
     scale = "small" if args.scale == "smoke" else args.scale
 
-    cache = _build_cache(args)
     policy = _build_policy(args)
+    if policy is None:
+        return 2
+    cache = _build_cache(args)
     jobs = build_experiment_jobs(
         name, scale=scale, benchmarks=benchmarks, seed=args.seed, compilers=compilers
     )
@@ -1989,6 +2002,9 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     usage_error = _validate_common_flags(args)
     if usage_error is not None:
         return usage_error
+    policy = _build_policy(args)
+    if policy is None:
+        return 2
     try:
         # a crash can tear the journal's final line; quarantine the torn
         # tail (preserved as *.quarantine) and resume from the good prefix
@@ -2078,7 +2094,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         jobs,
         workers=_workers(args),
         cache=cache,
-        policy=_build_policy(args),
+        policy=policy,
         checkpoint=checkpoint.path,
         checkpoint_meta=meta,
         progress=progress,
@@ -2103,6 +2119,13 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(list(argv) if argv is not None else None)
+    try:
+        # parse the scenario once, up front: a malformed spec is a usage
+        # error, not a traceback (or a job error in every worker)
+        chaos_controller()
+    except ChaosSpecError as exc:
+        print(f"error: {CHAOS_ENV}: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.command == "list":
             return _cmd_list()

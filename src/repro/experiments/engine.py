@@ -90,9 +90,7 @@ from .runner import (
 __all__ = [
     "CACHE_VERSION",
     "CHECKPOINT_VERSION",
-    "FAULT_INJECT_ENV",
     "SCALE_TIERS",
-    "STALL_ENV",
     "VERIFY_ENV",
     "Checkpoint",
     "CheckpointError",
@@ -497,44 +495,10 @@ EXECUTORS: dict[str, Callable[[Job], AnyRecord]] = {
 }
 
 
-#: Environment variable naming a benchmark whose jobs fail on purpose.  Used
-#: by the fault-injection tests and the CI smoke job to exercise the error
-#: path through a real CLI run without patching any code.
-FAULT_INJECT_ENV = "REPRO_FAULT_BENCHMARK"
-
-#: Environment variable of the form ``NAME:SECONDS`` that makes every job of
-#: benchmark NAME sleep before compiling.  The stall is what lets the farm
-#: fault-tolerance tests (and the CI farm-smoke job) deterministically catch
-#: a worker mid-job to SIGKILL it — same spirit as :data:`FAULT_INJECT_ENV`,
-#: no code patched.
-STALL_ENV = "REPRO_STALL_BENCHMARK"
-
-#: Upper bound on an injected stall, so a typo cannot wedge a run for hours.
-_STALL_MAX_SECONDS = 60.0
-
-
-def _injected_stall(job: Job) -> float:
-    spec = os.environ.get(STALL_ENV)
-    if not spec:
-        return 0.0
-    name, _, seconds = spec.partition(":")
-    if name.strip().upper() != job.benchmark.upper():
-        return 0.0
-    try:
-        return min(max(float(seconds), 0.0), _STALL_MAX_SECONDS)
-    except ValueError:
-        return 0.0
-
-
 def _execute_job(job: Job) -> AnyRecord:
-    stall = _injected_stall(job)
-    if stall:
-        time.sleep(stall)
-    injected = os.environ.get(FAULT_INJECT_ENV)
-    if injected and job.benchmark.upper() == injected.upper():
-        raise RuntimeError(
-            f"injected fault for benchmark {job.benchmark!r} ({FAULT_INJECT_ENV} is set)"
-        )
+    chaos = chaos_controller()
+    if chaos is not None:
+        chaos.on_job(job.benchmark)  # the job-stall / job-fail hooks
     try:
         executor = EXECUTORS[job.kind]
     except KeyError as exc:
@@ -585,8 +549,8 @@ class JobPolicy:
             )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive or None, got {self.timeout}")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:  # rejects NaN too
+            raise ValueError(f"timeout must be positive and finite or None, got {self.timeout}")
 
     def to_dict(self) -> dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(JobPolicy)}
@@ -786,11 +750,10 @@ class ResultCache:
     """On-disk JSON memo of comparison records, one file per config hash.
 
     Entries are sharded by hash prefix (``ab/abcd….json``) so paper-scale
-    sweeps never pile millions of files into one directory; flat entries from
-    the pre-shard layout are migrated transparently on first access (or in
-    bulk via :meth:`migrate`).  Writes are atomic (temp file + rename) so
-    concurrent runs sharing a cache directory never observe torn files, and
-    temp litter left by crashed writers is swept on :meth:`put`/:meth:`clear`.
+    sweeps never pile millions of files into one directory.  Writes are
+    atomic (temp file + rename) so concurrent runs sharing a cache directory
+    never observe torn files, and temp litter left by crashed writers is
+    swept on :meth:`put`/:meth:`clear`.
     Payloads carry the full job config alongside the record, which makes a
     cache directory self-describing and debuggable with plain ``jq``.
 
@@ -1048,7 +1011,7 @@ class ResultCache:
         for key, count in ranked:
             if len(top_entries) >= max(top, 0):
                 break
-            if self.path_for(key).exists() or self._legacy_path_for(key).exists():
+            if self.path_for(key).exists():
                 top_entries.append({"key": key, "hits": count})
         return {
             "recorded": total,
@@ -1062,9 +1025,6 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         return self.cache_dir / key[:_SHARD_CHARS] / f"{key}.json"
 
-    def _legacy_path_for(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
-
     def _drop_corrupt(self, path: Path) -> None:
         self.corrupt_seen += 1
         try:
@@ -1076,67 +1036,43 @@ class ResultCache:
         """The cached record payload for ``key``, or None on a miss.
 
         A hit refreshes the entry's mtime (its LRU rank) and appends to the
-        access log (see :meth:`access_stats`); a flat legacy entry is moved
-        into its shard; a corrupt entry is deleted and counted.
+        access log (see :meth:`access_stats`); a corrupt entry is deleted
+        and counted.
         """
-        record = self._get(key)
+        record = self._read(key, refresh=True)
         self._log_access("H" if record is not None else "M", key)
         return record
-
-    def _get(self, key: str) -> dict[str, object] | None:
-        path = self.path_for(key)
-        if not path.exists():
-            legacy = self._legacy_path_for(key)
-            if not legacy.is_file():
-                return None
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # a concurrent run may migrate the same entry first; losing the
-            # race is fine — the sharded copy is already in place
-            with contextlib.suppress(OSError):
-                os.replace(legacy, path)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except json.JSONDecodeError:
-            self._drop_corrupt(path)
-            return None
-        if not isinstance(entry, dict):
-            self._drop_corrupt(path)
-            return None
-        if entry.get("cache_version") != CACHE_VERSION:
-            return None  # a legitimate version skew, not rot
-        record = entry.get("record")
-        if not isinstance(record, dict):
-            self._drop_corrupt(path)
-            return None
-        with contextlib.suppress(OSError):
-            os.utime(path)
-        return dict(record)
 
     def peek(self, key: str) -> dict[str, object] | None:
         """Like :meth:`get`, but strictly read-only.
 
-        No mtime refresh, no legacy migration, no corrupt-entry deletion —
-        the classification (hit or miss) matches what :meth:`get` would
-        return, which is what dry-run planning needs without perturbing the
-        LRU/TTL state it is previewing.
+        No mtime refresh, no corrupt-entry deletion, no access log — the
+        classification (hit or miss) matches what :meth:`get` would return,
+        which is what dry-run planning needs without perturbing the LRU/TTL
+        state it is previewing.
         """
+        return self._read(key, refresh=False)
+
+    def _read(self, key: str, *, refresh: bool) -> dict[str, object] | None:
         path = self.path_for(key)
-        if not path.exists():
-            path = self._legacy_path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
-        except FileNotFoundError:
-            return None
+        except (FileNotFoundError, NotADirectoryError):
+            return None  # a miss (or a cache dir that is not a directory)
         except json.JSONDecodeError:
-            return None  # :meth:`get` would classify this a miss too (and drop it)
-        if not isinstance(entry, dict) or entry.get("cache_version") != CACHE_VERSION:
+            entry = None
+        if isinstance(entry, dict) and entry.get("cache_version") != CACHE_VERSION:
+            return None  # a legitimate version skew, not rot
+        record = entry.get("record") if isinstance(entry, dict) else None
+        if not isinstance(record, dict):
+            if refresh:
+                self._drop_corrupt(path)
             return None
-        record = entry.get("record")
-        return dict(record) if isinstance(record, dict) else None
+        if refresh:
+            with contextlib.suppress(OSError):
+                os.utime(path)
+        return dict(record)
 
     def put(self, key: str, job: Job, record_payload: Mapping[str, object]) -> Path:
         """Store one record payload under ``key`` (atomic write).
@@ -1189,12 +1125,10 @@ class ResultCache:
         return path
 
     def entries(self) -> list[Path]:
-        """Every entry path — sharded and (legacy) flat — sorted by name."""
+        """Every entry path, sorted by name."""
         if not self.cache_dir.is_dir():
             return []
-        paths = list(self.cache_dir.glob("*.json"))
-        paths += self.cache_dir.glob(f"{_SHARD_GLOB}/*.json")
-        return sorted(paths, key=lambda p: p.name)
+        return sorted(self.cache_dir.glob(f"{_SHARD_GLOB}/*.json"), key=lambda p: p.name)
 
     def _tmp_files(self) -> list[Path]:
         if not self.cache_dir.is_dir():
@@ -1272,18 +1206,6 @@ class ResultCache:
             self._total_bytes = total
         return evicted
 
-    def migrate(self) -> int:
-        """Move every flat legacy entry into its shard; returns the count."""
-        moved = 0
-        if not self.cache_dir.is_dir():
-            return moved
-        for legacy in sorted(self.cache_dir.glob("*.json")):
-            target = self.cache_dir / legacy.stem[:_SHARD_CHARS] / legacy.name
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, target)
-            moved += 1
-        return moved
-
     def sweep_older_than(
         self,
         max_age_seconds: float,
@@ -1293,9 +1215,9 @@ class ResultCache:
     ) -> dict[str, int]:
         """Age-based (TTL) garbage collection, shard-aware.
 
-        Removes every entry — sharded and legacy flat — whose last use is
-        strictly older than ``now - max_age_seconds``; entries at or newer
-        than the cutoff are never touched.  Last use is the newer of the
+        Removes every entry whose last use is strictly older than
+        ``now - max_age_seconds``; entries at or newer than the cutoff are
+        never touched.  Last use is the newer of the
         entry's mtime (a :meth:`get` refreshes it) and its access-log recency
         stamp, so freshly restored entries whose mtimes were reset by the
         restore tooling are not mis-swept.  ``dry_run`` counts what a sweep
@@ -1438,8 +1360,6 @@ class ResultCache:
         """Size/health summary of the cache directory (reads every entry)."""
         total_bytes = 0
         corrupt = 0
-        legacy = 0
-        shards = set()
         oldest: float | None = None
         newest: float | None = None
         entries = self.entries()
@@ -1451,10 +1371,6 @@ class ResultCache:
             total_bytes += stat.st_size
             oldest = stat.st_mtime if oldest is None else min(oldest, stat.st_mtime)
             newest = stat.st_mtime if newest is None else max(newest, stat.st_mtime)
-            if path.parent == self.cache_dir:
-                legacy += 1
-            else:
-                shards.add(path.parent.name)
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     entry = json.load(handle)
@@ -1466,8 +1382,7 @@ class ResultCache:
             "cache_dir": str(self.cache_dir),
             "entries": len(entries),
             "total_bytes": total_bytes,
-            "shards": len(shards),
-            "legacy_entries": legacy,
+            "shards": len({path.parent for path in entries}),
             "tmp_files": len(self._tmp_files()),
             "corrupt_entries": corrupt,
             "max_bytes": self.max_bytes,
@@ -1533,10 +1448,9 @@ def plan_jobs(
     consulted through the strictly read-only :meth:`ResultCache.peek`, so
     previewing a plan never marks entries "recently used" (which would
     defeat a TTL sweep the operator is about to run).  A real run — which
-    *wants* its hits' LRU recency refreshed, legacy entries migrated and
-    corrupt entries dropped — passes ``refresh=True`` to consult
-    :meth:`ResultCache.get` instead; the hit/miss classification is the same
-    either way.
+    *wants* its hits' LRU recency refreshed and corrupt entries dropped —
+    passes ``refresh=True`` to consult :meth:`ResultCache.get` instead; the
+    hit/miss classification is the same either way.
     """
     # eager validation MUST precede any cache consultation: a plan (and thus
     # a dry run or resume) against a misspelled kind or compiler fails loudly

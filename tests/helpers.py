@@ -8,6 +8,9 @@ logical circuit, up to the final logical-to-physical permutation.  It does so
 by simulating both circuits from a non-trivial product input state and
 comparing the reduced state on the data qubits, after slicing out the
 (measured, hence product-state) ancilla qubits.
+
+:func:`set_chaos_spec` sets or clears the ``REPRO_CHAOS`` scenario for an
+in-process test, e.g. ``job-fail:QFT`` to make every QFT job fail.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from repro.chaos import CHAOS_ENV, reset_chaos
 from repro.circuits import Circuit, Simulator, statevectors_equal
 from repro.compiler.result import CompilationResult
 
@@ -23,6 +27,7 @@ __all__ = [
     "product_input",
     "assert_semantically_equivalent",
     "assert_all_two_qubit_ops_coupled",
+    "set_chaos_spec",
 ]
 
 
@@ -114,3 +119,14 @@ def assert_all_two_qubit_ops_coupled(result: CompilationResult) -> None:
             assert result.topology.is_coupled(*op.qubits), (
                 f"operation {op} acts on uncoupled physical qubits"
             )
+
+
+def set_chaos_spec(monkeypatch, spec: str | None) -> None:
+    """Set ``REPRO_CHAOS`` to ``spec`` (None clears it) and drop the cached
+    controller, so the next hook call in this process reads the new spec.
+    Forked workers reset on their own and inherit the environment."""
+    if spec is None:
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(CHAOS_ENV, spec)
+    reset_chaos()

@@ -14,10 +14,8 @@ import socket
 import pytest
 
 from repro.chaos import (
-    CHAOS_PLAN_VERSION,
     ChaosController,
     ChaosDrop,
-    ChaosPlan,
     ChaosSpecError,
     chaos_controller,
     parse_chaos_spec,
@@ -84,6 +82,11 @@ class TestChaosSpec:
             "site": "",
             "on": "any",
         }
+        plan = parse_chaos_spec("job-fail:QFT;job-stall:BV")
+        assert [clause.params for clause in plan.clauses] == [
+            {"benchmark": "QFT"},
+            {"benchmark": "BV", "seconds": 1.0},
+        ]
 
     def test_seed_clause_both_spellings(self):
         assert parse_chaos_spec("seed=7;conn-drop").seed == 7
@@ -97,30 +100,23 @@ class TestChaosSpec:
     def test_unknown_param_is_pointed_error(self):
         with pytest.raises(ChaosSpecError, match="unknown parameter 'rate'"):
             parse_chaos_spec("conn-drop:rate=0.5")
+        # the job kinds take no fire budget: they fire on every matching job
+        with pytest.raises(ChaosSpecError, match="unknown parameter 'times'"):
+            parse_chaos_spec("job-fail:QFT,times=2")
+        with pytest.raises(ChaosSpecError, match="unknown parameter 'sticky'"):
+            parse_chaos_spec("job-stall:QFT,sticky=1")
 
     def test_bad_value_type(self):
         with pytest.raises(ChaosSpecError, match="expected int"):
             parse_chaos_spec("conn-drop:after=soon")
+        with pytest.raises(ChaosSpecError, match="expected float"):
+            parse_chaos_spec("job-stall:QFT,seconds=long")
 
     def test_enum_values_validated(self):
         with pytest.raises(ChaosSpecError, match="one of"):
             parse_chaos_spec("garble:mode=scramble")
         with pytest.raises(ChaosSpecError, match="one of"):
             parse_chaos_spec("torn-tail:target=cache")
-
-    def test_plan_round_trips_through_dict(self):
-        plan = parse_chaos_spec("seed=3;garble:site=worker,rate=0.5,times=2")
-        clone = ChaosPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
-        assert clone.seed == plan.seed
-        assert [c.to_dict() for c in clone.clauses] == [
-            c.to_dict() for c in plan.clauses
-        ]
-
-    def test_plan_version_checked(self):
-        doc = parse_chaos_spec("garble").to_dict()
-        doc["chaos_plan_version"] = CHAOS_PLAN_VERSION + 1
-        with pytest.raises(ChaosSpecError, match="unsupported chaos plan version"):
-            ChaosPlan.from_dict(doc)
 
 
 # --------------------------------------------------------------------------
@@ -201,6 +197,21 @@ class TestChaosController:
         assert chaos.journal_line("/j", line) == line  # times=1
         # target=journal leaves checkpoint payloads alone
         assert chaos.checkpoint_payload("/c", line) == line
+
+    def test_job_fail_and_job_stall_fire_on_every_matching_job(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr("repro.chaos.inject.time.sleep", slept.append)
+        chaos = ChaosController(
+            parse_chaos_spec("job-fail:qft;job-stall:BV,seconds=3600")
+        )
+        for name in ("QFT", "qft", "QFT"):  # every job, case-insensitively
+            with pytest.raises(RuntimeError, match="injected fault for benchmark"):
+                chaos.on_job(name)
+        chaos.on_job("GHZ")  # other benchmarks never fire
+        chaos.on_job("BV")
+        chaos.on_job("bv")
+        assert slept == [60.0, 60.0]  # capped at one minute
+        assert chaos.counters() == {"job-fail@QFT": 3, "job-stall@BV": 2}
 
     def test_report_and_flush(self, tmp_path):
         chaos = ChaosController(parse_chaos_spec("seed=5;garble:rate=1.0"))

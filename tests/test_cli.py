@@ -7,8 +7,9 @@ import time
 
 import pytest
 
+from helpers import set_chaos_spec
 from repro.cli import main
-from repro.experiments.engine import FAULT_INJECT_ENV, ResultCache
+from repro.experiments.engine import ResultCache
 
 
 @pytest.fixture()
@@ -133,7 +134,7 @@ class TestFaultTolerance:
     def test_injected_failure_yields_exit_1_and_error_artifacts(
         self, dirs, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setenv(FAULT_INJECT_ENV, "BV")
+        set_chaos_spec(monkeypatch, "job-fail:BV")
         assert _run_fig12(dirs) == 1
         captured = capsys.readouterr()
         assert "FAILED BV" in captured.err
@@ -155,25 +156,52 @@ class TestFaultTolerance:
         assert len(checkpoint["failed"]) == 3
 
         # failures were not cached: clearing the fault and rerunning recovers
-        monkeypatch.delenv(FAULT_INJECT_ENV)
+        set_chaos_spec(monkeypatch, None)
         assert _run_fig12(dirs) == 0
         assert "0 cached, 3 executed" in capsys.readouterr().out
 
     def test_on_error_record_appends_failed_rows_to_the_table(
         self, dirs, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setenv(FAULT_INJECT_ENV, "BV")
+        set_chaos_spec(monkeypatch, "job-fail:BV")
         assert _run_fig12(dirs) == 1
         assert "FAILED after 1 attempt" in capsys.readouterr().out
         txt = (tmp_path / "artifacts" / "fig12.txt").read_text()
         assert "FAILED after 1 attempt" in txt
 
     def test_on_error_skip_omits_error_artifacts(self, dirs, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(FAULT_INJECT_ENV, "BV")
+        set_chaos_spec(monkeypatch, "job-fail:BV")
         assert _run_fig12(dirs, "--on-error", "skip") == 1
         assert "FAILED" not in capsys.readouterr().err
         doc = json.loads((tmp_path / "artifacts" / "fig12.json").read_text())
         assert doc["errors"] == []
+
+    def test_malformed_chaos_spec_is_a_usage_error(self, dirs, monkeypatch, capsys):
+        set_chaos_spec(monkeypatch, "explode")
+        assert _run_fig12(dirs, "--no-cache") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_CHAOS: unknown fault kind 'explode'")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--timeout", "0"), ("--timeout", "nan"), ("--timeout", "inf"), ("--retries", "-1")],
+    )
+    def test_bad_policy_flags_are_usage_errors(self, dirs, tmp_path, capsys, flags):
+        checkpoint = str(tmp_path / "artifacts" / "fig12.checkpoint.json")
+        commands = [
+            ["run", "fig12", "--cache-dir", dirs["cache"]],
+            ["resume", checkpoint],
+            ["farm", "run", "fig12", "--cache-dir", dirs["cache"]],
+        ]
+        if flags[0] == "--timeout":  # submit sends a timeout but no retry budget
+            commands.append(["submit", "--port", "1", "--benchmark", "BV"])
+        for argv in commands:
+            assert main([*argv, *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {flags[0][2:]} must be"), err
+            assert "Traceback" not in err
+        assert len(ResultCache(dirs["cache"])) == 0
 
     def test_non_positive_cache_max_mb_is_a_usage_error(self, dirs, capsys):
         assert _run_fig12(dirs, "--cache-max-mb", "0") == 2
@@ -269,9 +297,9 @@ class TestDryRun:
         assert f"{plan['cached']} cached, {plan['pending']} executed" in out
 
     def test_failed_jobs_from_the_checkpoint_are_classified(self, dirs, monkeypatch, capsys):
-        monkeypatch.setenv(FAULT_INJECT_ENV, "BV")
+        set_chaos_spec(monkeypatch, "job-fail:BV")
         assert _run_fig12(dirs) == 1
-        monkeypatch.delenv(FAULT_INJECT_ENV)
+        set_chaos_spec(monkeypatch, None)
         capsys.readouterr()
         assert _run_fig12(dirs, "--dry-run", "--json") == 0
         plan = json.loads(capsys.readouterr().out)["experiments"][0]

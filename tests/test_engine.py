@@ -155,7 +155,7 @@ def _fake_payload(label: str) -> dict:
 
 
 class TestShardedCache:
-    """Layout, legacy migration, LRU eviction and temp-litter hygiene."""
+    """Layout, LRU eviction and temp-litter hygiene."""
 
     def test_entries_are_sharded_by_hash_prefix(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -166,40 +166,10 @@ class TestShardedCache:
         assert cache.entries() == [path]
         assert cache.get(key) == _fake_payload("a")
 
-    def test_flat_legacy_entry_migrates_on_get(self, tmp_path):
-        key = _fake_key("legacy")
-        legacy = tmp_path / f"{key}.json"
-        legacy.parent.mkdir(parents=True, exist_ok=True)
-        legacy.write_text(
-            json.dumps(
-                {"cache_version": CACHE_VERSION, "key": key, "record": _fake_payload("legacy")}
-            )
-        )
-        cache = ResultCache(tmp_path)
-        assert cache.get(key) == _fake_payload("legacy")
-        assert not legacy.exists()
-        assert cache.path_for(key).is_file()
-
-    def test_bulk_migrate(self, tmp_path):
-        keys = [_fake_key(str(i)) for i in range(3)]
-        tmp_path.mkdir(exist_ok=True)
-        for key in keys:
-            (tmp_path / f"{key}.json").write_text(
-                json.dumps({"cache_version": CACHE_VERSION, "record": _fake_payload(key)})
-            )
-        cache = ResultCache(tmp_path)
-        assert cache.stats()["legacy_entries"] == 3
-        assert cache.migrate() == 3
-        assert cache.stats()["legacy_entries"] == 0
-        assert len(cache) == 3
-        for key in keys:
-            assert cache.get(key) is not None
-
     def test_clear_spans_shards_and_legacy_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(_fake_key("a"), TINY, _fake_payload("a"))
-        key = _fake_key("flat")
-        (tmp_path / f"{key}.json").write_text("{}")
+        cache.put(_fake_key("b"), TINY, _fake_payload("b"))
         assert cache.clear() == 2
         assert len(cache) == 0
         # shard directories are pruned too
@@ -263,17 +233,6 @@ class TestShardedCache:
         with pytest.raises(ValueError, match="max_bytes"):
             ResultCache(tmp_path, max_bytes=-1)
 
-    def test_migration_race_loser_still_gets_a_hit(self, tmp_path):
-        # two cache handles race to migrate the same legacy entry; the loser
-        # must fall through to the sharded copy instead of crashing
-        key = _fake_key("raced")
-        (tmp_path / f"{key}.json").write_text(
-            json.dumps({"cache_version": CACHE_VERSION, "record": _fake_payload("raced")})
-        )
-        winner, loser = ResultCache(tmp_path), ResultCache(tmp_path)
-        assert winner.get(key) == _fake_payload("raced")
-        assert loser.get(key) == _fake_payload("raced")
-
     def test_stats(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(_fake_key("a"), TINY, _fake_payload("a"))
@@ -283,7 +242,6 @@ class TestShardedCache:
         assert stats["entries"] == 2
         assert stats["corrupt_entries"] == 1
         assert stats["total_bytes"] > 0
-        assert stats["legacy_entries"] == 0
         assert stats["tmp_files"] == 0
         assert stats["oldest_mtime"] <= stats["newest_mtime"]
 

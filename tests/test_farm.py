@@ -16,9 +16,8 @@ import time
 
 import pytest
 
+from helpers import set_chaos_spec
 from repro.experiments.engine import (
-    FAULT_INJECT_ENV,
-    STALL_ENV,
     Job,
     JobError,
     JobPolicy,
@@ -439,8 +438,7 @@ class TestRunFarm:
     def test_raise_policy_aborts_at_the_first_exhausted_job(self, monkeypatch):
         # QFT fails at once while BV stalls for 30 s: aborting at the first
         # failure (instead of draining the queue) returns long before that
-        monkeypatch.setenv(FAULT_INJECT_ENV, "QFT")
-        monkeypatch.setenv(STALL_ENV, "BV:30")
+        set_chaos_spec(monkeypatch, "job-fail:QFT;job-stall:BV,seconds=30")
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="injected fault"):
             run_farm([_job("BV"), _job("QFT")], launcher=LocalWorkerLauncher(), workers=2)
@@ -459,7 +457,7 @@ class TestParallelRunHealsLostWorker:
 
     @pytest.fixture(autouse=True)
     def stalled_qft(self, monkeypatch):
-        monkeypatch.setenv(STALL_ENV, "QFT:2")
+        set_chaos_spec(monkeypatch, "job-stall:QFT,seconds=2")
         monkeypatch.setattr(farm_coordinator, "LEASE_SECONDS", 1.5)
 
     def _run_killing_qft_worker(self, tmp_path, *, retries):

@@ -14,9 +14,9 @@ the subsystem:
 * the batch engine flushes its checkpoint on ``SIGTERM`` (not only on
   KeyboardInterrupt), then dies with the default signal disposition.
 
-The ``REPRO_STALL_BENCHMARK`` injection hook (``NAME:SECONDS``) makes "mid-
-job" deterministic: stalled benchmarks sleep before compiling, giving the
-test a window to kill things.
+The ``job-stall`` chaos kind (``REPRO_CHAOS='job-stall:NAME,seconds=S'``)
+makes "mid-job" deterministic: stalled benchmarks sleep before compiling,
+giving the test a window to kill things.
 """
 
 import csv
@@ -30,9 +30,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos import CHAOS_ENV
 from repro.cli import main
 from repro.experiments.engine import (
-    STALL_ENV,
     JobPolicy,
     ResultCache,
     load_checkpoint,
@@ -67,9 +67,9 @@ def _subprocess_env(stall=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     if stall is not None:
-        env[STALL_ENV] = stall
+        env[CHAOS_ENV] = stall
     else:
-        env.pop(STALL_ENV, None)
+        env.pop(CHAOS_ENV, None)
     return env
 
 
@@ -152,7 +152,7 @@ class TestWorkerCrashHealing:
         coordinator.start()
         victim = survivor = None
         try:
-            victim = _spawn_worker(coordinator.port, "victim", stall="QFT:60")
+            victim = _spawn_worker(coordinator.port, "victim", stall="job-stall:QFT,seconds=60")
             _wait_for(
                 lambda: coordinator.queue.counts()["leased"] >= 1,
                 timeout=30,
@@ -199,7 +199,7 @@ class TestCoordinatorCrashResume:
                 "--local-workers", "2", "--lease-seconds", "2", "--quiet",
                 "--cache-dir", cache_dir, "--out-dir", str(out_dir),
             ],
-            env=_subprocess_env(stall="QFT:20"),
+            env=_subprocess_env(stall="job-stall:QFT,seconds=20"),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
@@ -260,7 +260,7 @@ class TestSigtermCheckpointFlush:
                 "--jobs", "1", "--quiet",
                 "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(out_dir),
             ],
-            env=_subprocess_env(stall="QFT:30"),
+            env=_subprocess_env(stall="job-stall:QFT,seconds=30"),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )

@@ -13,9 +13,9 @@ import time
 
 import pytest
 
+from helpers import set_chaos_spec
 from repro.experiments import engine
 from repro.experiments.engine import (
-    FAULT_INJECT_ENV,
     Job,
     JobPolicy,
     JobTimeoutError,
@@ -89,8 +89,9 @@ class TestPolicyValidation:
             JobPolicy(retries=-1)
 
     def test_non_positive_timeout_rejected(self):
-        with pytest.raises(ValueError, match="timeout"):
-            JobPolicy(timeout=0)
+        for timeout in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="timeout"):
+                JobPolicy(timeout=timeout)
 
 
 class TestErrorCapture:
@@ -147,7 +148,7 @@ class TestErrorCapture:
 
     def test_pool_path_captures_errors_across_processes(self, monkeypatch, tmp_path):
         # real executors in real worker processes, one injected failure
-        monkeypatch.setenv(FAULT_INJECT_ENV, "QFT")
+        set_chaos_spec(monkeypatch, "job-fail:QFT")
         jobs = [
             Job(benchmark="BV", chiplet_width=4, rows=1, cols=2, seed=1),
             Job(benchmark="QFT", chiplet_width=4, rows=1, cols=2, seed=1),

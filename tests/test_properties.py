@@ -1,16 +1,14 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
-import json
 import os
 import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.engine import CACHE_VERSION, Job, ResultCache
+from repro.experiments.engine import Job, ResultCache
 
 from repro.baseline import BaselineCompiler
 from repro.circuits import Circuit, DependencyDag, Simulator, circuit_unitary, commutes, expand_macros
@@ -293,20 +291,3 @@ class TestResultCacheProperties:
             cache.sweep_older_than(500, now=time.time())
             survivors = {path.name[: -len(".json")] for path in cache.entries()}
             assert survivors == {_cache_key(touched)}
-
-    @given(n_entries=st.integers(1, 12))
-    @settings(max_examples=20, deadline=None)
-    def test_shard_migration_is_idempotent_and_preserves_payloads(self, n_entries):
-        with tempfile.TemporaryDirectory() as tmp:
-            cache = ResultCache(tmp)
-            for index in range(n_entries):
-                key = _cache_key(index)
-                entry = {"cache_version": CACHE_VERSION, "key": key, "record": dict(_CACHE_PAYLOAD)}
-                (Path(tmp) / f"{key}.json").write_text(json.dumps(entry), encoding="utf-8")
-            assert cache.migrate() == n_entries
-            assert cache.migrate() == 0  # idempotent: nothing left to move
-            for path in cache.entries():
-                assert path.parent != cache.cache_dir  # everything sharded
-            for index in range(n_entries):
-                assert cache.get(_cache_key(index)) == _CACHE_PAYLOAD
-            assert cache.migrate() == 0  # gets did not un-shard anything

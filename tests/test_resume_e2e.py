@@ -2,7 +2,7 @@
 
 The flow under test is the acceptance criterion of the incremental
 execution subsystem: a sweep is killed mid-run via the
-``REPRO_FAULT_BENCHMARK`` injection hook, then ``repro resume`` must execute
+``REPRO_CHAOS='job-fail:QFT'`` injection hook, then ``repro resume`` must execute
 *only* the jobs that never completed and the merged artifacts must equal an
 uninterrupted run's byte-for-byte — modulo the timing fields, which are the
 only nondeterministic part of a record.
@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import set_chaos_spec
 from repro.cli import main
-from repro.experiments.engine import FAULT_INJECT_ENV, load_checkpoint
+from repro.experiments.engine import load_checkpoint
 
 #: Record fields that carry wall-clock timings (legitimately differ run-to-run).
 TIMING_FIELDS = ("baseline_seconds", "mech_seconds")
@@ -60,9 +61,9 @@ def dirs(tmp_path):
 @pytest.fixture()
 def interrupted(dirs, monkeypatch, capsys):
     """A fig12 sweep killed mid-run: BV completed, every QFT job failed."""
-    monkeypatch.setenv(FAULT_INJECT_ENV, "QFT")
+    set_chaos_spec(monkeypatch, "job-fail:QFT")
     assert _run(dirs) == 1
-    monkeypatch.delenv(FAULT_INJECT_ENV)
+    set_chaos_spec(monkeypatch, None)
     capsys.readouterr()  # drop the interrupted run's output
     return f"{dirs['out']}/fig12.checkpoint.json"
 
@@ -180,9 +181,9 @@ class TestResumeCacheDirOverride:
     def test_resume_of_a_no_cache_run_warns_and_reexecutes_everything(
         self, dirs, monkeypatch, capsys
     ):
-        monkeypatch.setenv(FAULT_INJECT_ENV, "QFT")
+        set_chaos_spec(monkeypatch, "job-fail:QFT")
         assert _run(dirs, "--no-cache") == 1
-        monkeypatch.delenv(FAULT_INJECT_ENV)
+        set_chaos_spec(monkeypatch, None)
         capsys.readouterr()
         override = dirs["fresh_cache"]  # keep the default .repro-cache out of cwd
         checkpoint = f"{dirs['out']}/fig12.checkpoint.json"

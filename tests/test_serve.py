@@ -348,6 +348,19 @@ class TestCompileServer:
             assert "invalid job" in response.error
             assert client.ping().ok
 
+    def test_non_finite_policy_timeout_is_rejected_not_fatal(self, server):
+        request = ServeRequest(
+            op="compile",
+            request_id="nan-timeout",
+            job=job_to_dict(Job(benchmark="BV", **SMALL)),
+            policy={"timeout": float("nan")},
+        )
+        with ServeClient(server.host, server.port) as client:
+            response = client.request(request)
+            assert not response.ok
+            assert "invalid policy" in response.error
+            assert client.ping().ok
+
     def test_stats_counters_progress(self, server):
         with ServeClient(server.host, server.port) as client:
             before = client.stats()
