@@ -108,7 +108,7 @@ def repro_scale(request):
 
 @pytest.fixture(scope="session")
 def engine_opts(request):
-    """Keyword arguments forwarded to every ``run_*`` experiment call."""
+    """Keyword arguments forwarded to every ``run_experiment`` call."""
     opts = {
         "workers": request.config.getoption("--repro-jobs"),
         "cache": request.config.getoption("--repro-cache-dir"),
@@ -128,7 +128,7 @@ def engine_opts(request):
 def checkpoint_for(request):
     """``name -> checkpoint path`` (or None when no checkpoint dir is given).
 
-    Threads ``--repro-checkpoint-dir`` into each ``run_*`` call's
+    Threads ``--repro-checkpoint-dir`` into each ``run_experiment`` call's
     ``checkpoint`` argument so interrupted benchmark sweeps are resumable.
     """
     checkpoint_dir = request.config.getoption("--repro-checkpoint-dir")

@@ -2,13 +2,18 @@
 
 from conftest import run_once
 
-from repro.experiments import format_fig12, improvement_series, run_fig12
+from repro.experiments import format_fig12, improvement_series, run_experiment
 
 
 def test_fig12_scalability(benchmark, repro_scale, engine_opts, checkpoint_for):
     """Improvements should not shrink as the chiplet array grows."""
-    records = run_once(
-        benchmark, run_fig12, scale=repro_scale, checkpoint=checkpoint_for("fig12"), **engine_opts
+    records, report = run_once(
+        benchmark,
+        run_experiment,
+        "fig12",
+        scale=repro_scale,
+        checkpoint=checkpoint_for("fig12"),
+        **engine_opts,
     )
     print()
     print(format_fig12(records))

@@ -2,14 +2,20 @@
 
 from conftest import run_once
 
-from repro.experiments import format_fig13, run_fig13
+from repro.experiments import format_fig13, run_experiment, sensitivity_results_from_records
 
 
 def test_fig13_sensitivity(benchmark, repro_scale, engine_opts, checkpoint_for):
     """Regenerate the three sensitivity panels and check their monotone trends."""
-    results = run_once(
-        benchmark, run_fig13, scale=repro_scale, checkpoint=checkpoint_for("fig13"), **engine_opts
+    records, report = run_once(
+        benchmark,
+        run_experiment,
+        "fig13",
+        scale=repro_scale,
+        checkpoint=checkpoint_for("fig13"),
+        **engine_opts,
     )
+    results = sensitivity_results_from_records(records)
     print()
     print(format_fig13(results))
 

@@ -2,13 +2,18 @@
 
 from conftest import run_once
 
-from repro.experiments import format_fig14, normalized_by_sparsity, run_fig14
+from repro.experiments import format_fig14, normalized_by_sparsity, run_experiment
 
 
 def test_fig14_sparsity(benchmark, repro_scale, engine_opts, checkpoint_for):
     """MECH's normalised depth should not degrade as cross-chip links get sparser."""
-    records = run_once(
-        benchmark, run_fig14, scale=repro_scale, checkpoint=checkpoint_for("fig14"), **engine_opts
+    records, report = run_once(
+        benchmark,
+        run_experiment,
+        "fig14",
+        scale=repro_scale,
+        checkpoint=checkpoint_for("fig14"),
+        **engine_opts,
     )
     print()
     print(format_fig14(records))

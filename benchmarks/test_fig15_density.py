@@ -2,14 +2,19 @@
 
 from conftest import run_once
 
-from repro.experiments import format_fig15, normalized_by_density, run_fig15
+from repro.experiments import format_fig15, normalized_by_density, run_experiment
 
 
 def test_fig15_highway_density(benchmark, repro_scale, engine_opts, checkpoint_for):
     """Doubling the highway must increase the highway-qubit fraction and keep
     the compiled circuits valid; the normalised metrics are reported."""
-    records = run_once(
-        benchmark, run_fig15, scale=repro_scale, checkpoint=checkpoint_for("fig15"), **engine_opts
+    records, report = run_once(
+        benchmark,
+        run_experiment,
+        "fig15",
+        scale=repro_scale,
+        checkpoint=checkpoint_for("fig15"),
+        **engine_opts,
     )
     print()
     print(format_fig15(records))

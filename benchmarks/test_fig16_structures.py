@@ -2,13 +2,18 @@
 
 from conftest import run_once
 
-from repro.experiments import format_fig16, normalized_by_structure, run_fig16
+from repro.experiments import format_fig16, normalized_by_structure, run_experiment
 
 
 def test_fig16_structures(benchmark, repro_scale, engine_opts, checkpoint_for):
     """MECH should work (and keep its eff_CNOT advantage) on all four structures."""
-    records = run_once(
-        benchmark, run_fig16, scale=repro_scale, checkpoint=checkpoint_for("fig16"), **engine_opts
+    records, report = run_once(
+        benchmark,
+        run_experiment,
+        "fig16",
+        scale=repro_scale,
+        checkpoint=checkpoint_for("fig16"),
+        **engine_opts,
     )
     print()
     print(format_fig16(records))

@@ -2,13 +2,18 @@
 
 from conftest import run_once
 
-from repro.experiments import format_table2, run_table2
+from repro.experiments import format_table2, run_experiment
 
 
 def test_table2(benchmark, repro_scale, engine_opts, checkpoint_for):
     """Regenerate the paper's main results table and check the headline claim."""
-    records = run_once(
-        benchmark, run_table2, scale=repro_scale, checkpoint=checkpoint_for("table2"), **engine_opts
+    records, report = run_once(
+        benchmark,
+        run_experiment,
+        "table2",
+        scale=repro_scale,
+        checkpoint=checkpoint_for("table2"),
+        **engine_opts,
     )
     print()
     print(format_table2(records))

@@ -19,6 +19,7 @@ strengthen the baseline side of every comparison:
 
 from __future__ import annotations
 
+from typing import Any
 
 from ..baseline import BaselineCompiler
 from ..circuits.circuit import Circuit
@@ -136,6 +137,7 @@ class BaselineBackend:
     Note the compiler's trial seed is *not* derived from the job seed — it
     never was in the two-compiler runner, and keeping it fixed preserves
     cache-key-for-cache-key identical metrics for the default comparison.
+    The SABRE variants subclass it and override :meth:`compiler_options`.
     """
 
     name = "baseline"
@@ -143,6 +145,11 @@ class BaselineBackend:
 
     def __init__(self) -> None:
         self.compiler: BaselineCompiler | None = None
+
+    def compiler_options(self, *, seed: int, baseline_trials: int) -> dict[str, Any]:
+        """Subclass hook: the :class:`BaselineCompiler` keyword arguments
+        besides the topology and the noise model."""
+        return {"trials": baseline_trials}
 
     def configure(
         self,
@@ -153,47 +160,10 @@ class BaselineBackend:
         baseline_trials: int = 1,
         **knobs: object,
     ) -> "BaselineBackend":
-        self.compiler = BaselineCompiler(array.topology, noise=noise, trials=baseline_trials)
-        return self
-
-    def compile(self, circuit: Circuit) -> CompilationResult:
-        if self.compiler is None:
-            raise RuntimeError(f"backend {self.name!r} must be configured before compile()")
-        result = self.compiler.compile(circuit)
-        result.compiler = self.name
-        return result
-
-
-class SabreXBackend:
-    """Extended-effort SABRE: more trials, deeper lookahead, seeded tie-breaks.
-
-    A stronger SWAP-chain baseline than ``baseline``: it quadruples the
-    routing-trial budget (never fewer than four), doubles the extended-set
-    lookahead window, and seeds the tie-breaking RNG from the job seed so
-    reseeded retries genuinely explore different routings.
-    """
-
-    name = "sabre-x"
-    description = "extended-effort SABRE baseline (4x routing trials, deeper lookahead)"
-
-    def __init__(self) -> None:
-        self.compiler: BaselineCompiler | None = None
-
-    def configure(
-        self,
-        array: ChipletArray,
-        *,
-        noise: NoiseModel = DEFAULT_NOISE,
-        seed: int = 0,
-        baseline_trials: int = 1,
-        **knobs: object,
-    ) -> "SabreXBackend":
         self.compiler = BaselineCompiler(
             array.topology,
             noise=noise,
-            trials=max(4, 4 * int(baseline_trials)),
-            extended_set_size=40,
-            seed=seed,
+            **self.compiler_options(seed=seed, baseline_trials=baseline_trials),
         )
         return self
 
@@ -205,7 +175,27 @@ class SabreXBackend:
         return result
 
 
-class SabreNoiseBackend:
+class SabreXBackend(BaselineBackend):
+    """Extended-effort SABRE: more trials, deeper lookahead, seeded tie-breaks.
+
+    A stronger SWAP-chain baseline than ``baseline``: it quadruples the
+    routing-trial budget (never fewer than four), doubles the extended-set
+    lookahead window, and seeds the tie-breaking RNG from the job seed so
+    reseeded retries genuinely explore different routings.
+    """
+
+    name = "sabre-x"
+    description = "extended-effort SABRE baseline (4x routing trials, deeper lookahead)"
+
+    def compiler_options(self, *, seed: int, baseline_trials: int) -> dict[str, Any]:
+        return {
+            "trials": max(4, 4 * int(baseline_trials)),
+            "extended_set_size": 40,
+            "seed": seed,
+        }
+
+
+class SabreNoiseBackend(BaselineBackend):
     """SABRE over a noise-adaptive initial layout.
 
     Same router and trial budget as ``baseline``; only the initial placement
@@ -218,32 +208,8 @@ class SabreNoiseBackend:
     name = "sabre-noise"
     description = "noise-adaptive SABRE baseline (layout packed into the lowest-noise region)"
 
-    def __init__(self) -> None:
-        self.compiler: BaselineCompiler | None = None
-
-    def configure(
-        self,
-        array: ChipletArray,
-        *,
-        noise: NoiseModel = DEFAULT_NOISE,
-        seed: int = 0,
-        baseline_trials: int = 1,
-        **knobs: object,
-    ) -> "SabreNoiseBackend":
-        self.compiler = BaselineCompiler(
-            array.topology,
-            noise=noise,
-            trials=baseline_trials,
-            layout_strategy="noise",
-        )
-        return self
-
-    def compile(self, circuit: Circuit) -> CompilationResult:
-        if self.compiler is None:
-            raise RuntimeError(f"backend {self.name!r} must be configured before compile()")
-        result = self.compiler.compile(circuit)
-        result.compiler = self.name
-        return result
+    def compiler_options(self, *, seed: int, baseline_trials: int) -> dict[str, Any]:
+        return {"trials": baseline_trials, "layout_strategy": "noise"}
 
 
 for _backend_cls in (

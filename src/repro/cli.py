@@ -66,6 +66,7 @@ from .experiments.engine import (
     VERIFY_ENV,
     Checkpoint,
     CheckpointError,
+    FarmAbortedError,
     JobPolicy,
     ResultCache,
     RunReport,
@@ -829,7 +830,7 @@ def _cmd_list() -> int:
     print("available experiments (python -m repro run <name> ...):")
     for name in sorted(EXPERIMENTS):
         spec = EXPERIMENTS[name]
-        print(f"  {name:<{width}}  {spec.title}  [scales: {', '.join(spec.scales)}]")
+        print(f"  {name:<{width}}  {spec.title}  [scales: {', '.join(SCALE_TIERS)}]")
     return 0
 
 
@@ -1617,6 +1618,9 @@ def _validate_common_flags(args: argparse.Namespace) -> int | None:
     if args.json and not args.dry_run:
         print("error: --json requires --dry-run", file=sys.stderr)
         return 2
+    if args.jobs < 0:
+        print("error: --jobs must be >= 0 (0 = one worker per CPU)", file=sys.stderr)
+        return 2
     return None
 
 
@@ -1916,24 +1920,19 @@ def _cmd_farm_run(args: argparse.Namespace) -> int:
             f" {args.local_workers} worker(s)) ==",
             file=sys.stderr,
         )
-    try:
-        records, report = run_farm(
-            jobs,
-            launcher=launcher,  # type: ignore[arg-type]
-            workers=args.local_workers,
-            host=args.host,
-            port=args.port,
-            cache=cache,
-            policy=policy,
-            lease_seconds=args.lease_seconds,
-            checkpoint=checkpoint,
-            checkpoint_meta=meta,
-            progress=progress,
-        )
-    except RuntimeError as exc:
-        print(f"error: farm run aborted: {exc}", file=sys.stderr)
-        print(f"resume with: repro resume {checkpoint}", file=sys.stderr)
-        return 1
+    records, report = run_farm(
+        jobs,
+        launcher=launcher,  # type: ignore[arg-type]
+        workers=args.local_workers,
+        host=args.host,
+        port=args.port,
+        cache=cache,
+        policy=policy,
+        lease_seconds=args.lease_seconds,
+        checkpoint=checkpoint,
+        checkpoint_meta=meta,
+        progress=progress,
+    )
     _emit_experiment(
         name,
         records,
@@ -2150,6 +2149,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "resume":
             return _cmd_resume(args)
         return _cmd_run(args)
+    except FarmAbortedError as exc:
+        # `farm run`, `run --jobs N` and `resume --jobs N` all end here
+        print(f"error: farm run aborted: {exc}", file=sys.stderr)
+        if exc.checkpoint is not None:
+            print(f"resume with: repro resume {exc.checkpoint}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # stdout went away mid-print (`repro ... | head`); exit quietly with
         # the conventional SIGPIPE code instead of a traceback

@@ -4,7 +4,8 @@ The experiments layer is built around the orchestration engine
 (:mod:`repro.experiments.engine`): every figure/table cell is a hashable
 :class:`~repro.experiments.engine.Job`, executed — optionally in parallel and
 against an on-disk result cache — by :func:`~repro.experiments.engine.run_jobs`.
-The ``python -m repro`` CLI drives the same registry exposed here.
+:func:`~repro.experiments.registry.run_experiment` is the one driver for a
+registered figure/table; the ``python -m repro`` CLI drives the same registry.
 """
 
 from .engine import (
@@ -27,22 +28,16 @@ from .engine import (
     run_jobs_report,
     write_artifacts,
 )
-from .fig12_scalability import format_fig12, improvement_series, jobs_for_fig12, run_fig12
+from .fig12_scalability import format_fig12, improvement_series, jobs_for_fig12
 from .fig13_sensitivity import (
     SensitivityResult,
     format_fig13,
     jobs_for_fig13,
-    run_fig13,
     sensitivity_results_from_records,
 )
-from .fig14_sparsity import format_fig14, jobs_for_fig14, normalized_by_sparsity, run_fig14
-from .fig15_highway_density import (
-    format_fig15,
-    jobs_for_fig15,
-    normalized_by_density,
-    run_fig15,
-)
-from .fig16_structures import format_fig16, jobs_for_fig16, normalized_by_structure, run_fig16
+from .fig14_sparsity import format_fig14, jobs_for_fig14, normalized_by_sparsity
+from .fig15_highway_density import format_fig15, jobs_for_fig15, normalized_by_density
+from .fig16_structures import format_fig16, jobs_for_fig16, normalized_by_structure
 from .registry import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -70,7 +65,7 @@ from .settings import (
     ArchitectureSetting,
     scaled_setting,
 )
-from .table2 import TABLE2_PAPER_REFERENCE, format_table2, jobs_for_table2, run_table2
+from .table2 import TABLE2_PAPER_REFERENCE, format_table2, jobs_for_table2
 
 __all__ = [
     # engine
@@ -118,29 +113,23 @@ __all__ = [
     "scaled_setting",
     # table 2
     "jobs_for_table2",
-    "run_table2",
     "format_table2",
     "TABLE2_PAPER_REFERENCE",
     # figures
     "jobs_for_fig12",
-    "run_fig12",
     "format_fig12",
     "improvement_series",
     "jobs_for_fig13",
-    "run_fig13",
     "format_fig13",
     "sensitivity_results_from_records",
     "SensitivityResult",
     "jobs_for_fig14",
-    "run_fig14",
     "format_fig14",
     "normalized_by_sparsity",
     "jobs_for_fig15",
-    "run_fig15",
     "format_fig15",
     "normalized_by_density",
     "jobs_for_fig16",
-    "run_fig16",
     "format_fig16",
     "normalized_by_structure",
 ]

@@ -16,7 +16,10 @@ columns.
 The design splits each experiment into three deterministic phases:
 
 1. a *jobs builder* (``jobs_for_fig12`` and friends) expands the experiment's
-   scale preset into a flat list of jobs — pure configuration, no compilation;
+   scale preset into a flat list of jobs — pure configuration, no compilation.
+   The builders and the checkpoint metadata that names an experiment live in
+   :mod:`repro.experiments.registry`; the engine only ever sees jobs and an
+   opaque ``checkpoint_meta`` mapping;
 2. :func:`run_jobs` executes the jobs — first consulting the cache, then
    deduplicating identical jobs within the run, then executing the misses
    either in-process or, with ``workers > 1``, through the compile farm's
@@ -95,6 +98,7 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "ExecutionPlan",
+    "FarmAbortedError",
     "Job",
     "JobError",
     "JobExecutionError",
@@ -107,7 +111,6 @@ __all__ = [
     "checkpoint_document",
     "config_key",
     "error_row",
-    "experiment_checkpoint_meta",
     "job_from_dict",
     "job_to_dict",
     "journal_path_for",
@@ -580,6 +583,18 @@ class JobExecutionError(RuntimeError):
             f"{error.attempts} attempt(s): {error.error_type}: {error.message}"
         )
         self.error = error
+
+
+class FarmAbortedError(RuntimeError):
+    """A parallel run lost every worker while work remained.
+
+    ``checkpoint`` is the run's progress file (None when it kept none);
+    ``repro resume <checkpoint>`` finishes the jobs that never completed.
+    """
+
+    def __init__(self, message: str, checkpoint: None | str | Path = None):
+        super().__init__(message)
+        self.checkpoint = checkpoint
 
 
 def _raise_job_error(error: JobError) -> None:
@@ -1487,40 +1502,6 @@ def plan_jobs(
     return ExecutionPlan(
         jobs=list(jobs), keys=keys, unique=unique, payloads=payloads, pending=pending
     )
-
-
-def experiment_checkpoint_meta(
-    name: str,
-    scale: str,
-    benchmarks: Sequence[str] | None,
-    seed: int,
-    cache: None | str | Path | ResultCache = None,
-    compilers: Sequence[str] | None = None,
-) -> dict[str, object]:
-    """The ``checkpoint_meta`` header every experiment entry point writes.
-
-    One shared shape (experiment name, scale, benchmarks, seed, cache dir,
-    compiler list) so a checkpoint written by any driver — the CLI, a
-    ``run_*`` helper, the benchmark harness — can be resumed by
-    ``repro resume`` against the same cache without re-specifying flags, and
-    re-emit artifacts with the same metadata an uninterrupted run would.
-    ``compilers=None`` records the default pair (the jobs themselves carry
-    the authoritative per-job list either way).
-    """
-    if isinstance(cache, ResultCache):
-        cache_dir = str(cache.cache_dir)
-    elif cache is not None:
-        cache_dir = str(cache)
-    else:
-        cache_dir = None
-    return {
-        "experiment": name,
-        "scale": scale,
-        "benchmarks": list(benchmarks) if benchmarks is not None else None,
-        "seed": seed,
-        "cache_dir": cache_dir,
-        "compilers": list(compilers) if compilers is not None else list(DEFAULT_COMPILERS),
-    }
 
 
 def plan_summary(

@@ -4,8 +4,8 @@ The paper fixes the chiplet size at 7x7 and grows the chiplet array through
 2x2, 2x3, 3x3 and 3x4 (4, 6, 9 and 12 chiplets), showing that both the depth
 improvement and the effective-CNOT improvement of MECH over the baseline grow
 with the number of chiplets.  ``jobs_for_fig12`` expands the sweep into
-engine jobs; ``run_fig12`` executes them (optionally in parallel and against
-an on-disk cache) and returns the records.
+engine jobs; ``run_experiment("fig12", ...)`` executes the scale preset, or
+``run_jobs(jobs_for_fig12(...))`` a custom sweep.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
-from .engine import Job, experiment_checkpoint_meta, noise_to_items, run_jobs
+from .engine import Job, noise_to_items
 from .runner import AnyRecord, resolve_compilers
 from .settings import BENCHMARK_NAMES, FIG12_ARRAYS
 
-__all__ = ["jobs_for_fig12", "run_fig12", "improvement_series", "format_fig12"]
+__all__ = ["jobs_for_fig12", "improvement_series", "format_fig12"]
 
 #: Chiplet width per scale tier (the paper fixes 7x7 chiplets).
 _SCALE_WIDTH = {"small": 4, "medium": 5, "paper": 7}
@@ -60,45 +60,6 @@ def jobs_for_fig12(
         for rows, cols in shapes
         for name in benchmarks
     ]
-
-
-def run_fig12(
-    *,
-    scale: str = "small",
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
-    chiplet_width: int | None = None,
-    array_shapes: Sequence[tuple[int, int]] | None = None,
-    noise: NoiseModel = DEFAULT_NOISE,
-    seed: int = 0,
-    compilers: Sequence[str] | None = None,
-    workers: int = 1,
-    cache=None,
-    policy=None,
-    checkpoint=None,
-) -> list[AnyRecord]:
-    """Regenerate Fig. 12's data: one record per (array shape, benchmark).
-
-    ``checkpoint`` names a resumable progress file (see ``repro resume``).
-    """
-    jobs = jobs_for_fig12(
-        scale=scale,
-        benchmarks=benchmarks,
-        chiplet_width=chiplet_width,
-        array_shapes=array_shapes,
-        noise=noise,
-        seed=seed,
-        compilers=compilers,
-    )
-    return run_jobs(
-        jobs,
-        workers=workers,
-        cache=cache,
-        policy=policy,
-        checkpoint=checkpoint,
-        checkpoint_meta=experiment_checkpoint_meta(
-            "fig12", scale, benchmarks, seed, cache, compilers=resolve_compilers(compilers)
-        ),
-    )
 
 
 def improvement_series(

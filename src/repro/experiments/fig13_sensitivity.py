@@ -16,6 +16,8 @@ model: the emitted circuits do not depend on the error rates, and the paper's
 own sweep varies only the metric weights.  The engine's ``"sensitivity"``
 executor implements exactly that protocol, so one engine job covers one
 benchmark's three panels and the whole figure caches like any other.
+``sensitivity_results_from_records(run_jobs(jobs_for_fig13(...)))`` decodes
+the executed records into the three panels' series.
 """
 
 from __future__ import annotations
@@ -24,14 +26,13 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
-from .engine import Job, experiment_checkpoint_meta, noise_to_items, run_jobs
+from .engine import Job, noise_to_items
 from .runner import AnyRecord, resolve_compilers
 from .settings import BENCHMARK_NAMES
 
 __all__ = [
     "SensitivityResult",
     "jobs_for_fig13",
-    "run_fig13",
     "sensitivity_results_from_records",
     "format_fig13",
     "MEAS_LATENCIES",
@@ -132,45 +133,6 @@ def sensitivity_results_from_records(
         )
         for record in records
     ]
-
-
-def run_fig13(
-    *,
-    scale: str = "small",
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
-    meas_latencies: Sequence[float] = MEAS_LATENCIES,
-    meas_error_ratios: Sequence[float] = MEAS_ERROR_RATIOS,
-    cross_error_ratios: Sequence[float] = CROSS_ERROR_RATIOS,
-    base_noise: NoiseModel = DEFAULT_NOISE,
-    seed: int = 0,
-    compilers: Sequence[str] | None = None,
-    workers: int = 1,
-    cache=None,
-    policy=None,
-    checkpoint=None,
-) -> list[SensitivityResult]:
-    """Regenerate the three panels of Fig. 13."""
-    jobs = jobs_for_fig13(
-        scale=scale,
-        benchmarks=benchmarks,
-        meas_latencies=meas_latencies,
-        meas_error_ratios=meas_error_ratios,
-        cross_error_ratios=cross_error_ratios,
-        base_noise=base_noise,
-        seed=seed,
-        compilers=compilers,
-    )
-    records = run_jobs(
-        jobs,
-        workers=workers,
-        cache=cache,
-        policy=policy,
-        checkpoint=checkpoint,
-        checkpoint_meta=experiment_checkpoint_meta(
-            "fig13", scale, benchmarks, seed, cache, compilers=resolve_compilers(compilers)
-        ),
-    )
-    return sensitivity_results_from_records(records)
 
 
 def format_fig13(results: Sequence[SensitivityResult]) -> str:

@@ -5,7 +5,8 @@ edge of a 3x3 array of 7x7 square chiplets and reports MECH's depth and
 eff_CNOT count *normalised by the baseline's*.  As the links get sparser the
 baseline degrades (its SWAP chains funnel through fewer cross-chip couplers)
 while MECH stays roughly flat, so the normalised depth drops and the
-normalised eff_CNOT count rises.
+normalised eff_CNOT count rises.  ``run_experiment("fig14", ...)`` executes
+the scale preset, or ``run_jobs(jobs_for_fig14(...))`` a custom sweep.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from collections.abc import Sequence
 
 from ..hardware.array import ChipletArray
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
-from .engine import Job, experiment_checkpoint_meta, noise_to_items, run_jobs
+from .engine import Job, noise_to_items
 from .runner import AnyRecord, resolve_compilers
 from .settings import BENCHMARK_NAMES
 
-__all__ = ["jobs_for_fig14", "run_fig14", "normalized_by_sparsity", "format_fig14"]
+__all__ = ["jobs_for_fig14", "normalized_by_sparsity", "format_fig14"]
 
 #: Device per scale tier; the sparsity levels scale with the chiplet width.
 _SCALE_DEVICE: dict[str, tuple[str, int, int, int, tuple[int, ...]]] = {
@@ -70,40 +71,6 @@ def jobs_for_fig14(
                 )
             )
     return jobs
-
-
-def run_fig14(
-    *,
-    scale: str = "small",
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
-    sparsity_levels: Sequence[int] | None = None,
-    noise: NoiseModel = DEFAULT_NOISE,
-    seed: int = 0,
-    compilers: Sequence[str] | None = None,
-    workers: int = 1,
-    cache=None,
-    policy=None,
-    checkpoint=None,
-) -> list[AnyRecord]:
-    """Regenerate Fig. 14: one record per (links-per-edge, benchmark)."""
-    jobs = jobs_for_fig14(
-        scale=scale,
-        benchmarks=benchmarks,
-        sparsity_levels=sparsity_levels,
-        noise=noise,
-        seed=seed,
-        compilers=compilers,
-    )
-    return run_jobs(
-        jobs,
-        workers=workers,
-        cache=cache,
-        policy=policy,
-        checkpoint=checkpoint,
-        checkpoint_meta=experiment_checkpoint_meta(
-            "fig14", scale, benchmarks, seed, cache, compilers=resolve_compilers(compilers)
-        ),
-    )
 
 
 def normalized_by_sparsity(

@@ -6,7 +6,8 @@ baseline's circuit size equal to the single-highway data-qubit count, and
 reports MECH's depth and eff_CNOT count normalised by the baseline's.  More
 highway qubits shorten local routing (normalised depth drops and then
 saturates) but increase entanglement-generation overhead (normalised eff_CNOTs
-eventually ticks back up).
+eventually ticks back up).  ``run_experiment("fig15", ...)`` executes the
+scale preset, or ``run_jobs(jobs_for_fig15(...))`` a custom sweep.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from collections.abc import Sequence
 from ..compiler import MechCompiler
 from ..hardware.array import ChipletArray
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
-from .engine import Job, experiment_checkpoint_meta, noise_to_items, run_jobs
+from .engine import Job, noise_to_items
 from .runner import AnyRecord, resolve_compilers
 from .settings import BENCHMARK_NAMES
 
-__all__ = ["jobs_for_fig15", "run_fig15", "normalized_by_density", "format_fig15"]
+__all__ = ["jobs_for_fig15", "normalized_by_density", "format_fig15"]
 
 #: Device per scale tier (the paper uses a 2x3 array of 9x9 chiplets).
 _SCALE_DEVICE: dict[str, tuple[str, int, int, int]] = {
@@ -75,40 +76,6 @@ def jobs_for_fig15(
         for density in densities
         for name in benchmarks
     ]
-
-
-def run_fig15(
-    *,
-    scale: str = "small",
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
-    densities: Sequence[int] = DENSITIES,
-    noise: NoiseModel = DEFAULT_NOISE,
-    seed: int = 0,
-    compilers: Sequence[str] | None = None,
-    workers: int = 1,
-    cache=None,
-    policy=None,
-    checkpoint=None,
-) -> list[AnyRecord]:
-    """Regenerate Fig. 15: one record per (highway density, benchmark)."""
-    jobs = jobs_for_fig15(
-        scale=scale,
-        benchmarks=benchmarks,
-        densities=densities,
-        noise=noise,
-        seed=seed,
-        compilers=compilers,
-    )
-    return run_jobs(
-        jobs,
-        workers=workers,
-        cache=cache,
-        policy=policy,
-        checkpoint=checkpoint,
-        checkpoint_meta=experiment_checkpoint_meta(
-            "fig15", scale, benchmarks, seed, cache, compilers=resolve_compilers(compilers)
-        ),
-    )
 
 
 def normalized_by_density(

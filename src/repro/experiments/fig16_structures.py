@@ -4,7 +4,8 @@ The paper compiles the four benchmarks on square, hexagon, heavy-square and
 heavy-hexagon chiplet arrays (the Table 1 rows sq-360 / hex-312 /
 heavy-sq-351 / heavy-hex-336) and shows MECH achieves similar normalised
 improvements on all of them, demonstrating that the highway mechanism does not
-depend on a particular coupling structure.
+depend on a particular coupling structure.  ``run_experiment("fig16", ...)``
+executes the scale preset, or ``run_jobs(jobs_for_fig16(...))`` a custom sweep.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
-from .engine import Job, experiment_checkpoint_meta, noise_to_items, run_jobs
+from .engine import Job, noise_to_items
 from .runner import AnyRecord, resolve_compilers
 from .settings import BENCHMARK_NAMES, TABLE1_SETTINGS, ArchitectureSetting, scaled_setting
 
 __all__ = [
     "jobs_for_fig16",
-    "run_fig16",
     "normalized_by_structure",
     "format_fig16",
     "FIG16_SETTINGS",
@@ -67,40 +67,6 @@ def jobs_for_fig16(
         for setting in chosen
         for name in benchmarks
     ]
-
-
-def run_fig16(
-    *,
-    scale: str = "small",
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
-    settings: Sequence[ArchitectureSetting] | None = None,
-    noise: NoiseModel = DEFAULT_NOISE,
-    seed: int = 0,
-    compilers: Sequence[str] | None = None,
-    workers: int = 1,
-    cache=None,
-    policy=None,
-    checkpoint=None,
-) -> list[AnyRecord]:
-    """Regenerate Fig. 16: one record per (coupling structure, benchmark)."""
-    jobs = jobs_for_fig16(
-        scale=scale,
-        benchmarks=benchmarks,
-        settings=settings,
-        noise=noise,
-        seed=seed,
-        compilers=compilers,
-    )
-    return run_jobs(
-        jobs,
-        workers=workers,
-        cache=cache,
-        policy=policy,
-        checkpoint=checkpoint,
-        checkpoint_meta=experiment_checkpoint_meta(
-            "fig16", scale, benchmarks, seed, cache, compilers=resolve_compilers(compilers)
-        ),
-    )
 
 
 def normalized_by_structure(

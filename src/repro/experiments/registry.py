@@ -1,13 +1,17 @@
-"""Registry of the paper's experiments, shared by the CLI and the harnesses.
+"""Registry of the paper's experiments and their one driver.
 
 Each :class:`ExperimentSpec` bundles an experiment's jobs builder (pure
-configuration: scale preset -> engine jobs) with its text formatter, so a
-driver — the ``python -m repro`` CLI, the benchmark suite, an example script —
-can run any figure/table through the same three calls::
+configuration: scale preset -> engine jobs) with its text formatter.
+:func:`run_experiment` is the only experiment driver — the ``python -m
+repro`` CLI and the benchmark suite both call it::
 
-    spec = get_experiment("fig12")
-    records, report = run_jobs_report(spec.build_jobs(scale="small"), ...)
-    print(spec.format_records(records))
+    records, report = run_experiment("fig12", scale="small", workers=2)
+    print(get_experiment("fig12").format_records(records))
+
+It also owns :func:`experiment_meta`, the checkpoint header that names the
+experiment so ``repro resume`` can finish it; the engine below stays
+experiment-agnostic.  A custom sweep (overriding a builder's device or
+parameter defaults) is ``run_jobs(jobs_for_fig12(array_shapes=...))``.
 """
 
 from __future__ import annotations
@@ -17,13 +21,11 @@ from pathlib import Path
 from collections.abc import Callable, Sequence
 
 from .engine import (
-    SCALE_TIERS,
     ExecutionPlan,
     Job,
     JobPolicy,
     ResultCache,
     RunReport,
-    experiment_checkpoint_meta,
     plan_jobs,
     run_jobs_report,
 )
@@ -57,7 +59,6 @@ class ExperimentSpec:
     build_jobs: Callable[..., list[Job]]
     #: Renders the experiment's records as the paper-style text table.
     format_records: Callable[[Sequence[AnyRecord]], str]
-    scales: tuple[str, ...] = SCALE_TIERS
 
 
 def _format_fig13_records(records: Sequence[AnyRecord]) -> str:
@@ -131,12 +132,23 @@ def experiment_meta(
     Stored verbatim in the checkpoint's ``meta`` field, this is what lets
     ``repro resume`` recover the experiment (and thus its formatter), reuse
     the original cache directory and compiler list, and write artifacts with
-    the same metadata an uninterrupted run would.
+    the same metadata an uninterrupted run would.  ``compilers=None``
+    records the default pair (the jobs themselves carry the authoritative
+    per-job list either way).
     """
     get_experiment(name)  # fail early on unknown names
-    return experiment_checkpoint_meta(
-        name, scale, benchmarks, seed, cache, compilers=resolve_compilers(compilers)
-    )
+    if isinstance(cache, ResultCache):
+        cache_dir: str | None = str(cache.cache_dir)
+    else:
+        cache_dir = str(cache) if cache is not None else None
+    return {
+        "experiment": name,
+        "scale": scale,
+        "benchmarks": list(benchmarks) if benchmarks is not None else None,
+        "seed": seed,
+        "cache_dir": cache_dir,
+        "compilers": list(resolve_compilers(compilers)),
+    }
 
 
 def build_experiment_jobs(
@@ -168,20 +180,19 @@ def plan_experiment(
     benchmarks: Sequence[str] | None = None,
     seed: int = 0,
     cache: None | str | Path | ResultCache = None,
-    refresh: bool = False,
     compilers: Sequence[str] | None = None,
 ) -> ExecutionPlan:
     """Expand one experiment and plan it against the cache without executing.
 
     This is the ``repro run --dry-run`` entry point: the plan's
     cached/pending split is exactly what :func:`run_experiment` with the same
-    arguments would do, and (like :func:`plan_jobs`) a preview leaves the
-    cache's LRU state untouched unless ``refresh=True``.
+    arguments would do, and a preview leaves the cache's LRU state
+    untouched.
     """
     jobs = build_experiment_jobs(
         name, scale=scale, benchmarks=benchmarks, seed=seed, compilers=compilers
     )
-    return plan_jobs(jobs, cache=cache, refresh=refresh)
+    return plan_jobs(jobs, cache=cache)
 
 
 def run_experiment(
@@ -199,7 +210,7 @@ def run_experiment(
 ) -> tuple[list[AnyRecord], RunReport]:
     """Build and execute one registered experiment end to end.
 
-    The one-stop driver shared by the CLI and the harnesses: expands the
+    The one driver shared by the CLI and the harnesses: expands the
     scale preset into jobs (each carrying the requested compiler list) and
     runs them through the engine with the given fault-tolerance ``policy``
     and ``checkpoint`` file.  Returns the records (healthy jobs only —

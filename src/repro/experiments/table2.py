@@ -7,6 +7,8 @@ percentage.  ``jobs_for_table2`` expands those rows into engine jobs; the
 ``scale`` presets select the paper-scale chiplet sizes (6-9 on a 3x3 array,
 hours of baseline runtime) or a scaled-down sweep that preserves the
 "improvement grows with chiplet size" trend at a fraction of the cost.
+``run_experiment("table2", ...)`` executes the sweep, or
+``run_jobs(jobs_for_table2(...))`` for custom overrides.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
-from .engine import Job, experiment_checkpoint_meta, noise_to_items, run_jobs
+from .engine import Job, noise_to_items
 from .runner import AnyRecord, format_records, resolve_compilers
 from .settings import BENCHMARK_NAMES, TABLE2_CHIPLET_SIZES
 
-__all__ = ["jobs_for_table2", "run_table2", "format_table2", "TABLE2_PAPER_REFERENCE"]
+__all__ = ["jobs_for_table2", "format_table2", "TABLE2_PAPER_REFERENCE"]
 
 #: (chiplet sizes, array shape) per scale tier; the paper sweeps 6x6 .. 9x9
 #: chiplets on a 3x3 array.  The smaller tiers shrink both so the baseline
@@ -97,44 +99,6 @@ def jobs_for_table2(
                 )
             )
     return jobs
-
-
-def run_table2(
-    *,
-    scale: str = "small",
-    benchmarks: Sequence[str] = BENCHMARK_NAMES,
-    chiplet_sizes: Sequence[int] | None = None,
-    array_shape: tuple[int, int] | None = None,
-    noise: NoiseModel = DEFAULT_NOISE,
-    seed: int = 0,
-    qaoa_kwargs: dict[str, object] | None = None,
-    compilers: Sequence[str] | None = None,
-    workers: int = 1,
-    cache=None,
-    policy=None,
-    checkpoint=None,
-) -> list[AnyRecord]:
-    """Regenerate Table 2: one record per (chiplet size, benchmark)."""
-    jobs = jobs_for_table2(
-        scale=scale,
-        benchmarks=benchmarks,
-        chiplet_sizes=chiplet_sizes,
-        array_shape=array_shape,
-        noise=noise,
-        seed=seed,
-        qaoa_kwargs=qaoa_kwargs,
-        compilers=compilers,
-    )
-    return run_jobs(
-        jobs,
-        workers=workers,
-        cache=cache,
-        policy=policy,
-        checkpoint=checkpoint,
-        checkpoint_meta=experiment_checkpoint_meta(
-            "table2", scale, benchmarks, seed, cache, compilers=resolve_compilers(compilers)
-        ),
-    )
 
 
 def format_table2(records: Sequence[AnyRecord]) -> str:

@@ -34,6 +34,7 @@ from typing import Any
 from collections.abc import Callable, Mapping, Sequence
 
 from ..experiments.engine import (
+    FarmAbortedError,
     Job,
     JobError,
     JobPolicy,
@@ -331,8 +332,8 @@ def run_farm(
     until the queue drains (healing lost workers by lease expiry), and
     return the records in job order.  Under ``on_error="raise"`` the run
     stops at the first job that exhausts its attempts and re-raises it.
-    Aborts with ``RuntimeError`` only when *every* worker has exited while
-    work remains.
+    Aborts with :class:`FarmAbortedError` (carrying ``checkpoint``) only
+    when *every* worker has exited while work remains.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -359,10 +360,11 @@ def run_farm(
                 progress(f"coordinator listening on {coordinator.host}:{coordinator.port}")
             while not coordinator.wait(timeout=poll_seconds):
                 if handles and all(handle.poll() is not None for handle in handles):
-                    raise RuntimeError(
+                    raise FarmAbortedError(
                         "every farm worker exited while work remains; see the"
                         f" journal at {coordinator.journal_path} for the last"
-                        " transitions"
+                        " transitions",
+                        checkpoint,
                     )
     finally:
         stop_workers(handles)

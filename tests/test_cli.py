@@ -203,6 +203,42 @@ class TestFaultTolerance:
             assert "Traceback" not in err
         assert len(ResultCache(dirs["cache"])) == 0
 
+    def test_negative_jobs_is_a_usage_error(self, dirs, tmp_path, capsys):
+        checkpoint = str(tmp_path / "artifacts" / "fig12.checkpoint.json")
+        for argv in (["run", "fig12", "--cache-dir", dirs["cache"]], ["resume", checkpoint]):
+            assert main([*argv, "--jobs", "-3"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --jobs must be >= 0"), err
+        assert len(ResultCache(dirs["cache"])) == 0
+
+    def test_farm_abort_prints_resume_hint_without_traceback(
+        self, dirs, tmp_path, monkeypatch, capsys
+    ):
+        from repro.farm.launcher import LocalWorkerLauncher
+
+        class ExitedWorker:
+            def poll(self):
+                return 0
+
+            def terminate(self):
+                pass
+
+            def kill(self):
+                pass
+
+        monkeypatch.setattr(LocalWorkerLauncher, "launch", lambda self, *args: ExitedWorker())
+        checkpoint = tmp_path / "artifacts" / "table2.checkpoint.json"
+        argv = ["run", "table2", "--scale", "small", "--benchmarks", "BV",
+                "--cache-dir", dirs["cache"], "--out-dir", dirs["out"], "--quiet"]
+        for command in (argv, ["resume", str(checkpoint), "--quiet"]):
+            assert main([*command, "--jobs", "2"]) == 1
+            err = capsys.readouterr().err
+            assert "error: farm run aborted: every farm worker exited" in err
+            assert f"resume with: repro resume {checkpoint}" in err
+            assert "Traceback" not in err
+        # the hint is actionable: an in-process resume finishes the sweep
+        assert main(["resume", str(checkpoint), "--quiet"]) == 0
+
     def test_non_positive_cache_max_mb_is_a_usage_error(self, dirs, capsys):
         assert _run_fig12(dirs, "--cache-max-mb", "0") == 2
         assert "--cache-max-mb" in capsys.readouterr().err

@@ -16,17 +16,19 @@ from repro.experiments import (
     format_records,
     format_table2,
     improvement_series,
+    jobs_for_fig12,
+    jobs_for_fig13,
+    jobs_for_fig14,
+    jobs_for_fig15,
+    jobs_for_fig16,
+    jobs_for_table2,
     normalized_by_density,
     normalized_by_sparsity,
     normalized_by_structure,
-    run_fig12,
-    run_fig13,
-    run_fig14,
-    run_fig15,
-    run_fig16,
+    run_jobs,
     run_jobs_report,
-    run_table2,
     scaled_setting,
+    sensitivity_results_from_records,
 )
 from repro.metrics import improvement
 
@@ -82,15 +84,17 @@ class TestExperimentRunners:
     """Each figure/table runner is exercised on a deliberately tiny instance."""
 
     def test_table2_smallest(self):
-        records = run_table2(scale="small", benchmarks=["BV"], chiplet_sizes=(4,))
+        records = run_jobs(jobs_for_table2(scale="small", benchmarks=["BV"], chiplet_sizes=(4,)))
         assert len(records) == 1
         text = format_table2(records)
         assert "BV" in text
         assert records[0].depth_improvement > 0
 
     def test_fig12_series(self):
-        records = run_fig12(
-            scale="small", benchmarks=["BV"], chiplet_width=4, array_shapes=((1, 2), (2, 2))
+        records = run_jobs(
+            jobs_for_fig12(
+                scale="small", benchmarks=["BV"], chiplet_width=4, array_shapes=((1, 2), (2, 2))
+            )
         )
         assert len(records) == 2
         series = improvement_series(records)["BV"]
@@ -98,12 +102,16 @@ class TestExperimentRunners:
         assert "Fig. 12" in format_fig12(records)
 
     def test_fig13_sensitivity_shapes(self):
-        results = run_fig13(
-            scale="small",
-            benchmarks=["BV"],
-            meas_latencies=(1, 4, 8),
-            meas_error_ratios=(1.0, 3.0),
-            cross_error_ratios=(4.0, 8.0),
+        results = sensitivity_results_from_records(
+            run_jobs(
+                jobs_for_fig13(
+                    scale="small",
+                    benchmarks=["BV"],
+                    meas_latencies=(1, 4, 8),
+                    meas_error_ratios=(1.0, 3.0),
+                    cross_error_ratios=(4.0, 8.0),
+                )
+            )
         )
         assert len(results) == 1
         r = results[0]
@@ -117,13 +125,13 @@ class TestExperimentRunners:
         assert "Fig. 13" in format_fig13(results)
 
     def test_fig14_sparsity(self):
-        records = run_fig14(scale="small", benchmarks=["BV"], sparsity_levels=(4, 1))
+        records = run_jobs(jobs_for_fig14(scale="small", benchmarks=["BV"], sparsity_levels=(4, 1)))
         series = normalized_by_sparsity(records)["BV"]
         assert len(series) == 2
         assert "Fig. 14" in format_fig14(records)
 
     def test_fig15_density(self):
-        records = run_fig15(scale="small", benchmarks=["BV"], densities=(1, 2))
+        records = run_jobs(jobs_for_fig15(scale="small", benchmarks=["BV"], densities=(1, 2)))
         series = normalized_by_density(records)["BV"]
         fractions = [fraction for _, fraction, _, _ in series]
         assert fractions[0] < fractions[1]
@@ -136,22 +144,22 @@ class TestExperimentRunners:
             ArchitectureSetting("sq", "square", 4, 1, 2),
             ArchitectureSetting("hex", "hexagon", 4, 1, 2),
         ]
-        records = run_fig16(benchmarks=["BV"], settings=settings)
+        records = run_jobs(jobs_for_fig16(benchmarks=["BV"], settings=settings))
         series = normalized_by_structure(records)["BV"]
         assert {s for s, _, _ in series} == {"square", "hexagon"}
         assert "Fig. 16" in format_fig16(records)
 
     def test_invalid_scales_rejected(self):
         with pytest.raises(ValueError):
-            run_table2(scale="galactic")
+            jobs_for_table2(scale="galactic")
         with pytest.raises(ValueError):
-            run_fig12(scale="galactic")
+            jobs_for_fig12(scale="galactic")
         with pytest.raises(ValueError):
-            run_fig13(scale="galactic")
+            jobs_for_fig13(scale="galactic")
         with pytest.raises(ValueError):
-            run_fig14(scale="galactic")
+            jobs_for_fig14(scale="galactic")
         with pytest.raises(ValueError):
-            run_fig15(scale="galactic")
+            jobs_for_fig15(scale="galactic")
 
     def test_benchmark_names_constant(self):
         assert BENCHMARK_NAMES == ("QFT", "QAOA", "VQE", "BV")
