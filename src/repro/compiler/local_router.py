@@ -9,10 +9,10 @@ of the interleaved highway sections are ordinary data qubits and remain
 available for routing, which keeps the data subgraph connected.
 
 The router pre-computes an all-pairs distance matrix over the data subgraph
-(the sparse adjacency is assembled with numpy masks over the topology's cached
-edge list, no Python edge loop) so path extraction is cheap; per-destination
-next-hop tables are derived lazily from the distance matrix, turning the
-former sort-all-neighbours-per-hop descent of :meth:`path` into a table walk.
+(one breadth-first search per position over the data-neighbour lists) so
+path extraction is cheap; per-destination next-hop tables are derived lazily
+from the distance matrix, turning the former sort-all-neighbours-per-hop
+descent of :meth:`path` into a table walk.
 It returns SWAP pair lists and leaves the mapping bookkeeping to the
 scheduler.
 """
@@ -22,9 +22,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
+from ..hardware import graphs
 from ..hardware.topology import Topology
 
 __all__ = ["LocalRouter", "RoutingError"]
@@ -44,11 +43,6 @@ class LocalRouter:
     def __init__(self, topology: Topology, highway_qubits: Iterable[int] = ()) -> None:
         self.topology = topology
         self.highway_qubits = frozenset(highway_qubits)
-        n = topology.num_qubits
-        is_data = np.ones(n, dtype=bool)
-        for q in self.highway_qubits:
-            is_data[q] = False
-        self._is_data = is_data
         self._neighbors: dict[int, list[int]] = {}
         for q in topology.qubits():
             if q in self.highway_qubits:
@@ -75,15 +69,10 @@ class LocalRouter:
     # distances and paths
     # ------------------------------------------------------------------ #
     def _compute_distances(self) -> np.ndarray:
-        n = self.topology.num_qubits
-        edges = np.asarray(self.topology.edges(), dtype=np.int64).reshape(-1, 2)
-        if len(edges):
-            keep = self._is_data[edges[:, 0]] & self._is_data[edges[:, 1]]
-            edges = edges[keep]
-        rows = np.concatenate((edges[:, 0], edges[:, 1]))
-        cols = np.concatenate((edges[:, 1], edges[:, 0]))
-        matrix = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        return dijkstra(matrix, directed=False, unweighted=True)
+        # highway positions have no data neighbours: their rows stay
+        # unreachable apart from the zero diagonal
+        neighbors = [self._neighbors.get(q, ()) for q in self.topology.qubits()]
+        return np.array(graphs.bfs_distance_rows(neighbors), dtype=float)
 
     def data_distance(self, a: int, b: int) -> float:
         """Hop distance between two positions through data qubits only."""

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from .chiplet import ChipletStructure, build_chiplet
 from .topology import Topology
 
@@ -70,7 +68,8 @@ class ChipletArray:
     # ------------------------------------------------------------------ #
     def _build(self) -> None:
         width = self.chiplet_width
-        graph = nx.Graph()
+        nodes: dict[int, dict] = {}
+        edges: list[tuple[int, int, bool]] = []
         coord_to_qubit: dict[Coordinate, int] = {}
 
         # place qubits chiplet by chiplet, row-major over global coordinates
@@ -82,7 +81,7 @@ class ChipletArray:
         global_coords.sort(key=lambda item: item[0])
         for qubit, (coord, chiplet_idx) in enumerate(global_coords):
             coord_to_qubit[coord] = qubit
-            graph.add_node(qubit, pos=coord, chiplet=chiplet_idx)
+            nodes[qubit] = {"pos": coord, "chiplet": chiplet_idx}
 
         # on-chip couplers
         for ci in range(self.rows):
@@ -90,11 +89,11 @@ class ChipletArray:
                 for (a, b) in self.chiplet.edges:
                     ga = (ci * width + a[0], cj * width + a[1])
                     gb = (ci * width + b[0], cj * width + b[1])
-                    graph.add_edge(coord_to_qubit[ga], coord_to_qubit[gb], cross_chip=False)
+                    edges.append((coord_to_qubit[ga], coord_to_qubit[gb], False))
 
         # cross-chip couplers
         for (ga, gb) in self._cross_chip_pairs():
-            graph.add_edge(coord_to_qubit[ga], coord_to_qubit[gb], cross_chip=True)
+            edges.append((coord_to_qubit[ga], coord_to_qubit[gb], True))
 
         self._coord_to_qubit = coord_to_qubit
         self._qubit_to_coord = {q: coord for coord, q in coord_to_qubit.items()}
@@ -102,7 +101,7 @@ class ChipletArray:
             f"{self.structure}-{width}x{width}-{self.rows}x{self.cols}"
             + ("" if self.cross_links_per_edge is None else f"-x{self.cross_links_per_edge}")
         )
-        self._topology = Topology(graph, name=name)
+        self._topology = Topology.from_edges(nodes, edges, name=name)
 
     def _cross_chip_pairs(self) -> list[tuple[Coordinate, Coordinate]]:
         """Global coordinate pairs joined by cross-chip links."""

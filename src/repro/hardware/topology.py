@@ -1,26 +1,30 @@
 """Coupling-graph model of a (multi-chip) superconducting device.
 
-A :class:`Topology` wraps a ``networkx`` graph whose nodes are physical qubits
-and whose edges are 2-qubit couplers.  Each node carries its grid coordinate
-and the chiplet it belongs to; each edge is labelled on-chip or cross-chip.
-The class pre-computes all-pairs shortest-path distances (hop counts, and a
-weighted variant where cross-chip edges are more expensive) because both the
-baseline SABRE-style router and the MECH local router consult distances in
-their inner loops.
+A :class:`Topology` holds an undirected coupling graph as insertion-ordered
+adjacency dicts: nodes are physical qubits, edges are 2-qubit couplers.  Each
+node carries its grid coordinate and the chiplet it belongs to; each edge is
+labelled on-chip or cross-chip.  The class pre-computes all-pairs
+shortest-path distances (hop counts, and a weighted variant where cross-chip
+edges are more expensive) because both the baseline SABRE-style router and
+the MECH local router consult distances in their inner loops.  The graph
+kernels live in :mod:`repro.hardware.graphs`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping
+from types import MappingProxyType
+from typing import Any
 
-import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+
+from . import graphs
 
 __all__ = ["Topology", "TopologyError"]
 
 Coordinate = tuple[int, int]
+
+_NO_NEIGHBOURS: Mapping[int, bool] = MappingProxyType({})
 
 
 class TopologyError(ValueError):
@@ -33,35 +37,92 @@ class Topology:
     Parameters
     ----------
     graph:
-        Undirected graph over integer qubit indices ``0..n-1``.  Edges may have
-        a boolean ``cross_chip`` attribute (default ``False``); nodes may have
-        ``pos`` (a ``(row, col)`` coordinate) and ``chiplet`` (a ``(ci, cj)``
-        chiplet index) attributes.
+        Undirected graph over integer qubit indices ``0..n-1``, given as any
+        object with networkx's ``nodes(data=True)`` and ``adjacency()``
+        views (a ``networkx.Graph`` works).  Edges may have a boolean
+        ``cross_chip`` attribute (default ``False``); nodes may have ``pos``
+        (a ``(row, col)`` coordinate) and ``chiplet`` (a ``(ci, cj)``
+        chiplet index) attributes.  Self-loops are rejected.  The graph is
+        copied, so later changes to it do not reach the topology.
     name:
         Human-readable description, e.g. ``"square-7x7-3x3"``.
+
+    :meth:`from_edges` builds a topology from plain node and edge lists.
     """
 
-    def __init__(self, graph: nx.Graph, name: str = "device") -> None:
-        if graph.number_of_nodes() == 0:
+    def __init__(self, graph: Any, name: str = "device") -> None:
+        adjacency = {
+            u: {v: bool(data.get("cross_chip", False)) for v, data in nbrs.items()}
+            for u, nbrs in graph.adjacency()
+        }
+        self._setup(dict(graph.nodes(data=True)), adjacency, name)
+
+    @classmethod
+    def from_edges(
+        cls,
+        nodes: Mapping[int, Mapping[str, Any]],
+        edges: Iterable[tuple[int, int, bool]],
+        name: str = "device",
+    ) -> "Topology":
+        """A topology over ``nodes`` (qubit -> attributes) and ``(a, b, cross_chip)`` edges.
+
+        Adjacency order follows the order of ``nodes`` and ``edges``, as it
+        would in a ``networkx.Graph`` built with the same calls; shortest
+        paths break ties by that order.
+        """
+        adjacency: dict[int, dict[int, bool]] = {q: {} for q in nodes}
+        for a, b, cross in edges:
+            if a == b:
+                raise TopologyError(f"self-loop on qubit {a}")
+            adjacency.setdefault(a, {})[b] = cross
+            adjacency.setdefault(b, {})[a] = cross
+        topology = cls.__new__(cls)
+        topology._setup(nodes, adjacency, name)
+        return topology
+
+    def _setup(
+        self,
+        nodes: Mapping[int, Mapping[str, Any]],
+        adjacency: dict[int, dict[int, bool]],
+        name: str,
+    ) -> None:
+        if not adjacency:
             raise TopologyError("topology must contain at least one qubit")
-        nodes = sorted(graph.nodes())
-        if nodes != list(range(len(nodes))):
+        if sorted(adjacency) != list(range(len(adjacency))):
             raise TopologyError("qubit indices must be 0..n-1 without gaps")
-        # The graph is immutable once wrapped (derived topologies go through
-        # subtopology()/copy(), which build fresh Topology objects), so query
-        # results are cached as tuples with no invalidation protocol at all;
-        # freezing makes a violating add_edge/add_node fail loudly instead of
-        # silently invalidating the caches.
-        self.graph = nx.freeze(graph)
+        for q, nbrs in adjacency.items():
+            if q in nbrs:
+                raise TopologyError(f"self-loop on qubit {q}")
         self.name = name
+        # The graph never changes after construction (derived topologies go
+        # through subtopology()/copy(), which build fresh objects), so every
+        # query result is computed once here and distances are cached
+        # without any invalidation protocol.
+        self._adj = adjacency
+        self._nodes = {q: dict(nodes.get(q, {})) for q in adjacency}
+        self._adjacency_view = MappingProxyType(
+            {q: MappingProxyType(nbrs) for q, nbrs in adjacency.items()}
+        )
+        # edges in networkx's iteration order: each node's neighbours in
+        # insertion order, skipping nodes already visited
+        visited: set[int] = set()
+        ordered: list[tuple[int, int]] = []
+        for u, nbrs in adjacency.items():
+            ordered.extend((u, v) for v in nbrs if v not in visited)
+            visited.add(u)
+        self._ordered_edges = ordered
+        self._qubits = tuple(range(len(adjacency)))
+        self._edges = tuple((min(a, b), max(a, b)) for a, b in ordered)
+        self._cross_chip_edges = tuple(
+            e for e, (a, b) in zip(self._edges, ordered, strict=False) if adjacency[a][b]
+        )
+        self._on_chip_edges = tuple(
+            e for e, (a, b) in zip(self._edges, ordered, strict=False) if not adjacency[a][b]
+        )
+        self._neighbors = {q: tuple(sorted(nbrs)) for q, nbrs in adjacency.items()}
         self._dist_cache: dict[float, np.ndarray] = {}
         self._dist_rows: dict[float, list[list[float]]] = {}
-        self._qubits: tuple[int, ...] | None = None
-        self._edges: tuple[tuple[int, int], ...] | None = None
-        self._cross_chip_edges: tuple[tuple[int, int], ...] | None = None
-        self._on_chip_edges: tuple[tuple[int, int], ...] | None = None
-        self._neighbors: dict[int, tuple[int, ...]] = {}
-        self._adjacency: np.ndarray | None = None
+        self._adjacency_matrix: np.ndarray | None = None
         self._coupling_rows: list[list[bool]] | None = None
 
     # ------------------------------------------------------------------ #
@@ -69,36 +130,34 @@ class Topology:
     # ------------------------------------------------------------------ #
     @property
     def num_qubits(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._qubits)
 
     @property
     def num_edges(self) -> int:
-        return self.graph.number_of_edges()
+        return len(self._edges)
 
     def qubits(self) -> tuple[int, ...]:
-        if self._qubits is None:
-            self._qubits = tuple(sorted(self.graph.nodes()))
         return self._qubits
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        if self._edges is None:
-            self._edges = tuple(
-                (min(a, b), max(a, b)) for a, b in self.graph.edges()
-            )
         return self._edges
 
     def neighbors(self, qubit: int) -> tuple[int, ...]:
-        cached = self._neighbors.get(qubit)
-        if cached is None:
-            cached = tuple(sorted(self.graph.neighbors(qubit)))
-            self._neighbors[qubit] = cached
-        return cached
+        return self._neighbors[qubit]
 
     def degree(self, qubit: int) -> int:
-        return self.graph.degree(qubit)
+        return len(self._adj[qubit])
 
     def is_coupled(self, a: int, b: int) -> bool:
-        return self.graph.has_edge(a, b)
+        return b in self._adj.get(a, _NO_NEIGHBOURS)
+
+    def adjacency(self) -> Mapping[int, Mapping[int, bool]]:
+        """Read-only ``{qubit: {neighbour: cross_chip}}`` in insertion order."""
+        return self._adjacency_view
+
+    def node_data(self, qubit: int) -> Mapping[str, Any]:
+        """Read-only attributes of ``qubit`` (``pos``, ``chiplet``, ``original``)."""
+        return MappingProxyType(self._nodes[qubit])
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean coupling matrix (``adj[a, b]`` iff a and b are coupled).
@@ -107,14 +166,14 @@ class Topology:
         like every other query result it is cached forever (the graph never
         mutates).
         """
-        if self._adjacency is None:
+        if self._adjacency_matrix is None:
             n = self.num_qubits
-            adjacency = np.zeros((n, n), dtype=bool)
-            for a, b in self.graph.edges():
-                adjacency[a, b] = True
-                adjacency[b, a] = True
-            self._adjacency = adjacency
-        return self._adjacency
+            matrix = np.zeros((n, n), dtype=bool)
+            for a, b in self._edges:
+                matrix[a, b] = True
+                matrix[b, a] = True
+            self._adjacency_matrix = matrix
+        return self._adjacency_matrix
 
     def coupling_rows(self) -> list[list[bool]]:
         """:meth:`adjacency_matrix` as nested lists (``rows[a][b]``), cached.
@@ -128,74 +187,65 @@ class Topology:
 
     def is_cross_chip(self, a: int, b: int) -> bool:
         """Whether the coupler between ``a`` and ``b`` is a cross-chip link."""
-        if not self.graph.has_edge(a, b):
+        cross = self._adj.get(a, _NO_NEIGHBOURS).get(b)
+        if cross is None:
             raise TopologyError(f"qubits {a} and {b} are not coupled")
-        return bool(self.graph.edges[a, b].get("cross_chip", False))
+        return cross
 
     def cross_chip_edges(self) -> tuple[tuple[int, int], ...]:
-        if self._cross_chip_edges is None:
-            self._cross_chip_edges = tuple(
-                (min(a, b), max(a, b))
-                for a, b, data in self.graph.edges(data=True)
-                if data.get("cross_chip", False)
-            )
         return self._cross_chip_edges
 
     def on_chip_edges(self) -> tuple[tuple[int, int], ...]:
-        if self._on_chip_edges is None:
-            self._on_chip_edges = tuple(
-                (min(a, b), max(a, b))
-                for a, b, data in self.graph.edges(data=True)
-                if not data.get("cross_chip", False)
-            )
         return self._on_chip_edges
 
     def position(self, qubit: int) -> Coordinate | None:
         """Grid coordinate of ``qubit``, if known."""
-        return self.graph.nodes[qubit].get("pos")
+        return self._nodes[qubit].get("pos")
 
     def chiplet_of(self, qubit: int) -> Coordinate | None:
         """Chiplet index ``(ci, cj)`` of ``qubit``, if known."""
-        return self.graph.nodes[qubit].get("chiplet")
+        return self._nodes[qubit].get("chiplet")
 
     def chiplets(self) -> list[Coordinate]:
         """Sorted list of distinct chiplet indices present in the device."""
         found = {
             data.get("chiplet")
-            for _, data in self.graph.nodes(data=True)
+            for data in self._nodes.values()
             if data.get("chiplet") is not None
         }
         return sorted(found)
 
     def qubits_in_chiplet(self, chiplet: Coordinate) -> list[int]:
-        return sorted(
-            q for q, data in self.graph.nodes(data=True) if data.get("chiplet") == chiplet
-        )
+        return sorted(q for q, data in self._nodes.items() if data.get("chiplet") == chiplet)
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self.graph)
+        return len(graphs.connected_components(self._adj)) == 1
 
     # ------------------------------------------------------------------ #
     # distances and paths
     # ------------------------------------------------------------------ #
     def distance_matrix(self, *, cross_chip_weight: float = 1.0) -> np.ndarray:
-        """All-pairs shortest-path distances.
+        """All-pairs shortest-path distances (``inf`` between disconnected qubits).
 
         ``cross_chip_weight`` > 1 penalises cross-chip links, which the
         baseline router uses to mildly prefer on-chip routing when the error
         model makes cross-chip CNOTs more expensive.
         """
         key = float(cross_chip_weight)
-        if key not in self._dist_cache:
-            self._dist_cache[key] = self._compute_distances(key)
-        return self._dist_cache[key]
+        matrix = self._dist_cache.get(key)
+        if matrix is None:
+            matrix = np.array(self.distance_rows(cross_chip_weight=key), dtype=float)
+            self._dist_cache[key] = matrix
+        return matrix
 
     def distance_rows(self, *, cross_chip_weight: float = 1.0) -> list[list[float]]:
         """:meth:`distance_matrix` as nested lists (``rows[a][b]``), cached."""
         key = float(cross_chip_weight)
-        if key not in self._dist_rows:
-            self._dist_rows[key] = self.distance_matrix(cross_chip_weight=key).tolist()
-        return self._dist_rows[key]
+        rows = self._dist_rows.get(key)
+        if rows is None:
+            rows = self._compute_distances(key)
+            self._dist_rows[key] = rows
+        return rows
 
     def distance(self, a: int, b: int, *, cross_chip_weight: float = 1.0) -> float:
         return float(self.distance_matrix(cross_chip_weight=cross_chip_weight)[a, b])
@@ -204,26 +254,27 @@ class Topology:
         self, a: int, b: int, *, cross_chip_weight: float = 1.0
     ) -> list[int]:
         """One shortest path from ``a`` to ``b`` (inclusive of both endpoints)."""
+        for q in (a, b):
+            if q not in self._adj:
+                raise TopologyError(f"qubit {q} is not in the topology")
         if cross_chip_weight == 1.0:
-            return nx.shortest_path(self.graph, a, b)
+            return graphs.shortest_path(self._adj, a, b)
+        adj = self._adj
 
-        def weight(u: int, v: int, data: dict) -> float:
-            return cross_chip_weight if data.get("cross_chip", False) else 1.0
+        def weight(u: int, v: int) -> float:
+            return cross_chip_weight if adj[u][v] else 1.0
 
-        return nx.shortest_path(self.graph, a, b, weight=weight)
+        return graphs.shortest_path(adj, a, b, weight)
 
-    def _compute_distances(self, cross_chip_weight: float) -> np.ndarray:
-        n = self.num_qubits
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for a, b, data in self.graph.edges(data=True):
-            w = cross_chip_weight if data.get("cross_chip", False) else 1.0
-            rows.extend((a, b))
-            cols.extend((b, a))
-            vals.extend((w, w))
-        matrix = csr_matrix((vals, (rows, cols)), shape=(n, n))
-        return dijkstra(matrix, directed=False)
+    def _compute_distances(self, cross_chip_weight: float) -> list[list[float]]:
+        neighbors = [list(self._adj[q]) for q in self._qubits]
+        if cross_chip_weight == 1.0:
+            return graphs.bfs_distance_rows(neighbors)
+        weights = [
+            [cross_chip_weight if cross else 1.0 for cross in self._adj[q].values()]
+            for q in self._qubits
+        ]
+        return graphs.dijkstra_distance_rows(neighbors, weights)
 
     # ------------------------------------------------------------------ #
     # derived topologies
@@ -231,24 +282,23 @@ class Topology:
     def subtopology(self, qubits: Iterable[int], name: str | None = None) -> "Topology":
         """Induced subgraph over ``qubits``, relabelled to ``0..k-1``.
 
-        Returns the new topology; use :meth:`sub_index_map` semantics via the
-        returned object's node attribute ``original`` to map back.
+        Each node of the returned topology keeps its attributes plus
+        ``original``, its index here (see :meth:`node_data`).
         """
         keep = sorted(set(qubits))
         mapping = {q: i for i, q in enumerate(keep)}
-        sub = nx.Graph()
-        for q in keep:
-            attrs = dict(self.graph.nodes[q])
-            attrs["original"] = q
-            sub.add_node(mapping[q], **attrs)
-        for a, b, data in self.graph.subgraph(keep).edges(data=True):
-            sub.add_edge(mapping[a], mapping[b], **data)
-        return Topology(sub, name or f"{self.name}-sub")
+        nodes = {mapping[q]: {**self._nodes[q], "original": q} for q in keep}
+        edges = [
+            (mapping[a], mapping[b], self._adj[a][b])
+            for a, b in self._ordered_edges
+            if a in mapping and b in mapping
+        ]
+        return Topology.from_edges(nodes, edges, name or f"{self.name}-sub")
 
     def copy(self) -> "Topology":
-        # nx.Graph.copy() of a frozen graph yields a fresh mutable graph,
-        # which the new Topology freezes again
-        return Topology(nx.Graph(self.graph), self.name)
+        topology = Topology.__new__(Topology)
+        topology._setup(self._nodes, {q: dict(nbrs) for q, nbrs in self._adj.items()}, self.name)
+        return topology
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -256,8 +306,3 @@ class Topology:
             f"edges={self.num_edges}, cross_chip={len(self.cross_chip_edges())})"
         )
 
-
-def _validate_edge_list(edges: Sequence[tuple[int, int]]) -> None:
-    for a, b in edges:
-        if a == b:
-            raise TopologyError(f"self-loop on qubit {a}")

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
+from ..hardware import graphs
 from ..hardware.array import ChipletArray
 
 __all__ = ["HighwaySegment", "HighwayLayout"]
@@ -87,7 +86,8 @@ class HighwayLayout:
         self._highway_qubits: set[int] = set()
         self._crossroads: set[int] = set()
         self._segments: list[HighwaySegment] = []
-        self._highway_graph = nx.Graph()
+        # highway qubit -> {neighbour: (via, cross_chip)}, in insertion order
+        self._highway_adjacency: dict[int, dict[int, tuple[int | None, bool]]] = {}
         # per-qubit entrance rankings and the distance-to-highway vector are
         # pure functions of the finished layout; both are cached lazily
         # because the schedulers query them once per gate component
@@ -130,9 +130,13 @@ class HighwayLayout:
         return list(self._segments)
 
     @property
-    def highway_graph(self) -> nx.Graph:
-        """Graph over highway qubits; edges carry ``via`` and ``cross_chip``."""
-        return self._highway_graph
+    def highway_adjacency(self) -> dict[int, dict[int, tuple[int | None, bool]]]:
+        """The highway graph: ``{qubit: {neighbour: (via, cross_chip)}}``.
+
+        Keys are every highway qubit, in the order they joined the highway;
+        callers must not mutate it.
+        """
+        return self._highway_adjacency
 
     def qubit_overhead(self) -> float:
         """Fraction of physical qubits reserved for the highway."""
@@ -178,10 +182,11 @@ class HighwayLayout:
 
     def segment_between(self, a: int, b: int) -> HighwaySegment | None:
         """The segment joining highway qubits ``a`` and ``b``, if any."""
-        if not self._highway_graph.has_edge(a, b):
+        data = self._highway_adjacency.get(a, {}).get(b)
+        if data is None:
             return None
-        data = self._highway_graph.edges[a, b]
-        return HighwaySegment(a, b, via=data.get("via"), cross_chip=data.get("cross_chip", False))
+        via, cross = data
+        return HighwaySegment(a, b, via=via, cross_chip=cross)
 
     # ------------------------------------------------------------------ #
     # construction
@@ -255,16 +260,15 @@ class HighwayLayout:
         if start == end:
             return [start]
 
-        def weight(u: int, v: int, data: dict) -> float:
+        def weight(u: int, v: int) -> float:
             penalty = 1.0 + 0.5 * (deviation(u) + deviation(v))
             reward = -0.2 if (u in claimed or v in claimed) else 0.0
             return max(penalty + reward, 0.1)
 
         try:
-            path = nx.shortest_path(topo.graph, start, end, weight=weight)
-        except nx.NetworkXNoPath:  # pragma: no cover - arrays are connected by construction
+            return graphs.shortest_path(topo.adjacency(), start, end, weight)
+        except graphs.NoPathError:  # pragma: no cover - arrays are connected by construction
             return []
-        return list(path)
 
     def _mark_line(self, line: list[int]) -> None:
         """Decide which qubits along a line are highway qubits and add segments."""
@@ -326,8 +330,11 @@ class HighwayLayout:
 
     def _add_highway_node(self, qubit: int) -> None:
         self._highway_qubits.add(qubit)
-        if not self._highway_graph.has_node(qubit):
-            self._highway_graph.add_node(qubit)
+        self._highway_adjacency.setdefault(qubit, {})
+
+    def _add_highway_edge(self, a: int, b: int, via: int | None, cross: bool) -> None:
+        self._highway_adjacency.setdefault(a, {})[b] = (via, cross)
+        self._highway_adjacency.setdefault(b, {})[a] = (via, cross)
 
     def _add_segment(self, line: list[int], pos_a: int, pos_b: int) -> None:
         a, b = line[pos_a], line[pos_b]
@@ -342,7 +349,7 @@ class HighwayLayout:
         )
         segment = HighwaySegment(a, b, via=via, cross_chip=cross)
         self._segments.append(segment)
-        self._highway_graph.add_edge(a, b, via=via, cross_chip=cross)
+        self._add_highway_edge(a, b, via, cross)
 
     def _ensure_connected(self) -> None:
         """Join disconnected highway components with extra dense path sections.
@@ -354,8 +361,7 @@ class HighwayLayout:
         """
         if not self._highway_qubits:
             raise ValueError("highway layout produced no highway qubits")
-        graph = self._highway_graph
-        components = [sorted(c) for c in nx.connected_components(graph)]
+        components = [sorted(c) for c in graphs.connected_components(self._highway_adjacency)]
         while len(components) > 1:
             base = components[0]
             other = components[1]
@@ -371,8 +377,8 @@ class HighwayLayout:
                 self._add_highway_node(v)
                 cross = self.topology.is_cross_chip(u, v)
                 self._segments.append(HighwaySegment(u, v, via=None, cross_chip=cross))
-                graph.add_edge(u, v, via=None, cross_chip=cross)
-            components = [sorted(c) for c in nx.connected_components(graph)]
+                self._add_highway_edge(u, v, None, cross)
+            components = [sorted(c) for c in graphs.connected_components(self._highway_adjacency)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

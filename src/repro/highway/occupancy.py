@@ -65,7 +65,7 @@ class HighwayManager:
 
     def __init__(self, layout: HighwayLayout) -> None:
         self.layout = layout
-        self.graph = layout.highway_graph
+        self._highway = layout.highway_adjacency
         self.topology = layout.topology
         #: time at which each highway qubit becomes free again
         self.release_time: dict[int, float] = {q: 0.0 for q in layout.highway_qubits}
@@ -74,10 +74,10 @@ class HighwayManager:
         #: total highway qubits claimed over the whole compilation
         self.total_claimed: int = 0
         # the highway graph is frozen once the layout is built, so its
-        # adjacency is snapshotted for the per-gate route searches (the lists
-        # keep networkx's own adjacency iteration order)
+        # adjacency is snapshotted as lists for the per-gate route searches
+        # (in the layout's neighbour insertion order, which fixes tie-breaks)
         self._adjacency: dict[int, list[int]] = {
-            node: list(self.graph[node]) for node in self.graph
+            node: list(nbrs) for node, nbrs in self._highway.items()
         }
 
     # ------------------------------------------------------------------ #
@@ -111,12 +111,12 @@ class HighwayManager:
         the route).  Targets are attached nearest-first, which empirically
         keeps the tree small.
         """
-        if control_entrance not in self.graph:
+        if control_entrance not in self._adjacency:
             raise ValueError(f"control entrance {control_entrance} is not a highway qubit")
         route = HighwayRoute(root=control_entrance, nodes=[control_entrance])
         route.adjacency = {control_entrance: []}
         pending = [t for t in dict.fromkeys(target_entrances) if t != control_entrance]
-        missing = [t for t in pending if t not in self.graph]
+        missing = [t for t in pending if t not in self._adjacency]
         if missing:
             raise ValueError(f"target entrances {missing} are not highway qubits")
 
@@ -140,14 +140,13 @@ class HighwayManager:
     ) -> tuple[dict[int, int], dict[int, int | None]]:
         """Multi-source BFS over the highway graph: distances and predecessors.
 
-        All highway edges weigh 1, so this reproduces the
-        ``nx.multi_source_dijkstra`` search it replaced *including* its
-        equal-length tie-breaking: the dijkstra heap pops equal distances in
-        push (= discovery) order, which is exactly BFS FIFO order, and both
-        keep the first discovered predecessor.  Seeding iterates the same
-        ``set`` of route nodes and expansion walks the snapshotted adjacency
-        lists, so discovery order — and therefore every chosen path — is
-        unchanged.  When ``targets`` is given the search stops once every
+        All highway edges weigh 1, so this equals a multi-source Dijkstra
+        *including* its equal-length tie-breaking: a Dijkstra heap pops equal
+        distances in push (= discovery) order, which is exactly BFS FIFO
+        order, and both keep the first discovered predecessor.  Seeding
+        iterates the ``set`` of route nodes and expansion walks the
+        snapshotted adjacency lists, so discovery order fixes every chosen
+        path.  When ``targets`` is given the search stops once every
         target is discovered; distances and paths found up to that point are
         the same prefix the full search would record.
         """
@@ -203,9 +202,8 @@ class HighwayManager:
     # ------------------------------------------------------------------ #
     def via(self, a: int, b: int) -> int | None:
         """Interval qubit bridged by the segment between highway qubits a and b."""
-        if not self.graph.has_edge(a, b):
-            return None
-        return self.graph.edges[a, b].get("via")
+        data = self._highway.get(a, {}).get(b)
+        return None if data is None else data[0]
 
     def via_lookup(self):
         """A ``(a, b) -> via`` callable suitable for the GHZ preparation planner."""

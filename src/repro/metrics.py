@@ -129,8 +129,8 @@ def _tally(
     clock = [0.0] * circuit.num_qubits
     meas_weight = float(meas_latency)
     # set-based coupling lookups: routed circuits classify hundreds of
-    # thousands of CNOTs, and the cached edge tuples make both membership
-    # tests O(1) without touching the networkx graph per operation
+    # thousands of CNOTs, and frozensets of the edge tuples make both
+    # membership tests O(1) per operation
     if topology is not None:
         coupled_edges = frozenset(topology.edges())
         cross_edges = frozenset(topology.cross_chip_edges())

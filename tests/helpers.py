@@ -9,6 +9,9 @@ by simulating both circuits from a non-trivial product input state and
 comparing the reduced state on the data qubits, after slicing out the
 (measured, hence product-state) ancilla qubits.
 
+:func:`nx_topology` and :func:`nx_highway` rebuild a device or its highway
+as a ``networkx.Graph``, the oracle the graph tests check against.
+
 :func:`set_chaos_spec` sets or clears the ``REPRO_CHAOS`` scenario for an
 in-process test, e.g. ``job-fail:QFT`` to make every QFT job fail.
 """
@@ -17,17 +20,22 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import networkx as nx
 import numpy as np
 
 from repro.chaos import CHAOS_ENV, reset_chaos
 from repro.circuits import Circuit, Simulator, statevectors_equal
 from repro.compiler.result import CompilationResult
+from repro.hardware import Topology
+from repro.highway import HighwayLayout
 
 __all__ = [
     "product_input",
     "assert_semantically_equivalent",
     "assert_all_two_qubit_ops_coupled",
     "set_chaos_spec",
+    "nx_topology",
+    "nx_highway",
 ]
 
 
@@ -130,3 +138,16 @@ def set_chaos_spec(monkeypatch, spec: str | None) -> None:
     else:
         monkeypatch.setenv(CHAOS_ENV, spec)
     reset_chaos()
+
+
+def nx_topology(topology: Topology) -> nx.Graph:
+    """The device coupling graph as a ``networkx.Graph`` (every qubit a node)."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topology.qubits())
+    graph.add_edges_from(topology.edges())
+    return graph
+
+
+def nx_highway(layout: HighwayLayout) -> nx.Graph:
+    """The highway graph as a ``networkx.Graph`` (every highway qubit a node)."""
+    return nx.Graph({q: list(nbrs) for q, nbrs in layout.highway_adjacency.items()})

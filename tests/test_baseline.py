@@ -7,7 +7,7 @@ from repro.circuits import Circuit
 from repro.hardware import ChipletArray
 from repro.programs import qft_circuit, random_two_qubit_circuit
 
-from helpers import assert_all_two_qubit_ops_coupled, assert_semantically_equivalent
+from helpers import assert_all_two_qubit_ops_coupled, assert_semantically_equivalent, nx_topology
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +25,9 @@ class TestLayouts:
         layout = compact_layout(10, topo)
         positions = list(layout.values())
         assert len(set(positions)) == 10
-        sub = topo.graph.subgraph(positions)
         import networkx as nx
+
+        sub = nx_topology(topo).subgraph(positions)
 
         assert nx.is_connected(sub)
 

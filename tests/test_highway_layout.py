@@ -6,6 +6,8 @@ import pytest
 from repro.hardware import ChipletArray
 from repro.highway import HighwayLayout
 
+from helpers import nx_highway, nx_topology
+
 
 @pytest.fixture(scope="module")
 def small_array():
@@ -38,14 +40,15 @@ class TestBasicProperties:
         assert not small_layout.is_highway(some_data)
 
     def test_highway_graph_is_connected_and_spans_highway_qubits(self, small_layout):
-        g = small_layout.highway_graph
+        g = nx_highway(small_layout)
         assert set(g.nodes) == set(small_layout.highway_qubits)
         assert nx.is_connected(g)
 
     def test_segments_match_graph_edges(self, small_layout):
+        graph = nx_highway(small_layout)
         for seg in small_layout.segments:
-            assert small_layout.highway_graph.has_edge(seg.a, seg.b)
-        for a, b in small_layout.highway_graph.edges:
+            assert graph.has_edge(seg.a, seg.b)
+        for a, b in graph.edges:
             assert small_layout.segment_between(a, b) is not None
         assert small_layout.segment_between(*list(small_layout.data_qubits[:2])) is None
 
@@ -80,7 +83,7 @@ class TestReachability:
     def test_data_subgraph_stays_connected(self, small_array, small_layout):
         """Local routing must be possible without crossing the highway."""
         data = set(small_layout.data_qubits)
-        sub = small_array.topology.graph.subgraph(data)
+        sub = nx_topology(small_array.topology).subgraph(data)
         assert nx.is_connected(sub)
 
     def test_entrances_have_parking(self, small_array, small_layout):
@@ -119,7 +122,7 @@ class TestDensityAndStructures:
     def test_all_coupling_structures_supported(self, structure):
         arr = ChipletArray(structure, 6, 2, 2)
         layout = HighwayLayout(arr)
-        assert nx.is_connected(layout.highway_graph)
+        assert nx.is_connected(nx_highway(layout))
         assert layout.num_data_qubits > arr.num_qubits // 2
 
     def test_crossroads_exist_on_multi_chiplet_meshes(self, small_layout):
@@ -129,7 +132,7 @@ class TestDensityAndStructures:
     def test_sparse_cross_links_still_give_connected_highway(self):
         arr = ChipletArray("square", 7, 2, 2, cross_links_per_edge=1)
         layout = HighwayLayout(arr)
-        assert nx.is_connected(layout.highway_graph)
+        assert nx.is_connected(nx_highway(layout))
 
     def test_invalid_density_rejected(self, small_array):
         with pytest.raises(ValueError):
