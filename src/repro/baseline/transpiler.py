@@ -1,7 +1,7 @@
 """Baseline compiler pipeline: layout selection followed by SABRE routing.
 
-This is the reproduction's stand-in for "Qiskit, optimisation level 3" (see
-DESIGN.md §4): the routing stage of that flow *is* SABRE, and the relative
+This is the reproduction's stand-in for "Qiskit, optimisation level 3", the
+paper's baseline compiler: the routing stage of that flow *is* SABRE, and the relative
 comparison the paper draws — SWAP-chain communication vs. highway-mediated
 communication — depends on the router's distance behaviour rather than on
 Qiskit's peephole optimisations.  The pipeline optionally tries a handful of

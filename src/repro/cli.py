@@ -310,9 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--repeat",
         type=int,
-        default=1,
+        default=3,
         metavar="N",
-        help="compile each workload N times and keep the fastest (default 1)",
+        help="compile each workload N times and keep the fastest (default 3:"
+        " one-off stalls in a ~30 ms compile would otherwise trip --against)",
     )
     bench.add_argument(
         "--out-dir",
@@ -428,7 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the warm-state compile server (pair with `repro submit`)",
-        description="Serve compile requests over a local TCP socket, keeping"
+        description="Serve compile requests over a local TCP socket.  Cache"
+        " hits are answered by the server itself; misses go to forked"
+        " compile worker processes over the farm's lease queue, each keeping"
         " per-device routing state (chiplet array, highway layout, router"
         " distance tables) resident between requests.  Requests execute"
         " through the engine's own job machinery, so served results carry"
@@ -447,14 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="compile worker threads (default 2)",
+        help="compile worker processes, forked at start (default 2)",
     )
     serve.add_argument(
         "--max-devices",
         type=int,
         default=8,
         metavar="N",
-        help="distinct device configurations kept warm (LRU; default 8)",
+        help="distinct device configurations each worker keeps warm (LRU; default 8)",
     )
     _add_cache_options(serve)
     serve.add_argument(
@@ -470,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="default extra attempts for a failed served job (default 0)",
+        help="default extra attempts for a failed served job, including one"
+        " whose worker died mid-compile (default 0)",
     )
     serve.add_argument("--quiet", action="store_true", help="suppress startup/shutdown output")
 

@@ -366,12 +366,13 @@ def _verify_enabled() -> bool:
     return value.strip().lower() not in ("", "0", "false", "no", "off")
 
 
-#: Optional provider of resident per-device state, installed by a compile
-#: server's worker pool (:mod:`repro.serve`).  Maps a :class:`Job` to an
-#: object with ``array``/``layout``/``router`` attributes matching the job's
-#: device configuration, or ``None`` for the cold path.  Process-global; a
-#: forked farm worker inherits its parent's, which is harmless because warm
-#: state is a pure function of the device configuration.
+#: Optional provider of resident per-device state, installed by each forked
+#: compile worker of ``repro serve`` (:mod:`repro.serve`).  Maps a
+#: :class:`Job` to an object with ``array``/``layout``/``router`` attributes
+#: matching the job's device configuration, or ``None`` for the cold path.
+#: Process-global; a forked farm worker inherits its parent's, which is
+#: harmless because warm state is a pure function of the device
+#: configuration.
 _WARM_STATE_PROVIDER: Callable[[Job], Any] | None = None
 
 
@@ -706,8 +707,8 @@ def _execute_keyed(item: WorkItem) -> tuple[str, dict[str, object]]:
     The payload is either a record payload or ``{"job_error": {...}}`` — no
     exception (other than ``KeyboardInterrupt``) escapes, so one poisoned job
     cannot kill a worker or discard in-flight results.  The retry loop here
-    serves in-process runs and ``repro serve``; farm leases carry a
-    single-attempt policy because the lease queue owns the budget.
+    serves in-process runs; farm and serve leases carry a single-attempt
+    policy because the lease queue owns the budget.
     """
     key, job_dict, policy_dict = item
     policy = JobPolicy(**policy_dict) if policy_dict else JobPolicy()

@@ -7,8 +7,8 @@ cross-chip link density and the highway density.  The full paper-scale
 settings are encoded here verbatim; because compiling the largest instances
 takes hours (the paper quotes "hundreds of CPU hours" for the full sweep),
 each experiment also has a ``small`` tier that preserves the comparison's
-structure at a fraction of the cost.  ``EXPERIMENTS.md`` reports which tier
-produced the recorded numbers.
+structure at a fraction of the cost.  Every artifact records the tier that
+produced it (its ``scale`` metadata).
 """
 
 from __future__ import annotations

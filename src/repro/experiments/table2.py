@@ -31,9 +31,9 @@ SCALE_PRESETS: dict[str, tuple[tuple[int, ...], tuple[int, int]]] = {
     "paper": (TABLE2_CHIPLET_SIZES, (3, 3)),
 }
 
-#: Paper-reported numbers (depth / eff_CNOTs for baseline and MECH), used by
-#: EXPERIMENTS.md and by tests that check we reproduce the *direction* and
-#: rough magnitude of every improvement.
+#: Paper-reported numbers (depth / eff_CNOTs for baseline and MECH), for
+#: comparing the reproduction's Table 2 against the paper's; ROADMAP.md
+#: (item 8) holds the latest side-by-side run.
 TABLE2_PAPER_REFERENCE: dict[str, dict[str, float]] = {
     "QFT-261": {"base_depth": 19282, "mech_depth": 7504, "base_eff": 325236, "mech_eff": 216771},
     "QAOA-261": {"base_depth": 14837, "mech_depth": 6586, "base_eff": 201637, "mech_eff": 151120},

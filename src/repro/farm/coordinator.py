@@ -18,6 +18,11 @@ A :class:`FarmCoordinator` owns one run end to end:
   their attempt counts preserved, so the total attempts per job can never
   exceed ``JobPolicy.retries + 1``.
 
+:class:`LeaseDesk` answers the workers' ``claim``/``complete``/``fail``/
+``heartbeat`` ops over a :class:`LeaseQueue`; the coordinator and
+``repro serve``'s compile server both call it and add their own side
+effects through the :class:`LeaseHost` methods.
+
 :func:`run_farm` is the one-call entry point behind ``repro farm run`` and
 ``repro run --jobs N``: plan, bind, launch the workers, serve, wait, and
 reassemble records in job order — byte-identical artifacts (modulo
@@ -29,9 +34,10 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from pathlib import Path
-from typing import Any
 from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Protocol
 
 from ..experiments.engine import (
     FarmAbortedError,
@@ -54,15 +60,31 @@ from ..serve.schema import (
     work_stats,
 )
 from ..serve.server import FramedServer, Respond
+from ..serve.state import DeviceKey, device_key
 from .launcher import WorkerHandle, WorkerLauncher, stop_workers
-from .queue import COMPLETED, FAILED, LEASED, PENDING, LeaseQueue
-from .schema import parse_claim, parse_complete, parse_fail, parse_heartbeat
+from .queue import COMPLETED, FAILED, LEASE_SECONDS, LEASED, PENDING, LeaseQueue
+from .schema import Lease, parse_claim, parse_complete, parse_fail, parse_heartbeat
 
-__all__ = ["LEASE_SECONDS", "FarmCoordinator", "run_farm"]
+__all__ = [
+    "CLAIM_WAIT_SECONDS",
+    "LEASE_OPS",
+    "LEASE_SECONDS",
+    "FarmCoordinator",
+    "LeaseDesk",
+    "LeaseHost",
+    "run_farm",
+]
 
-#: The default lease/heartbeat horizon: a worker silent this long forfeits
-#: its leases.  ``repro run --jobs N`` always uses it.
-LEASE_SECONDS = 15.0
+#: The ops a :class:`LeaseDesk` answers.
+LEASE_OPS = frozenset({"claim", "complete", "fail", "heartbeat"})
+
+#: How long a claim with nothing to hand out waits on the queue for work;
+#: it bounds how long shutdown waits for an idle worker's connection.
+CLAIM_WAIT_SECONDS = 0.25
+
+#: A worker heard from this recently, holding no lease, still gets the
+#: first pick of pending work on the devices it holds warm.
+IDLE_GRACE_SECONDS = 1.0
 
 
 class FarmCoordinator(FramedServer):
@@ -109,6 +131,7 @@ class FarmCoordinator(FramedServer):
         self.queue = LeaseQueue(
             self.ledger.plan.pending, policy=self.policy, lease_seconds=self.lease_seconds
         )
+        self.desk = LeaseDesk(self.queue, self)
         self._expiry_thread: threading.Thread | None = None
         self._done = threading.Event()
 
@@ -207,27 +230,20 @@ class FarmCoordinator(FramedServer):
             self._done.set()
             self._shutdown.set()
             return None
-        if op == "claim":
-            return self._handle_claim(request)
-        if op == "complete":
-            return self._handle_complete(request)
-        if op == "fail":
-            return self._handle_fail(request)
-        if op == "heartbeat":
-            worker_id, keys = parse_heartbeat(request)
-            extended = self.queue.heartbeat(worker_id, keys)
-            return request.reply({"extended": extended})
+        if op in LEASE_OPS:
+            return self.desk.answer(request)
         # compile: the one remaining op, which only `repro serve` runs
         return request.reply(
             error="this endpoint is a farm coordinator; submit compiles to `repro serve`"
         )
 
-    def _handle_claim(self, request: ServeRequest) -> ServeResponse:
-        worker_id, max_jobs = parse_claim(request)
-        # journal expirations before the claim can re-lease the same keys
-        # (claim's own opportunistic expiry would make them invisible here)
-        self._note_expirations(self.queue.expire())
-        leases = self.queue.claim(worker_id, max_jobs)
+    # ------------------------------------------------------------------ #
+    # lease transitions (called by the desk)
+    # ------------------------------------------------------------------ #
+    def lease_done(self) -> bool:
+        return self.queue.done()
+
+    def leases_granted(self, worker_id: str, leases: list[Lease]) -> None:
         for lease in leases:
             self._journal(
                 {
@@ -238,19 +254,10 @@ class FarmCoordinator(FramedServer):
                     "deadline_unix": lease.deadline_unix,
                 }
             )
-        return request.reply(
-            {
-                "leases": [lease.to_dict() for lease in leases],
-                "done": self.queue.done(),
-                "lease_seconds": self.lease_seconds,
-            }
-        )
 
-    def _handle_complete(self, request: ServeRequest) -> ServeResponse:
-        worker_id, key, result = parse_complete(request)
-        if "job_error" in result:
-            raise ServeProtocolError("complete must carry a record payload, not a job_error")
-        accepted = self.queue.complete(key, worker_id)
+    def lease_completed(
+        self, key: str, worker_id: str, result: dict[str, Any], *, accepted: bool, warm: bool
+    ) -> None:
         if accepted:
             self.ledger.complete(key, dict(result))
             self._journal({"event": "complete", "key": key, "worker": worker_id})
@@ -259,15 +266,8 @@ class FarmCoordinator(FramedServer):
                 done = counts[COMPLETED] + counts[FAILED]
                 self.progress(f"{done}/{len(self.queue)} jobs executed")
         self._after_transition()
-        return request.reply({"accepted": accepted})
 
-    def _handle_fail(self, request: ServeRequest) -> ServeResponse:
-        worker_id, key, job_error = parse_fail(request)
-        try:
-            error = JobError(**job_error)
-        except TypeError as exc:
-            raise ServeProtocolError(f"malformed job_error: {exc}") from exc
-        requeued = self.queue.fail(key, worker_id, error)
+    def lease_failed(self, key: str, worker_id: str, error: JobError, *, requeued: bool) -> None:
         self._journal(
             {
                 "event": "fail",
@@ -283,7 +283,13 @@ class FarmCoordinator(FramedServer):
                 f" {'re-queued' if requeued else 'budget exhausted'}"
             )
         self._after_transition(force=not requeued)
-        return request.reply({"requeued": requeued})
+
+    def leases_expired(self, transitions: list[tuple[str, str]]) -> None:
+        for key, outcome in transitions:
+            self._journal({"event": "expire", "key": key, "outcome": outcome})
+            if self.progress is not None:
+                self.progress(f"lease expired: {key[:12]}… ({outcome})")
+        self._after_transition(force=True)
 
     def _after_transition(self, *, force: bool = False) -> None:
         # the queue owns each key's fate; a late completion may even rescue
@@ -295,18 +301,182 @@ class FarmCoordinator(FramedServer):
         else:
             self.ledger.flush(force=force)
 
-    def _note_expirations(self, transitions: list[tuple[str, str]]) -> None:
-        for key, outcome in transitions:
-            self._journal({"event": "expire", "key": key, "outcome": outcome})
-            if self.progress is not None:
-                self.progress(f"lease expired: {key[:12]}… ({outcome})")
-        if transitions:
-            self._after_transition(force=True)
-
     def _expiry_loop(self) -> None:
         period = min(1.0, self.lease_seconds / 4.0)
         while not self._shutdown.wait(period):
-            self._note_expirations(self.queue.expire())
+            self.desk.expire()
+
+
+class LeaseHost(Protocol):
+    """What a server behind a :class:`LeaseDesk` does on each transition."""
+
+    def lease_done(self) -> bool: ...  # noqa: E704
+
+    def leases_granted(self, worker_id: str, leases: list[Lease]) -> None: ...  # noqa: E704
+
+    def lease_completed(  # noqa: E704
+        self, key: str, worker_id: str, result: dict[str, Any], *, accepted: bool, warm: bool
+    ) -> None: ...
+
+    def lease_failed(  # noqa: E704
+        self, key: str, worker_id: str, error: JobError, *, requeued: bool
+    ) -> None: ...
+
+    def leases_expired(self, transitions: list[tuple[str, str]]) -> None: ...  # noqa: E704
+
+
+@dataclass
+class _WorkerView:
+    """What the desk last heard from one worker."""
+
+    seen: float = 0.0
+    busy: bool = False
+    devices: frozenset[DeviceKey] = frozenset()
+    warm_state: dict[str, Any] | None = None
+
+
+class LeaseDesk:
+    """The lease half of a work-queue server: answers ``claim``,
+    ``complete``, ``fail`` and ``heartbeat`` over one :class:`LeaseQueue`.
+
+    :class:`FarmCoordinator` and ``repro serve``'s ``CompileServer`` both
+    answer those ops here; their :class:`LeaseHost` methods add what
+    differs (the coordinator journals and checkpoints, the compile server
+    caches payloads and answers the requests waiting on a key).
+
+    A worker with warm device state reports it (``warm_state``) on its
+    claims and completions.  A claim then prefers the oldest pending entry
+    whose device the claimer holds, else the oldest, skipping an entry
+    whose device an idle worker (heard from within
+    :data:`IDLE_GRACE_SECONDS`, holding no lease) already holds — that
+    worker's own claim takes it at once, so no work waits on a busy one.
+    """
+
+    def __init__(self, queue: LeaseQueue, host: LeaseHost) -> None:
+        self.queue = queue
+        self.host = host
+        self._lock = threading.Lock()
+        self._workers: dict[str, _WorkerView] = {}
+
+    def answer(self, request: ServeRequest) -> ServeResponse:
+        """The reply to one lease op (see :data:`LEASE_OPS`)."""
+        op = request.op
+        if op == "claim":
+            return self._claim(request)
+        if op == "complete":
+            worker_id, key, result = parse_complete(request)
+            if "job_error" in result:
+                raise ServeProtocolError("complete must carry a record payload, not a job_error")
+            self._heard(worker_id, request, busy=False)
+            accepted = self.queue.complete(key, worker_id)
+            warm = bool((request.body or {}).get("warm", False))
+            self.host.lease_completed(key, worker_id, result, accepted=accepted, warm=warm)
+            return request.reply({"accepted": accepted})
+        if op == "fail":
+            worker_id, key, job_error = parse_fail(request)
+            try:
+                error = JobError(**job_error)
+            except TypeError as exc:
+                raise ServeProtocolError(f"malformed job_error: {exc}") from exc
+            self._heard(worker_id, request, busy=False)
+            requeued = self.queue.fail(key, worker_id, error)
+            self.host.lease_failed(key, worker_id, error, requeued=requeued)
+            return request.reply({"requeued": requeued})
+        if op == "heartbeat":
+            worker_id, keys = parse_heartbeat(request)
+            return request.reply({"extended": self.queue.heartbeat(worker_id, keys)})
+        raise ServeProtocolError(f"{op!r} is not a lease op")
+
+    def expire(self) -> None:
+        """Reclaim expired leases and tell the host."""
+        transitions = self.queue.expire()
+        if transitions:
+            self.host.leases_expired(transitions)
+
+    def _claim(self, request: ServeRequest) -> ServeResponse:
+        worker_id, max_jobs = parse_claim(request)
+        self._heard(worker_id, request, busy=False)
+        # expirations reach the host before the claim can re-lease the
+        # same keys (the claim's own opportunistic expiry would hide them)
+        self.expire()
+        leases = self.queue.claim(
+            worker_id,
+            max_jobs,
+            wait=0.0 if self.host.lease_done() else CLAIM_WAIT_SECONDS,
+            rank=self._rank_for(worker_id),
+        )
+        if leases:
+            with self._lock:
+                self._workers[worker_id].busy = True
+            self.host.leases_granted(worker_id, leases)
+        return request.reply(
+            {
+                "leases": [lease.to_dict() for lease in leases],
+                "done": self.host.lease_done(),
+                "lease_seconds": self.queue.lease_seconds,
+            }
+        )
+
+    def _heard(self, worker_id: str, request: ServeRequest, *, busy: bool) -> None:
+        report = (request.body or {}).get("warm_state")
+        with self._lock:
+            view = self._workers.setdefault(worker_id, _WorkerView())
+            view.seen = time.monotonic()
+            view.busy = busy
+            if isinstance(report, dict):
+                view.warm_state = report
+                view.devices = frozenset(tuple(key) for key in report.get("device_keys", ()))
+
+    def _rank_for(self, worker_id: str) -> Callable[[Job], int | None] | None:
+        with self._lock:
+            if not any(view.devices for view in self._workers.values()):
+                return None  # nobody holds warm state: plain insertion order
+
+        def rank(job: Job) -> int | None:
+            device = device_key(job)
+            now = time.monotonic()
+            with self._lock:
+                if device in self._workers[worker_id].devices:
+                    return 0
+                for other, view in self._workers.items():
+                    if (
+                        other != worker_id
+                        and not view.busy
+                        and now - view.seen < IDLE_GRACE_SECONDS
+                        and device in view.devices
+                    ):
+                        return None
+            return 1
+
+        return rank
+
+    # ------------------------------------------------------------------ #
+    # warm state, as the workers report it
+    # ------------------------------------------------------------------ #
+    def forget(self, worker_id: str) -> None:
+        """Drop a worker that is gone, with the state it held."""
+        with self._lock:
+            self._workers.pop(worker_id, None)
+
+    def holds(self, job: Job) -> bool:
+        """Whether some worker holds ``job``'s device warm."""
+        device = device_key(job)
+        with self._lock:
+            return any(device in view.devices for view in self._workers.values())
+
+    def warm_state(self, max_devices: int) -> dict[str, Any]:
+        """The workers' registries summed up; ``devices_resident`` counts
+        distinct devices resident in any worker."""
+        with self._lock:
+            reports = [view.warm_state for view in self._workers.values() if view.warm_state]
+            devices = set().union(*(view.devices for view in self._workers.values()))
+        return {
+            "devices_resident": len(devices),
+            "max_devices": max_devices,
+            "warm_hits": sum(int(report.get("warm_hits", 0)) for report in reports),
+            "cold_builds": sum(int(report.get("cold_builds", 0)) for report in reports),
+            "device_keys": [list(key) for key in sorted(devices, key=repr)],
+        }
 
 
 def run_farm(

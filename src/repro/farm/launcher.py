@@ -26,9 +26,11 @@ import traceback
 from pathlib import Path
 from typing import Any, NoReturn, Protocol
 
-from ..chaos import chaos_controller, reset_chaos
+from ..chaos import reset_chaos
 from ..serve.server import close_listeners
-from .worker import exit_on_sigterm, run_worker
+from ..serve.state import WarmStateRegistry
+from .queue import LEASE_SECONDS
+from .worker import exit_on_sigterm, flush_chaos_report, run_worker
 
 __all__ = [
     "CommandWorkerLauncher",
@@ -36,6 +38,7 @@ __all__ = [
     "LocalWorkerLauncher",
     "WorkerHandle",
     "WorkerLauncher",
+    "local_worker_id",
     "render_worker_command",
     "stop_workers",
 ]
@@ -84,6 +87,11 @@ class ForkedWorker:
         self.terminate(signal.SIGKILL)
 
 
+def local_worker_id(index: int, pid: int) -> str:
+    """The worker id a forked worker claims under."""
+    return f"local-{index}-{pid}"
+
+
 class LocalWorkerLauncher:
     """Fork workers on this host.
 
@@ -91,16 +99,25 @@ class LocalWorkerLauncher:
     memory, with no interpreter start-up or re-import.  ``threads`` is each
     worker's executor-thread count; ``log_dir`` captures each worker's
     stdout + stderr to ``worker-<index>.log``, otherwise output is
-    discarded.  Launch before the coordinator starts any thread: a child
-    inherits every lock as it was at the fork, so a lock another thread
-    held then stays held forever.
+    discarded; ``max_devices`` gives each worker its own warm-state
+    registry of that size (``repro serve``).  Launch before the server
+    starts any thread: a child inherits every lock as it was at the fork,
+    so a lock another thread held then stays held forever.  A child ends
+    itself once this process is gone.
     """
 
-    def __init__(self, *, threads: int = 1, log_dir: str | Path | None = None) -> None:
+    def __init__(
+        self,
+        *,
+        threads: int = 1,
+        log_dir: str | Path | None = None,
+        max_devices: int | None = None,
+    ) -> None:
         if threads < 1:
             raise ValueError("threads must be at least 1")
         self.threads = threads
         self.log_dir = Path(log_dir) if log_dir is not None else None
+        self.max_devices = max_devices
 
     def launch(self, index: int, host: str, port: int) -> ForkedWorker:
         log: str | Path = os.devnull
@@ -111,10 +128,11 @@ class LocalWorkerLauncher:
         # the child must not run the parent's SIGTERM handler (it would
         # flush the parent's checkpoint) before it installs its own
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        parent_pid = os.getpid()
         try:
             pid = os.fork()
             if pid == 0:
-                _worker_child(index, host, port, self.threads, log_fd, mask)
+                _worker_child(self, index, host, port, parent_pid, log_fd, mask)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(log_fd)
@@ -122,7 +140,13 @@ class LocalWorkerLauncher:
 
 
 def _worker_child(
-    index: int, host: str, port: int, threads: int, log_fd: int, mask: Any
+    launcher: LocalWorkerLauncher,
+    index: int,
+    host: str,
+    port: int,
+    parent_pid: int,
+    log_fd: int,
+    mask: Any,
 ) -> NoReturn:
     """The body of a forked worker; never returns into the parent's stack."""
     code = 1
@@ -138,8 +162,20 @@ def _worker_child(
         def note(message: str) -> None:
             os.write(2, f"[farm-worker] {message}\n".encode())
 
+        registry = None
+        if launcher.max_devices is not None:
+            registry = WarmStateRegistry(max_devices=launcher.max_devices)
         code = run_worker(
-            host, port, workers=threads, worker_id=f"local-{index}-{os.getpid()}", progress=note
+            host,
+            port,
+            workers=launcher.threads,
+            worker_id=local_worker_id(index, os.getpid()),
+            progress=note,
+            registry=registry,
+            parent_pid=parent_pid,
+            # the server is this worker's parent: a reconnect that fails
+            # for about a lease period means it is gone
+            connect_seconds=LEASE_SECONDS,
         )
     except SystemExit:  # stop_workers' SIGTERM
         code = 0
@@ -148,9 +184,7 @@ def _worker_child(
             os.write(2, traceback.format_exc().encode())
     finally:
         try:
-            chaos = chaos_controller()
-            if chaos is not None:
-                chaos.flush_report()
+            flush_chaos_report()
         finally:
             os._exit(code)
 

@@ -18,20 +18,29 @@ Late results are welcome: a worker presumed dead (lease expired, job
 re-leased) that eventually reports ``complete`` delivers a deterministic,
 fully valid record — the queue accepts it idempotently and the re-leased
 attempt's own completion becomes a no-op.
+
+A farm run fills the queue once, from its plan; ``repro serve`` adds an
+entry per cache miss while serving (:meth:`LeaseQueue.add`, single-flight
+per key).  A claim may wait on the queue's condition for work to appear,
+so idle workers pick up new and re-queued entries at once.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import Any
-from collections.abc import Mapping
 
 from ..experiments.engine import Job, JobError, JobPolicy, job_to_dict
 from .schema import Lease
 
-__all__ = ["LeaseQueue", "QueueEntry"]
+__all__ = ["LEASE_SECONDS", "LeaseQueue", "QueueEntry"]
+
+#: The default lease/heartbeat horizon: a worker silent this long forfeits
+#: its leases.
+LEASE_SECONDS = 15.0
 
 PENDING = "pending"
 LEASED = "leased"
@@ -51,6 +60,8 @@ class QueueEntry:
     worker: str | None = None
     deadline: float = 0.0
     error: JobError | None = None
+    #: The entry's own budget; ``None`` means the queue's policy.
+    policy: JobPolicy | None = None
 
 
 class LeaseQueue:
@@ -61,67 +72,118 @@ class LeaseQueue:
         pending: Mapping[str, Job],
         *,
         policy: JobPolicy | None = None,
-        lease_seconds: float = 15.0,
+        lease_seconds: float = LEASE_SECONDS,
     ) -> None:
         if not (lease_seconds > 0):
             raise ValueError(f"lease_seconds must be positive, got {lease_seconds}")
         self.policy = policy if policy is not None else JobPolicy()
         self.lease_seconds = float(lease_seconds)
-        self.max_attempts = self.policy.retries + 1
         self._entries: dict[str, QueueEntry] = {
             key: QueueEntry(key=key, job=job) for key, job in pending.items()
         }
-        self._lock = threading.RLock()
+        # every transition notifies, so a waiting claim wakes at once
+        self._lock = threading.Condition(threading.RLock())
 
-    def _worker_policy(self) -> dict[str, Any]:
+    def _policy(self, entry: QueueEntry) -> JobPolicy:
+        return entry.policy if entry.policy is not None else self.policy
+
+    def _worker_policy(self, entry: QueueEntry) -> dict[str, Any]:
         # single attempt, report-don't-raise: the coordinator owns the budget
         return {
-            "timeout": self.policy.timeout,
+            "timeout": self._policy(entry).timeout,
             "retries": 0,
             "reseed_on_retry": False,
             "on_error": "record",
         }
 
+    def _has_attempts_left(self, entry: QueueEntry) -> bool:
+        return entry.attempts_started < self._policy(entry).retries + 1
+
     # ------------------------------------------------------------------ #
     # transitions
     # ------------------------------------------------------------------ #
-    def claim(self, worker_id: str, max_jobs: int, *, now: float | None = None) -> list[Lease]:
-        """Hand out up to ``max_jobs`` leases in insertion order.
+    def add(self, key: str, job: Job, *, policy: JobPolicy | None = None) -> QueueEntry:
+        """Queue ``job`` under ``key`` while serving; returns its entry.
+
+        Single-flight: a key that is already pending or leased returns the
+        existing entry (its job and policy stand), so every request for it
+        shares one execution.  A finished key starts over as a fresh entry
+        at the back of the queue.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry.state in (PENDING, LEASED):
+                return entry
+            self._entries.pop(key, None)
+            entry = self._entries[key] = QueueEntry(key=key, job=job, policy=policy)
+            self._lock.notify_all()
+            return entry
+
+    def claim(
+        self,
+        worker_id: str,
+        max_jobs: int,
+        *,
+        now: float | None = None,
+        wait: float = 0.0,
+        rank: Callable[[Job], int | None] | None = None,
+    ) -> list[Lease]:
+        """Hand out up to ``max_jobs`` leases, oldest entry first.
 
         Expired leases are reclaimed first (opportunistically — the expiry
         thread does the same on its own cadence), so a claim arriving just
-        after a worker died can pick its jobs straight back up.
+        after a worker died can pick its jobs straight back up.  With
+        nothing to hand out, the claim waits up to ``wait`` seconds for the
+        next transition and tries once more, without reclaiming: an expiry
+        the caller did not see must not happen during a wait.  ``rank`` orders the pending
+        entries for this claimer (lower first, insertion order breaking
+        ties); an entry it ranks ``None`` is left for another worker.
         """
-        now = time.time() if now is None else now
         with self._lock:
+            now = time.time() if now is None else now
             self.expire(now=now)
-            leases: list[Lease] = []
-            for entry in self._entries.values():
-                if len(leases) >= max(1, max_jobs):
-                    break
-                if entry.state != PENDING:
-                    continue
-                attempt = entry.attempts_started
-                entry.attempts_started += 1
-                entry.state = LEASED
-                entry.worker = worker_id
-                entry.deadline = now + self.lease_seconds
-                entry.error = None
-                job = entry.job
-                if attempt and self.policy.reseed_on_retry:
-                    # coordinator-side reseed: the result still lands under
-                    # the original config key (the lease's ``key``)
-                    job = job.with_(seed=job.seed + attempt)
-                leases.append(
-                    Lease(
-                        key=entry.key,
-                        job=job_to_dict(job),
-                        attempt=attempt,
-                        policy=self._worker_policy(),
-                        deadline_unix=entry.deadline,
-                    )
-                )
+            leases = self._claim(worker_id, max_jobs, now, rank)
+            if not leases and wait > 0:
+                self._lock.wait(wait)
+                leases = self._claim(worker_id, max_jobs, time.time(), rank)
             return leases
+
+    def _claim(
+        self,
+        worker_id: str,
+        max_jobs: int,
+        now: float,
+        rank: Callable[[Job], int | None] | None,
+    ) -> list[Lease]:
+        pending = [entry for entry in self._entries.values() if entry.state == PENDING]
+        if rank is not None:
+            ranked = [(rank(entry.job), index) for index, entry in enumerate(pending)]
+            pending = [pending[index] for _, index in sorted(
+                (r, index) for r, index in ranked if r is not None
+            )]
+        leases: list[Lease] = []
+        for entry in pending[: max(1, max_jobs)]:
+            attempt = entry.attempts_started
+            entry.attempts_started += 1
+            entry.state = LEASED
+            entry.worker = worker_id
+            entry.deadline = now + self.lease_seconds
+            entry.error = None
+            job = entry.job
+            if attempt and self._policy(entry).reseed_on_retry:
+                # coordinator-side reseed: the result still lands under
+                # the original config key (the lease's ``key``)
+                job = job.with_(seed=job.seed + attempt)
+            leases.append(
+                Lease(
+                    key=entry.key,
+                    job=job_to_dict(job),
+                    attempt=attempt,
+                    policy=self._worker_policy(entry),
+                    deadline_unix=entry.deadline,
+                )
+            )
+        return leases
 
     def complete(self, key: str, worker_id: str) -> bool:
         """Mark ``key`` done; True when the result should be kept.
@@ -139,6 +201,7 @@ class LeaseQueue:
             entry.state = COMPLETED
             entry.worker = None
             entry.error = None
+            self._lock.notify_all()
             return True
 
     def fail(self, key: str, worker_id: str, error: JobError, *, now: float | None = None) -> bool:
@@ -155,7 +218,8 @@ class LeaseQueue:
                 return False
             if entry.state == LEASED and entry.worker != worker_id:
                 return False  # stale report from an expired lease
-            if entry.attempts_started < self.max_attempts:
+            self._lock.notify_all()
+            if self._has_attempts_left(entry):
                 entry.state = PENDING
                 entry.worker = None
                 entry.deadline = 0.0
@@ -193,7 +257,7 @@ class LeaseQueue:
                 if entry.state != LEASED or entry.deadline >= now:
                     continue
                 worker = entry.worker or "?"
-                if entry.attempts_started < self.max_attempts:
+                if self._has_attempts_left(entry):
                     entry.state = PENDING
                     entry.worker = None
                     entry.deadline = 0.0
@@ -215,6 +279,8 @@ class LeaseQueue:
                         seconds=0.0,
                     )
                     transitions.append((entry.key, "failed"))
+            if transitions:
+                self._lock.notify_all()
         return transitions
 
     # ------------------------------------------------------------------ #

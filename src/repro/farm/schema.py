@@ -108,21 +108,42 @@ class Lease:
 # request constructors (worker side)
 
 
-def claim_request(worker_id: str, max_jobs: int) -> ServeRequest:
+def _with_warm_state(body: dict[str, Any], warm_state: dict[str, Any] | None) -> dict[str, Any]:
+    # a worker holding warm device state reports its registry's counters, so
+    # the server can route work by device and sum the workers' warm state
+    if warm_state is not None:
+        body["warm_state"] = warm_state
+    return body
+
+
+def claim_request(
+    worker_id: str, max_jobs: int, *, warm_state: dict[str, Any] | None = None
+) -> ServeRequest:
     return ServeRequest(
         op="claim",
         request_id=_next_id("claim"),
         protocol=FARM_PROTOCOL_VERSION,
-        body={"worker_id": worker_id, "max_jobs": max_jobs},
+        body=_with_warm_state({"worker_id": worker_id, "max_jobs": max_jobs}, warm_state),
     )
 
 
-def complete_request(worker_id: str, key: str, result: dict[str, Any]) -> ServeRequest:
+def complete_request(
+    worker_id: str,
+    key: str,
+    result: dict[str, Any],
+    *,
+    warm: bool = False,
+    warm_state: dict[str, Any] | None = None,
+) -> ServeRequest:
+    """``warm`` says the job's device was resident before it compiled."""
+    body = {"worker_id": worker_id, "key": key, "result": result}
+    if warm_state is not None:
+        body["warm"] = warm
     return ServeRequest(
         op="complete",
         request_id=_next_id("complete"),
         protocol=FARM_PROTOCOL_VERSION,
-        body={"worker_id": worker_id, "key": key, "result": result},
+        body=_with_warm_state(body, warm_state),
     )
 
 

@@ -11,7 +11,15 @@ a failing job.
 While jobs are in flight a background thread heartbeats their keys on its
 own connection at a third of the coordinator's lease horizon; a worker that
 dies (even ``SIGKILL``, which runs no handlers) simply stops heartbeating
-and its leases return to the queue when they expire.
+and its leases return to the queue when they expire.  A claim with nothing
+to hand out waits on the coordinator's queue, so an idle worker picks up
+new or re-queued work at once.
+
+A forked worker (``repro run --jobs N``, ``repro farm run --local-workers``,
+``repro serve``) knows its parent's pid: the claim loop and the heartbeat
+thread end the process, chaos report flushed, once the parent is gone, so
+no worker outlives a killed coordinator or server for long.  A serve worker
+also carries its own warm-state registry.
 
 Timeouts work inside worker threads because the engine's ``_deadline`` falls
 back to an async-exception watchdog off the main thread.
@@ -25,15 +33,16 @@ import signal
 import socket
 import sys
 import threading
-import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from typing import Any
 from collections.abc import Callable
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from typing import Any, NoReturn
 
-from ..experiments.engine import _execute_keyed
+from ..chaos import chaos_controller
+from ..experiments.engine import _execute_keyed, job_from_dict, set_warm_state_provider
 from ..serve.client import ServeClient
 from ..serve.retry import BackoffPolicy, retry_call
 from ..serve.schema import ServeProtocolError, ServeResponse
+from ..serve.state import WarmStateRegistry
 from .schema import (
     Lease,
     claim_request,
@@ -42,21 +51,48 @@ from .schema import (
     heartbeat_request,
 )
 
-__all__ = ["default_worker_id", "exit_on_sigterm", "run_worker"]
+__all__ = ["default_worker_id", "exit_on_sigterm", "flush_chaos_report", "run_worker"]
 
 
 def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-class _Heartbeat:
-    """Background lease-renewal on a dedicated connection."""
+def flush_chaos_report() -> None:
+    """Write this process's chaos report (a no-op when chaos is off)."""
+    chaos = chaos_controller()
+    if chaos is not None:
+        chaos.flush_report()
 
-    def __init__(self, host: str, port: int, worker_id: str, interval: float) -> None:
+
+def _exit_orphaned(note: Callable[[str], None]) -> NoReturn:
+    note("parent process is gone; exiting")
+    try:
+        flush_chaos_report()
+    finally:
+        os._exit(1)
+
+
+class _Heartbeat:
+    """Background lease-renewal on a dedicated connection; for a forked
+    worker it also watches the parent, even while a job stalls the main
+    thread."""
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        worker_id: str,
+        orphaned: Callable[[], bool],
+        note: Callable[[str], None],
+    ) -> None:
         self.host = host
         self.port = port
         self.worker_id = worker_id
-        self.interval = max(0.2, interval)
+        self.orphaned = orphaned
+        self.note = note
+        #: Until the first claim reports the lease horizon.
+        self.interval = 1.0
         self.keys: set[str] = set()
         self.lock = threading.Lock()
         self._stop = threading.Event()
@@ -84,6 +120,8 @@ class _Heartbeat:
 
     def _loop(self) -> None:
         while not self._stop.wait(self.interval):
+            if self.orphaned():
+                _exit_orphaned(self.note)
             with self.lock:
                 keys = sorted(self.keys)
             if not keys:
@@ -106,10 +144,17 @@ def run_worker(
     workers: int = 1,
     worker_id: str | None = None,
     batch: int | None = None,
-    poll_seconds: float = 0.5,
     progress: Callable[[str], None] | None = None,
+    registry: WarmStateRegistry | None = None,
+    parent_pid: int | None = None,
+    connect_seconds: float = 30.0,
 ) -> int:
     """Claim-execute-report until the coordinator says the run is done.
+
+    ``registry`` is the engine's warm-state provider while the loop runs,
+    and its counters ride on every claim and completion.  ``parent_pid``
+    marks a forked worker: it ends once its parent is gone.
+    ``connect_seconds`` bounds each reconnect to the coordinator.
 
     Returns a process exit code: ``0`` when the queue drained, ``1`` when the
     coordinator became unreachable (the worker cannot finish on its own).
@@ -123,7 +168,12 @@ def run_worker(
         if progress is not None:
             progress(message)
 
-    heartbeat: _Heartbeat | None = None
+    def orphaned() -> bool:
+        return parent_pid is not None and os.getppid() != parent_pid
+
+    heartbeat = _Heartbeat(host, port, worker_id, orphaned, note)
+    heartbeat.start()
+    previous = set_warm_state_provider(registry.get) if registry is not None else None
     executed = 0
     try:
         with (
@@ -136,15 +186,18 @@ def run_worker(
                 port,
                 timeout=300.0,
                 site="worker",
-                connect_policy=BackoffPolicy(max_total_seconds=30.0),
+                connect_policy=BackoffPolicy(max_total_seconds=connect_seconds),
                 request_retries=4,
             ) as client,
             ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="repro-farm-exec"
             ) as pool,
         ):
-            while True:
-                response = client.request(claim_request(worker_id, batch))
+            while not orphaned():
+                warm_state = registry.stats() if registry is not None else None
+                response = client.request(
+                    claim_request(worker_id, batch, warm_state=warm_state)
+                )
                 if not response.ok:
                     note(f"claim rejected: {response.error}")
                     return 1
@@ -154,20 +207,20 @@ def run_worker(
                     if payload.get("done"):
                         note(f"queue drained after {executed} job(s); exiting")
                         return 0
-                    time.sleep(poll_seconds)
-                    continue
+                    continue  # the claim already waited on the queue
                 lease_seconds = float(payload.get("lease_seconds", 15.0))
-                if heartbeat is None:
-                    heartbeat = _Heartbeat(host, port, worker_id, lease_seconds / 3.0)
-                    heartbeat.start()
+                heartbeat.interval = max(0.2, lease_seconds / 3.0)
                 heartbeat.track([lease.key for lease in leases])
-                executed += _run_batch(client, pool, leases, worker_id, heartbeat, note)
+                executed += _run_batch(client, pool, leases, worker_id, heartbeat, note, registry)
+            note("parent process is gone; exiting")
+            return 1
     except (OSError, ServeProtocolError) as exc:
         note(f"lost the coordinator: {type(exc).__name__}: {exc}")
         return 1
     finally:
-        if heartbeat is not None:
-            heartbeat.stop()
+        heartbeat.stop()
+        if registry is not None:
+            set_warm_state_provider(previous)
 
 
 def _run_batch(
@@ -177,8 +230,13 @@ def _run_batch(
     worker_id: str,
     heartbeat: _Heartbeat,
     note: Callable[[str], None],
+    registry: WarmStateRegistry | None,
 ) -> int:
     """Execute one claimed batch; report each job as soon as it finishes."""
+    warm = {
+        lease.key: registry is not None and job_from_dict(lease.job) in registry
+        for lease in leases
+    }
     futures: dict[Future[tuple[str, dict[str, Any]]], Lease] = {
         pool.submit(_execute_keyed, (lease.key, lease.job, lease.policy)): lease
         for lease in leases
@@ -200,7 +258,15 @@ def _run_batch(
                     f" {job_error.get('benchmark')} ({job_error.get('error_type')})"
                 )
             else:
-                response = client.request(complete_request(worker_id, key, payload))
+                response = client.request(
+                    complete_request(
+                        worker_id,
+                        key,
+                        payload,
+                        warm=warm[key],
+                        warm_state=registry.stats() if registry is not None else None,
+                    )
+                )
                 _check(response)
                 executed += 1
                 note(f"completed {lease.job.get('benchmark')} (attempt {lease.attempt + 1})")

@@ -7,6 +7,7 @@ importable without touching compiler modules (the CLI loads it for
 
 from __future__ import annotations
 
+import gc
 import time
 from collections.abc import Sequence
 
@@ -52,6 +53,9 @@ def compile_workload(
     rows: dict[str, dict[str, object]] = {}
     for name in compilers:
         backend = get_backend(name).configure(array, seed=workload.seed, layout=layout)
+        # a full collection of earlier garbage must not land inside a
+        # ~30 ms timed compile (it alone can take as long)
+        gc.collect()
         start = time.perf_counter()
         result = backend.compile(circuit)
         seconds = time.perf_counter() - start

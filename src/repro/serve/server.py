@@ -7,15 +7,24 @@ a listening socket carrying the newline-JSON protocol of
 framing with structured protocol-error replies, request-id dedup and the
 chaos hooks.  Subclasses only answer decoded requests.
 
-A :class:`CompileServer` adds two things:
+A :class:`CompileServer` answers pings, stats and cache hits on its own
+connection threads and hands every cache miss to ``workers`` forked
+processes over the farm's lease queue
+(:class:`~repro.farm.coordinator.LeaseDesk`, the same
+``claim``/``complete``/``fail`` protocol a farm coordinator speaks):
 
-* a :class:`~concurrent.futures.ThreadPoolExecutor` whose workers run
-  :func:`repro.experiments.engine._execute_keyed` — the *same* entry point
-  the batch engine and the farm workers use, so a served compile produces the
-  byte-identical record payload and cache key a ``repro run`` would;
-* a :class:`~repro.serve.state.WarmStateRegistry` installed as the engine's
-  warm-state provider while the server runs, so repeat compiles against one
-  device configuration skip array/layout/router construction entirely.
+* a worker runs :func:`repro.experiments.engine._execute_keyed` — the
+  *same* entry point the batch engine and the farm use, so a served compile
+  produces the byte-identical record payload and cache key a ``repro run``
+  would;
+* compiles run off this process's GIL, so a hit never waits behind one;
+* every request for one uncached key shares one execution (single-flight);
+* each worker keeps its own :class:`~repro.serve.state.WarmStateRegistry`
+  as the engine's warm-state provider, and a claim prefers work on the
+  devices the claiming worker holds, so repeat compiles against one device
+  configuration skip array/layout/router construction;
+* a killed worker heals by lease expiry, within the request policy's retry
+  budget; with no worker left, compile requests get an error reply.
 
 Responses may arrive out of request order (workers finish when they finish);
 clients match them by ``request_id``.  A per-connection write lock keeps
@@ -28,17 +37,16 @@ import contextlib
 import socket
 import threading
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from typing import Any, TypeVar
 
 from ..chaos import chaos_controller
 from ..experiments.engine import (
+    Job,
     JobPolicy,
     ResultCache,
-    _execute_keyed,
     config_key,
     job_from_dict,
-    set_warm_state_provider,
 )
 from .dedup import ResponseLog
 from .schema import (
@@ -53,7 +61,6 @@ from .schema import (
     read_frame,
     work_stats,
 )
-from .state import WarmStateRegistry
 
 __all__ = ["CompileServer", "FramedServer", "close_listeners"]
 
@@ -295,7 +302,8 @@ class FramedServer:
 
 
 class CompileServer(FramedServer):
-    """Persistent compile server with warm per-device routing state.
+    """Persistent compile server: cache hits answered on its own threads,
+    compiles run by forked lease workers with warm per-device state.
 
     Parameters
     ----------
@@ -303,16 +311,19 @@ class CompileServer(FramedServer):
         Listen address; ``port=0`` binds an ephemeral port (read the chosen
         one from :attr:`port` after :meth:`start`).
     workers:
-        Compile worker threads.  Compilation is pure Python and GIL-bound, so
-        this sizes *concurrency* (how many requests make progress at once),
-        not parallel speedup.
+        Compile worker processes, forked between :meth:`bind` and
+        :meth:`serve`.  They compile in parallel, each off this process's
+        GIL, so a cache hit never waits behind a compile.
     cache:
         Optional :class:`ResultCache` shared with batch runs — served repeat
         requests then return memoised payloads without recompiling.
     policy:
-        Default execution policy for requests that do not send one.
+        Default execution policy for requests that do not send one.  Its
+        ``retries`` bound the lease attempts of a compile (the queue owns
+        the budget, as in the farm).
     max_devices:
-        Warm-state LRU capacity (distinct device configurations resident).
+        Warm-state LRU capacity of each worker (distinct device
+        configurations resident).
     """
 
     def __init__(
@@ -325,44 +336,80 @@ class CompileServer(FramedServer):
         policy: JobPolicy | None = None,
         max_devices: int = 8,
     ) -> None:
+        # imported here: the farm package builds on this module
+        from ..farm.coordinator import LEASE_OPS, LEASE_SECONDS, LeaseDesk
+        from ..farm.queue import LeaseQueue
+
         if workers < 1:
             raise ValueError("workers must be at least 1")
+        if max_devices < 1:
+            raise ValueError("max_devices must be at least 1")
         super().__init__(host, port)
         self.workers = workers
         self.cache = cache
         self.policy = policy if policy is not None else JobPolicy()
-        self.registry = WarmStateRegistry(max_devices=max_devices)
-        self._pool: ThreadPoolExecutor | None = None
-        self._previous_provider: Any = None
-        self._state_lock = threading.Lock()
+        self.max_devices = max_devices
+        #: Cache misses waiting for a worker, one entry per config key.
+        self.queue = LeaseQueue({}, policy=self.policy, lease_seconds=LEASE_SECONDS)
+        self.desk = LeaseDesk(self.queue, self)
+        self._lease_ops = LEASE_OPS
+        self._handles: list[Any] = []
+        self._watcher: threading.Thread | None = None
+        self._stop_watching = threading.Event()
+        # guards the counters and the requests waiting on each queued key;
+        # notified when the last waiting request is answered
+        self._state_lock = threading.Condition()
+        self._waiting: dict[str, tuple[Job, list[tuple[ServeRequest, Respond]]]] = {}
+        self._workers_alive = 0
         self._requests_served = 0
         self._compiles = 0
         self._cache_hits = 0
         self._errors = 0
-        # work_stats() counters: compile requests waiting for a pool slot,
-        # executing right now, and finished (ok / not ok)
-        self._queued = 0
-        self._running = 0
         self._completed_jobs = 0
         self._failed_jobs = 0
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def _open(self) -> None:
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve-worker"
+    def serve(self) -> CompileServer:
+        """Fork the compile workers, then begin accepting.
+
+        No thread of this server runs before the fork, so a worker inherits
+        no lock in a held state.  Workers are never respawned: a fork after
+        this point would break that rule.
+        """
+        from ..farm.launcher import LocalWorkerLauncher, stop_workers
+
+        assert self._sock is not None, "bind() first"
+        # a wildcard bind is reachable on loopback
+        host = "127.0.0.1" if self.host in ("", "0.0.0.0") else self.host
+        launcher = LocalWorkerLauncher(max_devices=self.max_devices)
+        try:
+            for index in range(self.workers):
+                self._handles.append(launcher.launch(index, host, self.port))
+        except BaseException:
+            stop_workers(self._handles)
+            raise
+        self._workers_alive = len(self._handles)
+        self._watcher = threading.Thread(
+            target=self._watch_workers, name="repro-serve-watch", daemon=True
         )
-        self._previous_provider = set_warm_state_provider(self.registry.get)
+        self._watcher.start()
+        return super().serve()
 
     def _drain(self) -> None:
-        # in-flight compiles finish before connections are severed, so their
-        # responses still reach clients
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        set_warm_state_provider(self._previous_provider)
-        self._previous_provider = None
+        from ..farm.launcher import stop_workers
+
+        # compiles in flight are answered before connections are severed
+        with self._state_lock:
+            while self._waiting and self._workers_alive:
+                self._state_lock.wait(0.2)
+        self._stop_watching.set()
+        if self._watcher is not None:
+            self._watcher.join(timeout=5.0)
+            self._watcher = None
+        stop_workers(self._handles)
+        self._answer_all("server is shutting down")
 
     def serve_forever(self) -> None:
         """Block until a ``shutdown`` request (or :meth:`shutdown`) stops us."""
@@ -376,6 +423,30 @@ class CompileServer(FramedServer):
         finally:
             self.shutdown()
 
+    @property
+    def worker_pids(self) -> list[int]:
+        """The forked compile workers' process ids."""
+        return [handle.pid for handle in self._handles]
+
+    def _watch_workers(self) -> None:
+        """Reclaim expired leases; once no worker is alive, answer every
+        waiting compile request with an error (new ones get it at once)."""
+        from ..farm.launcher import local_worker_id
+
+        gone: set[int] = set()
+        period = min(0.2, self.queue.lease_seconds / 4.0)
+        while not self._stop_watching.wait(period):
+            self.desk.expire()
+            for index, handle in enumerate(self._handles):
+                if index not in gone and handle.poll() is not None:
+                    gone.add(index)
+                    self.desk.forget(local_worker_id(index, handle.pid))
+            with self._state_lock:
+                self._workers_alive = len(self._handles) - len(gone)
+            if not self._workers_alive:
+                self._answer_all("no compile worker is alive")
+                return
+
     # ------------------------------------------------------------------ #
     # request handling
     # ------------------------------------------------------------------ #
@@ -384,48 +455,25 @@ class CompileServer(FramedServer):
             self._errors += 1
 
     def _dispatch(self, request: ServeRequest, respond: Respond) -> ServeResponse | None:
+        if request.op in self._lease_ops:  # a worker's, not a client's
+            return self.desk.answer(request)
         with self._state_lock:
             self._requests_served += 1
         if request.op == "ping":
             return request.reply({"protocol": SERVE_PROTOCOL_VERSION})
-        if request.op == "stats":
+        if request.op in ("stats", "progress"):
             return request.reply(self.stats())
         if request.op == "shutdown":
             respond(request.reply())
             self._shutdown.set()
             return None
-        # compile — run on the worker pool, respond when done
-        pool = self._pool
-        if pool is None or self._shutdown.is_set():
+        if self._shutdown.is_set():
             return request.reply(error="server is shutting down")
-        with self._state_lock:
-            self._queued += 1
-        pool.submit(self._run_compile, request, respond)
-        return None
+        return self._compile(request, respond)
 
-    # ------------------------------------------------------------------ #
-    # compile execution
-    # ------------------------------------------------------------------ #
-    def _run_compile(self, request: ServeRequest, respond: Respond) -> None:
-        with self._state_lock:
-            self._queued -= 1
-            self._running += 1
-        try:
-            response = self._compile_response(request)
-        except Exception as exc:  # defensive: a worker must never die silently
-            self._count_error()
-            response = request.reply(error=f"{type(exc).__name__}: {exc}")
-        finally:
-            with self._state_lock:
-                self._running -= 1
-        with self._state_lock:
-            if response.ok:
-                self._completed_jobs += 1
-            else:
-                self._failed_jobs += 1
-        respond(response)
-
-    def _compile_response(self, request: ServeRequest) -> ServeResponse:
+    def _compile(self, request: ServeRequest, respond: Respond) -> ServeResponse | None:
+        """Answer a cache hit now; queue a miss for the workers (every
+        request for one key shares one execution)."""
         assert request.job is not None  # enforced by ServeRequest.__post_init__
         try:
             job = job_from_dict(request.job)
@@ -440,61 +488,133 @@ class CompileServer(FramedServer):
                 self._count_error()
                 return request.reply(error=f"invalid policy: {type(exc).__name__}: {exc}")
         key = config_key(job)
-        warm = job in self.registry
-        cached = False
-        payload: dict[str, Any] | None = None
         if self.cache is not None:
             hit = self.cache.get(key)
             if hit is not None:
-                payload = dict(hit)
-                cached = True
                 with self._state_lock:
                     self._cache_hits += 1
-        if payload is None:
-            _, payload = _execute_keyed((key, dict(request.job), policy.to_dict()))
-            if self.cache is not None and "job_error" not in payload:
-                self.cache.put(key, job, payload)
+                    self._compiles += 1
+                    self._completed_jobs += 1
+                warm = self.desk.holds(job)
+                return request.reply(
+                    {"key": key, "warm": warm, "cached": True, "result": dict(hit)}
+                )
         with self._state_lock:
-            self._compiles += 1
-        if "job_error" in payload:
-            self._count_error()
-            job_error = payload["job_error"]
-            message = (
-                job_error.get("message", "") if isinstance(job_error, dict) else str(job_error)
-            )
-            return request.reply(
-                {"key": key, "warm": warm, "job_error": job_error},
-                error=f"job failed: {message}",
-            )
-        return request.reply({"key": key, "warm": warm, "cached": cached, "result": payload})
+            if not self._workers_alive:
+                self._errors += 1
+                self._failed_jobs += 1
+                return request.reply(error="no compile worker is alive")
+            self._waiting.setdefault(key, (job, []))[1].append((request, respond))
+            self.queue.add(key, job, policy=policy)
+        return None
+
+    # ------------------------------------------------------------------ #
+    # lease transitions (called by the desk)
+    # ------------------------------------------------------------------ #
+    def lease_done(self) -> bool:
+        return False  # a server's queue never drains for good
+
+    def leases_granted(self, worker_id: str, leases: list[Any]) -> None:
+        pass
+
+    def lease_completed(
+        self, key: str, worker_id: str, result: dict[str, Any], *, accepted: bool, warm: bool
+    ) -> None:
+        if not accepted:
+            return  # a duplicate: the first completion answered everyone
+        job, waiters = self._take(key)
+        if job is not None and self.cache is not None:
+            self.cache.put(key, job, result)
+        self._answer(
+            waiters, {"key": key, "warm": warm, "cached": False, "result": result}, compiled=True
+        )
+
+    def lease_failed(self, key: str, worker_id: str, error: Any, *, requeued: bool) -> None:
+        if not requeued:
+            self._settle()
+
+    def leases_expired(self, transitions: list[tuple[str, str]]) -> None:
+        self._settle()
+
+    def _take(self, key: str) -> tuple[Job | None, list[tuple[ServeRequest, Respond]]]:
+        with self._state_lock:
+            job, waiters = self._waiting.pop(key, (None, []))
+            if not self._waiting:
+                self._state_lock.notify_all()
+        return job, waiters
+
+    def _settle(self) -> None:
+        """Answer the requests waiting on keys whose attempts ran out."""
+        for error in self.queue.failed_errors():
+            job, waiters = self._take(error.key)
+            if not waiters:
+                continue
+            payload = {"key": error.key, "warm": self.desk.holds(job), "job_error": asdict(error)}
+            self._answer(waiters, payload, error=f"job failed: {error.message}", compiled=True)
+
+    def _answer_all(self, message: str) -> None:
+        with self._state_lock:
+            keys = list(self._waiting)
+        for key in keys:
+            self._answer(self._take(key)[1], None, error=message)
+
+    def _answer(
+        self,
+        waiters: list[tuple[ServeRequest, Respond]],
+        payload: dict[str, Any] | None,
+        *,
+        error: str | None = None,
+        compiled: bool = False,
+    ) -> None:
+        with self._state_lock:
+            if compiled:
+                self._compiles += len(waiters)
+            if error is None:
+                self._completed_jobs += len(waiters)
+            else:
+                self._errors += len(waiters)
+                self._failed_jobs += len(waiters)
+        for request, respond in waiters:
+            respond(request.reply(payload, error=error))
 
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, Any]:
-        """Server and warm-registry counters (the ``stats`` op's payload)."""
+        """Server counters and the workers' warm state (the ``stats`` op's
+        payload).  The ``queue`` block counts requests: waiting for a
+        worker, being compiled, and answered (ok / not ok)."""
+        from ..farm.queue import LEASED
+
         with self._state_lock:
+            waiting = {key: len(waiters) for key, (_, waiters) in self._waiting.items()}
             counters = {
                 "requests_served": self._requests_served,
                 "compiles": self._compiles,
                 "cache_hits": self._cache_hits,
                 "errors": self._errors,
             }
-            queue = work_stats(
-                total=self._queued + self._running + self._completed_jobs + self._failed_jobs,
-                queue_depth=self._queued,
-                in_flight=self._running,
-                completed=self._completed_jobs,
-                failed=self._failed_jobs,
-            )
+            completed, failed = self._completed_jobs, self._failed_jobs
+            alive = self._workers_alive
+        in_flight = sum(
+            count for key, count in waiting.items() if self.queue.entry_state(key) == LEASED
+        )
+        queued = sum(waiting.values()) - in_flight
         return {
             "protocol": SERVE_PROTOCOL_VERSION,
             "host": self.host,
             "port": self.port,
             "workers": self.workers,
+            "workers_alive": alive,
             "caching": self.cache is not None,
             **counters,
-            "queue": queue,
+            "queue": work_stats(
+                total=queued + in_flight + completed + failed,
+                queue_depth=queued,
+                in_flight=in_flight,
+                completed=completed,
+                failed=failed,
+            ),
             "dedup": {"recorded": len(self.dedup), "replayed": self.dedup.replayed},
-            "warm_state": self.registry.stats(),
+            "warm_state": self.desk.warm_state(self.max_devices),
         }

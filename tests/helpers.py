@@ -14,10 +14,15 @@ as a ``networkx.Graph``, the oracle the graph tests check against.
 
 :func:`set_chaos_spec` sets or clears the ``REPRO_CHAOS`` scenario for an
 in-process test, e.g. ``job-fail:QFT`` to make every QFT job fail.
+
+:func:`child_pids` and :func:`pid_alive` read ``/proc`` to follow forked
+workers after their parent is killed.
 """
 
 from __future__ import annotations
 
+import os
+import time
 from collections.abc import Iterable, Sequence
 
 import networkx as nx
@@ -34,6 +39,9 @@ __all__ = [
     "assert_semantically_equivalent",
     "assert_all_two_qubit_ops_coupled",
     "set_chaos_spec",
+    "child_pids",
+    "pid_alive",
+    "wait_until_gone",
     "nx_topology",
     "nx_highway",
 ]
@@ -138,6 +146,44 @@ def set_chaos_spec(monkeypatch, spec: str | None) -> None:
     else:
         monkeypatch.setenv(CHAOS_ENV, spec)
     reset_chaos()
+
+
+def _stat_fields(pid: int) -> list[str] | None:
+    """The fields of ``/proc/<pid>/stat`` after the command name."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()
+
+
+def child_pids(pid: int) -> list[int]:
+    """The live processes whose parent is ``pid``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _stat_fields(int(entry))
+            if fields is not None and int(fields[1]) == pid and fields[0] != "Z":
+                children.append(int(entry))
+    return sorted(children)
+
+
+def pid_alive(pid: int) -> bool:
+    """Whether ``pid`` still runs (a zombie counts as gone)."""
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+def wait_until_gone(pids: Iterable[int], timeout: float) -> list[int]:
+    """Wait up to ``timeout`` seconds for ``pids`` to end; returns those
+    still running."""
+    deadline = time.monotonic() + timeout
+    alive = [pid for pid in pids if pid_alive(pid)]
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = [pid for pid in alive if pid_alive(pid)]
+    return alive
 
 
 def nx_topology(topology: Topology) -> nx.Graph:

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import child_pids, wait_until_gone
 from repro.chaos import CHAOS_ENV
 from repro.cli import main
 from repro.experiments.engine import (
@@ -215,8 +216,13 @@ class TestCoordinatorCrashResume:
                 return len(doc.get("completed", [])) >= 1
 
             _wait_for(_some_progress, timeout=120, message="a completed job in the checkpoint")
+            workers = child_pids(driver.pid)
+            assert workers, "the farm run forked no workers"
             driver.send_signal(signal.SIGKILL)
             driver.wait(timeout=10)
+            # a forked worker ends once its parent is gone: within the
+            # lease period (2 s here) plus a margin, not minutes later
+            assert wait_until_gone(workers, 2.0 + 2.0) == []
         finally:
             if driver.poll() is None:
                 driver.kill()
@@ -225,8 +231,6 @@ class TestCoordinatorCrashResume:
         assert interrupted.finished is False
         assert len(interrupted.completed_keys) >= 1
         assert interrupted.remaining_jobs()
-        # orphaned workers die with the coordinator's socket; give the
-        # stalled ones a beat so they cannot outlive the assertion window
         assert main(["resume", str(checkpoint), "--jobs", "2"]) == 0
         capsys.readouterr()
         solo_out = tmp_path / "solo"

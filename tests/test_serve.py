@@ -1,19 +1,27 @@
 """Tests for the warm-state compile server (``repro serve``).
 
 Covers the wire schema, the warm-state registry's sharing/LRU behaviour,
-thread-safe job timeouts (the ``_deadline`` SIGALRM fallback the server's
-worker threads depend on), and the end-to-end acceptance property: results
-served over the socket are byte-identical — modulo wall-clock fields — to
+thread-safe job timeouts (the ``_deadline`` SIGALRM fallback the workers'
+executor threads depend on), the end-to-end acceptance property — results
+served over the socket are byte-identical, modulo wall-clock fields, to
 what the batch engine computes for the same jobs, for every registered
-backend.
+backend — and the forked compile workers: single-flight, healing a killed
+worker by lease expiry, answering when none is left, hits that never wait
+behind a compile, and workers that end with a killed server.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from helpers import child_pids, set_chaos_spec, wait_until_gone
 from repro import cli
 from repro.backends import available_backends
 from repro.experiments import engine
@@ -330,11 +338,13 @@ class TestCompileServer:
             # the connection and the server both survive a failed job
             assert client.ping().ok
 
-    def test_request_timeout_enforced_per_request(self, server, monkeypatch):
+    def test_request_timeout_enforced_per_request(self, monkeypatch):
+        # registered before a dedicated server forks, so its worker has it
         monkeypatch.setitem(engine.EXECUTORS, "spin", _spin)
         job = Job(benchmark="SPIN", kind="spin")
-        with ServeClient(server.host, server.port) as client:
-            response = client.compile_job(job, policy=JobPolicy(timeout=0.2))
+        with CompileServer(workers=1) as dedicated:
+            with ServeClient(dedicated.host, dedicated.port) as client:
+                response = client.compile_job(job, policy=JobPolicy(timeout=0.2))
         assert not response.ok
         assert response.payload["job_error"]["error_type"] == "JobTimeoutError"
 
@@ -407,20 +417,181 @@ class TestServerLifecycle:
         assert engine._WARM_STATE_PROVIDER is before
 
     def test_start_restores_previous_provider_on_shutdown(self):
+        """The provider belongs to the worker: the server process compiles
+        nothing and leaves the engine hook alone, while a worker compiles
+        through its own registry and restores the previous provider when
+        its loop ends."""
+        from repro.farm import FarmCoordinator, run_worker
+
         marker = object()
         previous = set_warm_state_provider(marker)
         try:
             server = CompileServer(workers=1).start()
-            # bound methods are re-created per access, so compare by equality
-            assert engine._WARM_STATE_PROVIDER == server.registry.get
+            assert engine._WARM_STATE_PROVIDER is marker
+            with ServeClient(server.host, server.port) as client:
+                assert client.compile_job(Job(benchmark="BV", seed=31, **SMALL)).ok
+                stats = client.stats()
+            assert stats["warm_state"]["cold_builds"] == 1  # the worker's registry
             server.shutdown()
             assert engine._WARM_STATE_PROVIDER is marker
+
+            registry = WarmStateRegistry()
+            coordinator = FarmCoordinator([Job(benchmark="BV", seed=32, **SMALL)]).start()
+            try:
+                assert run_worker(coordinator.host, coordinator.port, registry=registry) == 0
+            finally:
+                coordinator.shutdown()
+            assert registry.stats()["cold_builds"] == 1  # it was the provider...
+            assert engine._WARM_STATE_PROVIDER is marker  # ...and is no longer
         finally:
             set_warm_state_provider(previous)
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="workers"):
             CompileServer(workers=0)
+
+
+# --------------------------------------------------------------------------
+# forked compile workers
+
+
+def _in_thread(call):
+    """Run ``call`` on a thread; returns (thread, outcome dict)."""
+    outcome = {}
+
+    def body():
+        try:
+            outcome["result"] = call()
+        except BaseException as exc:  # surfaced by the asserts
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=body, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+def _compile(server, job, **kwargs):
+    with ServeClient(server.host, server.port, timeout=120.0) as client:
+        return client.compile_job(job, **kwargs)
+
+
+def _wait_in_flight(server, count, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if server.stats()["queue"]["in_flight"] >= count:
+            return
+        time.sleep(0.02)
+    pytest.fail(f"{count} request(s) never went in flight: {server.stats()['queue']}")
+
+
+class TestForkedWorkers:
+    def test_concurrent_requests_for_one_key_share_one_execution(self, monkeypatch):
+        # the stall keeps the first execution running while the second
+        # request arrives; two idle workers could otherwise run both
+        set_chaos_spec(monkeypatch, "job-stall:QFT,seconds=1")
+        job = Job(benchmark="QFT", seed=41, **SMALL)
+        with CompileServer(workers=2) as server:
+            first, first_out = _in_thread(lambda: _compile(server, job))
+            _wait_in_flight(server, 1)
+            second, second_out = _in_thread(lambda: _compile(server, job))
+            first.join(30.0)
+            second.join(30.0)
+            stats = server.stats()
+        responses = [first_out["result"], second_out["result"]]
+        assert all(response.ok for response in responses)
+        # one execution: even the wall-clock fields are the same
+        assert responses[0].payload["result"] == responses[1].payload["result"]
+        warm = stats["warm_state"]
+        assert warm["cold_builds"] + warm["warm_hits"] == 1
+        assert stats["compiles"] == 2
+
+    def test_worker_killed_mid_compile_heals_by_lease_expiry(self, monkeypatch):
+        from repro.farm import coordinator as farm_coordinator
+
+        set_chaos_spec(monkeypatch, "job-stall:QFT,seconds=2")
+        monkeypatch.setattr(farm_coordinator, "LEASE_SECONDS", 1.5)
+        jobs = [Job(benchmark="QFT", seed=seed, **SMALL) for seed in (51, 52)]
+        with CompileServer(workers=2, policy=JobPolicy(retries=1)) as server:
+            runs = [_in_thread(lambda job=job: _compile(server, job)) for job in jobs]
+            _wait_in_flight(server, 2)  # each worker holds one stalled lease
+            victim = server.worker_pids[0]
+            os.kill(victim, signal.SIGKILL)
+            for thread, _ in runs:
+                thread.join(30.0)
+            stats = server.stats()
+        set_chaos_spec(monkeypatch, None)  # the batch reference runs unstalled
+        for (thread, outcome), job in zip(runs, jobs):
+            assert not thread.is_alive()
+            response = outcome["result"]
+            assert response.ok, response.error
+            assert canonical(response.payload["result"]) == canonical(batch_payload(job))
+        assert stats["workers_alive"] == 1
+        assert stats["errors"] == 0
+
+    def test_requests_get_an_error_reply_once_no_worker_is_alive(self, monkeypatch):
+        set_chaos_spec(monkeypatch, "job-stall:QFT,seconds=30")
+        with CompileServer(workers=2) as server:
+            queued, outcome = _in_thread(
+                lambda: _compile(server, Job(benchmark="QFT", seed=61, **SMALL))
+            )
+            _wait_in_flight(server, 1)
+            start = time.monotonic()
+            for pid in server.worker_pids:
+                os.kill(pid, signal.SIGKILL)
+            queued.join(10.0)
+            assert not queued.is_alive()
+            assert time.monotonic() - start < 5.0
+            assert "no compile worker is alive" in outcome["result"].error
+            late = _compile(server, Job(benchmark="BV", seed=62, **SMALL))
+            assert not late.ok and "no compile worker is alive" in late.error
+            with ServeClient(server.host, server.port) as client:
+                assert client.ping().ok
+
+    def test_cache_hit_is_answered_while_every_worker_compiles(self, monkeypatch, tmp_path):
+        set_chaos_spec(monkeypatch, "job-stall:QFT,seconds=30")
+        cached = Job(benchmark="BV", seed=71, **SMALL)
+        with CompileServer(workers=2, cache=ResultCache(tmp_path / "cache")) as server:
+            assert _compile(server, cached).ok
+            stalled = [
+                _in_thread(lambda job=job: _compile(server, job))
+                for job in (Job(benchmark="QFT", seed=seed, **SMALL) for seed in (72, 73))
+            ]
+            _wait_in_flight(server, 2)
+            start = time.monotonic()
+            hit = _compile(server, cached)
+            elapsed = time.monotonic() - start
+            # end the stalled compiles instead of draining them at shutdown
+            for pid in server.worker_pids:
+                os.kill(pid, signal.SIGKILL)
+            for thread, _ in stalled:
+                thread.join(10.0)
+        assert hit.ok and hit.payload["cached"] is True
+        assert elapsed < 1.0
+
+    def test_workers_end_with_a_sigkilled_server(self, tmp_path):
+        from repro.farm.queue import LEASE_SECONDS
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2", "--no-cache"],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            banner = server.stderr.readline()
+            assert "listening on" in banner, banner
+            port = int(banner.split("listening on ", 1)[1].split()[0].rsplit(":", 1)[1])
+            with ServeClient("127.0.0.1", port) as client:
+                assert client.compile_job(Job(benchmark="BV", seed=81, **SMALL)).ok
+            workers = child_pids(server.pid)
+            assert len(workers) == 2
+        finally:
+            server.kill()
+            server.wait(timeout=10)
+        assert wait_until_gone(workers, LEASE_SECONDS + 2.0) == []
 
 
 # --------------------------------------------------------------------------
