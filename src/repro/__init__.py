@@ -39,14 +39,7 @@ from .backends import (
     register_backend,
 )
 from .baseline import BaselineCompiler, SabreRouter
-from .circuits import (
-    Circuit,
-    DependencyDag,
-    Gate,
-    Measurement,
-    SimulationResult,
-    Simulator,
-)
+from .circuits import Circuit, DependencyDag, Gate, Measurement
 from .compiler import CompilationResult, MechCompiler
 from .hardware import ChipletArray, ChipletStructure, NoiseModel, Topology
 from .highway import HighwayLayout, HighwayManager
@@ -85,3 +78,12 @@ __all__ = [
     "circuit_metrics",
     "improvement",
 ]
+
+
+def __getattr__(name: str):
+    # the simulator needs numpy; load it on first access (PEP 562)
+    if name in ("Simulator", "SimulationResult"):
+        from . import circuits
+
+        return getattr(circuits, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -42,13 +42,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from ..circuits.circuit import Circuit, _rebuild_trusted
 from ..circuits.dag import DependencyDag
 from ..circuits.gates import Gate
 from ..hardware.topology import Topology
 from ..compiler.result import CompilationResult
+from ..rng import default_rng
 from .layout import initial_layout
 
 __all__ = ["SabreRouter"]
@@ -102,17 +101,17 @@ class SabreRouter:
         self.decay_reset_interval = decay_reset_interval
         self.cross_chip_weight = cross_chip_weight
         self.respect_commutation = respect_commutation
-        self._rng = np.random.default_rng(seed)
-        matrix = topology.distance_matrix(cross_chip_weight=cross_chip_weight)
+        self._rng = default_rng(seed)
+        self._distance = topology.distance_rows(cross_chip_weight=cross_chip_weight)
         # When every distance is an exactly representable integer (the
         # ubiquitous case: hop counts, possibly with integer cross-chip
         # weights) float addition is exact in any order, so cached partial
         # sums score bit-identically to the historic per-candidate loop;
         # otherwise that loop runs to preserve its rounding near ties.
-        self._exact_distances = bool(
-            np.all(np.isfinite(matrix)) and np.all(matrix == np.floor(matrix))
+        # (``inf.is_integer()`` is False, so a disconnected pair opts out.)
+        self._exact_distances = all(
+            d.is_integer() for row in self._distance for d in row
         )
-        self._distance = topology.distance_rows(cross_chip_weight=cross_chip_weight)
         self._coupled = topology.coupling_rows()
         # Every normalized edge once, ascending lexicographically (the
         # historic sorted-set-of-tuples candidate order), plus per-qubit
@@ -468,7 +467,7 @@ class SabreRouter:
                 best = [i]
             elif abs(score - best_score) <= _TIE_EPS:
                 best.append(i)
-        return best[int(self._rng.integers(len(best)))] if len(best) > 1 else best[0]
+        return best[self._rng.integers(len(best))] if len(best) > 1 else best[0]
 
 
 class _DeltaScorer:

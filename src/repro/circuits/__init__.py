@@ -1,4 +1,8 @@
-"""Circuit intermediate representation, commutation analysis and simulation."""
+"""Circuit intermediate representation, commutation analysis and simulation.
+
+The statevector simulator needs numpy, which the compile path does without,
+so its names load on first access (PEP 562).
+"""
 
 from .circuit import Circuit, CircuitError
 from .commutation import commutes, commutes_on_qubit, qubit_action
@@ -37,7 +41,6 @@ from .library import (
     ghz_chain_circuit,
     swap_to_cnots,
 )
-from .simulator import SimulationResult, Simulator, circuit_unitary, statevectors_equal
 
 __all__ = [
     "Circuit",
@@ -82,3 +85,15 @@ __all__ = [
     "multi_target_cx",
     "multi_target_cp",
 ]
+
+_SIMULATOR_NAMES = frozenset(
+    {"Simulator", "SimulationResult", "circuit_unitary", "statevectors_equal"}
+)
+
+
+def __getattr__(name: str):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,11 +20,14 @@ Every gate is an immutable :class:`Gate` instance.  Gates know
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Gate",
@@ -433,32 +436,42 @@ def multi_target_cp(theta: float, control: int, targets: Sequence[int]) -> Gate:
 # ---------------------------------------------------------------------- #
 # matrices
 # ---------------------------------------------------------------------- #
+# numpy is imported on the first matrix() call only: the compilers never ask
+# for matrices, so compiling stays numpy-free.
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
-_FIXED_MATRICES = {
-    "id": np.eye(2, dtype=complex),
-    "h": np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "t": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-    "tdg": np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
-    "cx": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-    "cz": np.diag([1, 1, 1, -1]).astype(complex),
-    "swap": np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    ),
-}
+
+@functools.cache
+def _fixed_matrices() -> dict[str, np.ndarray]:
+    import numpy as np
+
+    return {
+        "id": np.eye(2, dtype=complex),
+        "h": np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex),
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "z": np.array([[1, 0], [0, -1]], dtype=complex),
+        "s": np.array([[1, 0], [0, 1j]], dtype=complex),
+        "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
+        "t": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
+        "tdg": np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
+        "cx": np.array(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+        ),
+        "cz": np.diag([1, 1, 1, -1]).astype(complex),
+        "swap": np.array(
+            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+        ),
+    }
 
 
 def _gate_matrix(name: str, params: tuple[float, ...]) -> np.ndarray:
     """Return the unitary matrix of a named gate with the given parameters."""
-    if name in _FIXED_MATRICES:
-        return _FIXED_MATRICES[name].copy()
+    import numpy as np
+
+    fixed = _fixed_matrices()
+    if name in fixed:
+        return fixed[name].copy()
     if name == "rx":
         (theta,) = params
         c, sn = math.cos(theta / 2), math.sin(theta / 2)

@@ -1133,7 +1133,7 @@ def _cache_stats_summary(cache_dir: str, as_json: bool = False) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf import (
+    from .perf.bench import (
         compare_bench,
         format_bench,
         format_comparison,
@@ -1286,7 +1286,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_bench_latency(args: argparse.Namespace) -> int:
     """``repro bench --latency``: the serve-path latency suite and gate."""
-    from .perf import (
+    from .perf.latency import (
         format_latency,
         latency_regressed,
         run_latency,
@@ -1580,7 +1580,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 def _cmd_bench_history(args: argparse.Namespace) -> int:
     """``repro bench --history DIR``: analysis only, no compilation."""
-    from .perf import (
+    from .perf.history import (
         HistoryError,
         compute_history,
         format_history,

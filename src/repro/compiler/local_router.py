@@ -8,22 +8,21 @@ entangled highway state, so routing never swaps through them.  Interval qubits
 of the interleaved highway sections are ordinary data qubits and remain
 available for routing, which keeps the data subgraph connected.
 
-The router pre-computes an all-pairs distance matrix over the data subgraph
-(one breadth-first search per position over the data-neighbour lists) so
-path extraction is cheap; per-destination next-hop tables are derived lazily
-from the distance matrix, turning the former sort-all-neighbours-per-hop
-descent of :meth:`path` into a table walk.
+The router pre-computes all-pairs distance rows over the data subgraph (one
+breadth-first search per position over the data-neighbour lists) so path
+extraction is cheap; per-destination next-hop tables are derived lazily from
+those rows, turning the former sort-all-neighbours-per-hop descent of
+:meth:`path` into a table walk.
 It returns SWAP pair lists and leaves the mapping bookkeeping to the
 scheduler.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
-import numpy as np
+from collections.abc import Container, Iterable
 
 from ..hardware import graphs
+from ..hardware.graphs import INF
 from ..hardware.topology import Topology
 
 __all__ = ["LocalRouter", "RoutingError"]
@@ -52,15 +51,12 @@ class LocalRouter:
             ]
         self._distances = self._compute_distances()
         # per-destination greedy next hop, derived lazily from the distance
-        # matrix; replaces the per-hop neighbour re-sort of the historic path()
-        self._next_hop: dict[int, np.ndarray] = {}
-        # padded (n, max_degree) data-neighbour matrix backing the next-hop
-        # derivation; -1 marks padding
-        self._padded_neighbors: np.ndarray | None = None
+        # rows; replaces the per-hop neighbour re-sort of the historic path()
+        self._next_hop: dict[int, list[int]] = {}
         # per-anchor parking candidates (data neighbours in ascending order),
         # shared by nearest_parking / swaps_to_adjacency
-        self._parking: dict[int, np.ndarray] = {}
-        # nearest_parking is a pure function of the static distance matrix
+        self._parking: dict[int, list[int]] = {}
+        # nearest_parking is a pure function of the static distance rows
         # when nothing is excluded; the scheduler probes it once per entrance
         # candidate per gate component, so memoize those answers
         self._nearest_memo: dict[tuple[int, int], int | None] = {}
@@ -68,50 +64,43 @@ class LocalRouter:
     # ------------------------------------------------------------------ #
     # distances and paths
     # ------------------------------------------------------------------ #
-    def _compute_distances(self) -> np.ndarray:
+    def _compute_distances(self) -> list[list[float]]:
         # highway positions have no data neighbours: their rows stay
         # unreachable apart from the zero diagonal
         neighbors = [self._neighbors.get(q, ()) for q in self.topology.qubits()]
-        return np.array(graphs.bfs_distance_rows(neighbors), dtype=float)
+        return graphs.bfs_distance_rows(neighbors)
 
     def data_distance(self, a: int, b: int) -> float:
         """Hop distance between two positions through data qubits only."""
         self._check_data(a)
         self._check_data(b)
-        return float(self._distances[a, b])
+        return self._distances[a][b]
 
     def is_data(self, qubit: int) -> bool:
         """Whether ``qubit`` is a data (non-highway) position."""
         return qubit not in self.highway_qubits
 
-    def _next_hop_table(self, destination: int) -> np.ndarray:
+    def _next_hop_table(self, destination: int) -> list[int]:
         """Greedy next hop towards ``destination`` for every data position.
 
         ``table[q]`` is the data neighbour of ``q`` minimising
         ``(distance to destination, neighbour index)`` — exactly the key the
         historic per-hop ``min`` used — or ``-1`` where no neighbour leads
-        anywhere.  Hop distances are small integers, so packing the pair into
-        ``distance * n + neighbour`` keeps the lexicographic order exact.
+        anywhere.
         """
         table = self._next_hop.get(destination)
         if table is not None:
             return table
-        n = self.topology.num_qubits
-        padded = self._padded_neighbors
-        if padded is None:
-            width = max((len(nbs) for nbs in self._neighbors.values()), default=1)
-            padded = np.full((n, max(width, 1)), -1, dtype=np.int64)
-            for q, nbs in self._neighbors.items():
-                padded[q, : len(nbs)] = nbs
-            self._padded_neighbors = padded
-        valid = padded >= 0
-        dist = np.where(
-            valid, self._distances[padded.clip(min=0), destination], np.inf
-        )
-        key = np.where(np.isfinite(dist), dist * n + padded, np.inf)
-        best = key.argmin(axis=1)
-        table = padded[np.arange(n), best]
-        table[~np.isfinite(key[np.arange(n), best])] = -1
+        # the data subgraph is undirected, so the destination's own row holds
+        # every position's distance to it; neighbour lists ascend, so the
+        # first nearest neighbour is the smallest index among the nearest
+        distance = self._distances[destination].__getitem__
+        table = [-1] * self.topology.num_qubits
+        for q, nbs in self._neighbors.items():
+            if nbs:
+                hop = min(nbs, key=distance)
+                if distance(hop) != INF:
+                    table[q] = hop
         self._next_hop[destination] = table
         return table
 
@@ -125,7 +114,7 @@ class LocalRouter:
         self._check_data(destination)
         if source == destination:
             return [source]
-        if not np.isfinite(self._distances[source, destination]):
+        if self._distances[source][destination] == INF:
             raise RoutingError(
                 f"no data-qubit path between {source} and {destination}"
             )
@@ -133,7 +122,7 @@ class LocalRouter:
         path = [source]
         current = source
         while current != destination:
-            current = int(table[current])
+            current = table[current]
             path.append(current)
         return path
 
@@ -145,20 +134,27 @@ class LocalRouter:
         route = self.path(source, destination)
         return [(a, b) for a, b in zip(route, route[1:], strict=False)]
 
-    def _parking_spots(self, anchor: int) -> np.ndarray:
+    def _parking_spots(self, anchor: int) -> list[int]:
         """Data neighbours of ``anchor`` in ascending order (cached)."""
         spots = self._parking.get(anchor)
         if spots is None:
-            spots = np.asarray(
-                [
-                    nb
-                    for nb in self.topology.neighbors(anchor)
-                    if nb not in self.highway_qubits
-                ],
-                dtype=np.int64,
-            )
+            spots = [
+                nb for nb in self.topology.neighbors(anchor) if nb not in self.highway_qubits
+            ]
             self._parking[anchor] = spots
         return spots
+
+    def _closest(self, source: int, spots: list[int], excluded: Container[int]) -> int | None:
+        """The first of ``spots`` nearest to ``source`` through data qubits.
+
+        ``None`` when every spot outside ``excluded`` is unreachable.
+        """
+        row = self._distances[source]
+        best, best_cost = None, INF
+        for spot in spots:
+            if row[spot] < best_cost and spot not in excluded:
+                best, best_cost = spot, row[spot]
+        return best
 
     def swaps_to_adjacency(self, mover: int, anchor: int) -> list[tuple[int, int]]:
         """SWAPs moving the qubit at ``mover`` until it is coupled to ``anchor``.
@@ -171,17 +167,8 @@ class LocalRouter:
         if self.topology.is_coupled(mover, anchor):
             return []
         self._check_data(mover)
-        spots = self._parking_spots(anchor)
-        best_target: int | None = None
-        best_cost = np.inf
-        if len(spots):
-            costs = self._distances[mover, spots]
-            costs = np.where(spots == mover, np.inf, costs)
-            index = int(costs.argmin())
-            if np.isfinite(costs[index]):
-                best_target = int(spots[index])
-                best_cost = costs[index]
-        if best_target is None or not np.isfinite(best_cost):
+        best_target = self._closest(mover, self._parking_spots(anchor), (mover,))
+        if best_target is None:
             raise RoutingError(
                 f"cannot bring position {mover} adjacent to {anchor} through data qubits"
             )
@@ -207,25 +194,10 @@ class LocalRouter:
             cached = self._nearest_memo.get(key, _MISS)
             if cached is not _MISS:
                 return cached
-            result = self._nearest_parking_uncached(source, entrance, excluded)
+            result = self._closest(source, self._parking_spots(entrance), excluded)
             self._nearest_memo[key] = result
             return result
-        return self._nearest_parking_uncached(source, entrance, excluded)
-
-    def _nearest_parking_uncached(
-        self, source: int, entrance: int, excluded: set
-    ) -> int | None:
-        spots = self._parking_spots(entrance)
-        if not len(spots):
-            return None
-        costs = self._distances[source, spots]
-        if excluded:
-            mask = np.asarray([int(s) in excluded for s in spots])
-            costs = np.where(mask, np.inf, costs)
-        index = int(costs.argmin())
-        if not np.isfinite(costs[index]):
-            return None
-        return int(spots[index])
+        return self._closest(source, self._parking_spots(entrance), excluded)
 
     def _check_data(self, qubit: int) -> None:
         if qubit in self.highway_qubits:

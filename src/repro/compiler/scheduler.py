@@ -72,7 +72,7 @@ class MechScheduler:
         self.router = router if router is not None else LocalRouter(
             topology, layout.highway_qubits
         )
-        self._distance = topology.distance_matrix()
+        self._distance = topology.distance_rows()
 
     # ------------------------------------------------------------------ #
     # public entry point
@@ -409,14 +409,14 @@ class MechScheduler:
             # caller then has to re-extend the cat state onto it.
             pool = sorted(
                 (e for e in self.manager.release_time if usable(e)),
-                key=lambda e: self._distance[data_phys, e],
+                key=lambda e: self._distance[data_phys][e],
             )
             candidates = [e for e in pool if e not in excluded][:16] or pool[:16]
         if not candidates:
             raise SchedulerError(f"no usable highway entrance near position {data_phys}")
 
         def score(entrance: int) -> tuple[float, float, float, int]:
-            hops = max(self._distance[data_phys, entrance] - 1.0, 0.0)
+            hops = max(self._distance[data_phys][entrance] - 1.0, 0.0)
             queued = 0 if load is None else load.get(entrance, 0)
             t_arr = self._clock[data_phys] + _SWAP_WEIGHT * hops
             t_ava = self.manager.next_free(entrance)

@@ -19,10 +19,13 @@ re-leased) that eventually reports ``complete`` delivers a deterministic,
 fully valid record — the queue accepts it idempotently and the re-leased
 attempt's own completion becomes a no-op.
 
-A farm run fills the queue once, from its plan; ``repro serve`` adds an
-entry per cache miss while serving (:meth:`LeaseQueue.add`, single-flight
-per key).  A claim may wait on the queue's condition for work to appear,
-so idle workers pick up new and re-queued entries at once.
+A farm run fills the queue once, from its plan, and reads the finished
+entries at the end.  ``repro serve`` adds an entry per cache miss while
+serving (:meth:`LeaseQueue.add`, single-flight per key) and drops it again
+(:meth:`LeaseQueue.forget`) once the key's requests have their answer, so a
+long-lived server holds only live entries.  A claim may wait on the queue's
+condition for work to appear, so idle workers pick up new and re-queued
+entries at once.
 """
 
 from __future__ import annotations
@@ -229,6 +232,17 @@ class LeaseQueue:
             entry.worker = None
             entry.error = error
             return False
+
+    def forget(self, key: str) -> None:
+        """Drop ``key``'s entry if it is completed or failed.
+
+        A pending or leased entry (a fresh request for the key) stays.  A
+        late ``complete`` or ``fail`` for a forgotten key is a no-op.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry.state in (COMPLETED, FAILED):
+                del self._entries[key]
 
     def heartbeat(self, worker_id: str, keys: list[str], *, now: float | None = None) -> int:
         """Extend the deadlines of ``worker_id``'s live leases; returns the count."""

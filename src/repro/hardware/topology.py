@@ -16,8 +16,6 @@ from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 from typing import Any
 
-import numpy as np
-
 from . import graphs
 
 __all__ = ["Topology", "TopologyError"]
@@ -120,9 +118,7 @@ class Topology:
             e for e, (a, b) in zip(self._edges, ordered, strict=False) if not adjacency[a][b]
         )
         self._neighbors = {q: tuple(sorted(nbrs)) for q, nbrs in adjacency.items()}
-        self._dist_cache: dict[float, np.ndarray] = {}
         self._dist_rows: dict[float, list[list[float]]] = {}
-        self._adjacency_matrix: np.ndarray | None = None
         self._coupling_rows: list[list[bool]] | None = None
 
     # ------------------------------------------------------------------ #
@@ -159,30 +155,19 @@ class Topology:
         """Read-only attributes of ``qubit`` (``pos``, ``chiplet``, ``original``)."""
         return MappingProxyType(self._nodes[qubit])
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean coupling matrix (``adj[a, b]`` iff a and b are coupled).
+    def coupling_rows(self) -> list[list[bool]]:
+        """Dense coupling table: ``rows[a][b]`` iff ``a`` and ``b`` are coupled.
 
-        Routers use this for O(1) numpy coupling checks in their inner loops;
-        like every other query result it is cached forever (the graph never
+        Routers use it for O(1) coupling checks in their inner loops; like
+        every other query result it is cached forever (the graph never
         mutates).
         """
-        if self._adjacency_matrix is None:
-            n = self.num_qubits
-            matrix = np.zeros((n, n), dtype=bool)
-            for a, b in self._edges:
-                matrix[a, b] = True
-                matrix[b, a] = True
-            self._adjacency_matrix = matrix
-        return self._adjacency_matrix
-
-    def coupling_rows(self) -> list[list[bool]]:
-        """:meth:`adjacency_matrix` as nested lists (``rows[a][b]``), cached.
-
-        Plain-Python inner loops index lists several times faster than they
-        index numpy arrays element by element.
-        """
         if self._coupling_rows is None:
-            self._coupling_rows = self.adjacency_matrix().tolist()
+            n = self.num_qubits
+            rows = [[False] * n for _ in range(n)]
+            for a, b in self._edges:
+                rows[a][b] = rows[b][a] = True
+            self._coupling_rows = rows
         return self._coupling_rows
 
     def is_cross_chip(self, a: int, b: int) -> bool:
@@ -224,22 +209,14 @@ class Topology:
     # ------------------------------------------------------------------ #
     # distances and paths
     # ------------------------------------------------------------------ #
-    def distance_matrix(self, *, cross_chip_weight: float = 1.0) -> np.ndarray:
-        """All-pairs shortest-path distances (``inf`` between disconnected qubits).
-
-        ``cross_chip_weight`` > 1 penalises cross-chip links, which the
-        baseline router uses to mildly prefer on-chip routing when the error
-        model makes cross-chip CNOTs more expensive.
-        """
-        key = float(cross_chip_weight)
-        matrix = self._dist_cache.get(key)
-        if matrix is None:
-            matrix = np.array(self.distance_rows(cross_chip_weight=key), dtype=float)
-            self._dist_cache[key] = matrix
-        return matrix
-
     def distance_rows(self, *, cross_chip_weight: float = 1.0) -> list[list[float]]:
-        """:meth:`distance_matrix` as nested lists (``rows[a][b]``), cached."""
+        """All-pairs shortest-path distances ``rows[a][b]``, cached.
+
+        Disconnected pairs are ``inf``.  ``cross_chip_weight`` > 1 penalises
+        cross-chip links, which the baseline router uses to mildly prefer
+        on-chip routing when the error model makes cross-chip CNOTs more
+        expensive.
+        """
         key = float(cross_chip_weight)
         rows = self._dist_rows.get(key)
         if rows is None:
@@ -248,7 +225,7 @@ class Topology:
         return rows
 
     def distance(self, a: int, b: int, *, cross_chip_weight: float = 1.0) -> float:
-        return float(self.distance_matrix(cross_chip_weight=cross_chip_weight)[a, b])
+        return self.distance_rows(cross_chip_weight=cross_chip_weight)[a][b]
 
     def shortest_path(
         self, a: int, b: int, *, cross_chip_weight: float = 1.0

@@ -93,7 +93,7 @@ class HighwayLayout:
         # because the schedulers query them once per gate component
         self._entrance_rank: dict[int, list[int]] = {}
         self._entrance_within: dict[int, list[int]] = {}
-        self._dist_to_highway = None
+        self._dist_to_highway: list[float] | None = None
 
         self._build()
 
@@ -155,19 +155,19 @@ class HighwayLayout:
         the default-radius prefix) is cached per qubit — the scheduler asks
         for entrances once per gate component, with varying ``limit``s.
         """
-        distances = self.topology.distance_matrix()
+        distances = self.topology.distance_rows()[qubit]
         ranked = self._entrance_rank.get(qubit)
         if ranked is None:
             highway = sorted(self._highway_qubits)
-            ranked = sorted(highway, key=lambda h: (distances[qubit, h], h))
+            ranked = sorted(highway, key=lambda h: (distances[h], h))
             self._entrance_rank[qubit] = ranked
         if radius == 2:
             within = self._entrance_within.get(qubit)
             if within is None:
-                within = [h for h in ranked if distances[qubit, h] <= radius]
+                within = [h for h in ranked if distances[h] <= radius]
                 self._entrance_within[qubit] = within
         else:
-            within = [h for h in ranked if distances[qubit, h] <= radius]
+            within = [h for h in ranked if distances[h] <= radius]
         if not within:
             within = ranked[:limit]
         return within[:limit]
@@ -175,10 +175,11 @@ class HighwayLayout:
     def distance_to_highway(self, qubit: int) -> float:
         """Hop distance from ``qubit`` to the nearest highway qubit."""
         if self._dist_to_highway is None:
-            distances = self.topology.distance_matrix()
             highway = sorted(self._highway_qubits)
-            self._dist_to_highway = distances[:, highway].min(axis=1)
-        return float(self._dist_to_highway[qubit])
+            self._dist_to_highway = [
+                min(row[h] for h in highway) for row in self.topology.distance_rows()
+            ]
+        return self._dist_to_highway[qubit]
 
     def segment_between(self, a: int, b: int) -> HighwaySegment | None:
         """The segment joining highway qubits ``a`` and ``b``, if any."""

@@ -1,6 +1,8 @@
-"""Performance-tracking subsystem (PR 5).
+"""Performance-tracking subsystem.
 
-Two pieces keep the compiler hot paths honest:
+Import the submodules directly; the package re-exports nothing, so the
+compilers' import of :mod:`repro.perf.timers` loads neither the bench
+machinery nor numpy.
 
 * :mod:`repro.perf.timers` — lightweight phase timers threaded through
   ``CompilationResult.stats`` (``phase_<name>_seconds`` keys for the
@@ -10,7 +12,8 @@ Two pieces keep the compiler hot paths honest:
   workload suites per registered backend, ``BENCH_<timestamp>.json``
   emission, and the ``--against`` comparison mode that reports speedups and
   regressions (machine-speed differences are normalised by a calibration
-  scalar recorded in every document);
+  scalar recorded in every document; the calibration is the one place
+  outside the simulator that imports numpy);
 * :mod:`repro.perf.history` — longitudinal analytics over an accumulated
   directory of bench documents: calibration-rescaled per-backend trend
   series, geomean deltas vs. the oldest and the previous document, a
@@ -22,70 +25,3 @@ Two pieces keep the compiler hot paths honest:
   load, a byte-identity check between the served and batch paths, and the
   ``LATENCY_<timestamp>.json`` document the CI serve gate reads.
 """
-
-from .bench import (
-    BENCH_SCHEMA_VERSION,
-    SUITES,
-    BenchWorkload,
-    compare_bench,
-    format_bench,
-    format_comparison,
-    load_bench,
-    measure_calibration,
-    run_bench,
-    write_bench,
-    write_document,
-)
-from .history import (
-    TREND_SCHEMA_VERSION,
-    HistoryError,
-    compute_history,
-    format_history,
-    history_report,
-    load_history,
-    write_trend,
-)
-from .latency import (
-    LATENCY_SCHEMA_VERSION,
-    format_latency,
-    latency_regressed,
-    load_latency,
-    run_latency,
-    strip_timing,
-    workload_job,
-    write_latency,
-)
-from .timers import PHASE_PREFIX, PhaseTimer, percentile, phase_breakdown
-
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "LATENCY_SCHEMA_VERSION",
-    "TREND_SCHEMA_VERSION",
-    "SUITES",
-    "BenchWorkload",
-    "HistoryError",
-    "PHASE_PREFIX",
-    "PhaseTimer",
-    "compare_bench",
-    "compute_history",
-    "format_bench",
-    "format_comparison",
-    "format_history",
-    "format_latency",
-    "history_report",
-    "latency_regressed",
-    "load_bench",
-    "load_history",
-    "load_latency",
-    "measure_calibration",
-    "percentile",
-    "phase_breakdown",
-    "run_bench",
-    "run_latency",
-    "strip_timing",
-    "workload_job",
-    "write_bench",
-    "write_document",
-    "write_latency",
-    "write_trend",
-]

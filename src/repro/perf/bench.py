@@ -19,13 +19,12 @@ slower machine does not masquerade as a compiler change.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Callable, Mapping, Sequence
-
-import numpy as np
 
 from ..metrics import geometric_mean
 
@@ -109,14 +108,20 @@ def resolve_suite(suite: str) -> tuple[BenchWorkload, ...]:
 def measure_calibration(repeats: int = 5) -> float:
     """Wall-clock seconds of a fixed CPU workload (machine-speed probe).
 
-    A mix of interpreter-bound and numpy-bound work, roughly mirroring the
-    compiler's own profile.  One untimed warm-up pass settles the adaptive
-    interpreter and CPU boost state, then the minimum over ``repeats``
-    ~30 ms runs rejects scheduling noise — short probes swing by tens of
-    percent on an otherwise idle machine, which would manufacture phantom
-    regressions.  Comparisons divide timings by the calibration ratio so
-    documents recorded on different machines stay comparable.
+    A mix of interpreter-bound and numpy-bound work.  One untimed warm-up
+    pass settles the adaptive interpreter and CPU boost state, then the
+    minimum over ``repeats`` ~30 ms runs rejects scheduling noise — short
+    probes swing by tens of percent on an otherwise idle machine, which
+    would manufacture phantom regressions.  Comparisons divide timings by
+    the calibration ratio so documents recorded on different machines stay
+    comparable.
+
+    The compile path no longer uses numpy, but the probe stays as it was so
+    that the calibrations already recorded in bench documents keep their
+    meaning; it is ``repro bench``'s only numpy import.
     """
+
+    import numpy as np
 
     def probe() -> float:
         start = time.perf_counter()
@@ -304,7 +309,7 @@ def compare_bench(
                 "speedup": speedup,
             }
         )
-    geomean = geometric_mean(s for s in speedups if np.isfinite(s)) if speedups else 0.0
+    geomean = geometric_mean(s for s in speedups if math.isfinite(s)) if speedups else 0.0
     floor = 1.0 / (1.0 + max_regression)
     regressed = bool(rows) and geomean < floor
     return {

@@ -18,10 +18,9 @@ table.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from collections.abc import Mapping, Sequence
-
-import numpy as np
 
 from ..metrics import geometric_mean
 from .bench import load_bench, write_document
@@ -50,7 +49,7 @@ class HistoryError(ValueError):
 
 def _sort_stamp(document: Mapping[str, object], path: Path) -> tuple[float, str]:
     created = document.get("created_unix")
-    if isinstance(created, (int, float)) and np.isfinite(created):
+    if isinstance(created, (int, float)) and math.isfinite(created):
         return (float(created), path.name)
     # pre-timestamp or doctored documents sort by filename (itself a stamp)
     return (0.0, path.name)
@@ -117,7 +116,7 @@ def _backend_rows(document: Mapping[str, object]) -> dict[str, dict[str, dict]]:
 
 
 def _geomean_over(values: Sequence[float]) -> float | None:
-    finite = [v for v in values if v > 0 and np.isfinite(v)]
+    finite = [v for v in values if v > 0 and math.isfinite(v)]
     if not finite:
         return None
     return float(geometric_mean(finite))

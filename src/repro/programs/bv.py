@@ -13,10 +13,8 @@ being 0 and half being 1", drawn uniformly at random per seed.
 
 from __future__ import annotations
 
-
-import numpy as np
-
 from ..circuits.circuit import Circuit
+from ..rng import default_rng
 
 __all__ = ["random_secret", "bernstein_vazirani_circuit"]
 
@@ -25,11 +23,11 @@ def random_secret(num_bits: int, *, seed: int = 0) -> str:
     """Secret string with (approximately) half ones, shuffled uniformly."""
     if num_bits < 1:
         raise ValueError("the secret must have at least one bit")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     ones = num_bits // 2
-    bits = np.array([1] * ones + [0] * (num_bits - ones))
+    bits = [1] * ones + [0] * (num_bits - ones)
     rng.shuffle(bits)
-    return "".join(str(int(b)) for b in bits)
+    return "".join(str(b) for b in bits)
 
 
 def bernstein_vazirani_circuit(

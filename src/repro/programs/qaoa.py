@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from ..circuits.circuit import Circuit
+from ..rng import default_rng
 
 __all__ = ["random_maxcut_graph", "qaoa_maxcut_circuit"]
 
@@ -33,11 +32,11 @@ def random_maxcut_graph(
         raise ValueError("MaxCut needs at least two vertices")
     if not 0.0 < edge_fraction <= 1.0:
         raise ValueError("edge_fraction must be in (0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     all_edges = [(i, j) for i in range(num_qubits) for j in range(i + 1, num_qubits)]
     count = max(1, int(round(edge_fraction * len(all_edges))))
     chosen = rng.choice(len(all_edges), size=count, replace=False)
-    return [all_edges[int(k)] for k in sorted(chosen)]
+    return [all_edges[k] for k in sorted(chosen)]
 
 
 def qaoa_maxcut_circuit(

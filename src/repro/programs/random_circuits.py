@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-
-import numpy as np
+import math
 
 from ..circuits.circuit import Circuit
+from ..rng import default_rng
 
 __all__ = ["random_two_qubit_circuit", "random_commuting_layer_circuit"]
 
@@ -23,27 +23,27 @@ def random_two_qubit_circuit(
         raise ValueError("need at least two qubits")
     if num_gates < 0:
         raise ValueError("num_gates must be non-negative")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     circuit = Circuit(num_qubits, name=f"random-{num_qubits}x{num_gates}")
     for _ in range(num_gates):
         if rng.random() < one_qubit_fraction:
-            q = int(rng.integers(num_qubits))
+            q = rng.integers(num_qubits)
             choice = rng.random()
             if choice < 0.4:
                 circuit.h(q)
             elif choice < 0.7:
-                circuit.rz(float(rng.uniform(0, 2 * np.pi)), q)
+                circuit.rz(rng.uniform(0, 2 * math.pi), q)
             else:
-                circuit.rx(float(rng.uniform(0, 2 * np.pi)), q)
+                circuit.rx(rng.uniform(0, 2 * math.pi), q)
         else:
             a, b = rng.choice(num_qubits, size=2, replace=False)
             choice = rng.random()
             if choice < 0.5:
-                circuit.cx(int(a), int(b))
+                circuit.cx(a, b)
             elif choice < 0.8:
-                circuit.cz(int(a), int(b))
+                circuit.cz(a, b)
             else:
-                circuit.cp(float(rng.uniform(0, np.pi)), int(a), int(b))
+                circuit.cp(rng.uniform(0, math.pi), a, b)
     if measure:
         circuit.measure_all()
     return circuit
@@ -64,13 +64,13 @@ def random_commuting_layer_circuit(
     """
     if num_qubits < 2:
         raise ValueError("need at least two qubits")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     circuit = Circuit(num_qubits, name=f"fanout-{num_qubits}x{num_layers}")
     for _ in range(num_layers):
-        control = int(rng.integers(num_qubits))
+        control = rng.integers(num_qubits)
         others = [q for q in range(num_qubits) if q != control]
         size = min(fanout, len(others))
         targets = rng.choice(others, size=size, replace=False)
         for t in targets:
-            circuit.cx(control, int(t))
+            circuit.cx(control, t)
     return circuit

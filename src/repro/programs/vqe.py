@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
+import math
 
 from ..circuits.circuit import Circuit
+from ..rng import default_rng
 
 __all__ = ["vqe_full_entanglement_circuit"]
 
@@ -55,8 +56,7 @@ def vqe_full_entanglement_circuit(
         if len(params) != needed:
             raise ValueError(f"expected {needed} parameters, got {len(params)}")
     else:
-        rng = np.random.default_rng(seed)
-        params = list(rng.uniform(0.0, 2.0 * np.pi, size=needed))
+        params = default_rng(seed).uniform(0.0, 2.0 * math.pi, size=needed)
 
     circuit = Circuit(num_qubits, name=f"vqe-{num_qubits}")
     index = 0

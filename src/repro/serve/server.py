@@ -525,6 +525,7 @@ class CompileServer(FramedServer):
         job, waiters = self._take(key)
         if job is not None and self.cache is not None:
             self.cache.put(key, job, result)
+        self.queue.forget(key)  # its waiters are taken; a new request starts afresh
         self._answer(
             waiters, {"key": key, "warm": warm, "cached": False, "result": result}, compiled=True
         )
@@ -547,6 +548,7 @@ class CompileServer(FramedServer):
         """Answer the requests waiting on keys whose attempts ran out."""
         for error in self.queue.failed_errors():
             job, waiters = self._take(error.key)
+            self.queue.forget(error.key)
             if not waiters:
                 continue
             payload = {"key": error.key, "warm": self.desk.holds(job), "job_error": asdict(error)}

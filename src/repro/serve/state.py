@@ -66,7 +66,7 @@ class DeviceState:
         layout = HighwayLayout(array, density=job.highway_density)
         router = LocalRouter(array.topology, layout.highway_qubits)
         # force the expensive pure tables now, off the request's critical path
-        array.topology.distance_matrix()
+        array.topology.distance_rows()
         return cls(key=device_key(job), array=array, layout=layout, router=router)
 
 

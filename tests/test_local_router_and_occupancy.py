@@ -193,7 +193,7 @@ class TestNextHopTables:
                 while current != destination:
                     current = min(
                         router._neighbors[current],
-                        key=lambda nb: (dist[nb, destination], nb),
+                        key=lambda nb: (dist[nb][destination], nb),
                     )
                     slow.append(current)
                 assert fast == slow
@@ -213,7 +213,7 @@ class TestNextHopTables:
                 for nb in topo.neighbors(entrance):
                     if nb in router.highway_qubits:
                         continue
-                    cost = router._distances[source, nb] if source != nb else 0.0
+                    cost = router._distances[source][nb] if source != nb else 0.0
                     if cost < best_cost:
                         best_cost = cost
                         best = nb

@@ -12,20 +12,19 @@ import pytest
 from repro.cli import main
 from repro.experiments.engine import Job, ResultCache, noise_to_items
 from repro.hardware.noise import DEFAULT_NOISE
-from repro.perf import (
+from repro.perf.bench import (
     BENCH_SCHEMA_VERSION,
     SUITES,
     BenchWorkload,
-    PhaseTimer,
     compare_bench,
     format_bench,
     format_comparison,
     load_bench,
     measure_calibration,
-    phase_breakdown,
     run_bench,
     write_bench,
 )
+from repro.perf.timers import PhaseTimer, phase_breakdown
 
 TINY_SUITE = (
     BenchWorkload(

@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.perf import (
-    BENCH_SCHEMA_VERSION,
+from repro.perf.bench import BENCH_SCHEMA_VERSION
+from repro.perf.history import (
     TREND_SCHEMA_VERSION,
     HistoryError,
     compute_history,
@@ -378,14 +378,12 @@ class TestHistoryCli:
 
     def test_history_does_not_compile(self, tmp_path, monkeypatch):
         # analysis-only: the compile path must never be touched
-        import repro.perf as perf_module
         import repro.perf.bench as bench_module
 
         def boom(*args, **kwargs):  # pragma: no cover - fails the test if hit
             raise AssertionError("--history must not run the bench suite")
 
         monkeypatch.setattr(bench_module, "run_bench", boom)
-        monkeypatch.setattr(perf_module, "run_bench", boom)
         history = self._seed(tmp_path)
         assert (
             main(
@@ -397,7 +395,7 @@ class TestHistoryCli:
 
 class TestBackendsSweepCli:
     def test_backends_all_expands_to_registry(self, tmp_path, monkeypatch, capsys):
-        import repro.perf as perf_module
+        import repro.perf.bench as bench_module
         from repro.backends import available_backends
 
         captured = {}
@@ -406,7 +404,7 @@ class TestBackendsSweepCli:
             captured["compilers"] = tuple(compilers)
             return _doc({("w", name): 1.0 for name in compilers}, created=1.0)
 
-        monkeypatch.setattr(perf_module, "run_bench", fake_run_bench)
+        monkeypatch.setattr(bench_module, "run_bench", fake_run_bench)
         code = main(
             ["bench", "--quick", "--backends", "all", "--out-dir", str(tmp_path), "--quiet"]
         )
@@ -414,10 +412,10 @@ class TestBackendsSweepCli:
         assert captured["compilers"] == tuple(available_backends())
 
     def test_single_backend_sweep_is_allowed(self, tmp_path, monkeypatch):
-        import repro.perf as perf_module
+        import repro.perf.bench as bench_module
 
         monkeypatch.setattr(
-            perf_module,
+            bench_module,
             "run_bench",
             lambda suite, *, compilers=None, repeat=1, progress=None, verify=False: _doc(
                 {("w", name): 1.0 for name in compilers}, created=1.0

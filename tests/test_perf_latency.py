@@ -4,18 +4,18 @@ import json
 
 import pytest
 
-from repro.perf import (
+from repro.perf.bench import BenchWorkload
+from repro.perf.latency import (
     LATENCY_SCHEMA_VERSION,
     format_latency,
     latency_regressed,
     load_latency,
-    percentile,
     run_latency,
     strip_timing,
     workload_job,
     write_latency,
 )
-from repro.perf.bench import BenchWorkload
+from repro.perf.timers import percentile
 
 
 # --------------------------------------------------------------------------

@@ -547,6 +547,22 @@ class TestForkedWorkers:
             with ServeClient(server.host, server.port) as client:
                 assert client.ping().ok
 
+    def test_answered_keys_leave_the_queue(self, monkeypatch):
+        set_chaos_spec(monkeypatch, "job-fail:QFT")
+        jobs = [Job(benchmark="BV", seed=seed, **SMALL) for seed in (71, 72, 73)]
+        with CompileServer(workers=1) as server:
+            answered = [_compile(server, job) for job in jobs]
+            failed = _compile(server, Job(benchmark="QFT", seed=74, **SMALL))
+            left = len(server.queue)
+            # a late duplicate completion of an answered key stays a no-op
+            assert not server.queue.complete(config_key(jobs[0]), "late-worker")
+            assert len(server.queue) == 0
+            stats = server.stats()
+        assert all(response.ok for response in answered)
+        assert not failed.ok and "job failed" in failed.error
+        assert left == 0
+        assert stats["compiles"] == 4 and stats["queue"]["completed"] == 3
+
     def test_cache_hit_is_answered_while_every_worker_compiles(self, monkeypatch, tmp_path):
         set_chaos_spec(monkeypatch, "job-stall:QFT,seconds=30")
         cached = Job(benchmark="BV", seed=71, **SMALL)
