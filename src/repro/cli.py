@@ -13,14 +13,12 @@ Runs any of the paper's figures/tables through the orchestration engine::
     repro bench --quick                  # pinned perf suite -> BENCH_<ts>.json
     repro bench --quick --backends all   # sweep every registered backend
     repro bench --suite fig12 --against artifacts/BENCH_20260730-120000.json
-    repro bench --history benchmarks/history   # trends over accumulated docs
     repro verify --suite quick           # static IR verification of every backend
     repro run fig12 --verify             # verify each fresh compilation in-line
     repro serve --port 7463              # warm-state compile server (repro.serve)
     repro submit --port 7463 --benchmark QFT --chiplet-width 5 --rows 1 --cols 2
     repro submit --port 7463 --suite quick --concurrency 4
     repro submit --port 7463 --shutdown  # graceful server stop (--ping, --stats)
-    repro bench --latency --quick        # cold vs warm serve-path p50/p99 gate
     repro farm run table2 --local-workers 2      # coordinator + leased workers
     repro farm run fig12 --worker-command 'ssh node{index} ...'   # remote workers
     repro farm-worker --connect 127.0.0.1:7464   # join an existing coordinator
@@ -279,11 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         " compared to a previous document (old timings rescaled by the"
         " recorded machine-calibration ratio) and the exit code is 1 when the"
         " geometric-mean wall-clock regresses beyond --max-regression or a"
-        " matched row's swaps, depth or eff-CNOTs differ.  With"
-        " --history DIR no compilation happens at all: every accumulated"
-        " BENCH_*.json under DIR is analysed into per-backend trend series"
-        " and a TREND_<timestamp>.json report, exiting 1 when any backend's"
-        " wall-clock drifted beyond --max-drift since the previous document.",
+        " matched row's swaps, depth or eff-CNOTs differ.",
     )
     bench.add_argument(
         "--suite",
@@ -336,23 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         " wall-clock grows by more than this fraction (default 0.25)",
     )
     bench.add_argument(
-        "--history",
-        metavar="DIR",
-        default=None,
-        help="analyse every BENCH_*.json under DIR into a per-backend trend"
-        " report instead of compiling anything (writes TREND_*.json to"
-        " --out-dir)",
-    )
-    bench.add_argument(
-        "--max-drift",
-        type=float,
-        default=0.5,
-        metavar="FRACTION",
-        help="with --history, fail (exit 1) when any backend's geomean"
-        " wall-clock grew by more than this fraction since the previous"
-        " document (default 0.5)",
-    )
-    bench.add_argument(
         "--verify",
         action="store_true",
         help="statically verify every compiled result; rows gain"
@@ -365,66 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the bench document (and comparison) as JSON",
     )
     bench.add_argument("--quiet", action="store_true", help="suppress progress output")
-    latency = bench.add_argument_group(
-        "latency mode (--latency)",
-        "serve-path latency suite: cold one-shot-process requests vs warm"
-        " requests against an in-process compile server, p50/p99 under"
-        " concurrent load, written as LATENCY_<timestamp>.json.  Exit code 1"
-        " when the warm/cold p50 ratio exceeds --max-warm-ratio, the"
-        " concurrent warm p99 exceeds --max-p99, or served results are not"
-        " byte-identical to the batch path.",
-    )
-    latency.add_argument(
-        "--latency",
-        action="store_true",
-        help="measure serve-path latency instead of compile throughput",
-    )
-    latency.add_argument(
-        "--requests",
-        type=int,
-        default=8,
-        metavar="N",
-        help="warm requests per workload, measured serially and concurrently"
-        " (default 8)",
-    )
-    latency.add_argument(
-        "--concurrency",
-        type=int,
-        default=4,
-        metavar="N",
-        help="client threads (and server workers) for the concurrent warm"
-        " phase (default 4)",
-    )
-    latency.add_argument(
-        "--cold-requests",
-        type=int,
-        default=2,
-        metavar="N",
-        help="cold one-shot-process requests per workload (default 2)",
-    )
-    latency.add_argument(
-        "--limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="only measure the first N workloads of the suite (CI smoke)",
-    )
-    latency.add_argument(
-        "--max-warm-ratio",
-        type=float,
-        default=0.75,
-        metavar="RATIO",
-        help="fail (exit 1) when warm p50 / cold p50 exceeds RATIO"
-        " (default 0.75; the acceptance target is 0.5)",
-    )
-    latency.add_argument(
-        "--max-p99",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="fail (exit 1) when the concurrent warm p99 exceeds SECONDS"
-        " (default: no absolute bound)",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -1142,10 +1059,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_bench,
     )
 
-    if args.latency:
-        return _cmd_bench_latency(args)
-    if args.history is not None:
-        return _cmd_bench_history(args)
     if args.repeat < 1:
         print("error: --repeat must be at least 1", file=sys.stderr)
         return 2
@@ -1282,70 +1195,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(format_report(report_from_dict(row["verify"])), file=sys.stderr)
         print(f"verification report: {path}")
     return 1 if dirty else 0
-
-
-def _cmd_bench_latency(args: argparse.Namespace) -> int:
-    """``repro bench --latency``: the serve-path latency suite and gate."""
-    from .perf.latency import (
-        format_latency,
-        latency_regressed,
-        run_latency,
-        write_latency,
-    )
-
-    if args.against is not None or args.history is not None:
-        print(
-            "error: --latency is its own mode; it cannot combine with"
-            " --against or --history",
-            file=sys.stderr,
-        )
-        return 2
-    for flag, value in (
-        ("--requests", args.requests),
-        ("--concurrency", args.concurrency),
-        ("--cold-requests", args.cold_requests),
-    ):
-        if value < 1:
-            print(f"error: {flag} must be at least 1", file=sys.stderr)
-            return 2
-    if args.limit is not None and args.limit < 1:
-        print("error: --limit must be at least 1", file=sys.stderr)
-        return 2
-    if not (args.max_warm_ratio > 0):  # inverted so NaN fails too
-        print("error: --max-warm-ratio must be positive", file=sys.stderr)
-        return 2
-    compilers = _parse_compilers(args.compilers)
-    if compilers is None:
-        return 2
-    suite = "quick" if args.quick else args.suite
-    progress = None if args.quiet else (lambda msg: print(f"  {msg}", file=sys.stderr))
-    document = run_latency(
-        suite,
-        compilers=compilers,
-        requests=args.requests,
-        concurrency=args.concurrency,
-        cold_requests=args.cold_requests,
-        limit=args.limit,
-        progress=progress,
-    )
-    path = write_latency(document, args.out_dir)
-    reasons = latency_regressed(
-        document, max_warm_ratio=args.max_warm_ratio, max_p99=args.max_p99
-    )
-    if args.json:
-        print(
-            json.dumps(
-                {"latency": document, "path": str(path), "gate_failures": reasons},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(format_latency(document))
-        print(f"latency document: {path}")
-        for reason in reasons:
-            print(f"LATENCY GATE: {reason}", file=sys.stderr)
-    return 1 if reasons else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1502,8 +1351,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             print("error: --concurrency must be at least 1", file=sys.stderr)
             return 2
         if args.suite is not None:
-            from .perf.bench import resolve_suite
-            from .perf.latency import workload_job
+            from .perf.bench import resolve_suite, workload_job
 
             workloads = resolve_suite(args.suite)
             if args.limit is not None:
@@ -1576,41 +1424,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         for response in failed:
             print(f"FAILED {response.request_id}: {response.error}", file=sys.stderr)
     return 1 if failed else 0
-
-
-def _cmd_bench_history(args: argparse.Namespace) -> int:
-    """``repro bench --history DIR``: analysis only, no compilation."""
-    from .perf.history import (
-        HistoryError,
-        compute_history,
-        format_history,
-        load_history,
-        write_trend,
-    )
-
-    if args.against is not None:
-        print(
-            "error: --history and --against are mutually exclusive"
-            " (--history already compares every document to its neighbours)",
-            file=sys.stderr,
-        )
-        return 2
-    if not (args.max_drift >= 0):  # inverted so NaN fails too
-        print("error: --max-drift must be >= 0", file=sys.stderr)
-        return 2
-    try:
-        documents, skipped = load_history(args.history)
-    except HistoryError as exc:
-        print(f"error: --history: {exc}", file=sys.stderr)
-        return 2
-    report = compute_history(documents, max_drift=args.max_drift, skipped=skipped)
-    path = write_trend(report, args.out_dir)
-    if args.json:
-        print(json.dumps({"trend": report, "path": str(path)}, indent=2, sort_keys=True))
-    else:
-        print(format_history(report))
-        print(f"trend report: {path}")
-    return 1 if report["regressed"] else 0
 
 
 def _validate_common_flags(args: argparse.Namespace) -> int | None:

@@ -24,9 +24,13 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 from collections.abc import Callable, Mapping, Sequence
 
 from ..metrics import geometric_mean
+
+if TYPE_CHECKING:  # imported lazily at runtime: engine -> backends -> compiler
+    from ..experiments.engine import Job  # pragma: no cover - typing only
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -39,6 +43,7 @@ __all__ = [
     "measure_calibration",
     "resolve_suite",
     "run_bench",
+    "workload_job",
     "write_bench",
     "write_document",
 ]
@@ -61,6 +66,21 @@ class BenchWorkload:
     rows: int
     cols: int
     seed: int = BENCH_SEED
+
+
+def workload_job(workload: BenchWorkload, compilers: Sequence[str]) -> "Job":
+    """The engine job that compiles ``workload`` with ``compilers``."""
+    from ..experiments.engine import Job
+
+    return Job(
+        benchmark=workload.benchmark,
+        structure=workload.structure,
+        chiplet_width=workload.chiplet_width,
+        rows=workload.rows,
+        cols=workload.cols,
+        seed=workload.seed,
+        compilers=tuple(compilers),
+    )
 
 
 def _fig12_workloads(
@@ -108,30 +128,28 @@ def resolve_suite(suite: str) -> tuple[BenchWorkload, ...]:
 def measure_calibration(repeats: int = 5) -> float:
     """Wall-clock seconds of a fixed CPU workload (machine-speed probe).
 
-    A mix of interpreter-bound and numpy-bound work.  One untimed warm-up
+    Interpreter-bound work only, like the compile path: an integer loop and
+    a scan over a small fixed table (list indexing and compares, the shape
+    of the routers' inner loops), in constant memory.  One untimed warm-up
     pass settles the adaptive interpreter and CPU boost state, then the
-    minimum over ``repeats`` ~30 ms runs rejects scheduling noise — short
+    minimum over ``repeats`` ~35 ms runs rejects scheduling noise — short
     probes swing by tens of percent on an otherwise idle machine, which
     would manufacture phantom regressions.  Comparisons divide timings by
     the calibration ratio so documents recorded on different machines stay
     comparable.
-
-    The compile path no longer uses numpy, but the probe stays as it was so
-    that the calibrations already recorded in bench documents keep their
-    meaning; it is ``repro bench``'s only numpy import.
     """
-
-    import numpy as np
 
     def probe() -> float:
         start = time.perf_counter()
         acc = 0
         for i in range(400_000):
             acc += i * i
-        values = np.arange(100_000, dtype=np.float64)
-        for _ in range(50):
-            values = np.sqrt(values * 1.0000001 + 1.0)
-        del acc, values
+        table = list(range(64))
+        best = 0
+        for i in range(250_000):
+            value = table[i & 63]
+            if value > best:
+                best = value
         return time.perf_counter() - start
 
     probe()  # warm-up, untimed

@@ -12,12 +12,11 @@ golden equivalence suite ignores ``phase_*`` keys entirely.
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import contextmanager
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 
-__all__ = ["PHASE_PREFIX", "PhaseTimer", "percentile", "phase_breakdown"]
+__all__ = ["PHASE_PREFIX", "PhaseTimer", "phase_breakdown"]
 
 #: Stats-key prefix marking per-phase wall-clock entries.
 PHASE_PREFIX = "phase_"
@@ -50,23 +49,6 @@ class PhaseTimer:
         for name, seconds in self.seconds.items():
             stats[f"{PHASE_PREFIX}{name}{_SUFFIX}"] = float(seconds)
         return stats
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of ``values`` (``q`` in [0, 100]).
-
-    Nearest-rank (not interpolated) so a reported p99 is always a latency
-    that actually occurred — the convention latency SLOs use.
-    """
-    if not values:
-        raise ValueError("percentile of an empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"q must be in [0, 100], got {q}")
-    ordered = sorted(float(v) for v in values)
-    if q == 0.0:
-        return ordered[0]
-    rank = math.ceil(q / 100.0 * len(ordered))
-    return ordered[rank - 1]
 
 
 def phase_breakdown(stats: Mapping[str, object]) -> dict[str, float]:

@@ -10,8 +10,8 @@ repeated compiles pay it once per *device configuration*:
 * :mod:`~repro.serve.server` — socket server that answers cache hits
   itself and hands misses to forked workers running the engine's own
   ``_execute_keyed`` entry point (same cache keys, same payloads);
-* :mod:`~repro.serve.client` — blocking client plus concurrent submission
-  helpers used by ``repro submit`` and the latency bench.
+* :mod:`~repro.serve.client` — blocking client plus the concurrent
+  submission helper behind ``repro submit``.
 """
 
 from .client import ServeClient, submit_jobs

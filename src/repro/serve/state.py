@@ -5,8 +5,8 @@ all-pairs distance tables is pure — a deterministic function of the static
 device configuration (structure, chiplet footprint, cross-links, highway
 density).  The registry therefore caches one :class:`DeviceState` per device
 configuration and hands the *same* objects to every compile of that device:
-reuse cannot change any output, it only removes the rebuild from the latency
-path.
+reuse cannot change any output, it only takes the rebuild off each
+request's path.
 
 Thread-safety: a single lock guards the LRU map.  State construction happens
 outside the lock (two threads may race to build the same device once; the
@@ -121,7 +121,7 @@ class WarmStateRegistry:
             return built
 
     def stats(self) -> dict[str, Any]:
-        """Registry counters for the ``stats`` op and the latency report."""
+        """Registry counters for the ``stats`` op."""
         with self._lock:
             return {
                 "devices_resident": len(self._states),

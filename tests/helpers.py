@@ -17,13 +17,16 @@ in-process test, e.g. ``job-fail:QFT`` to make every QFT job fail.
 
 :func:`child_pids` and :func:`pid_alive` read ``/proc`` to follow forked
 workers after their parent is killed.
+
+:func:`strip_timing` drops a record payload's wall-clock keys, so served,
+cached and batch payloads compare byte for byte.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import networkx as nx
 import numpy as np
@@ -44,6 +47,7 @@ __all__ = [
     "wait_until_gone",
     "nx_topology",
     "nx_highway",
+    "strip_timing",
 ]
 
 
@@ -197,3 +201,18 @@ def nx_topology(topology: Topology) -> nx.Graph:
 def nx_highway(layout: HighwayLayout) -> nx.Graph:
     """The highway graph as a ``networkx.Graph`` (every highway qubit a node)."""
     return nx.Graph({q: list(nbrs) for q, nbrs in layout.highway_adjacency.items()})
+
+
+def strip_timing(payload: Mapping[str, object]) -> dict[str, object]:
+    """``payload`` without wall-clock keys — the deterministic canonical form.
+
+    Record payloads carry compile wall-clock under ``seconds`` (multi-compiler
+    records) or ``<name>_seconds`` (pair records); everything else is a pure
+    function of the job, so equality of the stripped forms is the byte-identity
+    check between the served and the batch path.
+    """
+    return {
+        k: v
+        for k, v in payload.items()
+        if k != "seconds" and not k.endswith("_seconds")
+    }

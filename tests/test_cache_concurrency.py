@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from helpers import strip_timing
 from repro.experiments import engine
 from repro.experiments.engine import Job, ResultCache, config_key
 
@@ -274,13 +275,6 @@ class TestServeCacheSharing:
     def test_parallel_served_submissions_share_cache_safely(self, tmp_path):
         from repro.serve import CompileServer, submit_jobs
 
-        def stripped(payload):
-            return {
-                k: v
-                for k, v in payload.items()
-                if k != "seconds" and not k.endswith("_seconds")
-            }
-
         cache = ResultCache(tmp_path / "cache")
         jobs = [
             Job(benchmark="QFT", chiplet_width=3, rows=1, cols=2, seed=seed)
@@ -293,6 +287,6 @@ class TestServeCacheSharing:
         assert all(response.payload["cached"] for response in second)
         for a, b in zip(first, second):
             assert json.dumps(
-                stripped(a.payload["result"]), sort_keys=True
-            ) == json.dumps(stripped(b.payload["result"]), sort_keys=True)
+                strip_timing(a.payload["result"]), sort_keys=True
+            ) == json.dumps(strip_timing(b.payload["result"]), sort_keys=True)
         assert cache.stats()["corrupt_entries"] == 0

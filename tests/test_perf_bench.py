@@ -22,6 +22,7 @@ from repro.perf.bench import (
     load_bench,
     measure_calibration,
     run_bench,
+    workload_job,
     write_bench,
 )
 from repro.perf.timers import PhaseTimer, phase_breakdown
@@ -179,7 +180,7 @@ class TestBenchDocument:
         assert measure_calibration(repeats=1) > 0
 
 
-def _fake_doc(seconds_by_row, calibration=1.0):
+def _fake_doc(seconds_by_row, calibration=1.0, metrics=None):
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "suite": "quick",
@@ -187,10 +188,30 @@ def _fake_doc(seconds_by_row, calibration=1.0):
         "compilers": ["baseline"],
         "calibration_seconds": calibration,
         "rows": [
-            {"workload": workload, "backend": backend, "seconds": seconds}
+            {"workload": workload, "backend": backend, "seconds": seconds, **(metrics or {})}
             for (workload, backend), seconds in seconds_by_row.items()
         ],
     }
+
+
+class TestWorkloadJob:
+    def test_field_mapping(self):
+        workload = BenchWorkload(
+            name="qft-w5-2x2",
+            benchmark="QFT",
+            structure="square",
+            chiplet_width=5,
+            rows=2,
+            cols=2,
+            seed=7,
+        )
+        job = workload_job(workload, ["baseline", "mech"])
+        assert job.benchmark == "QFT"
+        assert job.structure == "square"
+        assert job.chiplet_width == 5
+        assert (job.rows, job.cols) == (2, 2)
+        assert job.seed == 7
+        assert job.compilers == ("baseline", "mech")
 
 
 class TestCompareBench:
@@ -340,6 +361,56 @@ class TestBenchCli:
         assert main(["bench", "--compilers", "baseline,nope"]) == 2
         assert main(["bench", "--against", str(tmp_path / "missing.json")]) == 2
         capsys.readouterr()
+
+
+def _sweep_doc(compilers):
+    """What a fake ``run_bench`` returns: one row per backend, with metrics."""
+    return _fake_doc(
+        {("w", name): 1.0 for name in compilers},
+        metrics={"swaps": 10.0, "depth": 20.0, "eff_cnots": 30.0},
+    )
+
+
+class TestBackendsSweepCli:
+    def test_backends_all_expands_to_registry(self, tmp_path, monkeypatch, capsys):
+        import repro.perf.bench as bench_module
+        from repro.backends import available_backends
+
+        captured = {}
+
+        def fake_run_bench(suite, *, compilers=None, repeat=1, progress=None, verify=False):
+            captured["compilers"] = tuple(compilers)
+            return _sweep_doc(compilers)
+
+        monkeypatch.setattr(bench_module, "run_bench", fake_run_bench)
+        code = main(
+            ["bench", "--quick", "--backends", "all", "--out-dir", str(tmp_path), "--quiet"]
+        )
+        assert code == 0
+        assert captured["compilers"] == tuple(available_backends())
+
+    def test_single_backend_sweep_is_allowed(self, tmp_path, monkeypatch):
+        import repro.perf.bench as bench_module
+
+        monkeypatch.setattr(
+            bench_module,
+            "run_bench",
+            lambda suite, *, compilers=None, repeat=1, progress=None, verify=False: _sweep_doc(
+                compilers
+            ),
+        )
+        assert (
+            main(
+                ["bench", "--quick", "--backends", "mech", "--out-dir", str(tmp_path), "--quiet"]
+            )
+            == 0
+        )
+
+    def test_duplicate_and_unknown_backends_rejected(self, capsys):
+        assert main(["bench", "--backends", "mech,mech"]) == 2
+        assert "duplicate" in capsys.readouterr().err
+        assert main(["bench", "--backends", "mech,nope"]) == 2
+        assert "unknown compiler" in capsys.readouterr().err
 
 
 class TestVerifyCli:

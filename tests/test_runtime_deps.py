@@ -1,9 +1,8 @@
 """The compile path imports the standard library only.
 
 scipy and networkx are test-time oracles, and numpy is needed only by the
-statevector simulator and ``repro bench``'s calibration; loading any of
-them at start-up would cost every fresh process (each CLI call, server and
-worker) a large import.
+statevector simulator; loading any of them at start-up would cost every
+fresh process (each CLI call, server and worker) a large import.
 """
 
 import os
@@ -39,6 +38,7 @@ import sys
 import repro.cli, repro.serve.server, repro.farm.worker
 from repro.backends import available_backends
 from repro.experiments.engine import Job, run_jobs_report
+from repro.perf.bench import measure_calibration
 
 jobs = [
     Job(benchmark=name, structure="square", chiplet_width=4, rows=1, cols=2,
@@ -47,6 +47,7 @@ jobs = [
 ]
 records, report = run_jobs_report(jobs)
 assert len(records) == 4 and not report.errors, report
+assert measure_calibration(repeats=1) > 0
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "networkx")))
 """
     assert run_python(code, REPRO_VERIFY="1") == "[]"

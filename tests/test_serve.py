@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import child_pids, set_chaos_spec, wait_until_gone
+from helpers import child_pids, set_chaos_spec, strip_timing, wait_until_gone
 from repro import cli
 from repro.backends import available_backends
 from repro.experiments import engine
@@ -36,7 +36,6 @@ from repro.experiments.engine import (
     job_to_dict,
     set_warm_state_provider,
 )
-from repro.perf.latency import strip_timing
 from repro.serve import (
     SERVE_PROTOCOL_VERSION,
     CompileServer,
@@ -62,6 +61,28 @@ def batch_payload(job):
     _, payload = _execute_keyed((config_key(job), job_to_dict(job), None))
     assert "job_error" not in payload, payload
     return payload
+
+
+# --------------------------------------------------------------------------
+# canonical payload form
+
+
+class TestStripTiming:
+    def test_drops_wall_clock_keys_only(self):
+        payload = {
+            "baseline_depth": 10,
+            "baseline_seconds": 0.123,
+            "mech_seconds": 0.456,
+            "seconds": {"baseline": 0.1},
+            "extra": {"note": "kept"},
+        }
+        stripped = strip_timing(payload)
+        assert stripped == {"baseline_depth": 10, "extra": {"note": "kept"}}
+
+    def test_does_not_mutate_input(self):
+        payload = {"seconds": {"mech": 0.2}, "depth": 4}
+        strip_timing(payload)
+        assert "seconds" in payload
 
 
 # --------------------------------------------------------------------------
@@ -504,6 +525,17 @@ class TestForkedWorkers:
         warm = stats["warm_state"]
         assert warm["cold_builds"] + warm["warm_hits"] == 1
         assert stats["compiles"] == 2
+
+    def test_warm_requests_build_no_device(self):
+        jobs = [Job(benchmark="BV", seed=seed, **SMALL) for seed in (31, 32, 33)]
+        with CompileServer(workers=1) as server:
+            responses = [_compile(server, job) for job in jobs]
+            warm = server.stats()["warm_state"]
+        assert all(response.ok for response in responses)
+        assert warm["cold_builds"] == 1
+        assert warm["warm_hits"] == 2
+        assert responses[1].payload["warm"] is True
+        assert responses[2].payload["warm"] is True
 
     def test_worker_killed_mid_compile_heals_by_lease_expiry(self, monkeypatch):
         from repro.farm import coordinator as farm_coordinator
