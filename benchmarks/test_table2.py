@@ -28,7 +28,8 @@ def test_table2(benchmark, repro_scale, engine_opts, checkpoint_for):
         if record.benchmark == "BV":
             assert record.depth_improvement > 0.5
     # the full depth advantage on QFT/QAOA/VQE needs larger devices than the
-    # "small" tier (see EXPERIMENTS.md); assert it only at medium/paper scale
+    # "small" tier (see the scale tiers in src/repro/experiments/settings.py);
+    # assert it only at medium/paper scale
     if repro_scale != "small":
         for record in records:
             assert record.depth_improvement > 0.0

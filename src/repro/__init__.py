@@ -28,62 +28,59 @@ Quick start::
     ours = mech.compile(circuit)
     base = BaselineCompiler(array.topology).compile(circuit)
     print(ours.depth, base.depth)
+
+Every public name below loads its submodule on first access (PEP 562), so
+``import repro`` is cheap and a process that never compiles never imports a
+compiler.
 """
 
 __version__ = "1.0.0"
 
-from .backends import (
-    CompilerBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from .baseline import BaselineCompiler, SabreRouter
-from .circuits import Circuit, DependencyDag, Gate, Measurement
-from .compiler import CompilationResult, MechCompiler
-from .hardware import ChipletArray, ChipletStructure, NoiseModel, Topology
-from .highway import HighwayLayout, HighwayManager
-from .metrics import CircuitMetrics, OperationCounts, circuit_metrics, improvement
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "__version__",
-    # circuits
-    "Circuit",
-    "Gate",
-    "Measurement",
-    "DependencyDag",
-    "Simulator",
-    "SimulationResult",
+from ._lazy import lazy_exports
+
+_EXPORTS = {
+    # circuits (the simulator needs numpy)
+    "Circuit": ".circuits",
+    "Gate": ".circuits",
+    "Measurement": ".circuits",
+    "DependencyDag": ".circuits",
+    "Simulator": ".circuits",
+    "SimulationResult": ".circuits",
     # hardware
-    "ChipletArray",
-    "ChipletStructure",
-    "Topology",
-    "NoiseModel",
+    "ChipletArray": ".hardware",
+    "ChipletStructure": ".hardware",
+    "Topology": ".hardware",
+    "NoiseModel": ".hardware",
     # highway
-    "HighwayLayout",
-    "HighwayManager",
+    "HighwayLayout": ".highway",
+    "HighwayManager": ".highway",
     # compilers
-    "MechCompiler",
-    "BaselineCompiler",
-    "SabreRouter",
-    "CompilationResult",
+    "MechCompiler": ".compiler",
+    "BaselineCompiler": ".baseline",
+    "SabreRouter": ".baseline",
+    "CompilationResult": ".compiler",
     # pluggable backends
-    "CompilerBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
+    "CompilerBackend": ".backends",
+    "available_backends": ".backends",
+    "get_backend": ".backends",
+    "register_backend": ".backends",
     # metrics
-    "CircuitMetrics",
-    "OperationCounts",
-    "circuit_metrics",
-    "improvement",
-]
+    "CircuitMetrics": ".metrics",
+    "OperationCounts": ".metrics",
+    "circuit_metrics": ".metrics",
+    "improvement": ".metrics",
+}
+__all__ = ["__version__", *_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-
-def __getattr__(name: str):
-    # the simulator needs numpy; load it on first access (PEP 562)
-    if name in ("Simulator", "SimulationResult"):
-        from . import circuits
-
-        return getattr(circuits, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+if TYPE_CHECKING:
+    from .backends import CompilerBackend, available_backends, get_backend, register_backend
+    from .baseline import BaselineCompiler, SabreRouter
+    from .circuits import Circuit, DependencyDag, Gate, Measurement
+    from .circuits.simulator import SimulationResult, Simulator
+    from .compiler import CompilationResult, MechCompiler
+    from .hardware import ChipletArray, ChipletStructure, NoiseModel, Topology
+    from .highway import HighwayLayout, HighwayManager
+    from .metrics import CircuitMetrics, OperationCounts, circuit_metrics, improvement

@@ -6,45 +6,55 @@ hard-coded MECH-vs-baseline pair into an open N-compiler sweep:
 * :class:`CompilerBackend` — the two-method protocol every compiler adapts to;
 * :func:`register_backend` / :func:`get_backend` / :func:`available_backends`
   — the string-keyed registry everything above dispatches through;
-* built-ins — ``baseline``, ``mech``, ``mech-nofuse`` and ``sabre-x``
-  (importing this package registers all four).
+* built-ins — ``baseline``, ``mech``, their ablations and the SABRE variants
+  (:data:`~repro.backends.registry.BUILTIN_BACKENDS`), always registered;
+  the compilers behind them load on the first :func:`get_backend`.
 
 See :func:`repro.experiments.runner.compile_many` for the N-way driver and
 ``repro run --compilers a,b,c`` / ``repro compilers`` for the CLI surface.
 """
 
-from .base import CompilerBackend
-from .builtin import (
-    DEFAULT_COMPILERS,
-    BaselineBackend,
-    MechBackend,
-    MechNoAggBackend,
-    MechNoFuseBackend,
-    MechSingleEntryBackend,
-    SabreNoiseBackend,
-    SabreXBackend,
-)
-from .registry import (
-    available_backends,
-    backend_descriptions,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CompilerBackend",
-    "DEFAULT_COMPILERS",
-    "BaselineBackend",
-    "MechBackend",
-    "MechNoAggBackend",
-    "MechNoFuseBackend",
-    "MechSingleEntryBackend",
-    "SabreNoiseBackend",
-    "SabreXBackend",
-    "available_backends",
-    "backend_descriptions",
-    "get_backend",
-    "register_backend",
-    "unregister_backend",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "CompilerBackend": ".base",
+    "BaselineBackend": ".builtin",
+    "MechBackend": ".builtin",
+    "MechNoAggBackend": ".builtin",
+    "MechNoFuseBackend": ".builtin",
+    "MechSingleEntryBackend": ".builtin",
+    "SabreNoiseBackend": ".builtin",
+    "SabreXBackend": ".builtin",
+    "BUILTIN_BACKENDS": ".registry",
+    "DEFAULT_COMPILERS": ".registry",
+    "available_backends": ".registry",
+    "backend_descriptions": ".registry",
+    "get_backend": ".registry",
+    "register_backend": ".registry",
+    "unregister_backend": ".registry",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from .base import CompilerBackend
+    from .builtin import (
+        BaselineBackend,
+        MechBackend,
+        MechNoAggBackend,
+        MechNoFuseBackend,
+        MechSingleEntryBackend,
+        SabreNoiseBackend,
+        SabreXBackend,
+    )
+    from .registry import (
+        BUILTIN_BACKENDS,
+        DEFAULT_COMPILERS,
+        available_backends,
+        backend_descriptions,
+        get_backend,
+        register_backend,
+        unregister_backend,
+    )

@@ -17,12 +17,13 @@ configuration.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from ..circuits.circuit import Circuit
-from ..compiler.result import CompilationResult
-from ..hardware.array import ChipletArray
-from ..hardware.noise import NoiseModel
+if TYPE_CHECKING:  # annotations only: the registry must not load a compiler
+    from ..circuits.circuit import Circuit
+    from ..compiler.result import CompilationResult
+    from ..hardware.array import ChipletArray
+    from ..hardware.noise import NoiseModel
 
 __all__ = ["CompilerBackend"]
 

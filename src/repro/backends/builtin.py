@@ -15,6 +15,11 @@ strengthen the baseline side of every comparison:
 * ``sabre-x`` — extended-effort SABRE: more routing trials, deeper lookahead;
 * ``sabre-noise`` — SABRE over a noise-adaptive initial layout packed into
   the lowest-noise on-chip region instead of a fixed corner.
+
+The registry lists these backends by name and description without importing
+this module (:data:`~repro.backends.registry.BUILTIN_BACKENDS`); the first
+:func:`~repro.backends.registry.get_backend` of one loads it, and with it the
+compilers.
 """
 
 from __future__ import annotations
@@ -27,10 +32,8 @@ from ..compiler import MechCompiler
 from ..compiler.result import CompilationResult
 from ..hardware.array import ChipletArray
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
-from .registry import register_backend
 
 __all__ = [
-    "DEFAULT_COMPILERS",
     "BaselineBackend",
     "MechBackend",
     "MechNoAggBackend",
@@ -39,10 +42,6 @@ __all__ = [
     "SabreNoiseBackend",
     "SabreXBackend",
 ]
-
-#: The historic two-compiler comparison: reference first, then MECH.
-DEFAULT_COMPILERS = ("baseline", "mech")
-
 
 class MechBackend:
     """Highway-mediated MECH compiler (the paper's contribution)."""
@@ -211,14 +210,3 @@ class SabreNoiseBackend(BaselineBackend):
     def compiler_options(self, *, seed: int, baseline_trials: int) -> dict[str, Any]:
         return {"trials": baseline_trials, "layout_strategy": "noise"}
 
-
-for _backend_cls in (
-    BaselineBackend,
-    MechBackend,
-    MechNoAggBackend,
-    MechNoFuseBackend,
-    MechSingleEntryBackend,
-    SabreNoiseBackend,
-    SabreXBackend,
-):
-    register_backend(_backend_cls.name, _backend_cls)

@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
-from .base import CompilerBackend
+if TYPE_CHECKING:
+    from .base import CompilerBackend
 
 __all__ = [
+    "BUILTIN_BACKENDS",
+    "DEFAULT_COMPILERS",
     "available_backends",
     "backend_descriptions",
     "get_backend",
@@ -23,8 +27,61 @@ __all__ = [
     "unregister_backend",
 ]
 
+#: The historic two-compiler comparison: reference first, then MECH.
+DEFAULT_COMPILERS = ("baseline", "mech")
+
+#: The built-in backends: name -> (class in :mod:`.builtin`, description).
+#: Listing them needs no compiler; instantiating one imports the module.
+BUILTIN_BACKENDS: dict[str, tuple[str, str]] = {
+    "baseline": (
+        "BaselineBackend",
+        "SABRE-routed SWAP baseline (layout selection + SWAP-chain routing)",
+    ),
+    "mech": (
+        "MechBackend",
+        "MECH highway compiler: aggregation + highway-mediated communication",
+    ),
+    "mech-noagg": (
+        "MechNoAggBackend",
+        "MECH ablation: commuting-gate aggregation disabled (no highway gates)",
+    ),
+    "mech-nofuse": (
+        "MechNoFuseBackend",
+        "MECH ablation: highway routing with the CX-RZ-CX fusion rewrite disabled",
+    ),
+    "mech-singleentry": (
+        "MechSingleEntryBackend",
+        "MECH ablation: one highway-entrance candidate per component (multi-entry off)",
+    ),
+    "sabre-noise": (
+        "SabreNoiseBackend",
+        "noise-adaptive SABRE baseline (layout packed into the lowest-noise region)",
+    ),
+    "sabre-x": (
+        "SabreXBackend",
+        "extended-effort SABRE baseline (4x routing trials, deeper lookahead)",
+    ),
+}
+
+
+class _BuiltinFactory:
+    """Factory of one built-in backend that imports :mod:`.builtin` on its
+    first call."""
+
+    def __init__(self, class_name: str, description: str) -> None:
+        self.class_name = class_name
+        self.description = description
+
+    def __call__(self) -> CompilerBackend:
+        from . import builtin
+
+        return getattr(builtin, self.class_name)()
+
+
 #: name -> zero-arg factory producing a *fresh, unconfigured* backend.
-_REGISTRY: dict[str, Callable[[], CompilerBackend]] = {}
+_REGISTRY: dict[str, Callable[[], CompilerBackend]] = {
+    name: _BuiltinFactory(*entry) for name, entry in BUILTIN_BACKENDS.items()
+}
 
 #: Serialises registry mutation: compile-server worker threads resolve
 #: backends concurrently, and the check-then-set in :func:`register_backend`
@@ -90,6 +147,10 @@ def backend_descriptions() -> dict[str, str]:
             factory = _REGISTRY.get(name)
         if factory is None:  # unregistered between the listing and now
             continue
-        backend = factory()
-        out[name] = getattr(backend, "description", "") or ""
+        # a backend class (or a built-in's factory) carries its description;
+        # only other factories are instantiated to read it
+        description = getattr(factory, "description", None)
+        if not isinstance(description, str):
+            description = getattr(factory(), "description", "")
+        out[name] = description or ""
     return out

@@ -84,7 +84,7 @@ from .experiments.registry import (
     plan_experiment,
     run_experiment,
 )
-from .experiments.runner import AnyRecord, format_failed_rows, normalize_compilers
+from .experiments.records import AnyRecord, format_failed_rows, normalize_compilers
 from .experiments.settings import BENCHMARK_NAMES
 
 __all__ = ["main", "build_parser"]

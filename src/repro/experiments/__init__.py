@@ -6,130 +6,133 @@ The experiments layer is built around the orchestration engine
 against an on-disk result cache — by :func:`~repro.experiments.engine.run_jobs`.
 :func:`~repro.experiments.registry.run_experiment` is the one driver for a
 registered figure/table; the ``python -m repro`` CLI drives the same registry.
+
+The names below load their submodule on first access (PEP 562): planning,
+cache reads and artifact writing import no compiler, and the first executed
+job imports the compile path (:func:`~repro.experiments.engine.load_compile_path`).
 """
 
-from .engine import (
-    SCALE_TIERS,
-    Checkpoint,
-    CheckpointError,
-    ExecutionPlan,
-    Job,
-    JobError,
-    JobExecutionError,
-    JobPolicy,
-    JobTimeoutError,
-    ResultCache,
-    RunReport,
-    config_key,
-    load_checkpoint,
-    plan_jobs,
-    plan_summary,
-    run_jobs,
-    run_jobs_report,
-    write_artifacts,
-)
-from .fig12_scalability import format_fig12, improvement_series, jobs_for_fig12
-from .fig13_sensitivity import (
-    SensitivityResult,
-    format_fig13,
-    jobs_for_fig13,
-    sensitivity_results_from_records,
-)
-from .fig14_sparsity import format_fig14, jobs_for_fig14, normalized_by_sparsity
-from .fig15_highway_density import format_fig15, jobs_for_fig15, normalized_by_density
-from .fig16_structures import format_fig16, jobs_for_fig16, normalized_by_structure
-from .registry import (
-    EXPERIMENTS,
-    ExperimentSpec,
-    build_experiment_jobs,
-    experiment_meta,
-    get_experiment,
-    plan_experiment,
-    run_experiment,
-)
-from .runner import (
-    ComparisonRecord,
-    CompiledSet,
-    MultiComparisonRecord,
-    compare_many,
-    compile_many,
-    format_multi_records,
-    format_records,
-    resolve_compilers,
-)
-from .settings import (
-    BENCHMARK_NAMES,
-    FIG12_ARRAYS,
-    TABLE1_SETTINGS,
-    TABLE2_CHIPLET_SIZES,
-    ArchitectureSetting,
-    scaled_setting,
-)
-from .table2 import TABLE2_PAPER_REFERENCE, format_table2, jobs_for_table2
+from typing import TYPE_CHECKING
 
-__all__ = [
-    # engine
-    "Checkpoint",
-    "CheckpointError",
-    "ExecutionPlan",
-    "Job",
-    "JobError",
-    "JobExecutionError",
-    "JobPolicy",
-    "JobTimeoutError",
-    "ResultCache",
-    "RunReport",
-    "SCALE_TIERS",
-    "config_key",
-    "load_checkpoint",
-    "plan_jobs",
-    "plan_summary",
-    "run_jobs",
-    "run_jobs_report",
-    "write_artifacts",
-    # registry
-    "EXPERIMENTS",
-    "ExperimentSpec",
-    "build_experiment_jobs",
-    "experiment_meta",
-    "get_experiment",
-    "plan_experiment",
-    "run_experiment",
-    # runner
-    "ComparisonRecord",
-    "CompiledSet",
-    "MultiComparisonRecord",
-    "compare_many",
-    "compile_many",
-    "format_multi_records",
-    "format_records",
-    "resolve_compilers",
-    # settings
-    "ArchitectureSetting",
-    "TABLE1_SETTINGS",
-    "TABLE2_CHIPLET_SIZES",
-    "FIG12_ARRAYS",
-    "BENCHMARK_NAMES",
-    "scaled_setting",
-    # table 2
-    "jobs_for_table2",
-    "format_table2",
-    "TABLE2_PAPER_REFERENCE",
-    # figures
-    "jobs_for_fig12",
-    "format_fig12",
-    "improvement_series",
-    "jobs_for_fig13",
-    "format_fig13",
-    "sensitivity_results_from_records",
-    "SensitivityResult",
-    "jobs_for_fig14",
-    "format_fig14",
-    "normalized_by_sparsity",
-    "jobs_for_fig15",
-    "format_fig15",
-    "normalized_by_density",
-    "jobs_for_fig16",
-    "format_fig16",
-    "normalized_by_structure",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "Checkpoint": ".engine",
+    "CheckpointError": ".engine",
+    "ExecutionPlan": ".engine",
+    "Job": ".engine",
+    "JobError": ".engine",
+    "JobExecutionError": ".engine",
+    "JobPolicy": ".engine",
+    "JobTimeoutError": ".engine",
+    "ResultCache": ".engine",
+    "RunReport": ".engine",
+    "SCALE_TIERS": ".engine",
+    "config_key": ".engine",
+    "load_checkpoint": ".engine",
+    "plan_jobs": ".engine",
+    "plan_summary": ".engine",
+    "run_jobs": ".engine",
+    "run_jobs_report": ".engine",
+    "write_artifacts": ".engine",
+    "EXPERIMENTS": ".registry",
+    "ExperimentSpec": ".registry",
+    "build_experiment_jobs": ".registry",
+    "experiment_meta": ".registry",
+    "get_experiment": ".registry",
+    "plan_experiment": ".registry",
+    "run_experiment": ".registry",
+    "ComparisonRecord": ".records",
+    "MultiComparisonRecord": ".records",
+    "format_multi_records": ".records",
+    "format_records": ".records",
+    "resolve_compilers": ".records",
+    "CompiledSet": ".runner",
+    "compare_many": ".runner",
+    "compile_many": ".runner",
+    "ArchitectureSetting": ".settings",
+    "TABLE1_SETTINGS": ".settings",
+    "TABLE2_CHIPLET_SIZES": ".settings",
+    "FIG12_ARRAYS": ".settings",
+    "BENCHMARK_NAMES": ".settings",
+    "scaled_setting": ".settings",
+    "jobs_for_table2": ".table2",
+    "format_table2": ".table2",
+    "TABLE2_PAPER_REFERENCE": ".table2",
+    "jobs_for_fig12": ".fig12_scalability",
+    "format_fig12": ".fig12_scalability",
+    "improvement_series": ".fig12_scalability",
+    "jobs_for_fig13": ".fig13_sensitivity",
+    "format_fig13": ".fig13_sensitivity",
+    "sensitivity_results_from_records": ".fig13_sensitivity",
+    "SensitivityResult": ".fig13_sensitivity",
+    "jobs_for_fig14": ".fig14_sparsity",
+    "format_fig14": ".fig14_sparsity",
+    "normalized_by_sparsity": ".fig14_sparsity",
+    "jobs_for_fig15": ".fig15_highway_density",
+    "format_fig15": ".fig15_highway_density",
+    "normalized_by_density": ".fig15_highway_density",
+    "jobs_for_fig16": ".fig16_structures",
+    "format_fig16": ".fig16_structures",
+    "normalized_by_structure": ".fig16_structures",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from .engine import (
+        SCALE_TIERS,
+        Checkpoint,
+        CheckpointError,
+        ExecutionPlan,
+        Job,
+        JobError,
+        JobExecutionError,
+        JobPolicy,
+        JobTimeoutError,
+        ResultCache,
+        RunReport,
+        config_key,
+        load_checkpoint,
+        plan_jobs,
+        plan_summary,
+        run_jobs,
+        run_jobs_report,
+        write_artifacts,
+    )
+    from .fig12_scalability import format_fig12, improvement_series, jobs_for_fig12
+    from .fig13_sensitivity import (
+        SensitivityResult,
+        format_fig13,
+        jobs_for_fig13,
+        sensitivity_results_from_records,
+    )
+    from .fig14_sparsity import format_fig14, jobs_for_fig14, normalized_by_sparsity
+    from .fig15_highway_density import format_fig15, jobs_for_fig15, normalized_by_density
+    from .fig16_structures import format_fig16, jobs_for_fig16, normalized_by_structure
+    from .records import (
+        ComparisonRecord,
+        MultiComparisonRecord,
+        format_multi_records,
+        format_records,
+        resolve_compilers,
+    )
+    from .registry import (
+        EXPERIMENTS,
+        ExperimentSpec,
+        build_experiment_jobs,
+        experiment_meta,
+        get_experiment,
+        plan_experiment,
+        run_experiment,
+    )
+    from .runner import CompiledSet, compare_many, compile_many
+    from .settings import (
+        BENCHMARK_NAMES,
+        FIG12_ARRAYS,
+        TABLE1_SETTINGS,
+        TABLE2_CHIPLET_SIZES,
+        ArchitectureSetting,
+        scaled_setting,
+    )
+    from .table2 import TABLE2_PAPER_REFERENCE, format_table2, jobs_for_table2

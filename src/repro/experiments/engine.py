@@ -8,9 +8,9 @@ knobs and the seed.  The engine runs jobs in-process or over leased local
 worker processes, memoizes each record in an on-disk JSON cache keyed by the
 job's config hash (the compiler list is part of the hash), and emits JSON/CSV
 artifacts per experiment.  The default ``("baseline", "mech")`` pair produces
-the historic two-column :class:`~repro.experiments.runner.ComparisonRecord`;
+the historic two-column :class:`~repro.experiments.records.ComparisonRecord`;
 any other compiler list produces an N-way
-:class:`~repro.experiments.runner.MultiComparisonRecord` with per-backend
+:class:`~repro.experiments.records.MultiComparisonRecord` with per-backend
 columns.
 
 The design splits each experiment into three deterministic phases:
@@ -68,27 +68,24 @@ import threading
 import time
 import traceback
 from dataclasses import asdict, dataclass, field, fields, replace
+from importlib import import_module
 from pathlib import Path
 from collections.abc import Callable, Mapping, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 try:  # POSIX only; the access log degrades to best-effort appends without it
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from ..backends import DEFAULT_COMPILERS, available_backends
+from ..backends.registry import DEFAULT_COMPILERS, available_backends
 from ..chaos import chaos_controller
-from ..hardware.array import ChipletArray
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
-from ..metrics import improvement
-from .runner import (
-    AnyRecord,
-    ComparisonRecord,
-    MultiComparisonRecord,
-    backend_stat_extras,
-    compile_many,
-)
+from .records import AnyRecord, ComparisonRecord, MultiComparisonRecord, improvement
+
+if TYPE_CHECKING:  # the compile path loads on first use: see load_compile_path
+    from ..hardware.array import ChipletArray
+    from .runner import CompiledSet
 
 __all__ = [
     "CACHE_VERSION",
@@ -115,6 +112,7 @@ __all__ = [
     "job_to_dict",
     "journal_path_for",
     "load_checkpoint",
+    "load_compile_path",
     "noise_from_items",
     "noise_to_items",
     "plan_jobs",
@@ -193,6 +191,8 @@ class Job:
     compilers: tuple[str, ...] = DEFAULT_COMPILERS
 
     def build_array(self) -> ChipletArray:
+        from ..hardware.array import ChipletArray
+
         return ChipletArray(
             self.structure,
             self.chiplet_width,
@@ -392,7 +392,27 @@ def set_warm_state_provider(
     return previous
 
 
-def _compile_job(job: Job):
+#: The modules a job execution needs beyond this one: the runner (circuits,
+#: programs, highway layout) and the built-in backends (the compilers).
+_COMPILE_PATH = (".runner", "..backends.builtin")
+
+
+def load_compile_path() -> None:
+    """Import the compile path: every module that executing a job loads.
+
+    This module imports none of it at module level, so a process that only
+    plans, reads the cache or writes artifacts never pays for it; the first
+    executed job imports it.  A process that forks compile workers calls
+    this before the fork, so each worker starts with it loaded and imports
+    nothing after the fork.  Idempotent.
+    """
+    for name in _COMPILE_PATH:
+        import_module(name, __package__)
+    if _verify_enabled():
+        import_module("..analysis", __package__)
+
+
+def _compile_job(job: Job) -> CompiledSet:
     """Compile a job's benchmark with every backend it lists.
 
     With :data:`VERIFY_ENV` set (the CLI's ``repro run --verify``), every
@@ -404,6 +424,8 @@ def _compile_job(job: Job):
     the resident array/layout/router replace the cold per-job rebuild — the
     serve path's whole point; with no provider every job builds its own.
     """
+    from .runner import compile_many
+
     provider = _WARM_STATE_PROVIDER
     state = provider(job) if provider is not None else None
     if state is not None:
@@ -442,6 +464,8 @@ def _run_compare_job(job: Job) -> AnyRecord:
     metrics identical to the pre-registry engine; any other compiler list
     yields a :class:`MultiComparisonRecord` with per-backend columns.
     """
+    from .runner import backend_stat_extras
+
     compiled = _compile_job(job)
     extra = backend_stat_extras(compiled)
     noise = job.noise_model()

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..hardware.array import ChipletArray
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
 from .engine import Job, noise_to_items
-from .runner import AnyRecord, resolve_compilers
+from .records import AnyRecord, resolve_compilers
 from .settings import BENCHMARK_NAMES
 
 __all__ = ["jobs_for_fig14", "normalized_by_sparsity", "format_fig14"]
@@ -40,6 +39,8 @@ def jobs_for_fig14(
     compilers: Sequence[str] | None = None,
 ) -> list[Job]:
     """One job per (links-per-edge, benchmark) of the Fig. 14 sweep."""
+    from ..hardware.array import ChipletArray
+
     if scale not in _SCALE_DEVICE:
         raise ValueError(f"unknown scale {scale!r}; choose from {sorted(_SCALE_DEVICE)}")
     structure, width, rows, cols, default_levels = _SCALE_DEVICE[scale]

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..compiler import MechCompiler
-from ..hardware.array import ChipletArray
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
 from .engine import Job, noise_to_items
-from .runner import AnyRecord, resolve_compilers
+from .records import AnyRecord, resolve_compilers
 from .settings import BENCHMARK_NAMES
 
 __all__ = ["jobs_for_fig15", "normalized_by_density", "format_fig15"]
@@ -49,6 +47,9 @@ def jobs_for_fig15(
     highway's data-qubit count for every density, so denser highways are not
     penalised by a smaller program.
     """
+    from ..compiler import MechCompiler  # sizing needs the highway layouts
+    from ..hardware.array import ChipletArray
+
     if scale not in _SCALE_DEVICE:
         raise ValueError(f"unknown scale {scale!r}; choose from {sorted(_SCALE_DEVICE)}")
     structure, width, rows, cols = _SCALE_DEVICE[scale]

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
 from .engine import Job, noise_to_items
-from .runner import AnyRecord, resolve_compilers
+from .records import AnyRecord, resolve_compilers
 from .settings import BENCHMARK_NAMES, TABLE1_SETTINGS, ArchitectureSetting, scaled_setting
 
 __all__ = [

@@ -34,7 +34,7 @@ from .fig13_sensitivity import format_fig13, jobs_for_fig13, sensitivity_results
 from .fig14_sparsity import format_fig14, jobs_for_fig14
 from .fig15_highway_density import format_fig15, jobs_for_fig15
 from .fig16_structures import format_fig16, jobs_for_fig16
-from .runner import AnyRecord, resolve_compilers
+from .records import AnyRecord, resolve_compilers
 from .table2 import format_table2, jobs_for_table2
 
 __all__ = [

@@ -14,8 +14,10 @@ produced it (its ``scale`` metadata).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from ..hardware.array import ChipletArray
+if TYPE_CHECKING:
+    from ..hardware.array import ChipletArray
 
 __all__ = [
     "ArchitectureSetting",
@@ -44,6 +46,8 @@ class ArchitectureSetting:
 
     def build_array(self) -> ChipletArray:
         """Instantiate the chiplet array for this setting."""
+        from ..hardware.array import ChipletArray
+
         return ChipletArray(
             self.structure,
             self.chiplet_width,

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
 from .engine import Job, noise_to_items
-from .runner import AnyRecord, format_records, resolve_compilers
+from .records import AnyRecord, format_records, resolve_compilers
 from .settings import BENCHMARK_NAMES, TABLE2_CHIPLET_SIZES
 
 __all__ = ["jobs_for_table2", "format_table2", "TABLE2_PAPER_REFERENCE"]

@@ -5,29 +5,33 @@
 lease-based work queue over the protocol-v2 wire) plus N workers launched
 through a pluggable :class:`~repro.farm.launcher.WorkerLauncher`.  See the
 README's "Compile farm" section for the operational story.
+
+Each name loads its submodule on first access (PEP 562).
 """
 
-from .coordinator import FarmCoordinator, run_farm
-from .launcher import (
-    CommandWorkerLauncher,
-    LocalWorkerLauncher,
-    WorkerLauncher,
-    stop_workers,
-)
-from .queue import LeaseQueue, QueueEntry
-from .schema import Lease
-from .worker import default_worker_id, run_worker
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CommandWorkerLauncher",
-    "FarmCoordinator",
-    "Lease",
-    "LeaseQueue",
-    "LocalWorkerLauncher",
-    "QueueEntry",
-    "WorkerLauncher",
-    "default_worker_id",
-    "run_farm",
-    "run_worker",
-    "stop_workers",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "FarmCoordinator": ".coordinator",
+    "run_farm": ".coordinator",
+    "CommandWorkerLauncher": ".launcher",
+    "LocalWorkerLauncher": ".launcher",
+    "WorkerLauncher": ".launcher",
+    "stop_workers": ".launcher",
+    "LeaseQueue": ".queue",
+    "QueueEntry": ".queue",
+    "Lease": ".schema",
+    "default_worker_id": ".worker",
+    "run_worker": ".worker",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from .coordinator import FarmCoordinator, run_farm
+    from .launcher import CommandWorkerLauncher, LocalWorkerLauncher, WorkerLauncher, stop_workers
+    from .queue import LeaseQueue, QueueEntry
+    from .schema import Lease
+    from .worker import default_worker_id, run_worker

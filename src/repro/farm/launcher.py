@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any, NoReturn, Protocol
 
 from ..chaos import reset_chaos
+from ..experiments.engine import load_compile_path
 from ..serve.server import close_listeners
 from ..serve.state import WarmStateRegistry
 from .queue import LEASE_SECONDS
@@ -102,8 +103,9 @@ class LocalWorkerLauncher:
     discarded; ``max_devices`` gives each worker its own warm-state
     registry of that size (``repro serve``).  Launch before the server
     starts any thread: a child inherits every lock as it was at the fork,
-    so a lock another thread held then stays held forever.  A child ends
-    itself once this process is gone.
+    so a lock another thread held then stays held forever.  The compile
+    path is imported here, before the first fork, so no child imports
+    anything.  A child ends itself once this process is gone.
     """
 
     def __init__(
@@ -120,6 +122,7 @@ class LocalWorkerLauncher:
         self.max_devices = max_devices
 
     def launch(self, index: int, host: str, port: int) -> ForkedWorker:
+        load_compile_path()
         log: str | Path = os.devnull
         if self.log_dir is not None:
             self.log_dir.mkdir(parents=True, exist_ok=True)

@@ -38,7 +38,12 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from typing import Any, NoReturn
 
 from ..chaos import chaos_controller
-from ..experiments.engine import _execute_keyed, job_from_dict, set_warm_state_provider
+from ..experiments.engine import (
+    _execute_keyed,
+    job_from_dict,
+    load_compile_path,
+    set_warm_state_provider,
+)
 from ..serve.client import ServeClient
 from ..serve.retry import BackoffPolicy, retry_call
 from ..serve.schema import ServeProtocolError, ServeResponse
@@ -171,6 +176,9 @@ def run_worker(
     def orphaned() -> bool:
         return parent_pid is not None and os.getppid() != parent_pid
 
+    # import before any thread starts, so the executor threads never race
+    # on a first import (a forked worker inherits it already loaded)
+    load_compile_path()
     heartbeat = _Heartbeat(host, port, worker_id, orphaned, note)
     heartbeat.start()
     previous = set_warm_state_provider(registry.get) if registry is not None else None

@@ -19,10 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
-from .circuits.circuit import Circuit
+from .experiments.records import improvement, normalized_ratio
 from .hardware.noise import DEFAULT_NOISE, NoiseModel
-from .hardware.topology import Topology
+
+if TYPE_CHECKING:  # annotations only: importing the metrics loads no circuit IR
+    from .circuits.circuit import Circuit
+    from .hardware.topology import Topology
 
 __all__ = [
     "OperationCounts",
@@ -209,20 +213,6 @@ def circuit_metrics(
         num_physical_qubits=circuit.num_qubits,
         num_operations=num_operations,
     )
-
-
-def improvement(baseline: float, ours: float) -> float:
-    """Relative improvement ``1 - ours/baseline`` (the paper's percentages)."""
-    if baseline <= 0:
-        raise ValueError("baseline metric must be positive")
-    return 1.0 - ours / baseline
-
-
-def normalized_ratio(baseline: float, ours: float) -> float:
-    """``ours / baseline`` — the normalised values plotted in Figs. 14-16."""
-    if baseline <= 0:
-        raise ValueError("baseline metric must be positive")
-    return ours / baseline
 
 
 def geometric_mean(values: Iterable[float]) -> float:

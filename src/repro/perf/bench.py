@@ -170,6 +170,11 @@ def run_bench(
     wall-clock per backend (metrics are identical across repeats — the
     compilers are deterministic at fixed seeds).
 
+    The machine-speed calibration is sampled after each workload's repeats
+    and the fastest sample is recorded: one probe at the end of the run
+    catches whatever the host was doing at that moment, and a single slow
+    or fast outlier would rescale every row of a comparison.
+
     Unlike an experiment comparison, a bench sweep has no reference backend,
     so ``compilers`` may be a single name (or the whole registry — the CLI's
     ``--backends all``); ``None`` keeps the default pair.
@@ -195,6 +200,7 @@ def run_bench(
         if duplicates:
             raise ValueError(f"duplicate compiler(s) {duplicates} in {list(names)}")
     rows: list[dict[str, object]] = []
+    calibrations: list[float] = []
     for workload in workloads:
         if progress is not None:
             progress(f"bench {workload.name} [{', '.join(names)}]")
@@ -210,6 +216,7 @@ def run_bench(
         assert best is not None
         for backend in names:
             rows.append(best[backend])
+        calibrations.append(measure_calibration())
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "suite": suite,
@@ -219,7 +226,7 @@ def run_bench(
         "compilers": list(names),
         "repeat": repeat,
         "verify": bool(verify),
-        "calibration_seconds": measure_calibration(),
+        "calibration_seconds": min(calibrations),
         "rows": rows,
     }
 

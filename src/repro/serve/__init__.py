@@ -12,31 +12,41 @@ repeated compiles pay it once per *device configuration*:
   ``_execute_keyed`` entry point (same cache keys, same payloads);
 * :mod:`~repro.serve.client` — blocking client plus the concurrent
   submission helper behind ``repro submit``.
+
+Each name loads its submodule on first access (PEP 562): the client never
+imports the server, and neither imports a compiler until it compiles.
 """
 
-from .client import ServeClient, submit_jobs
-from .schema import (
-    SERVE_PROTOCOL_VERSION,
-    ServeProtocolError,
-    ServeRequest,
-    ServeResponse,
-    decode_line,
-    encode_message,
-)
-from .server import CompileServer
-from .state import DeviceState, WarmStateRegistry, device_key
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "SERVE_PROTOCOL_VERSION",
-    "CompileServer",
-    "DeviceState",
-    "ServeClient",
-    "ServeProtocolError",
-    "ServeRequest",
-    "ServeResponse",
-    "WarmStateRegistry",
-    "decode_line",
-    "device_key",
-    "encode_message",
-    "submit_jobs",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "ServeClient": ".client",
+    "submit_jobs": ".client",
+    "SERVE_PROTOCOL_VERSION": ".schema",
+    "ServeProtocolError": ".schema",
+    "ServeRequest": ".schema",
+    "ServeResponse": ".schema",
+    "decode_line": ".schema",
+    "encode_message": ".schema",
+    "CompileServer": ".server",
+    "DeviceState": ".state",
+    "WarmStateRegistry": ".state",
+    "device_key": ".state",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from .client import ServeClient, submit_jobs
+    from .schema import (
+        SERVE_PROTOCOL_VERSION,
+        ServeProtocolError,
+        ServeRequest,
+        ServeResponse,
+        decode_line,
+        encode_message,
+    )
+    from .server import CompileServer
+    from .state import DeviceState, WarmStateRegistry, device_key

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import assert_all_two_qubit_ops_coupled, assert_semantically_equivalent
 from repro.backends import (
+    BUILTIN_BACKENDS,
     DEFAULT_COMPILERS,
     CompilerBackend,
     available_backends,
@@ -50,6 +51,16 @@ def _configured(name, array, seed=0):
 class TestRegistry:
     def test_builtins_are_registered(self):
         assert set(BUILTINS) <= set(available_backends())
+
+    def test_builtin_table_matches_the_backend_classes(self):
+        # the registry lists the built-ins without importing their module
+        from repro.backends import builtin
+
+        assert sorted(BUILTIN_BACKENDS) == sorted(BUILTINS)
+        for name, (class_name, description) in BUILTIN_BACKENDS.items():
+            cls = getattr(builtin, class_name)
+            assert (cls.name, cls.description) == (name, description)
+            assert type(get_backend(name)) is cls
 
     def test_available_backends_is_sorted(self):
         names = available_backends()

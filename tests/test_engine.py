@@ -350,11 +350,11 @@ class TestVerifyHook:
         assert report.failed == 0 and len(records) == 1
 
     def test_tampered_compilation_fails_the_job(self, monkeypatch):
-        import repro.experiments.engine as engine_module
+        import repro.experiments.runner as runner_module
         from repro.experiments.engine import VERIFY_ENV, JobPolicy
 
         monkeypatch.setenv(VERIFY_ENV, "1")
-        real = engine_module.compile_many
+        real = runner_module.compile_many
 
         def tampering(*args, **kwargs):
             compiled = real(*args, **kwargs)
@@ -367,7 +367,7 @@ class TestVerifyHook:
             del ops[index]
             return compiled
 
-        monkeypatch.setattr(engine_module, "compile_many", tampering)
+        monkeypatch.setattr(runner_module, "compile_many", tampering)
         records, report = run_jobs_report(
             [TINY], policy=JobPolicy(on_error="record")
         )
@@ -378,11 +378,11 @@ class TestVerifyHook:
         assert "violation(s)" in error.message
 
     def test_verify_off_by_default(self, monkeypatch):
-        import repro.experiments.engine as engine_module
+        import repro.experiments.runner as runner_module
         from repro.experiments.engine import VERIFY_ENV
 
         monkeypatch.delenv(VERIFY_ENV, raising=False)
-        real = engine_module.compile_many
+        real = runner_module.compile_many
 
         def tampering(*args, **kwargs):
             compiled = real(*args, **kwargs)
@@ -390,7 +390,7 @@ class TestVerifyHook:
             del ops[max(i for i, op in enumerate(ops) if len(op.qubits) == 2)]
             return compiled
 
-        monkeypatch.setattr(engine_module, "compile_many", tampering)
+        monkeypatch.setattr(runner_module, "compile_many", tampering)
         records, report = run_jobs_report([TINY])
         # without the env var the tamper sails through: verification is opt-in
         assert report.failed == 0 and len(records) == 1

@@ -179,6 +179,36 @@ class TestBenchDocument:
     def test_calibration_is_positive_and_repeatable(self):
         assert measure_calibration(repeats=1) > 0
 
+    def test_records_the_fastest_per_workload_calibration(self, monkeypatch):
+        import repro.perf.bench as bench_module
+        import repro.perf.workloads as workloads_module
+
+        suite = tuple(
+            BenchWorkload(name=f"w{i}", benchmark="QFT", structure="square",
+                          chiplet_width=4, rows=1, cols=2)
+            for i in range(3)
+        )
+        monkeypatch.setitem(bench_module.SUITES, "quick", suite)
+        compiled: list[str] = []
+
+        def fake_compile(workload, compilers, *, verify=False):
+            compiled.append(workload.name)
+            return {name: {"backend": name, "seconds": 1.0} for name in compilers}
+
+        samples = iter([0.8, 0.5, 0.9])
+        calls: list[int] = []
+
+        def fake_calibration(repeats=5):
+            # one probe after each workload, never before its compile
+            calls.append(len(compiled))
+            return next(samples)
+
+        monkeypatch.setattr(workloads_module, "compile_workload", fake_compile)
+        monkeypatch.setattr(bench_module, "measure_calibration", fake_calibration)
+        doc = run_bench("quick", compilers=("baseline",), repeat=2)
+        assert calls == [2, 4, 6]
+        assert doc["calibration_seconds"] == 0.5
+
 
 def _fake_doc(seconds_by_row, calibration=1.0, metrics=None):
     return {

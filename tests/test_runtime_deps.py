@@ -1,14 +1,22 @@
-"""The compile path imports the standard library only.
+"""What each entry point imports.
 
-scipy and networkx are test-time oracles, and numpy is needed only by the
-statevector simulator; loading any of them at start-up would cost every
-fresh process (each CLI call, server and worker) a large import.
+The compile path imports the standard library only: scipy and networkx are
+test-time oracles, and numpy is needed only by the statevector simulator;
+loading any of them at start-up would cost every fresh process (each CLI
+call, server and worker) a large import.
+
+A process that never compiles (a cached run, a client, the CLI itself)
+imports no compiler either, and a process that forks compile workers loads
+the compile path before the fork.  Each case runs in a fresh interpreter.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -51,3 +59,104 @@ assert measure_calibration(repeats=1) > 0
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "networkx")))
 """
     assert run_python(code, REPRO_VERIFY="1") == "[]"
+
+
+#: Package prefixes of the compile path.
+COMPILE_PATH = (
+    "repro.analysis",
+    "repro.backends.builtin",
+    "repro.baseline",
+    "repro.circuits",
+    "repro.compiler",
+    "repro.highway",
+    "repro.programs",
+)
+
+LOADED_COMPILE_PATH = (
+    "import sys; print(sorted(m for m in sys.modules"
+    f" if m.startswith({COMPILE_PATH!r})))"
+)
+
+@pytest.mark.parametrize(
+    "module", ["repro.experiments.engine", "repro.serve.client", "repro.cli"]
+)
+def test_entry_points_import_no_compiler(module):
+    assert run_python(f"import {module}; {LOADED_COMPILE_PATH}") == "[]"
+
+
+def test_cached_run_and_artifacts_import_no_compiler(tmp_path):
+    code = f"""
+from repro.experiments.engine import Job, run_jobs_report, write_artifacts
+
+jobs = [Job("BV", structure="square", chiplet_width=3, rows=1, cols=2, seed=seed)
+        for seed in (0, 1)]
+records, report = run_jobs_report(jobs, cache={str(tmp_path / "cache")!r})
+write_artifacts("sweep", records, {str(tmp_path / "artifacts")!r})
+print(report.cache_hits)
+{LOADED_COMPILE_PATH}
+"""
+    assert run_python(code).splitlines()[0] == "0"  # the first run compiles
+    assert run_python(code).splitlines() == ["2", "[]"]
+    assert (tmp_path / "artifacts" / "sweep.json").exists()
+
+
+LAZY_ROOTS = (
+    "repro",
+    "repro.backends",
+    "repro.experiments",
+    "repro.farm",
+    "repro.hardware",
+    "repro.serve",
+)
+
+
+def test_lazy_roots_keep_their_api():
+    code = f"""
+import importlib, json
+checked = 0
+for root in {LAZY_ROOTS!r}:
+    package = importlib.import_module(root)
+    names = [name for name in package.__all__ if name != "__version__"]
+    assert set(names) == set(package._EXPORTS), root
+    assert set(package.__all__) <= set(dir(package)), root
+    for name in names:
+        home = importlib.import_module(package._EXPORTS[name], root)
+        namespace = {{}}
+        exec(f"from {{root}} import {{name}} as value", namespace)
+        assert getattr(package, name) is getattr(home, name), (root, name)
+        assert namespace["value"] is getattr(home, name), (root, name)
+        checked += 1
+    try:
+        package.no_such_name
+    except AttributeError as exc:
+        assert "no_such_name" in str(exc)
+    else:
+        raise AssertionError(root + " resolved an unknown name")
+print(json.dumps(checked))
+"""
+    assert json.loads(run_python(code)) > 100
+
+
+def test_compile_server_loads_the_compile_path_before_forking():
+    code = """
+import json, sys
+from repro.serve.server import CompileServer
+
+server = CompileServer(workers=1)
+before = "repro.backends.builtin" in sys.modules
+server.start()
+try:
+    print(json.dumps([before, sorted(sys.modules)]))
+finally:
+    server.shutdown()
+"""
+    before, loaded = json.loads(run_python(code))
+    assert before is False
+    for module in (
+        "repro.backends.builtin",
+        "repro.baseline.sabre",
+        "repro.compiler.mech",
+        "repro.experiments.runner",
+        "repro.programs",
+    ):
+        assert module in loaded
