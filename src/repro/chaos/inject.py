@@ -14,8 +14,8 @@ The transport, storage and job layers call four hooks:
 All hooks are thread-safe (the serve layers are threaded) and count
 every injected fault per (kind, site) pair; ``report()`` snapshots the
 counters into a schema-versioned document and ``flush_report()`` appends
-it to the ``REPRO_CHAOS_REPORT`` path, one JSON line per process, so a
-farm run's workers each contribute a record.
+it to the ``REPRO_CHAOS_REPORT`` path, one JSON line per process, so each
+worker of a coordinated run contributes a record.
 """
 
 from __future__ import annotations

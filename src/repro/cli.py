@@ -19,9 +19,8 @@ Runs any of the paper's figures/tables through the orchestration engine::
     repro submit --port 7463 --benchmark QFT --chiplet-width 5 --rows 1 --cols 2
     repro submit --port 7463 --suite quick --concurrency 4
     repro submit --port 7463 --shutdown  # graceful server stop (--ping, --stats)
-    repro farm run table2 --local-workers 2      # coordinator + leased workers
-    repro farm run fig12 --worker-command 'ssh node{index} ...'   # remote workers
-    repro farm-worker --connect 127.0.0.1:7464   # join an existing coordinator
+    repro run fig12 --worker-command 'ssh node{index} ...'   # remote workers
+    repro farm-worker --connect 127.0.0.1:7464   # join a running coordinator
     repro list
     repro cache-stats [--json]           # size/health + hit-rate telemetry
     repro cache-stats --rank access      # the daemon's exact eviction order
@@ -45,6 +44,12 @@ cached/pending/failed plan a real run would execute (compiling nothing), and
 sweep from its checkpoint file alone — the serialized job list is
 re-hydrated, completed jobs are served from the cache, only the remainder
 executes, and the merged artifacts match an uninterrupted run's.
+
+``run`` and ``resume`` execute in this process with one worker.  With
+``--jobs N`` above one, or with ``--worker-command``, they run a compile-farm
+coordinator instead: it serves the pending jobs from a lease queue to forked
+local workers or to workers launched by the command template, which join
+through ``repro farm-worker``.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ import sys
 import time
 from pathlib import Path
 from collections.abc import Sequence
+from typing import Any
 
 from .backends import DEFAULT_COMPILERS, available_backends, backend_descriptions
 from .chaos import CHAOS_ENV, ChaosSpecError, chaos_controller
@@ -65,6 +71,7 @@ from .experiments.engine import (
     Checkpoint,
     CheckpointError,
     FarmAbortedError,
+    Job,
     JobPolicy,
     ResultCache,
     RunReport,
@@ -82,7 +89,6 @@ from .experiments.registry import (
     build_experiment_jobs,
     experiment_meta,
     plan_experiment,
-    run_experiment,
 )
 from .experiments.records import AnyRecord, format_failed_rows, normalize_compilers
 from .experiments.settings import BENCHMARK_NAMES
@@ -156,9 +162,48 @@ def _add_worker_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes (0 = one per CPU; default 1)",
+        help="worker processes (0 = one per CPU; default 1); more than one"
+        " runs a coordinator that leases the jobs to forked workers",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+
+
+def _add_farm_options(parser: argparse.ArgumentParser) -> None:
+    """The coordinator's options, used when a run leases its jobs to workers."""
+    parser.add_argument(
+        "--worker-command",
+        default=None,
+        metavar="TEMPLATE",
+        help="launch each of the --jobs workers with this shell command template"
+        " instead of forking it (runs a coordinator even with one worker);"
+        " placeholders: {host} {port} {index} {workers} (e.g. 'ssh node{index}"
+        " python -m repro farm-worker --connect {host}:{port} --workers {workers}')",
+    )
+    parser.add_argument(
+        "--worker-threads",
+        type=int,
+        default=1,
+        metavar="N",
+        help="executor threads inside each worker (default 1)",
+    )
+    parser.add_argument("--host", default="127.0.0.1", help="coordinator bind address")
+    parser.add_argument(
+        "--port", type=int, default=0, help="coordinator TCP port (default 0: ephemeral)"
+    )
+    parser.add_argument(
+        "--lease-seconds",
+        type=float,
+        default=15.0,
+        metavar="S",
+        help="lease/heartbeat horizon: a worker silent this long forfeits its"
+        " jobs back to the queue (default 15)",
+    )
+    parser.add_argument(
+        "--worker-log-dir",
+        default=None,
+        metavar="DIR",
+        help="capture each forked worker's output to DIR/worker-<i>.log",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         f" {','.join(DEFAULT_COMPILERS)}; see `repro compilers` for the registry)",
     )
     _add_worker_options(run)
+    _add_farm_options(run)
     _add_cache_options(run)
     run.add_argument(
         "--out-dir",
@@ -241,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="path to the <name>.checkpoint.json written by a previous run",
     )
     _add_worker_options(resume)
+    _add_farm_options(resume)
     _add_cache_options(resume, default_dir=None)
     resume.add_argument(
         "--out-dir",
@@ -601,103 +648,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --watch, exit after N sweep cycles (mainly for CI smoke runs)",
     )
 
-    farm = sub.add_parser(
-        "farm",
-        help="distributed compile farm: coordinator + leased work-queue workers",
-        description="Run an experiment across many worker processes/machines."
-        " The coordinator plans against the shared cache (cached work is never"
-        " dispatched), serves a lease-based work queue over the repro-serve"
-        " wire protocol (v2), journals every state transition beside the"
-        " checkpoint, and heals crashed workers by lease expiry. A crashed"
-        " coordinator resumes with `repro resume <checkpoint>`.",
-    )
-    farm_sub = farm.add_subparsers(dest="farm_command", required=True)
-    farm_run = farm_sub.add_parser(
-        "run",
-        help="run one experiment through a coordinator plus launched workers",
-    )
-    farm_run.add_argument(
-        "experiment",
-        metavar="EXPERIMENT",
-        help=f"experiment to run: {', '.join(sorted(EXPERIMENTS))}",
-    )
-    farm_run.add_argument(
-        "--scale",
-        default="small",
-        choices=[*SCALE_TIERS, "smoke"],
-        help="scale tier (smoke is an alias for small)",
-    )
-    farm_run.add_argument(
-        "--benchmarks",
-        nargs="*",
-        default=list(BENCHMARK_NAMES),
-        metavar="NAME",
-        help=f"benchmark programs (default: {' '.join(BENCHMARK_NAMES)})",
-    )
-    farm_run.add_argument("--seed", type=int, default=0)
-    farm_run.add_argument(
-        "--compilers",
-        default=",".join(DEFAULT_COMPILERS),
-        metavar="A,B[,C...]",
-        help="comma-separated compiler backends, reference first (default"
-        f" {','.join(DEFAULT_COMPILERS)})",
-    )
-    farm_run.add_argument(
-        "--local-workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker processes to launch (default 2)",
-    )
-    farm_run.add_argument(
-        "--worker-threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="executor threads inside each worker (default 1)",
-    )
-    farm_run.add_argument(
-        "--worker-command",
-        default=None,
-        metavar="TEMPLATE",
-        help="launch each worker with this shell command template instead of"
-        " a forked local process; placeholders: {host} {port} {index} {workers}"
-        " (e.g. 'ssh node{index} python -m repro farm-worker --connect"
-        " {host}:{port} --workers {workers}')",
-    )
-    farm_run.add_argument("--host", default="127.0.0.1", help="coordinator bind address")
-    farm_run.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="coordinator TCP port (default 0: ephemeral)",
-    )
-    farm_run.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=15.0,
-        metavar="S",
-        help="lease/heartbeat horizon: a worker silent this long forfeits its"
-        " jobs back to the queue (default 15)",
-    )
-    farm_run.add_argument(
-        "--worker-log-dir",
-        default=None,
-        metavar="DIR",
-        help="capture each local worker's output to DIR/worker-<i>.log",
-    )
-    _add_cache_options(farm_run)
-    farm_run.add_argument(
-        "--out-dir",
-        default=DEFAULT_OUT_DIR,
-        help=f"artifact directory (default {DEFAULT_OUT_DIR})",
-    )
-    _add_policy_options(farm_run)
-    farm_run.add_argument("--quiet", action="store_true", help="suppress progress output")
-
     worker = sub.add_parser(
         "farm-worker",
-        help="one farm worker: claim leases, execute, report (used by farm run)",
+        help="one farm worker: join a run's coordinator, claim leases, execute,"
+        " report (what --worker-command launches)",
     )
     worker.add_argument(
         "--connect",
@@ -1438,6 +1392,24 @@ def _validate_common_flags(args: argparse.Namespace) -> int | None:
     if args.jobs < 0:
         print("error: --jobs must be >= 0 (0 = one worker per CPU)", file=sys.stderr)
         return 2
+    if args.worker_threads < 1:
+        print("error: --worker-threads must be at least 1", file=sys.stderr)
+        return 2
+    if not (args.lease_seconds > 0):
+        print("error: --lease-seconds must be positive", file=sys.stderr)
+        return 2
+    if args.worker_command is not None:
+        from .farm.launcher import render_worker_command
+
+        try:
+            command = render_worker_command(
+                args.worker_command, index=0, host="127.0.0.1", port=0, workers=1
+            )
+            if not command.strip():
+                raise ValueError("the template is empty")
+        except ValueError as exc:
+            print(f"error: --worker-command: {exc}", file=sys.stderr)
+            return 2
     return None
 
 
@@ -1464,8 +1436,33 @@ def _build_policy(args: argparse.Namespace) -> JobPolicy | None:
         return None
 
 
-def _workers(args: argparse.Namespace) -> int:
-    return args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+def _execute(
+    args: argparse.Namespace, jobs: Sequence[Job], **options: Any
+) -> tuple[list[AnyRecord], RunReport]:
+    """Execute ``run``'s or ``resume``'s jobs; the one place that picks the path.
+
+    One worker and no ``--worker-command`` runs the jobs in this process.
+    Otherwise a coordinator leases them to ``--jobs`` workers, forked here or
+    launched by the command template.  ``options`` are the engine's
+    ``cache``/``policy``/``checkpoint``/``checkpoint_meta``.
+    """
+    options["progress"] = (
+        None if args.quiet else (lambda msg: print(f"  {msg}", file=sys.stderr))
+    )
+    workers = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+    if workers == 1 and args.worker_command is None:
+        return run_jobs_report(jobs, **options)
+    from .farm import CommandWorkerLauncher, LocalWorkerLauncher, WorkerLauncher, run_farm
+
+    launcher: WorkerLauncher
+    if args.worker_command is not None:
+        launcher = CommandWorkerLauncher(args.worker_command, threads=args.worker_threads)
+    else:
+        launcher = LocalWorkerLauncher(threads=args.worker_threads, log_dir=args.worker_log_dir)
+    return run_farm(
+        jobs, launcher=launcher, workers=workers, host=args.host, port=args.port,
+        lease_seconds=args.lease_seconds, **options,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1546,10 +1543,14 @@ def _emit_experiment(
     report: RunReport,
     *,
     out_dir: str,
-    metadata: dict[str, object],
+    meta: dict[str, object],
     on_error: str,
 ) -> None:
-    """Shared artifact/stdout emission for ``run`` and ``resume``."""
+    """Shared artifact/stdout emission for ``run`` and ``resume``.
+
+    ``meta`` is the checkpoint's; the artifact header drops its experiment
+    name and cache dir, so a resumed run's artifacts match an uninterrupted one's.
+    """
     spec = EXPERIMENTS[name]
     text = spec.format_records(records)
     if on_error == "record" and report.errors:
@@ -1560,7 +1561,7 @@ def _emit_experiment(
         records,
         out_dir,
         text=text,
-        metadata=metadata,
+        metadata={k: v for k, v in meta.items() if k not in ("experiment", "cache_dir")},
         errors=report.errors if on_error == "record" else None,
     )
     print(text)
@@ -1579,8 +1580,8 @@ def _emit_experiment(
 
 
 def _check_names(experiments: Sequence[str], benchmarks: Sequence[str]) -> int | None:
-    """Exit code 2, after a one-line error, for unknown experiments or
-    benchmarks (``run`` and ``farm run`` share the check); else None."""
+    """Exit code 2, after a one-line error, for ``run``'s unknown
+    experiments or benchmarks; else None."""
     unknown = [name for name in experiments if name not in EXPERIMENTS]
     if unknown:
         print(
@@ -1645,125 +1646,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # worker processes inherit the environment, so the flag reaches every
         # compile job without touching the (cache-key-relevant) job config
         os.environ[VERIFY_ENV] = "1"
-    progress = None if args.quiet else (lambda msg: print(f"  {msg}", file=sys.stderr))
     failures = 0
     for name in args.experiments:
         spec = EXPERIMENTS[name]
         if not args.quiet:
             print(f"== {name}: {spec.title} (scale={args.scale}) ==", file=sys.stderr)
-        records, report = run_experiment(
-            name,
-            scale=args.scale,
-            benchmarks=benchmarks,
-            seed=args.seed,
-            workers=_workers(args),
+        jobs = build_experiment_jobs(
+            name, scale=args.scale, benchmarks=benchmarks, seed=args.seed, compilers=compilers
+        )
+        meta = experiment_meta(
+            name, scale=args.scale, benchmarks=benchmarks, seed=args.seed, cache=cache,
+            compilers=compilers,
+        )
+        records, report = _execute(
+            args,
+            jobs,
             cache=cache,
             policy=policy,
             checkpoint=Path(args.out_dir) / f"{name}.checkpoint.json",
-            progress=progress,
-            compilers=compilers,
+            checkpoint_meta=meta,
         )
         _emit_experiment(
-            name,
-            records,
-            report,
-            out_dir=args.out_dir,
-            metadata={
-                "scale": args.scale,
-                "benchmarks": benchmarks,
-                "seed": args.seed,
-                "compilers": compilers,
-            },
-            on_error=args.on_error,
+            name, records, report, out_dir=args.out_dir, meta=meta, on_error=args.on_error
         )
         failures += report.failed
     return 1 if failures else 0
-
-
-# --------------------------------------------------------------------------
-# compile farm
-
-
-def _cmd_farm_run(args: argparse.Namespace) -> int:
-    """``repro farm run``: one experiment across coordinator + workers."""
-    from .farm import CommandWorkerLauncher, LocalWorkerLauncher, run_farm
-
-    name = args.experiment
-    usage_error = _check_names([name], args.benchmarks)
-    if usage_error is not None:
-        return usage_error
-    if args.cache_max_mb is not None and not (args.cache_max_mb > 0):
-        print("error: --cache-max-mb must be positive", file=sys.stderr)
-        return 2
-    if args.local_workers < 1:
-        print("error: --local-workers must be at least 1", file=sys.stderr)
-        return 2
-    if args.worker_threads < 1:
-        print("error: --worker-threads must be at least 1", file=sys.stderr)
-        return 2
-    if not (args.lease_seconds > 0):
-        print("error: --lease-seconds must be positive", file=sys.stderr)
-        return 2
-    benchmarks = [bench.upper() for bench in args.benchmarks]
-    compilers = _parse_compilers(args.compilers)
-    if compilers is None:
-        return 2
-    # the artifact/checkpoint metadata must match `repro run --scale small`
-    # byte for byte, so the smoke alias resolves before anything records it
-    scale = "small" if args.scale == "smoke" else args.scale
-
-    policy = _build_policy(args)
-    if policy is None:
-        return 2
-    cache = _build_cache(args)
-    jobs = build_experiment_jobs(
-        name, scale=scale, benchmarks=benchmarks, seed=args.seed, compilers=compilers
-    )
-    meta = experiment_meta(
-        name, scale=scale, benchmarks=benchmarks, seed=args.seed, cache=cache,
-        compilers=compilers,
-    )
-    checkpoint = Path(args.out_dir) / f"{name}.checkpoint.json"
-    launcher: object
-    if args.worker_command is not None:
-        launcher = CommandWorkerLauncher(args.worker_command, threads=args.worker_threads)
-    else:
-        launcher = LocalWorkerLauncher(threads=args.worker_threads, log_dir=args.worker_log_dir)
-    progress = None if args.quiet else (lambda msg: print(f"  {msg}", file=sys.stderr))
-    if not args.quiet:
-        spec = EXPERIMENTS[name]
-        print(
-            f"== farm {name}: {spec.title} (scale={scale},"
-            f" {args.local_workers} worker(s)) ==",
-            file=sys.stderr,
-        )
-    records, report = run_farm(
-        jobs,
-        launcher=launcher,  # type: ignore[arg-type]
-        workers=args.local_workers,
-        host=args.host,
-        port=args.port,
-        cache=cache,
-        policy=policy,
-        lease_seconds=args.lease_seconds,
-        checkpoint=checkpoint,
-        checkpoint_meta=meta,
-        progress=progress,
-    )
-    _emit_experiment(
-        name,
-        records,
-        report,
-        out_dir=args.out_dir,
-        metadata={
-            "scale": scale,
-            "benchmarks": benchmarks,
-            "seed": args.seed,
-            "compilers": compilers,
-        },
-        on_error=args.on_error,
-    )
-    return 1 if report.failed else 0
 
 
 def _cmd_farm_worker(args: argparse.Namespace) -> int:
@@ -1905,30 +1812,10 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             f" ({remaining} of {len(checkpoint.jobs)} jobs unfinished){note} ==",
             file=sys.stderr,
         )
-    progress = None if args.quiet else (lambda msg: print(f"  {msg}", file=sys.stderr))
-    records, report = run_jobs_report(
-        jobs,
-        workers=_workers(args),
-        cache=cache,
-        policy=policy,
-        checkpoint=checkpoint.path,
-        checkpoint_meta=meta,
-        progress=progress,
+    records, report = _execute(
+        args, jobs, cache=cache, policy=policy, checkpoint=checkpoint.path, checkpoint_meta=meta
     )
-    _emit_experiment(
-        name,
-        records,
-        report,
-        out_dir=out_dir,
-        # the artifact metadata header must match an uninterrupted run's,
-        # which records only scale/benchmarks/seed
-        metadata={
-            key: value
-            for key, value in meta.items()
-            if key not in ("experiment", "cache_dir")
-        },
-        on_error=args.on_error,
-    )
+    _emit_experiment(name, records, report, out_dir=out_dir, meta=meta, on_error=args.on_error)
     return 1 if report.failed else 0
 
 
@@ -1951,8 +1838,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_cache_stats(args)
         if args.command == "clean-cache":
             return _cmd_clean_cache(args)
-        if args.command == "farm":
-            return _cmd_farm_run(args)
         if args.command == "farm-worker":
             return _cmd_farm_worker(args)
         if args.command == "bench":
@@ -1967,7 +1852,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_resume(args)
         return _cmd_run(args)
     except FarmAbortedError as exc:
-        # `farm run`, `run --jobs N` and `resume --jobs N` all end here
+        # a coordinated `run` or `resume` ends here when every worker is gone
         print(f"error: farm run aborted: {exc}", file=sys.stderr)
         if exc.checkpoint is not None:
             print(f"resume with: repro resume {exc.checkpoint}", file=sys.stderr)

@@ -5,7 +5,8 @@ The experiments layer is built around the orchestration engine
 :class:`~repro.experiments.engine.Job`, executed — optionally in parallel and
 against an on-disk result cache — by :func:`~repro.experiments.engine.run_jobs`.
 :func:`~repro.experiments.registry.run_experiment` is the one driver for a
-registered figure/table; the ``python -m repro`` CLI drives the same registry.
+registered figure/table; the ``python -m repro`` CLI drives the same registry,
+in process or through a farm coordinator.
 
 The names below load their submodule on first access (PEP 562): planning,
 cache reads and artifact writing import no compiler, and the first executed

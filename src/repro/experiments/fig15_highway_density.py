@@ -47,17 +47,14 @@ def jobs_for_fig15(
     highway's data-qubit count for every density, so denser highways are not
     penalised by a smaller program.
     """
-    from ..compiler import MechCompiler  # sizing needs the highway layouts
     from ..hardware.array import ChipletArray
+    from ..highway.layout import HighwayLayout  # sizing needs the highway layouts
 
     if scale not in _SCALE_DEVICE:
         raise ValueError(f"unknown scale {scale!r}; choose from {sorted(_SCALE_DEVICE)}")
     structure, width, rows, cols = _SCALE_DEVICE[scale]
     array = ChipletArray(structure, width, rows, cols)
-    capacities = [
-        MechCompiler(array, highway_density=d).num_data_qubits for d in densities
-    ]
-    circuit_width = min(capacities)
+    circuit_width = min(HighwayLayout(array, density=d).num_data_qubits for d in densities)
     noise_items = noise_to_items(noise)
     compiler_names = resolve_compilers(compilers)
     return [

@@ -2,8 +2,10 @@
 
 Each :class:`ExperimentSpec` bundles an experiment's jobs builder (pure
 configuration: scale preset -> engine jobs) with its text formatter.
-:func:`run_experiment` is the only experiment driver — the ``python -m
-repro`` CLI and the benchmark suite both call it::
+:func:`run_experiment` is the experiment driver the benchmark suite calls;
+the ``python -m repro`` CLI builds the same jobs and header
+(:func:`build_experiment_jobs`, :func:`experiment_meta`) itself, so that it
+can also lease them to workers a command template launches::
 
     records, report = run_experiment("fig12", scale="small", workers=2)
     print(get_experiment("fig12").format_records(records))
@@ -210,7 +212,7 @@ def run_experiment(
 ) -> tuple[list[AnyRecord], RunReport]:
     """Build and execute one registered experiment end to end.
 
-    The one driver shared by the CLI and the harnesses: expands the
+    The driver of the harnesses and the benchmark suite: expands the
     scale preset into jobs (each carrying the requested compiler list) and
     runs them through the engine with the given fault-tolerance ``policy``
     and ``checkpoint`` file.  Returns the records (healthy jobs only —

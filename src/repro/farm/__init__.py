@@ -1,6 +1,7 @@
 """Compile-farm subsystem: coordinator, lease queue, workers, launchers.
 
-``repro farm run`` drives a :class:`~repro.farm.coordinator.FarmCoordinator`
+``repro run`` and ``repro resume`` with ``--jobs N > 1`` or a
+``--worker-command`` drive a :class:`~repro.farm.coordinator.FarmCoordinator`
 (which plans through the engine's cache-aware :func:`plan_jobs` and serves a
 lease-based work queue over the protocol-v2 wire) plus N workers launched
 through a pluggable :class:`~repro.farm.launcher.WorkerLauncher`.  See the

@@ -1,10 +1,11 @@
-"""The compile-farm coordinator and the ``repro farm run`` driver.
+"""The compile-farm coordinator and its driver, :func:`run_farm`.
 
 A :class:`FarmCoordinator` owns one run end to end:
 
 * it plans the job list through the engine's :class:`RunLedger` (cache
   consulted once per unique key), so cached work is **never dispatched** —
-  a farm run against a warm cache executes exactly what ``repro run`` would;
+  a coordinated run against a warm cache executes exactly what an
+  in-process ``repro run`` would;
 * it serves the protocol-v2 lease queue over the same newline-JSON TCP
   framing as ``repro serve`` (plus the v1 control ops, so ``repro submit
   --ping/--stats`` works against a coordinator unchanged);
@@ -23,10 +24,11 @@ A :class:`FarmCoordinator` owns one run end to end:
 ``repro serve``'s compile server both call it and add their own side
 effects through the :class:`LeaseHost` methods.
 
-:func:`run_farm` is the one-call entry point behind ``repro farm run`` and
-``repro run --jobs N``: plan, bind, launch the workers, serve, wait, and
-reassemble records in job order — byte-identical artifacts (modulo
-``*_seconds``) to a single-process run.
+:func:`run_farm` is the one-call entry point behind a coordinated
+``repro run``/``repro resume`` (``--jobs N > 1`` or ``--worker-command``) and
+``run_jobs_report(workers > 1)``: plan, bind, launch the workers, serve,
+wait, and reassemble records in job order — byte-identical artifacts
+(modulo ``*_seconds``) to a single-process run.
 """
 
 from __future__ import annotations
@@ -496,7 +498,7 @@ def run_farm(
 ) -> tuple[list[AnyRecord], RunReport]:
     """Run ``jobs`` over a coordinator plus up to ``workers`` launched workers.
 
-    The entry point of ``repro farm run`` and ``repro run --jobs N``: plan,
+    The entry point of a coordinated ``repro run`` or ``repro resume``: plan,
     bind, launch one worker per pending job up to ``workers`` (none when
     everything is cached) *before* any coordinator thread starts, serve
     until the queue drains (healing lost workers by lease expiry), and

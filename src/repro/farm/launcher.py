@@ -1,9 +1,9 @@
-"""Pluggable worker launchers for ``repro farm run``.
+"""Pluggable worker launchers for a coordinated ``repro run``.
 
 A launcher answers one question: *given a coordinator address, start worker
 number ``index`` somewhere and hand back a process-like handle*.  The
-built-in :class:`LocalWorkerLauncher` forks workers on this machine (it also
-serves ``repro run --jobs N``); :class:`CommandWorkerLauncher` renders a
+built-in :class:`LocalWorkerLauncher` forks workers on this machine
+(``repro run --jobs N``); :class:`CommandWorkerLauncher` renders a
 user-supplied command template (``{host}``/``{port}``/``{index}``/
 ``{workers}`` placeholders) through the shell, which is enough to wrap
 ``ssh``, ``kubectl run``, a batch scheduler, or anything else that can
@@ -209,7 +209,7 @@ class CommandWorkerLauncher:
     The template receives ``{host}``, ``{port}``, ``{index}`` and
     ``{workers}``; e.g.::
 
-        repro farm run table2 --worker-command \\
+        repro run table2 --jobs 4 --worker-command \\
           'ssh node{index} REPRO_CACHE=/shared/.repro-cache \\
            python -m repro farm-worker --connect {host}:{port} --workers {workers}'
 

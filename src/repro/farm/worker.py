@@ -15,7 +15,7 @@ and its leases return to the queue when they expire.  A claim with nothing
 to hand out waits on the coordinator's queue, so an idle worker picks up
 new or re-queued work at once.
 
-A forked worker (``repro run --jobs N``, ``repro farm run --local-workers``,
+A forked worker (``repro run --jobs N``, ``repro resume --jobs N``,
 ``repro serve``) knows its parent's pid: the claim loop and the heartbeat
 thread end the process, chaos report flushed, once the parent is gone, so
 no worker outlives a killed coordinator or server for long.  A serve worker

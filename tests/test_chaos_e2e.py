@@ -92,7 +92,7 @@ class TestChaosFarmParity:
         assert (
             main(
                 ["run", "table2", "--scale", "small", "--benchmarks", "BV", "QFT",
-                 "--jobs", "2", "--quiet",
+                 "--jobs", "1", "--quiet",
                  "--cache-dir", str(tmp_path / "clean-cache"),
                  "--out-dir", str(clean_out)]
             )
@@ -102,8 +102,8 @@ class TestChaosFarmParity:
         _enable_chaos(monkeypatch, FARM_SCENARIO, report=report_path)
         assert (
             main(
-                ["farm", "run", "table2", "--scale", "smoke",
-                 "--benchmarks", "BV", "QFT", "--local-workers", "2",
+                ["run", "table2", "--scale", "small",
+                 "--benchmarks", "BV", "QFT", "--jobs", "2",
                  "--cache-dir", str(tmp_path / "chaos-cache"),
                  "--out-dir", str(chaos_out)]
             )
@@ -147,8 +147,8 @@ class TestChaosFarmParity:
         _enable_chaos(monkeypatch, "torn-tail:journal")
         assert (
             main(
-                ["farm", "run", "table2", "--scale", "smoke", "--benchmarks", "BV",
-                 "--local-workers", "1", "--quiet",
+                ["run", "table2", "--scale", "small", "--benchmarks", "BV",
+                 "--jobs", "2", "--quiet",
                  "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(out)]
             )
             == 0
@@ -230,8 +230,8 @@ class TestTornJournalResume:
         out = tmp_path / "out"
         assert (
             main(
-                ["farm", "run", "table2", "--scale", "smoke", "--benchmarks", "BV",
-                 "--local-workers", "1", "--quiet",
+                ["run", "table2", "--scale", "small", "--benchmarks", "BV",
+                 "--jobs", "2", "--quiet",
                  "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(out)]
             )
             == 0

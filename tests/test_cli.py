@@ -3,13 +3,18 @@
 import csv
 import json
 import os
+import shlex
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from helpers import set_chaos_spec
-from repro.cli import main
+from helpers import set_chaos_spec, strip_timing
+from repro.cli import build_parser, main
 from repro.experiments.engine import ResultCache
+
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -192,7 +197,7 @@ class TestFaultTolerance:
         commands = [
             ["run", "fig12", "--cache-dir", dirs["cache"]],
             ["resume", checkpoint],
-            ["farm", "run", "fig12", "--cache-dir", dirs["cache"]],
+            ["run", "fig12", "--jobs", "2", "--cache-dir", dirs["cache"]],
         ]
         if flags[0] == "--timeout":  # submit sends a timeout but no retry budget
             commands.append(["submit", "--port", "1", "--benchmark", "BV"])
@@ -239,6 +244,25 @@ class TestFaultTolerance:
         # the hint is actionable: an in-process resume finishes the sweep
         assert main(["resume", str(checkpoint), "--quiet"]) == 0
 
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (("--worker-threads", "0"), "--worker-threads must be at least 1"),
+            (("--lease-seconds", "0"), "--lease-seconds must be positive"),
+            (("--lease-seconds", "nan"), "--lease-seconds must be positive"),
+            (("--worker-command", " "), "--worker-command: the template is empty"),
+            (("--worker-command", "ssh {node}"), "--worker-command: bad worker command"),
+        ],
+    )
+    def test_bad_farm_flags_are_usage_errors(self, dirs, tmp_path, capsys, flags, message):
+        checkpoint = str(tmp_path / "artifacts" / "fig12.checkpoint.json")
+        for argv in (["run", "fig12", "--cache-dir", dirs["cache"]], ["resume", checkpoint]):
+            assert main([*argv, *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}"), err
+            assert "Traceback" not in err
+        assert len(ResultCache(dirs["cache"])) == 0
+
     def test_non_positive_cache_max_mb_is_a_usage_error(self, dirs, capsys):
         assert _run_fig12(dirs, "--cache-max-mb", "0") == 2
         assert "--cache-max-mb" in capsys.readouterr().err
@@ -250,6 +274,52 @@ class TestFaultTolerance:
         )
         assert checkpoint["finished"] is True
         assert checkpoint["pending"] == [] and checkpoint["failed"] == []
+
+
+class TestCoordinatedRun:
+    """``run`` leases its jobs to workers for ``--jobs N > 1`` or a
+    ``--worker-command``; ``farm run`` is gone, ``farm-worker`` stays."""
+
+    def test_farm_run_is_gone_and_farm_worker_stays(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["farm", "run", "table2"])
+        assert exc.value.code == 2
+        args = build_parser().parse_args(["farm-worker", "--connect", "127.0.0.1:7464"])
+        assert (args.command, args.connect) == ("farm-worker", "127.0.0.1:7464")
+
+    def test_worker_command_runs_a_coordinator_with_one_worker(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the launched shell inherits this environment, PYTHONPATH included
+        monkeypatch.setenv(
+            "PYTHONPATH", SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", "")
+        )
+        command = (
+            f"{shlex.quote(sys.executable)} -m repro farm-worker"
+            " --connect {host}:{port} --quiet"
+        )
+        argv = ["run", "table2", "--scale", "small", "--benchmarks", "BV", "--quiet"]
+        remote, local = tmp_path / "remote", tmp_path / "local"
+        assert main(
+            [*argv, "--jobs", "1", "--worker-command", command,
+             "--cache-dir", str(tmp_path / "remote-cache"), "--out-dir", str(remote)]
+        ) == 0
+        assert main(
+            [*argv, "--cache-dir", str(tmp_path / "local-cache"), "--out-dir", str(local)]
+        ) == 0
+        capsys.readouterr()
+        # only the coordinated run journals its lease transitions
+        assert (remote / "table2.checkpoint.journal.jsonl").is_file()
+        assert not (local / "table2.checkpoint.journal.jsonl").exists()
+
+        def normalized(out_dir):
+            doc = json.loads((out_dir / "table2.json").read_text())
+            doc["records"] = [strip_timing(row) for row in doc["records"]]
+            with open(out_dir / "table2.csv", newline="") as handle:
+                rows = [strip_timing(row) for row in csv.DictReader(handle)]
+            return doc, rows, (out_dir / "table2.txt").read_bytes()
+
+        assert normalized(remote) == normalized(local)
 
 
 class TestBenchmarkValidation:

@@ -108,16 +108,14 @@ class TestFarmArtifactParity:
         solo_out, farm_out = tmp_path / "solo", tmp_path / "farm"
         assert (
             main(
-                ["run", "table2", *args, "--jobs", "2", "--quiet",
+                ["run", "table2", *args, "--jobs", "1", "--quiet",
                  "--cache-dir", str(tmp_path / "solo-cache"), "--out-dir", str(solo_out)]
             )
             == 0
         )
-        # `--scale smoke` is the documented alias for the small tier
         assert (
             main(
-                ["farm", "run", "table2", "--scale", "smoke", "--benchmarks", "BV", "QFT",
-                 "--local-workers", "2", "--quiet",
+                ["run", "table2", *args, "--jobs", "2", "--quiet",
                  "--cache-dir", str(tmp_path / "farm-cache"), "--out-dir", str(farm_out)]
             )
             == 0
@@ -134,7 +132,7 @@ class TestFarmArtifactParity:
         checkpoint = load_checkpoint(farm_out / "table2.checkpoint.json")
         assert checkpoint.finished is True
         assert checkpoint.meta["experiment"] == "table2"
-        assert checkpoint.meta["scale"] == "small"  # smoke resolved to small
+        assert checkpoint.meta["scale"] == "small"
 
 
 class TestWorkerCrashHealing:
@@ -195,9 +193,9 @@ class TestCoordinatorCrashResume:
         # stall 20s, guaranteeing the kill lands mid-run
         driver = subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "farm", "run", "table2",
+                sys.executable, "-m", "repro", "run", "table2",
                 "--scale", "small", "--benchmarks", "BV", "QFT",
-                "--local-workers", "2", "--lease-seconds", "2", "--quiet",
+                "--jobs", "2", "--lease-seconds", "2", "--quiet",
                 "--cache-dir", cache_dir, "--out-dir", str(out_dir),
             ],
             env=_subprocess_env(stall="job-stall:QFT,seconds=20"),
@@ -237,7 +235,7 @@ class TestCoordinatorCrashResume:
         assert (
             main(
                 ["run", "table2", "--scale", "small", "--benchmarks", "BV", "QFT",
-                 "--jobs", "2", "--quiet",
+                 "--jobs", "1", "--quiet",
                  "--cache-dir", str(tmp_path / "solo-cache"), "--out-dir", str(solo_out)]
             )
             == 0

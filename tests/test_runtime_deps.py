@@ -84,6 +84,16 @@ def test_entry_points_import_no_compiler(module):
     assert run_python(f"import {module}; {LOADED_COMPILE_PATH}") == "[]"
 
 
+def test_fig15_job_list_imports_no_compiler():
+    # the circuit width comes from the highway layouts, not a compiler
+    code = (
+        "import sys; from repro.experiments.fig15_highway_density import jobs_for_fig15;"
+        " assert jobs_for_fig15(scale='small');"
+        " print(sorted(m for m in sys.modules if m.startswith('repro.compiler')))"
+    )
+    assert run_python(code) == "[]"
+
+
 def test_cached_run_and_artifacts_import_no_compiler(tmp_path):
     code = f"""
 from repro.experiments.engine import Job, run_jobs_report, write_artifacts
