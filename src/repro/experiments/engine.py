@@ -40,8 +40,8 @@ instead of dying, a worker process lost mid-job is healed by lease expiry,
 and an optional checkpoint file tracks exactly which jobs are cached,
 completed, failed and still pending — so an interrupted or partially failed
 sweep loses nothing that already compiled and a rerun against the same cache
-executes only what remains.  Both executors keep that bookkeeping in one
-:class:`RunLedger`.
+executes only what remains.  Every run claims its attempts from a
+:class:`~repro.farm.queue.LeaseQueue` and keeps its books in a :class:`RunLedger`.
 
 Execution is also *incremental*: :func:`run_jobs_report` is split into a pure
 :func:`plan_jobs` phase (keys, cache consultation, deduplication — no
@@ -84,6 +84,7 @@ from ..hardware.noise import DEFAULT_NOISE, NoiseModel
 from .records import AnyRecord, ComparisonRecord, MultiComparisonRecord, improvement
 
 if TYPE_CHECKING:  # the compile path loads on first use: see load_compile_path
+    from ..farm.queue import LeaseQueue
     from ..hardware.array import ChipletArray
     from .runner import CompiledSet
 
@@ -726,47 +727,40 @@ WorkItem = tuple[str, dict[str, object], dict[str, object] | None]
 
 
 def _execute_keyed(item: WorkItem) -> tuple[str, dict[str, object]]:
-    """Executor entry point: (key, job dict, policy dict) -> (key, payload).
+    """Run one attempt: (key, job dict, policy dict) -> (key, payload).
 
     The payload is either a record payload or ``{"job_error": {...}}`` — no
     exception (other than ``KeyboardInterrupt``) escapes, so one poisoned job
-    cannot kill a worker or discard in-flight results.  The retry loop here
-    serves in-process runs; farm and serve leases carry a single-attempt
-    policy because the lease queue owns the budget.
+    cannot kill a worker or discard in-flight results.  Only the policy's
+    ``timeout`` applies: every attempt is a lease from a
+    :class:`~repro.farm.queue.LeaseQueue`, which owns retries and reseeds.
     """
     key, job_dict, policy_dict = item
-    policy = JobPolicy(**policy_dict) if policy_dict else JobPolicy()
+    timeout = (policy_dict or {}).get("timeout")
     job = job_from_dict(job_dict)
     start = time.perf_counter()
-    error: JobError | None = None
-    for attempt in range(policy.retries + 1):
-        attempt_job = job
-        if policy.reseed_on_retry and attempt:
-            attempt_job = job.with_(seed=job.seed + attempt)
-        try:
-            with _deadline(policy.timeout):
-                record = _execute_job(attempt_job)
-        except Exception as exc:
-            tail = "\n".join(traceback.format_exc().splitlines()[-_TRACEBACK_TAIL_LINES:])
-            message = str(exc)
-            if not message and isinstance(exc, JobTimeoutError) and policy.timeout:
-                # the watchdog path raises the bare class (async raises
-                # cannot carry arguments), so reconstruct the message
-                message = f"exceeded {policy.timeout:g}s wall-clock timeout"
-            error = JobError(
-                key=key,
-                benchmark=job.benchmark,
-                kind=job.kind,
-                error_type=type(exc).__name__,
-                message=message,
-                traceback_tail=tail,
-                attempts=attempt + 1,
-                seconds=time.perf_counter() - start,
-            )
-        else:
-            return key, record_to_payload(record)
-    assert error is not None
-    return key, {"job_error": asdict(error)}
+    try:
+        with _deadline(timeout):
+            record = _execute_job(job)
+    except Exception as exc:
+        tail = "\n".join(traceback.format_exc().splitlines()[-_TRACEBACK_TAIL_LINES:])
+        message = str(exc)
+        if not message and isinstance(exc, JobTimeoutError) and timeout:
+            # the watchdog path raises the bare class (async raises
+            # cannot carry arguments), so reconstruct the message
+            message = f"exceeded {timeout:g}s wall-clock timeout"
+        error = JobError(
+            key=key,
+            benchmark=job.benchmark,
+            kind=job.kind,
+            error_type=type(exc).__name__,
+            message=message,
+            traceback_tail=tail,
+            attempts=1,
+            seconds=time.perf_counter() - start,
+        )
+        return key, {"job_error": asdict(error)}
+    return key, record_to_payload(record)
 
 
 # --------------------------------------------------------------------------
@@ -1928,14 +1922,14 @@ def load_checkpoint(path: str | Path, *, quarantine: bool = False) -> Checkpoint
 
 
 class RunLedger:
-    """One run's bookkeeping, shared by both executors.
+    """One run's bookkeeping, in process or on the farm.
 
     Opening a ledger plans the run (one cache lookup per unique key).  The
     in-process loop of :func:`run_jobs_report` and the farm coordinator
-    record payloads and permanent failures here; the ledger writes the
-    checkpoint, reassembles records in job order, builds the
-    :class:`RunReport` and flushes on SIGTERM.  ``on_flush(finished)``
-    runs after each checkpoint write (the coordinator journals it).
+    report completions (:meth:`complete`) and lease-queue transitions
+    (:meth:`settle`) here; the ledger writes the checkpoint, reassembles
+    records in job order, builds the :class:`RunReport` and flushes on
+    SIGTERM.  ``on_flush(finished)`` runs after each checkpoint write.
     """
 
     def __init__(
@@ -1974,6 +1968,15 @@ class RunLedger:
         self.payloads[key] = payload
         if self.store is not None:
             self.store.put(key, self.plan.pending[key], payload)
+
+    def settle(self, queue: LeaseQueue, *, force: bool = False) -> bool:
+        """After a transition of ``queue``: mirror its failures (a late
+        completion may rescue one), flush, and say whether the run is over:
+        all finished, or a failure under ``on_error="raise"`` (forces it)."""
+        self.errors = {error.key: error for error in queue.failed_errors()}
+        over = queue.done() or (bool(self.errors) and queue.policy.on_error == "raise")
+        self.flush(force=force or over)
+        return over
 
     def flush(self, *, force: bool = True) -> None:
         """Write the checkpoint.  A routine flush (``force=False``) within
@@ -2111,8 +2114,8 @@ def run_jobs_report(
     """Execute jobs (plan, then execute) and report what happened.
 
     Records come back in job order, so a parallel run is record-for-record
-    identical to a serial one.  ``workers <= 1`` stays in-process;
-    ``workers > 1`` serves the cache misses from the compile farm's lease
+    identical to a serial one.  ``workers <= 1`` drains a lease queue in the
+    calling thread; ``workers > 1`` serves the cache misses from the compile farm's lease
     queue to that many forked local workers (:func:`repro.farm.run_farm`),
     which heals a worker lost mid-job by lease expiry.  ``cache`` may be a
     directory path or a :class:`ResultCache`; ``None`` disables memoization
@@ -2144,29 +2147,36 @@ def run_jobs_report(
             progress=progress,
         )
     ledger = RunLedger(jobs, cache=cache, checkpoint=checkpoint, meta=checkpoint_meta)
-    pending = ledger.plan.pending
-    policy_dict = policy.to_dict()
     ledger.flush()
+    if not ledger.plan.pending:
+        return ledger.records(), ledger.report(workers=1)
+    from ..farm.queue import LeaseQueue  # loaded only when there is work
+
+    # claim, execute and report in this thread; nothing here can lose a
+    # job, so the leases never expire
+    queue = LeaseQueue(ledger.plan.pending, policy=policy, lease_seconds=math.inf)
+    finished = 0
     with ledger.interruptible():
-        for done, (key, job) in enumerate(pending.items(), 1):
-            _, payload = _execute_keyed((key, job_to_dict(job), policy_dict))
-            note = f"{done}/{len(pending)} jobs executed"
+        while leases := queue.claim("in-process", 1):
+            key = leases[0].key
+            _, payload = _execute_keyed((key, leases[0].job, leases[0].policy))
             job_error = payload.get("job_error")
-            error = JobError(**job_error) if isinstance(job_error, dict) else None
-            if error is not None:
-                # never cache a failure: a rerun should retry exactly these jobs
-                ledger.errors[key] = error
-                # the raise path abandons the run right after, so it forces
-                ledger.flush(force=policy.on_error == "raise")
-                note += f" ({error.benchmark} failed: {error.error_type})"
+            if isinstance(job_error, dict):
+                if queue.fail(key, "in-process", JobError(**job_error)):
+                    continue  # re-queued: the next claim retries it
             else:
+                queue.complete(key, "in-process")
                 ledger.complete(key, payload)
-                ledger.flush(force=False)
+            ledger.settle(queue, force=job_error is not None)
+            finished += 1
+            note = f"{finished}/{len(queue)} jobs executed"
+            error = ledger.errors.get(key)
+            if error is not None:
+                note += f" ({error.benchmark} failed: {error.error_type})"
             if progress is not None:
                 progress(note)
             if error is not None and policy.on_error == "raise":
                 _raise_job_error(error)
-    ledger.flush()
     return ledger.records(), ledger.report(workers=1)
 
 

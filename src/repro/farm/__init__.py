@@ -23,7 +23,7 @@ _EXPORTS = {
     "stop_workers": ".launcher",
     "LeaseQueue": ".queue",
     "QueueEntry": ".queue",
-    "Lease": ".schema",
+    "Lease": ".queue",
     "default_worker_id": ".worker",
     "run_worker": ".worker",
 }
@@ -33,6 +33,5 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 if TYPE_CHECKING:
     from .coordinator import FarmCoordinator, run_farm
     from .launcher import CommandWorkerLauncher, LocalWorkerLauncher, WorkerLauncher, stop_workers
-    from .queue import LeaseQueue, QueueEntry
-    from .schema import Lease
+    from .queue import Lease, LeaseQueue, QueueEntry
     from .worker import default_worker_id, run_worker

@@ -117,7 +117,6 @@ class FarmCoordinator(FramedServer):
         progress: Callable[[str], None] | None = None,
     ) -> None:
         super().__init__(host, port)
-        self.policy = policy if policy is not None else JobPolicy()
         self.lease_seconds = float(lease_seconds)
         self.checkpoint_path = Path(checkpoint) if checkpoint is not None else None
         self.journal_path = journal_path_for(checkpoint) if checkpoint is not None else None
@@ -131,7 +130,7 @@ class FarmCoordinator(FramedServer):
             on_flush=lambda finished: self._journal({"event": "compact", "finished": finished}),
         )
         self.queue = LeaseQueue(
-            self.ledger.plan.pending, policy=self.policy, lease_seconds=self.lease_seconds
+            self.ledger.plan.pending, policy=policy, lease_seconds=self.lease_seconds
         )
         self.desk = LeaseDesk(self.queue, self)
         self._expiry_thread: threading.Thread | None = None
@@ -294,14 +293,8 @@ class FarmCoordinator(FramedServer):
         self._after_transition(force=True)
 
     def _after_transition(self, *, force: bool = False) -> None:
-        # the queue owns each key's fate; a late completion may even rescue
-        # a job it had failed, so the ledger mirrors its failures wholesale
-        self.ledger.errors = {error.key: error for error in self.queue.failed_errors()}
-        if self.queue.done() or (self.ledger.errors and self.policy.on_error == "raise"):
-            self.ledger.flush()
+        if self.ledger.settle(self.queue, force=force):
             self._done.set()
-        else:
-            self.ledger.flush(force=force)
 
     def _expiry_loop(self) -> None:
         period = min(1.0, self.lease_seconds / 4.0)
@@ -543,6 +536,6 @@ def run_farm(
         coordinator.shutdown()
 
     errors = coordinator.errors()
-    if errors and coordinator.policy.on_error == "raise":
+    if errors and coordinator.queue.policy.on_error == "raise":
         _raise_job_error(errors[0])
     return coordinator.records(), coordinator.report(workers=workers)

@@ -1,4 +1,4 @@
-"""The coordinator's lease-based work queue.
+"""The lease-based work queue every job attempt is handed out from.
 
 A :class:`LeaseQueue` owns the pending half of an
 :class:`~repro.experiments.engine.ExecutionPlan`: each unique config key is
@@ -13,19 +13,25 @@ most ``policy.retries + 1`` attempts, ever** — no matter how attempts end
 attempt).  ``attempts_started`` increments exactly once per claim, expiry
 preserves it, and both :meth:`fail` and :meth:`expire` consult it before
 re-queueing, so a job can never execute past its :class:`JobPolicy` budget.
+Only the queue counts attempts and reseeds a retry: a :class:`Lease` carries
+a single-attempt policy, and a permanent failure's :class:`JobError` counts
+every attempt started and sums the reported attempts' seconds.
 
 Late results are welcome: a worker presumed dead (lease expired, job
 re-leased) that eventually reports ``complete`` delivers a deterministic,
 fully valid record — the queue accepts it idempotently and the re-leased
 attempt's own completion becomes a no-op.
 
-A farm run fills the queue once, from its plan, and reads the finished
-entries at the end.  ``repro serve`` adds an entry per cache miss while
-serving (:meth:`LeaseQueue.add`, single-flight per key) and drops it again
+An in-process run fills the queue once, from its plan, with leases that
+never expire, and claims and executes each job in the calling thread.  A
+farm run fills it the same way and serves it to workers over the wire.
+``repro serve`` adds an entry per cache miss while serving
+(:meth:`LeaseQueue.add`, single-flight per key) and drops it again
 (:meth:`LeaseQueue.forget`) once the key's requests have their answer, so a
 long-lived server holds only live entries.  A claim may wait on the queue's
 condition for work to appear, so idle workers pick up new and re-queued
-entries at once.
+entries at once.  The module imports no wire code (that is
+:mod:`repro.farm.schema`), so an in-process run loads it alone.
 """
 
 from __future__ import annotations
@@ -33,13 +39,12 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from ..experiments.engine import Job, JobError, JobPolicy, job_to_dict
-from .schema import Lease
 
-__all__ = ["LEASE_SECONDS", "LeaseQueue", "QueueEntry"]
+__all__ = ["LEASE_SECONDS", "Lease", "LeaseQueue", "QueueEntry"]
 
 #: The default lease/heartbeat horizon: a worker silent this long forfeits
 #: its leases.
@@ -51,6 +56,27 @@ COMPLETED = "completed"
 FAILED = "failed"
 
 
+@dataclass(frozen=True)
+class Lease:
+    """One leased unit of work, as carried in a ``claim`` response."""
+
+    #: The job's engine config key (also the result-cache key).
+    key: str
+    #: The job in manifest encoding (seed already bumped on re-attempts).
+    job: dict[str, Any]
+    #: 0-based attempt index; ``attempt + 1`` counts against ``retries + 1``.
+    attempt: int
+    #: Single-attempt policy dict the executor passes to ``_execute_keyed``;
+    #: only its ``timeout`` takes effect there.
+    policy: dict[str, Any]
+    #: Unix time after which the lease expires without a heartbeat.
+    deadline_unix: float
+
+    def to_dict(self) -> dict[str, Any]:
+        """The wire encoding; :func:`repro.farm.schema.parse_lease` reads it."""
+        return dict(vars(self))
+
+
 @dataclass
 class QueueEntry:
     """One unique job's queue state."""
@@ -60,9 +86,12 @@ class QueueEntry:
     state: str = PENDING
     #: Claims handed out so far; bounded by ``policy.retries + 1``.
     attempts_started: int = 0
+    #: The live lease's holder and deadline (meaningful while leased).
     worker: str | None = None
     deadline: float = 0.0
     error: JobError | None = None
+    #: Seconds reported by the attempts that failed, summed.
+    seconds: float = 0.0
     #: The entry's own budget; ``None`` means the queue's policy.
     policy: JobPolicy | None = None
 
@@ -91,16 +120,9 @@ class LeaseQueue:
         return entry.policy if entry.policy is not None else self.policy
 
     def _worker_policy(self, entry: QueueEntry) -> dict[str, Any]:
-        # single attempt, report-don't-raise: the coordinator owns the budget
-        return {
-            "timeout": self._policy(entry).timeout,
-            "retries": 0,
-            "reseed_on_retry": False,
-            "on_error": "record",
-        }
-
-    def _has_attempts_left(self, entry: QueueEntry) -> bool:
-        return entry.attempts_started < self._policy(entry).retries + 1
+        # single attempt, report-don't-raise: the queue owns the budget
+        single = replace(self._policy(entry), retries=0, reseed_on_retry=False, on_error="record")
+        return single.to_dict()
 
     # ------------------------------------------------------------------ #
     # transitions
@@ -127,7 +149,6 @@ class LeaseQueue:
         worker_id: str,
         max_jobs: int,
         *,
-        now: float | None = None,
         wait: float = 0.0,
         rank: Callable[[Job], int | None] | None = None,
     ) -> list[Lease]:
@@ -143,7 +164,7 @@ class LeaseQueue:
         ties); an entry it ranks ``None`` is left for another worker.
         """
         with self._lock:
-            now = time.time() if now is None else now
+            now = time.time()
             self.expire(now=now)
             leases = self._claim(worker_id, max_jobs, now, rank)
             if not leases and wait > 0:
@@ -171,11 +192,10 @@ class LeaseQueue:
             entry.state = LEASED
             entry.worker = worker_id
             entry.deadline = now + self.lease_seconds
-            entry.error = None
             job = entry.job
             if attempt and self._policy(entry).reseed_on_retry:
-                # coordinator-side reseed: the result still lands under
-                # the original config key (the lease's ``key``)
+                # the queue reseeds: the result still lands under the
+                # original config key (the lease's ``key``)
                 job = job.with_(seed=job.seed + attempt)
             leases.append(
                 Lease(
@@ -202,19 +222,18 @@ class LeaseQueue:
             if entry is None or entry.state == COMPLETED:
                 return False
             entry.state = COMPLETED
-            entry.worker = None
-            entry.error = None
             self._lock.notify_all()
             return True
 
-    def fail(self, key: str, worker_id: str, error: JobError, *, now: float | None = None) -> bool:
+    def fail(self, key: str, worker_id: str, error: JobError) -> bool:
         """Record one failed attempt; True when the job was re-queued.
 
         A failure from a worker that no longer holds the lease (it expired
         and the job was re-leased or resolved meanwhile) is stale and
-        ignored — the live attempt decides the entry's fate.
+        ignored — the live attempt decides the entry's fate.  The permanent
+        failure keeps the last attempt's error, with ``attempts`` counting
+        every attempt started and ``seconds`` summed over the reported ones.
         """
-        now = time.time() if now is None else now
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or entry.state in (COMPLETED, FAILED):
@@ -222,16 +241,21 @@ class LeaseQueue:
             if entry.state == LEASED and entry.worker != worker_id:
                 return False  # stale report from an expired lease
             self._lock.notify_all()
-            if self._has_attempts_left(entry):
-                entry.state = PENDING
-                entry.worker = None
-                entry.deadline = 0.0
-                entry.error = None
-                return True
-            entry.state = FAILED
-            entry.worker = None
-            entry.error = error
-            return False
+            entry.seconds += error.seconds
+            return self._end_attempt(entry, error)
+
+    def _end_attempt(self, entry: QueueEntry, error: JobError) -> bool:
+        """Re-queue ``entry`` while its budget lasts (True), else fail it
+        with ``error``, counting every attempt started and the seconds of
+        the reported ones."""
+        if entry.attempts_started < self._policy(entry).retries + 1:
+            entry.state = PENDING
+            return True
+        entry.state = FAILED
+        entry.error = replace(
+            error, key=entry.key, attempts=entry.attempts_started, seconds=entry.seconds
+        )
+        return False
 
     def forget(self, key: str) -> None:
         """Drop ``key``'s entry if it is completed or failed.
@@ -270,29 +294,21 @@ class LeaseQueue:
             for entry in self._entries.values():
                 if entry.state != LEASED or entry.deadline >= now:
                     continue
-                worker = entry.worker or "?"
-                if self._has_attempts_left(entry):
-                    entry.state = PENDING
-                    entry.worker = None
-                    entry.deadline = 0.0
-                    transitions.append((entry.key, "requeued"))
-                else:
-                    entry.state = FAILED
-                    entry.worker = None
-                    entry.error = JobError(
-                        key=entry.key,
-                        benchmark=entry.job.benchmark,
-                        kind=entry.job.kind,
-                        error_type="WorkerLostError",
-                        message=(
-                            f"lease expired (worker {worker} missed its heartbeat)"
-                            f" after {entry.attempts_started} attempt(s)"
-                        ),
-                        traceback_tail="",
-                        attempts=entry.attempts_started,
-                        seconds=0.0,
-                    )
-                    transitions.append((entry.key, "failed"))
+                lost = JobError(
+                    key=entry.key,
+                    benchmark=entry.job.benchmark,
+                    kind=entry.job.kind,
+                    error_type="WorkerLostError",
+                    message=(
+                        f"lease expired (worker {entry.worker} missed its heartbeat)"
+                        f" after {entry.attempts_started} attempt(s)"
+                    ),
+                    traceback_tail="",
+                    attempts=entry.attempts_started,
+                    seconds=entry.seconds,
+                )
+                outcome = "requeued" if self._end_attempt(entry, lost) else "failed"
+                transitions.append((entry.key, outcome))
             if transitions:
                 self._lock.notify_all()
         return transitions

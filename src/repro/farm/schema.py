@@ -2,24 +2,26 @@
 
 The farm reuses :mod:`repro.serve.schema`'s newline-JSON framing verbatim;
 what this module adds is the typed payloads the work-queue ops carry.  A
-:class:`Lease` is the unit of hand-off between coordinator and worker: one
-unique job (by config key), the attempt index the coordinator is starting,
-the *single-attempt* execution policy the worker must apply, and the wall
-deadline by which the coordinator expects a result or a heartbeat.
+:class:`~repro.farm.queue.Lease` (defined beside its queue, re-exported here,
+read off the wire by :func:`parse_lease`) is the unit of hand-off between
+coordinator and worker: one unique job (by config key), the attempt index
+the queue is starting, the *single-attempt* execution policy the worker must
+apply, and the wall deadline by which the coordinator expects a result or a
+heartbeat.
 
-The retry budget is owned by the coordinator, never the worker: every lease
-ships ``retries=0`` / ``on_error="record"`` so a worker performs exactly one
-attempt and reports back, and the coordinator's :class:`~repro.farm.queue.
-LeaseQueue` decides — against the *original* :class:`JobPolicy` — whether a
-failure re-queues or becomes permanent.  Reseed-on-retry is likewise applied
-coordinator-side (the leased job dict already carries the bumped seed) so a
-re-attempt by a different worker still lands under the original config key.
+The retry budget is owned by the queue, never the worker: every lease ships
+``retries=0`` / ``on_error="record"`` (only its ``timeout`` applies) so a
+worker performs exactly one attempt and reports back, and the
+:class:`~repro.farm.queue.LeaseQueue` decides — against the *original*
+:class:`JobPolicy` — whether a failure re-queues or becomes permanent.
+Reseed-on-retry is likewise applied by the queue (the leased job dict
+already carries the bumped seed) so a re-attempt by a different worker
+still lands under the original config key.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any
 
 from ..serve.schema import (
@@ -28,6 +30,7 @@ from ..serve.schema import (
     ServeRequest,
     request_token,
 )
+from .queue import Lease
 
 __all__ = [
     "Lease",
@@ -39,6 +42,7 @@ __all__ = [
     "parse_complete",
     "parse_fail",
     "parse_heartbeat",
+    "parse_lease",
     "progress_request",
 ]
 
@@ -52,56 +56,32 @@ def _next_id(prefix: str) -> str:
     return f"{prefix}-{request_token()}-{next(_FARM_REQUEST_COUNTER)}"
 
 
-@dataclass(frozen=True)
-class Lease:
-    """One leased unit of work, as carried in a ``claim`` response."""
-
-    #: The job's engine config key (also the result-cache key).
-    key: str
-    #: The job in manifest encoding (seed already bumped on re-attempts).
-    job: dict[str, Any]
-    #: 0-based attempt index; ``attempt + 1`` counts against ``retries + 1``.
-    attempt: int
-    #: Single-attempt policy dict the worker passes to ``_execute_keyed``.
-    policy: dict[str, Any]
-    #: Unix time after which the lease expires without a heartbeat.
-    deadline_unix: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "key": self.key,
-            "job": self.job,
-            "attempt": self.attempt,
-            "policy": self.policy,
-            "deadline_unix": self.deadline_unix,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Lease":
-        if not isinstance(payload, dict):
-            raise ServeProtocolError("lease must be a JSON object")
-        key = payload.get("key")
-        job = payload.get("job")
-        attempt = payload.get("attempt")
-        policy = payload.get("policy")
-        deadline = payload.get("deadline_unix")
-        if not isinstance(key, str) or not key:
-            raise ServeProtocolError("lease is missing a string 'key'")
-        if not isinstance(job, dict):
-            raise ServeProtocolError("lease is missing an object 'job'")
-        if not isinstance(attempt, int) or attempt < 0:
-            raise ServeProtocolError("lease 'attempt' must be a non-negative int")
-        if not isinstance(policy, dict):
-            raise ServeProtocolError("lease is missing an object 'policy'")
-        if not isinstance(deadline, (int, float)):
-            raise ServeProtocolError("lease 'deadline_unix' must be a number")
-        return cls(
-            key=key,
-            job=dict(job),
-            attempt=attempt,
-            policy=dict(policy),
-            deadline_unix=float(deadline),
-        )
+def parse_lease(payload: dict[str, Any]) -> Lease:
+    """A :class:`Lease` from its ``claim``-response encoding, validated."""
+    if not isinstance(payload, dict):
+        raise ServeProtocolError("lease must be a JSON object")
+    key = payload.get("key")
+    job = payload.get("job")
+    attempt = payload.get("attempt")
+    policy = payload.get("policy")
+    deadline = payload.get("deadline_unix")
+    if not isinstance(key, str) or not key:
+        raise ServeProtocolError("lease is missing a string 'key'")
+    if not isinstance(job, dict):
+        raise ServeProtocolError("lease is missing an object 'job'")
+    if not isinstance(attempt, int) or attempt < 0:
+        raise ServeProtocolError("lease 'attempt' must be a non-negative int")
+    if not isinstance(policy, dict):
+        raise ServeProtocolError("lease is missing an object 'policy'")
+    if not isinstance(deadline, (int, float)):
+        raise ServeProtocolError("lease 'deadline_unix' must be a number")
+    return Lease(
+        key=key,
+        job=dict(job),
+        attempt=attempt,
+        policy=dict(policy),
+        deadline_unix=float(deadline),
+    )
 
 
 # --------------------------------------------------------------------------

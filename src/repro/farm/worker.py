@@ -1,12 +1,12 @@
 """The farm worker loop behind ``repro farm-worker``.
 
 A worker is deliberately dumb: it claims a batch of leases, executes each
-through :func:`repro.experiments.engine._execute_keyed` — the *same* entry
-point the in-process engine and the compile server use, so a farm-built
-record payload is byte-identical to a local one — and reports
-``complete`` or ``fail`` per lease.  Every lease carries a single-attempt
-policy (the coordinator owns the retry budget), so the worker never loops on
-a failing job.
+through :func:`repro.experiments.engine._execute_keyed` — the *same*
+one-attempt entry point an in-process run uses on its own lease queue, so a
+farm-built record payload is byte-identical to a local one — and reports
+``complete`` or ``fail`` per lease.  The coordinator's or server's
+:class:`~repro.farm.queue.LeaseQueue` owns the retry budget and the reseed,
+so the worker never loops on a failing job.
 
 While jobs are in flight a background thread heartbeats their keys on its
 own connection at a third of the coordinator's lease horizon; a worker that
@@ -54,6 +54,7 @@ from .schema import (
     complete_request,
     fail_request,
     heartbeat_request,
+    parse_lease,
 )
 
 __all__ = ["default_worker_id", "exit_on_sigterm", "flush_chaos_report", "run_worker"]
@@ -210,7 +211,7 @@ def run_worker(
                     note(f"claim rejected: {response.error}")
                     return 1
                 payload = response.payload
-                leases = [Lease.from_dict(item) for item in payload.get("leases", [])]
+                leases = [parse_lease(item) for item in payload.get("leases", [])]
                 if not leases:
                     if payload.get("done"):
                         note(f"queue drained after {executed} job(s); exiting")

@@ -8,8 +8,8 @@ repeated compiles pay it once per *device configuration*:
 * :mod:`~repro.serve.schema` — newline-JSON wire protocol, versioned;
 * :mod:`~repro.serve.state` — per-device warm state and its LRU registry;
 * :mod:`~repro.serve.server` — socket server that answers cache hits
-  itself and hands misses to forked workers running the engine's own
-  ``_execute_keyed`` entry point (same cache keys, same payloads);
+  itself and leases misses to forked workers, which run one attempt each
+  of the engine's own ``_execute_keyed`` (same cache keys, same payloads);
 * :mod:`~repro.serve.client` — blocking client plus the concurrent
   submission helper behind ``repro submit``.
 

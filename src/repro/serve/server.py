@@ -13,9 +13,9 @@ processes over the farm's lease queue
 (:class:`~repro.farm.coordinator.LeaseDesk`, the same
 ``claim``/``complete``/``fail`` protocol a farm coordinator speaks):
 
-* a worker runs :func:`repro.experiments.engine._execute_keyed` — the
-  *same* entry point the batch engine and the farm use, so a served compile
-  produces the byte-identical record payload and cache key a ``repro run``
+* a worker runs one attempt of :func:`repro.experiments.engine._execute_keyed`
+  — the *same* entry point every run uses, so a served compile produces
+  the record payload, cache key and (queue-counted) error a ``repro run``
   would;
 * compiles run off this process's GIL, so a hit never waits behind one;
 * every request for one uncached key shares one execution (single-flight);

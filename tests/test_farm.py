@@ -42,6 +42,7 @@ from repro.farm.schema import (
     parse_complete,
     parse_fail,
     parse_heartbeat,
+    parse_lease,
     progress_request,
 )
 from repro.serve.client import ServeClient
@@ -120,11 +121,11 @@ class TestProtocolV2Schema:
             policy={"timeout": 5.0, "retries": 0, "reseed_on_retry": False, "on_error": "record"},
             deadline_unix=123.5,
         )
-        assert Lease.from_dict(lease.to_dict()) == lease
+        assert parse_lease(lease.to_dict()) == lease
 
     def test_lease_validation_rejects_garbage(self):
         with pytest.raises(ServeProtocolError, match="missing a string 'key'"):
-            Lease.from_dict({"job": {}, "attempt": 0, "policy": {}, "deadline_unix": 0})
+            parse_lease({"job": {}, "attempt": 0, "policy": {}, "deadline_unix": 0})
 
     def test_parsers_invert_constructors(self):
         assert parse_claim(claim_request("w1", 4)) == ("w1", 4)
@@ -203,6 +204,17 @@ class TestLeaseQueue:
         assert queue.entry_state(key) == FAILED
         assert queue.done() is True
         assert [e.attempts for e in queue.failed_errors()] == [2]
+
+    def test_permanent_failure_counts_and_times_every_reported_attempt(self):
+        queue, keys = self._queue(n=1, retries=1)
+        key = keys[0]
+        for worker in ("w1", "w2"):
+            queue.claim(worker, 1)
+            queue.fail(key, worker, _error(key))  # each report: attempts=1, seconds=0.1
+        (error,) = queue.failed_errors()
+        assert error.attempts == 2
+        assert error.seconds == pytest.approx(0.2)
+        assert (error.error_type, error.message) == ("ValueError", "boom")
 
     def test_stale_failure_from_an_expired_lease_is_ignored(self):
         queue, keys = self._queue(n=1, retries=3, lease_seconds=0.01)
@@ -290,7 +302,7 @@ class TestCoordinatorOverTcp:
         with ServeClient(coordinator.host, coordinator.port) as client:
             while True:
                 payload = client.request(claim_request("w1", 2)).payload
-                leases = [Lease.from_dict(item) for item in payload["leases"]]
+                leases = [parse_lease(item) for item in payload["leases"]]
                 if not leases:
                     assert payload["done"] is True
                     break

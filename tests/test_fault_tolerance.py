@@ -161,6 +161,21 @@ class TestErrorCapture:
         assert report.errors[0].benchmark == "QFT"
         assert "injected fault" in report.errors[0].message
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_counts_every_attempt_on_both_paths(self, monkeypatch, tmp_path, workers):
+        # in process and on the farm, the one lease queue counts the attempts
+        set_chaos_spec(monkeypatch, "job-fail:QFT")
+        jobs = [Job(benchmark="QFT", chiplet_width=4, rows=1, cols=2, seed=1)]
+        _, report = run_jobs_report(
+            jobs,
+            workers=workers,
+            cache=tmp_path,
+            policy=JobPolicy(retries=2, on_error="record"),
+        )
+        (error,) = report.errors
+        assert error.attempts == 3
+        assert error.seconds > 0
+
 
 class TestRetries:
     def test_retry_succeeds_after_reseed(self):

@@ -110,6 +110,20 @@ print(report.cache_hits)
     assert (tmp_path / "artifacts" / "sweep.json").exists()
 
 
+def test_in_process_run_loads_the_lease_queue_alone(tmp_path):
+    # the queue needs no wire code; a fully cached run does not load it
+    code = f"""
+import sys
+from repro.experiments.engine import Job, run_jobs_report
+
+jobs = [Job("BV", structure="square", chiplet_width=3, rows=1, cols=2)]
+run_jobs_report(jobs, cache={str(tmp_path / "cache")!r})
+print(sorted(m for m in sys.modules if m.startswith(("repro.farm", "repro.serve"))))
+"""
+    assert run_python(code) == "['repro.farm', 'repro.farm.queue']"
+    assert run_python(code) == "[]"
+
+
 LAZY_ROOTS = (
     "repro",
     "repro.backends",

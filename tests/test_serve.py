@@ -595,6 +595,15 @@ class TestForkedWorkers:
         assert left == 0
         assert stats["compiles"] == 4 and stats["queue"]["completed"] == 3
 
+    def test_failed_compile_counts_every_attempt(self, monkeypatch):
+        # the queue's error, not the worker's single attempt, answers the request
+        set_chaos_spec(monkeypatch, "job-fail:QFT")
+        job = Job(benchmark="QFT", seed=75, **SMALL)
+        with CompileServer(workers=1) as server:
+            response = _compile(server, job, policy=JobPolicy(retries=1, on_error="record"))
+        assert not response.ok
+        assert response.payload["job_error"]["attempts"] == 2
+
     def test_cache_hit_is_answered_while_every_worker_compiles(self, monkeypatch, tmp_path):
         set_chaos_spec(monkeypatch, "job-stall:QFT,seconds=30")
         cached = Job(benchmark="BV", seed=71, **SMALL)
