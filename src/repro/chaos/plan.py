@@ -53,7 +53,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-CHAOS_ENV = "REPRO_CHAOS"
+from repro.chaos import CHAOS_ENV
+
+__all__ = [
+    "CHAOS_ENV",
+    "CHAOS_PLAN_VERSION",
+    "CHAOS_REPORT_ENV",
+    "ChaosPlan",
+    "ChaosSpecError",
+    "FaultClause",
+    "parse_chaos_spec",
+]
+
 CHAOS_REPORT_ENV = "REPRO_CHAOS_REPORT"
 CHAOS_PLAN_VERSION = 1
 

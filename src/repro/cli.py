@@ -61,29 +61,15 @@ import sys
 import time
 from pathlib import Path
 from collections.abc import Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .backends import DEFAULT_COMPILERS, available_backends, backend_descriptions
-from .chaos import CHAOS_ENV, ChaosSpecError, chaos_controller
-from .experiments.engine import (
-    SCALE_TIERS,
-    VERIFY_ENV,
-    Checkpoint,
-    CheckpointError,
-    FarmAbortedError,
-    Job,
-    JobPolicy,
-    ResultCache,
-    RunReport,
-    journal_path_for,
-    load_checkpoint,
-    plan_jobs,
-    plan_summary,
-    repair_journal,
-    run_jobs_report,
-    write_artifacts,
-)
-from .experiments.engine import config_key
+from . import chaos
+from .experiments.artifacts import write_artifacts
+from .experiments.cache import ResultCache
+from .experiments.jobs import SCALE_TIERS, Job, config_key
+from .experiments.plan import plan_jobs, plan_summary
+from .experiments.policy import JobPolicy
 from .experiments.registry import (
     EXPERIMENTS,
     build_experiment_jobs,
@@ -92,6 +78,9 @@ from .experiments.registry import (
 )
 from .experiments.records import AnyRecord, format_failed_rows, normalize_compilers
 from .experiments.settings import BENCHMARK_NAMES
+
+if TYPE_CHECKING:  # the run loop loads with the first run or resume
+    from .experiments.ledger import Checkpoint, RunReport
 
 __all__ = ["main", "build_parser"]
 
@@ -1451,6 +1440,8 @@ def _execute(
     )
     workers = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     if workers == 1 and args.worker_command is None:
+        from .experiments.ledger import run_jobs_report
+
         return run_jobs_report(jobs, **options)
     from .farm import CommandWorkerLauncher, LocalWorkerLauncher, WorkerLauncher, run_farm
 
@@ -1645,6 +1636,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.verify:
         # worker processes inherit the environment, so the flag reaches every
         # compile job without touching the (cache-key-relevant) job config
+        from .experiments.execute import VERIFY_ENV
+
         os.environ[VERIFY_ENV] = "1"
     failures = 0
     for name in args.experiments:
@@ -1712,6 +1705,8 @@ def _cmd_farm_worker(args: argparse.Namespace) -> int:
 
 
 def _resume_experiment_name(checkpoint: Checkpoint) -> str:
+    from .experiments.ledger import CheckpointError
+
     name = checkpoint.meta.get("experiment")
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise CheckpointError(
@@ -1728,6 +1723,13 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     policy = _build_policy(args)
     if policy is None:
         return 2
+    from .experiments.ledger import (
+        CheckpointError,
+        journal_path_for,
+        load_checkpoint,
+        repair_journal,
+    )
+
     try:
         # a crash can tear the journal's final line; quarantine the torn
         # tail (preserved as *.quarantine) and resume from the good prefix
@@ -1825,9 +1827,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # parse the scenario once, up front: a malformed spec is a usage
         # error, not a traceback (or a job error in every worker)
-        chaos_controller()
-    except ChaosSpecError as exc:
-        print(f"error: {CHAOS_ENV}: {exc}", file=sys.stderr)
+        chaos.active_controller()
+    except chaos.ChaosSpecError as exc:
+        print(f"error: {chaos.CHAOS_ENV}: {exc}", file=sys.stderr)
         return 2
     try:
         if args.command == "list":
@@ -1851,7 +1853,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "resume":
             return _cmd_resume(args)
         return _cmd_run(args)
-    except FarmAbortedError as exc:
+    except RuntimeError as exc:
+        from .experiments.ledger import FarmAbortedError
+
+        if not isinstance(exc, FarmAbortedError):
+            raise
         # a coordinated `run` or `resume` ends here when every worker is gone
         print(f"error: farm run aborted: {exc}", file=sys.stderr)
         if exc.checkpoint is not None:

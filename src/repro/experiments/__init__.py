@@ -1,16 +1,17 @@
 """Reproduction harness for every table and figure of the paper's evaluation.
 
 The experiments layer is built around the orchestration engine
-(:mod:`repro.experiments.engine`): every figure/table cell is a hashable
-:class:`~repro.experiments.engine.Job`, executed — optionally in parallel and
-against an on-disk result cache — by :func:`~repro.experiments.engine.run_jobs`.
+(:mod:`repro.experiments.engine`, a map of its modules): every figure/table
+cell is a hashable :class:`~repro.experiments.jobs.Job`, executed — optionally
+in parallel and against an on-disk result cache — by
+:func:`~repro.experiments.ledger.run_jobs`.
 :func:`~repro.experiments.registry.run_experiment` is the one driver for a
 registered figure/table; the ``python -m repro`` CLI drives the same registry,
 in process or through a farm coordinator.
 
 The names below load their submodule on first access (PEP 562): planning,
 cache reads and artifact writing import no compiler, and the first executed
-job imports the compile path (:func:`~repro.experiments.engine.load_compile_path`).
+job imports the compile path (:func:`~repro.experiments.execute.load_compile_path`).
 """
 
 from typing import TYPE_CHECKING
@@ -18,24 +19,24 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "Checkpoint": ".engine",
-    "CheckpointError": ".engine",
-    "ExecutionPlan": ".engine",
-    "Job": ".engine",
-    "JobError": ".engine",
-    "JobExecutionError": ".engine",
-    "JobPolicy": ".engine",
-    "JobTimeoutError": ".engine",
-    "ResultCache": ".engine",
-    "RunReport": ".engine",
-    "SCALE_TIERS": ".engine",
-    "config_key": ".engine",
-    "load_checkpoint": ".engine",
-    "plan_jobs": ".engine",
-    "plan_summary": ".engine",
-    "run_jobs": ".engine",
-    "run_jobs_report": ".engine",
-    "write_artifacts": ".engine",
+    "Checkpoint": ".ledger",
+    "CheckpointError": ".ledger",
+    "ExecutionPlan": ".plan",
+    "Job": ".jobs",
+    "JobError": ".policy",
+    "JobExecutionError": ".execute",
+    "JobPolicy": ".policy",
+    "JobTimeoutError": ".execute",
+    "ResultCache": ".cache",
+    "RunReport": ".ledger",
+    "SCALE_TIERS": ".jobs",
+    "config_key": ".jobs",
+    "load_checkpoint": ".ledger",
+    "plan_jobs": ".plan",
+    "plan_summary": ".plan",
+    "run_jobs": ".ledger",
+    "run_jobs_report": ".ledger",
+    "write_artifacts": ".artifacts",
     "EXPERIMENTS": ".registry",
     "ExperimentSpec": ".registry",
     "build_experiment_jobs": ".registry",
@@ -81,26 +82,20 @@ __all__ = list(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 if TYPE_CHECKING:
-    from .engine import (
-        SCALE_TIERS,
+    from .artifacts import write_artifacts
+    from .cache import ResultCache
+    from .execute import JobExecutionError, JobTimeoutError
+    from .jobs import SCALE_TIERS, Job, config_key
+    from .ledger import (
         Checkpoint,
         CheckpointError,
-        ExecutionPlan,
-        Job,
-        JobError,
-        JobExecutionError,
-        JobPolicy,
-        JobTimeoutError,
-        ResultCache,
         RunReport,
-        config_key,
         load_checkpoint,
-        plan_jobs,
-        plan_summary,
         run_jobs,
         run_jobs_report,
-        write_artifacts,
     )
+    from .plan import ExecutionPlan, plan_jobs, plan_summary
+    from .policy import JobError, JobPolicy
     from .fig12_scalability import format_fig12, improvement_series, jobs_for_fig12
     from .fig13_sensitivity import (
         SensitivityResult,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
-from .engine import Job, noise_to_items
+from .jobs import Job, noise_to_items
 from .records import AnyRecord, resolve_compilers
 from .settings import BENCHMARK_NAMES, FIG12_ARRAYS
 

@@ -1,8 +1,10 @@
-"""Comparison records, compiler lists and their text tables.
+"""Comparison records, their payload codecs, compiler lists and text tables.
 
 Everything here is pure data and formatting: it imports no compiler, so
-planning a sweep, reading cached results and writing artifacts never load
-one.  :mod:`repro.experiments.runner` builds these records from compiled
+reading cached results and writing artifacts never load one, and planning a
+sweep does not load this module at all.  :func:`record_to_payload` and
+:func:`record_from_payload` are the JSON form the cache, the farm's wire
+format and the checkpoint carry.  :mod:`repro.experiments.runner` builds these records from compiled
 output and re-exports every name; :mod:`repro.metrics` re-exports the
 improvement helpers.
 
@@ -20,7 +22,7 @@ Two record shapes exist:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from ..backends.registry import DEFAULT_COMPILERS
@@ -36,6 +38,8 @@ __all__ = [
     "normalize_compilers",
     "normalized_ratio",
     "primary_compiler",
+    "record_from_payload",
+    "record_to_payload",
     "resolve_compilers",
 ]
 
@@ -205,6 +209,56 @@ class MultiComparisonRecord:
 
 #: Either record shape, as returned by the engine.
 AnyRecord = ComparisonRecord | MultiComparisonRecord
+
+
+def record_to_payload(record: AnyRecord) -> dict[str, object]:
+    """All dataclass fields of a record as a JSON-serialisable dict.
+
+    Two-backend :class:`ComparisonRecord` payloads keep the historic flat
+    field layout; :class:`MultiComparisonRecord` payloads carry a
+    ``compilers`` list plus per-backend ``depths``/``eff_cnots``/``seconds``
+    maps — the marker :func:`record_from_payload` dispatches on.
+    """
+    if isinstance(record, MultiComparisonRecord):
+        return {
+            "compilers": list(record.compilers),
+            "benchmark": record.benchmark,
+            "architecture": record.architecture,
+            "num_data_qubits": record.num_data_qubits,
+            "num_physical_qubits": record.num_physical_qubits,
+            "depths": dict(record.depths),
+            "eff_cnots": dict(record.eff_cnots),
+            "highway_qubit_fraction": record.highway_qubit_fraction,
+            "seconds": dict(record.seconds),
+            "extra": dict(record.extra),
+        }
+    return {
+        "benchmark": record.benchmark,
+        "architecture": record.architecture,
+        "num_data_qubits": record.num_data_qubits,
+        "num_physical_qubits": record.num_physical_qubits,
+        "baseline_depth": record.baseline_depth,
+        "mech_depth": record.mech_depth,
+        "baseline_eff_cnots": record.baseline_eff_cnots,
+        "mech_eff_cnots": record.mech_eff_cnots,
+        "highway_qubit_fraction": record.highway_qubit_fraction,
+        "baseline_seconds": record.baseline_seconds,
+        "mech_seconds": record.mech_seconds,
+        "extra": dict(record.extra),
+    }
+
+
+def record_from_payload(payload: Mapping[str, object]) -> AnyRecord:
+    """Inverse of :func:`record_to_payload` (always returns a fresh record)."""
+    data = dict(payload)
+    data["extra"] = dict(data.get("extra") or {})
+    if "compilers" in data:
+        data["compilers"] = tuple(data["compilers"])
+        data["depths"] = dict(data.get("depths") or {})
+        data["eff_cnots"] = dict(data.get("eff_cnots") or {})
+        data["seconds"] = dict(data.get("seconds") or {})
+        return MultiComparisonRecord(**data)  # type: ignore[arg-type]
+    return ComparisonRecord(**data)  # type: ignore[arg-type]
 
 
 def normalize_compilers(compilers: Sequence[str]) -> tuple[str, ...]:

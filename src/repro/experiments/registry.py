@@ -21,16 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
-from .engine import (
-    ExecutionPlan,
-    Job,
-    JobPolicy,
-    ResultCache,
-    RunReport,
-    plan_jobs,
-    run_jobs_report,
-)
+from .cache import ResultCache
+from .jobs import Job
+from .plan import ExecutionPlan, plan_jobs
+from .policy import JobPolicy
 from .fig12_scalability import format_fig12, jobs_for_fig12
 from .fig13_sensitivity import format_fig13, jobs_for_fig13, sensitivity_results_from_records
 from .fig14_sparsity import format_fig14, jobs_for_fig14
@@ -38,6 +34,9 @@ from .fig15_highway_density import format_fig15, jobs_for_fig15
 from .fig16_structures import format_fig16, jobs_for_fig16
 from .records import AnyRecord, resolve_compilers
 from .table2 import format_table2, jobs_for_table2
+
+if TYPE_CHECKING:
+    from .ledger import RunReport
 
 __all__ = [
     "ExperimentSpec",
@@ -218,6 +217,8 @@ def run_experiment(
     and ``checkpoint`` file.  Returns the records (healthy jobs only —
     failures are in ``report.errors``) and the report.
     """
+    from .ledger import run_jobs_report
+
     jobs = build_experiment_jobs(
         name, scale=scale, benchmarks=benchmarks, seed=seed, compilers=compilers
     )

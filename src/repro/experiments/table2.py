@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..hardware.noise import DEFAULT_NOISE, NoiseModel
-from .engine import Job, noise_to_items
+from .jobs import Job, noise_to_items
 from .records import AnyRecord, format_records, resolve_compilers
 from .settings import BENCHMARK_NAMES, TABLE2_CHIPLET_SIZES
 

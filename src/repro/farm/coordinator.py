@@ -41,18 +41,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol
 
-from ..experiments.engine import (
+from ..experiments.cache import ResultCache
+from ..experiments.execute import _raise_job_error
+from ..experiments.jobs import Job
+from ..experiments.ledger import (
     FarmAbortedError,
-    Job,
-    JobError,
-    JobPolicy,
-    ResultCache,
     RunLedger,
     RunReport,
-    _raise_job_error,
     append_journal,
     journal_path_for,
 )
+from ..experiments.policy import JobError, JobPolicy
 from ..experiments.runner import AnyRecord
 from ..serve.schema import (
     FARM_PROTOCOL_VERSION,

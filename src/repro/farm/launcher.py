@@ -21,13 +21,12 @@ import contextlib
 import os
 import signal
 import subprocess
+import sys
 import time
-import traceback
 from pathlib import Path
 from typing import Any, NoReturn, Protocol
 
-from ..chaos import reset_chaos
-from ..experiments.engine import load_compile_path
+from ..experiments.execute import load_compile_path
 from ..serve.server import close_listeners
 from ..serve.state import WarmStateRegistry
 from .queue import LEASE_SECONDS
@@ -157,7 +156,9 @@ def _worker_child(
         exit_on_sigterm()
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         close_listeners()
-        reset_chaos()  # count this process's injections, not the parent's
+        inject = sys.modules.get("repro.chaos.inject")
+        if inject is not None:  # loaded only when chaos is on
+            inject.reset_chaos()  # count this process's injections, not the parent's
         os.dup2(log_fd, 1)
         os.dup2(log_fd, 2)
         os.close(log_fd)
@@ -183,6 +184,8 @@ def _worker_child(
     except SystemExit:  # stop_workers' SIGTERM
         code = 0
     except Exception:
+        import traceback
+
         with contextlib.suppress(OSError):
             os.write(2, traceback.format_exc().encode())
     finally:

@@ -32,17 +32,28 @@ long-lived server holds only live entries.  A claim may wait on the queue's
 condition for work to appear, so idle workers pick up new and re-queued
 entries at once.  The module imports no wire code (that is
 :mod:`repro.farm.schema`), so an in-process run loads it alone.
+
+A claim or a transition costs O(log n), not a scan of the queue: pending
+entries sit in a heap keyed by their insertion position (a re-queued entry
+regains its place ahead of later ones), the per-state counts and the failed
+entries are kept as entries move, and the expiry scan runs only once some
+live lease may be past its deadline — never for an in-process run, whose
+leases last forever.  Only a ranked claim weighs every pending entry.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 import threading
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
 from typing import Any
 
-from ..experiments.engine import Job, JobError, JobPolicy, job_to_dict
+from ..experiments.jobs import Job, job_to_dict
+from ..experiments.policy import JobError, JobPolicy
 
 __all__ = ["LEASE_SECONDS", "Lease", "LeaseQueue", "QueueEntry"]
 
@@ -54,6 +65,7 @@ PENDING = "pending"
 LEASED = "leased"
 COMPLETED = "completed"
 FAILED = "failed"
+STATES = (PENDING, LEASED, COMPLETED, FAILED)
 
 
 @dataclass(frozen=True)
@@ -94,6 +106,8 @@ class QueueEntry:
     seconds: float = 0.0
     #: The entry's own budget; ``None`` means the queue's policy.
     policy: JobPolicy | None = None
+    #: Insertion order in the queue: claims go to the lowest pending one.
+    position: int = 0
 
 
 class LeaseQueue:
@@ -110,11 +124,22 @@ class LeaseQueue:
             raise ValueError(f"lease_seconds must be positive, got {lease_seconds}")
         self.policy = policy if policy is not None else JobPolicy()
         self.lease_seconds = float(lease_seconds)
-        self._entries: dict[str, QueueEntry] = {
-            key: QueueEntry(key=key, job=job) for key, job in pending.items()
-        }
+        self._entries: dict[str, QueueEntry] = {}
+        #: Entries per state, updated by every transition.
+        self._counts = dict.fromkeys(STATES, 0)
+        #: ``(position, key)`` of every pending entry, a min-heap; items of
+        #: entries that left the pending state are skipped when popped.
+        self._pending: list[tuple[int, str]] = []
+        #: The failed entries, by key.
+        self._failed: dict[str, QueueEntry] = {}
+        self._positions = itertools.count()
+        #: No live lease expires before this (a lower bound: heartbeats only
+        #: push deadlines later), so ``expire`` needs no scan until then.
+        self._next_deadline = math.inf
         # every transition notifies, so a waiting claim wakes at once
         self._lock = threading.Condition(threading.RLock())
+        for key, job in pending.items():
+            self._insert(QueueEntry(key=key, job=job))
 
     def _policy(self, entry: QueueEntry) -> JobPolicy:
         return entry.policy if entry.policy is not None else self.policy
@@ -123,6 +148,41 @@ class LeaseQueue:
         # single attempt, report-don't-raise: the queue owns the budget
         single = replace(self._policy(entry), retries=0, reseed_on_retry=False, on_error="record")
         return single.to_dict()
+
+    # ------------------------------------------------------------------ #
+    # bookkeeping: every entry enters, moves and leaves through these
+    # ------------------------------------------------------------------ #
+    def _insert(self, entry: QueueEntry) -> None:
+        entry.position = next(self._positions)
+        self._entries[entry.key] = entry
+        self._counts[PENDING] += 1
+        heapq.heappush(self._pending, (entry.position, entry.key))
+
+    def _move(self, entry: QueueEntry, state: str) -> None:
+        previous = entry.state
+        if previous == state:
+            return
+        entry.state = state
+        self._counts[previous] -= 1
+        self._counts[state] += 1
+        if previous == FAILED:
+            del self._failed[entry.key]
+        if state == FAILED:
+            self._failed[entry.key] = entry
+        elif state == PENDING:
+            heapq.heappush(self._pending, (entry.position, entry.key))
+
+    def _remove(self, entry: QueueEntry) -> None:
+        del self._entries[entry.key]
+        self._counts[entry.state] -= 1
+        self._failed.pop(entry.key, None)
+
+    def _pending_entry(self, position: int, key: str) -> QueueEntry | None:
+        """The entry a heap item stands for, if it is still pending."""
+        entry = self._entries.get(key)
+        if entry is None or entry.position != position or entry.state != PENDING:
+            return None
+        return entry
 
     # ------------------------------------------------------------------ #
     # transitions
@@ -139,8 +199,10 @@ class LeaseQueue:
             entry = self._entries.get(key)
             if entry is not None and entry.state in (PENDING, LEASED):
                 return entry
-            self._entries.pop(key, None)
-            entry = self._entries[key] = QueueEntry(key=key, job=job, policy=policy)
+            if entry is not None:
+                self._remove(entry)
+            entry = QueueEntry(key=key, job=job, policy=policy)
+            self._insert(entry)
             self._lock.notify_all()
             return entry
 
@@ -179,19 +241,33 @@ class LeaseQueue:
         now: float,
         rank: Callable[[Job], int | None] | None,
     ) -> list[Lease]:
-        pending = [entry for entry in self._entries.values() if entry.state == PENDING]
-        if rank is not None:
-            ranked = [(rank(entry.job), index) for index, entry in enumerate(pending)]
-            pending = [pending[index] for _, index in sorted(
-                (r, index) for r, index in ranked if r is not None
-            )]
+        wanted = max(1, max_jobs)
+        chosen: list[QueueEntry] = []
+        if rank is None:
+            while self._pending and len(chosen) < wanted:
+                entry = self._pending_entry(*heapq.heappop(self._pending))
+                if entry is not None:
+                    chosen.append(entry)
+        else:
+            # a ranked claim weighs every pending entry and rebuilds the heap
+            # from the live items it leaves (a sorted list is a heap)
+            live = sorted(item for item in self._pending if self._pending_entry(*item))
+            ranked = sorted(
+                (order, position, key)
+                for position, key in live
+                if (order := rank(self._entries[key].job)) is not None
+            )
+            chosen = [self._entries[key] for _, _, key in ranked[:wanted]]
+            taken = {entry.key for entry in chosen}
+            self._pending = [item for item in live if item[1] not in taken]
         leases: list[Lease] = []
-        for entry in pending[: max(1, max_jobs)]:
+        for entry in chosen:
             attempt = entry.attempts_started
             entry.attempts_started += 1
-            entry.state = LEASED
+            self._move(entry, LEASED)
             entry.worker = worker_id
             entry.deadline = now + self.lease_seconds
+            self._next_deadline = min(self._next_deadline, entry.deadline)
             job = entry.job
             if attempt and self._policy(entry).reseed_on_retry:
                 # the queue reseeds: the result still lands under the
@@ -221,7 +297,7 @@ class LeaseQueue:
             entry = self._entries.get(key)
             if entry is None or entry.state == COMPLETED:
                 return False
-            entry.state = COMPLETED
+            self._move(entry, COMPLETED)
             self._lock.notify_all()
             return True
 
@@ -249,12 +325,12 @@ class LeaseQueue:
         with ``error``, counting every attempt started and the seconds of
         the reported ones."""
         if entry.attempts_started < self._policy(entry).retries + 1:
-            entry.state = PENDING
+            self._move(entry, PENDING)
             return True
-        entry.state = FAILED
         entry.error = replace(
             error, key=entry.key, attempts=entry.attempts_started, seconds=entry.seconds
         )
+        self._move(entry, FAILED)
         return False
 
     def forget(self, key: str) -> None:
@@ -266,7 +342,7 @@ class LeaseQueue:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry.state in (COMPLETED, FAILED):
-                del self._entries[key]
+                self._remove(entry)
 
     def heartbeat(self, worker_id: str, keys: list[str], *, now: float | None = None) -> int:
         """Extend the deadlines of ``worker_id``'s live leases; returns the count."""
@@ -287,12 +363,20 @@ class LeaseQueue:
         the count is *preserved*, exactly as if the worker had reported the
         failure itself) or fails permanently with a synthesized "worker lost"
         :class:`JobError`.  Returns ``(key, "requeued" | "failed")`` pairs.
+        Before the earliest deadline a lease was granted with, nothing can
+        have expired and no entry is looked at.
         """
         now = time.time() if now is None else now
         transitions: list[tuple[str, str]] = []
         with self._lock:
+            if self._next_deadline >= now:
+                return transitions
+            next_deadline = math.inf
             for entry in self._entries.values():
-                if entry.state != LEASED or entry.deadline >= now:
+                if entry.state != LEASED:
+                    continue
+                if entry.deadline >= now:
+                    next_deadline = min(next_deadline, entry.deadline)
                     continue
                 lost = JobError(
                     key=entry.key,
@@ -309,6 +393,7 @@ class LeaseQueue:
                 )
                 outcome = "requeued" if self._end_attempt(entry, lost) else "failed"
                 transitions.append((entry.key, outcome))
+            self._next_deadline = next_deadline
             if transitions:
                 self._lock.notify_all()
         return transitions
@@ -318,18 +403,17 @@ class LeaseQueue:
     # ------------------------------------------------------------------ #
     def done(self) -> bool:
         with self._lock:
-            return all(e.state in (COMPLETED, FAILED) for e in self._entries.values())
+            return self._counts[PENDING] + self._counts[LEASED] == 0
 
     def counts(self) -> dict[str, int]:
         with self._lock:
-            counts = {PENDING: 0, LEASED: 0, COMPLETED: 0, FAILED: 0}
-            for entry in self._entries.values():
-                counts[entry.state] += 1
-            return counts
+            return dict(self._counts)
 
     def failed_errors(self) -> list[JobError]:
+        """The permanent failures, in queue order."""
         with self._lock:
-            return [e.error for e in self._entries.values() if e.state == FAILED and e.error]
+            failed = sorted(self._failed.values(), key=lambda entry: entry.position)
+            return [entry.error for entry in failed if entry.error]
 
     def entry_state(self, key: str) -> str | None:
         with self._lock:

@@ -1,7 +1,7 @@
 """The farm worker loop behind ``repro farm-worker``.
 
 A worker is deliberately dumb: it claims a batch of leases, executes each
-through :func:`repro.experiments.engine._execute_keyed` — the *same*
+through :func:`repro.experiments.execute._execute_keyed` — the *same*
 one-attempt entry point an in-process run uses on its own lease queue, so a
 farm-built record payload is byte-identical to a local one — and reports
 ``complete`` or ``fail`` per lease.  The coordinator's or server's
@@ -37,13 +37,9 @@ from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from typing import Any, NoReturn
 
-from ..chaos import chaos_controller
-from ..experiments.engine import (
-    _execute_keyed,
-    job_from_dict,
-    load_compile_path,
-    set_warm_state_provider,
-)
+from ..chaos import active_controller
+from ..experiments.execute import _execute_keyed, load_compile_path, set_warm_state_provider
+from ..experiments.jobs import job_from_dict
 from ..serve.client import ServeClient
 from ..serve.retry import BackoffPolicy, retry_call
 from ..serve.schema import ServeProtocolError, ServeResponse
@@ -66,7 +62,7 @@ def default_worker_id() -> str:
 
 def flush_chaos_report() -> None:
     """Write this process's chaos report (a no-op when chaos is off)."""
-    chaos = chaos_controller()
+    chaos = active_controller()
     if chaos is not None:
         chaos.flush_report()
 

@@ -30,7 +30,7 @@ from collections.abc import Callable, Mapping, Sequence
 from ..metrics import geometric_mean
 
 if TYPE_CHECKING:  # imported lazily at runtime: engine -> backends -> compiler
-    from ..experiments.engine import Job  # pragma: no cover - typing only
+    from ..experiments.jobs import Job  # pragma: no cover - typing only
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -70,7 +70,7 @@ class BenchWorkload:
 
 def workload_job(workload: BenchWorkload, compilers: Sequence[str]) -> "Job":
     """The engine job that compiles ``workload`` with ``compilers``."""
-    from ..experiments.engine import Job
+    from ..experiments.jobs import Job
 
     return Job(
         benchmark=workload.benchmark,

@@ -26,8 +26,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
-from ..chaos import ChaosDrop, chaos_controller
-from ..experiments.engine import Job, JobPolicy, job_to_dict
+from ..chaos import active_controller
+from ..experiments.jobs import Job, job_to_dict
+from ..experiments.policy import JobPolicy
 from .retry import BackoffPolicy, retry_call
 from .schema import (
     MAX_FRAME_BYTES,
@@ -123,7 +124,7 @@ class ServeClient:
         self.connect()
         assert self._sock is not None
         data = encode_message(request)
-        chaos = chaos_controller()
+        chaos = active_controller()
         if chaos is not None:
             data = chaos.on_frame(f"{self.site}.send", data)
         self._sock.sendall(data)
@@ -137,7 +138,7 @@ class ServeClient:
             line = reader.readline(MAX_FRAME_BYTES + 1)
             if not line:
                 break
-            chaos = chaos_controller()
+            chaos = active_controller()
             if chaos is not None:
                 line = chaos.on_frame(f"{self.site}.recv", line)
             response = decode_line(line, ServeResponse)
@@ -169,7 +170,7 @@ class ServeClient:
             try:
                 self._send(request)
                 return self._receive(request.request_id)
-            except (ChaosDrop, OSError, ServeProtocolError) as exc:
+            except (OSError, ServeProtocolError) as exc:  # OSError includes a ChaosDrop
                 self.close()
                 if isinstance(exc, ServeProtocolError) and "protocol version mismatch" in str(
                     exc

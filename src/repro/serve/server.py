@@ -13,7 +13,7 @@ processes over the farm's lease queue
 (:class:`~repro.farm.coordinator.LeaseDesk`, the same
 ``claim``/``complete``/``fail`` protocol a farm coordinator speaks):
 
-* a worker runs one attempt of :func:`repro.experiments.engine._execute_keyed`
+* a worker runs one attempt of :func:`repro.experiments.execute._execute_keyed`
   — the *same* entry point every run uses, so a served compile produces
   the record payload, cache key and (queue-counted) error a ``repro run``
   would;
@@ -40,14 +40,10 @@ from collections.abc import Callable
 from dataclasses import asdict
 from typing import Any, TypeVar
 
-from ..chaos import chaos_controller
-from ..experiments.engine import (
-    Job,
-    JobPolicy,
-    ResultCache,
-    config_key,
-    job_from_dict,
-)
+from ..chaos import active_controller
+from ..experiments.cache import ResultCache
+from ..experiments.jobs import Job, config_key, job_from_dict
+from ..experiments.policy import JobPolicy
 from .dedup import ResponseLog
 from .schema import (
     SERVE_PROTOCOL_VERSION,
@@ -243,7 +239,7 @@ class FramedServer:
             self.dedup.record(response)
             data = encode_message(response)
             try:
-                chaos = chaos_controller()
+                chaos = active_controller()
                 if chaos is not None:
                     data = chaos.on_frame(f"{self.site}.send", data)
                 with write_lock:
@@ -268,7 +264,7 @@ class FramedServer:
                     break
                 if not line.strip():
                     continue
-                chaos = chaos_controller()
+                chaos = active_controller()
                 if chaos is not None:
                     line = chaos.on_frame(f"{self.site}.recv", line)
                 try:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..compiler.local_router import LocalRouter
-from ..experiments.engine import Job
+from ..experiments.jobs import Job
 from ..hardware.array import ChipletArray
 from ..highway.layout import HighwayLayout
 

@@ -260,6 +260,70 @@ class TestLeaseQueue:
         time.sleep(0.06)
         assert queue.heartbeat("w1", [keys[0]]) == 1  # still leased until expire runs
 
+    def test_claim_order_is_insertion_order_and_a_requeue_keeps_its_place(self):
+        queue, keys = self._queue(n=4, retries=1)
+        a, b, c, d = keys
+        assert [lease.key for lease in queue.claim("w1", 2)] == [a, b]
+        assert queue.fail(b, "w1", _error(b)) is True
+        assert queue.fail(a, "w1", _error(a)) is True
+        # both re-queued entries come back ahead of the later ones, in order
+        assert [lease.key for lease in queue.claim("w2", 3)] == [a, b, c]
+        assert queue.complete(a, "w2") is True
+        readded = queue.add(a, _job(seed=0))  # a finished key starts over at the back
+        assert readded.state == PENDING
+        assert [lease.key for lease in queue.claim("w2", 2)] == [d, a]
+        assert queue.claim("w2", 1) == []
+
+    def test_ranked_claims_order_by_rank_then_insertion(self):
+        queue, keys = self._queue(n=5, retries=1)
+        rank = dict(zip(keys, [1, 0, None, 0, 1], strict=True))
+
+        def ranked(job):
+            return rank[config_key(job)]
+
+        assert [lease.key for lease in queue.claim("w1", 2, rank=ranked)] == [keys[1], keys[3]]
+        assert queue.fail(keys[3], "w1", _error(keys[3])) is True
+        assert [lease.key for lease in queue.claim("w1", 9, rank=ranked)] == [
+            keys[3], keys[0], keys[4]
+        ]
+        # the entry every claimer ranks None is left for a plain claim
+        assert [lease.key for lease in queue.claim("w2", 9)] == [keys[2]]
+
+    def test_draining_visits_each_entry_a_bounded_number_of_times(self, monkeypatch):
+        # claim, complete and the ledger's settle stay O(1) per job: 4,096
+        # no-op jobs must not cost the quadratic scans of a full-queue walk
+        from repro.experiments import engine
+        from repro.farm import queue as queue_module
+
+        n = 4096
+        budget = 16 * n
+
+        class CountingEntry(queue_module.QueueEntry):
+            visits = 0
+
+            def __getattribute__(self, name):
+                if name == "state":
+                    CountingEntry.visits += 1
+                    if CountingEntry.visits > budget:
+                        raise AssertionError(f"more than {budget} entry visits for {n} jobs")
+                return super().__getattribute__(name)
+
+        def noop(job):
+            from repro.experiments.records import ComparisonRecord
+
+            return ComparisonRecord(
+                benchmark=job.benchmark, architecture="noop", num_data_qubits=1,
+                num_physical_qubits=1, baseline_depth=1.0, mech_depth=1.0,
+                baseline_eff_cnots=1.0, mech_eff_cnots=1.0, highway_qubit_fraction=0.0,
+            )
+
+        monkeypatch.setattr(queue_module, "QueueEntry", CountingEntry)
+        monkeypatch.setitem(engine.EXECUTORS, "noop", noop)
+        jobs = [Job(benchmark="BV", kind="noop", seed=seed) for seed in range(n)]
+        records, report = run_jobs_report(jobs)
+        assert len(records) == n and report.executed == n
+        assert n <= CountingEntry.visits <= budget
+
     def test_reseed_on_retry_is_applied_coordinator_side(self):
         job = _job()
         key = config_key(job)
@@ -296,7 +360,7 @@ class TestCoordinatorOverTcp:
         coordinator.shutdown()
 
     def test_claim_execute_complete_drains_the_queue(self, farm):
-        from repro.experiments.engine import _execute_keyed
+        from repro.experiments.execute import _execute_keyed
 
         coordinator, cache = farm
         with ServeClient(coordinator.host, coordinator.port) as client:
@@ -367,7 +431,7 @@ class TestCoordinatorOverTcp:
         assert "repro serve" in response.error
 
     def test_cached_jobs_are_never_dispatched(self, tmp_path):
-        from repro.experiments.engine import _execute_keyed
+        from repro.experiments.execute import _execute_keyed
 
         cache = ResultCache(tmp_path / "cache")
         job = _job()

@@ -9,12 +9,13 @@ except where the multiprocessing pool path is exercised explicitly.
 """
 
 import json
+import os
 import time
 
 import pytest
 
 from helpers import set_chaos_spec
-from repro.experiments import engine
+from repro.experiments import engine, execute
 from repro.experiments.engine import (
     Job,
     JobPolicy,
@@ -218,11 +219,11 @@ class TestTimeout:
         assert report.errors[0].attempts == 2
 
     def test_deadline_context_raises(self):
-        with pytest.raises(JobTimeoutError), engine._deadline(0.05):
+        with pytest.raises(JobTimeoutError), execute._deadline(0.05):
             time.sleep(1.0)
 
     def test_deadline_disarms_after_the_body(self):
-        with engine._deadline(0.05):
+        with execute._deadline(0.05):
             pass
         time.sleep(0.08)  # an armed leftover alarm would fire here
 
@@ -278,6 +279,21 @@ class TestErrorArtifacts:
         assert doc["errors"][0]["error_type"] == "RuntimeError"
         csv_text = paths["csv"].read_text()
         assert "error" in csv_text and "poisoned job POISON" in csv_text
+
+    def test_error_row_traceback_is_package_relative(self, monkeypatch, tmp_path):
+        # the same failure writes the same row from any checkout
+        set_chaos_spec(monkeypatch, "job-fail:QFT")
+        jobs = [Job(benchmark="QFT", chiplet_width=4, rows=1, cols=2, seed=1)]
+        _, report = run_jobs_report(jobs, cache=tmp_path, policy=JobPolicy(on_error="record"))
+        paths = write_artifacts("demo", [], tmp_path / "out", errors=report.errors)
+        (row,) = json.loads(paths["json"].read_text())["errors"]
+        tail = row["traceback_tail"]
+        assert f'File "repro{os.sep}experiments{os.sep}execute.py"' in tail
+        checkout = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(execute.__file__)
+        ))))
+        assert checkout not in tail
+        assert os.path.realpath(checkout) not in tail
 
     def test_format_records_appends_failed_rows(self):
         records, report = run_jobs_report([OK1, BAD], policy=JobPolicy(on_error="record"))

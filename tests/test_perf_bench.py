@@ -678,10 +678,10 @@ class TestAccessLogCompaction:
         assert after["top_entries"] == [{"key": "aa11", "hits": 4}]
 
     def test_compaction_triggers_past_size_cap(self, tmp_path, monkeypatch):
-        import repro.experiments.engine as engine_module
+        import repro.experiments.cache as cache_module
 
-        monkeypatch.setattr(engine_module, "_ACCESS_LOG_MAX_BYTES", 64)
-        monkeypatch.setattr(engine_module, "_ACCESS_COMPACT_EVERY", 8)
+        monkeypatch.setattr(cache_module, "_ACCESS_LOG_MAX_BYTES", 64)
+        monkeypatch.setattr(cache_module, "_ACCESS_COMPACT_EVERY", 8)
         cache = ResultCache(tmp_path / "cache")
         cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
         for _ in range(64):

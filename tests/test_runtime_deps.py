@@ -124,6 +124,105 @@ print(sorted(m for m in sys.modules if m.startswith(("repro.farm", "repro.serve"
     assert run_python(code) == "[]"
 
 
+#: Modules a sweep's set-up, a cache read or a plain run never needs.
+DEFERRED = (
+    "csv",
+    "repro.chaos",
+    "repro.experiments.execute",
+    "repro.experiments.ledger",
+    "repro.experiments.records",
+    "signal",
+    "traceback",
+)
+
+LOADED_DEFERRED = (
+    "import sys; print(sorted(m for m in sys.modules"
+    f" if m.startswith({DEFERRED!r})))"
+)
+
+
+def test_sweep_setup_loads_only_jobs_and_the_cache(tmp_path):
+    # what perfbench's set-up probe does before it reports ready
+    code = f"""
+from repro.experiments.engine import Job, ResultCache
+ResultCache({str(tmp_path / "cache")!r})
+{LOADED_DEFERRED}
+"""
+    assert run_python(code) == "[]"
+
+
+def test_cache_stats_loads_neither_the_run_loop_nor_the_executors(tmp_path):
+    code = f"""
+import contextlib, io, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["cache-stats", "--cache-dir", {str(tmp_path / "cache")!r}]) == 0
+print(sorted(m for m in sys.modules
+             if m in ("repro.experiments.ledger", "repro.experiments.execute")))
+"""
+    assert run_python(code) == "[]"
+
+
+def test_cached_run_does_not_load_the_executors(tmp_path):
+    code = f"""
+import sys
+from repro.experiments.engine import Job, run_jobs_report
+_, report = run_jobs_report([Job("BV", chiplet_width=3)], cache={str(tmp_path / "cache")!r})
+print(report.cache_hits, "repro.experiments.execute" in sys.modules)
+"""
+    assert run_python(code) == "0 True"  # the first run executes
+    assert run_python(code) == "1 False"
+
+
+def test_run_without_chaos_loads_no_chaos_runtime(tmp_path):
+    # the cache put, the checkpoint write and the job hook all stay unloaded
+    code = f"""
+import sys
+from repro.experiments.engine import Job, run_jobs_report
+run_jobs_report([Job("BV", chiplet_width=3)], cache={str(tmp_path / "cache")!r},
+                checkpoint={str(tmp_path / "run.checkpoint.json")!r})
+print(sorted(m for m in sys.modules if m.startswith("repro.chaos.")))
+"""
+    assert run_python(code, REPRO_CHAOS="") == "[]"
+    assert run_python(code, REPRO_CHAOS="seed:1") == "['repro.chaos.inject', 'repro.chaos.plan']"
+
+
+#: ``repro.experiments.engine.__all__`` before the engine was split by concern.
+ENGINE_API = (
+    "CACHE_VERSION", "CHECKPOINT_VERSION", "SCALE_TIERS", "VERIFY_ENV", "Checkpoint",
+    "CheckpointError", "ExecutionPlan", "FarmAbortedError", "Job", "JobError",
+    "JobExecutionError", "JobPolicy", "JobTimeoutError", "ResultCache", "RunLedger",
+    "RunReport", "append_journal", "checkpoint_document", "config_key", "error_row",
+    "job_from_dict", "job_to_dict", "journal_path_for", "load_checkpoint",
+    "load_compile_path", "noise_from_items", "noise_to_items", "plan_jobs", "plan_summary",
+    "quarantine_checkpoint", "quarantine_path_for", "read_journal", "repair_journal",
+    "record_from_payload", "record_to_payload", "record_row", "run_jobs", "run_jobs_report",
+    "set_warm_state_provider", "write_artifacts",
+)
+
+
+def test_engine_keeps_every_public_name():
+    code = f"""
+import importlib, json
+from repro.experiments import engine
+homes = {{}}
+for name in {ENGINE_API!r}:
+    home = importlib.import_module(engine._EXPORTS[name], "repro.experiments")
+    assert home.__name__ != engine.__name__, name
+    namespace = {{}}
+    exec(f"from repro.experiments.engine import {{name}} as value", namespace)
+    assert namespace["value"] is getattr(home, name), name
+    assert getattr(engine, name) is getattr(home, name), name
+    homes[name] = home.__name__
+assert set(engine.__all__) == set(engine._EXPORTS) >= set({ENGINE_API!r})
+print(json.dumps(sorted(set(homes.values()))))
+"""
+    assert json.loads(run_python(code)) == [
+        f"repro.experiments.{name}"
+        for name in ("artifacts", "cache", "execute", "jobs", "ledger", "plan", "policy", "records")
+    ]
+
+
 LAZY_ROOTS = (
     "repro",
     "repro.backends",

@@ -24,18 +24,17 @@ import pytest
 from helpers import child_pids, set_chaos_spec, strip_timing, wait_until_gone
 from repro import cli
 from repro.backends import available_backends
-from repro.experiments import engine
+from repro.experiments import engine, execute
 from repro.experiments.engine import (
     Job,
     JobPolicy,
     JobTimeoutError,
     ResultCache,
-    _deadline,
-    _execute_keyed,
     config_key,
     job_to_dict,
     set_warm_state_provider,
 )
+from repro.experiments.execute import _deadline, _execute_keyed
 from repro.serve import (
     SERVE_PROTOCOL_VERSION,
     CompileServer,
@@ -422,7 +421,7 @@ class TestServerLifecycle:
         assert cache.peek(config_key(job)) is not None
 
     def test_shutdown_request_stops_server(self):
-        before = engine._WARM_STATE_PROVIDER
+        before = execute._WARM_STATE_PROVIDER
         server = CompileServer(workers=1).start()
         try:
             with ServeClient(server.host, server.port) as client:
@@ -435,7 +434,7 @@ class TestServerLifecycle:
         finally:
             server.shutdown()
         # the engine hook is restored to whatever was installed before
-        assert engine._WARM_STATE_PROVIDER is before
+        assert execute._WARM_STATE_PROVIDER is before
 
     def test_start_restores_previous_provider_on_shutdown(self):
         """The provider belongs to the worker: the server process compiles
@@ -448,13 +447,13 @@ class TestServerLifecycle:
         previous = set_warm_state_provider(marker)
         try:
             server = CompileServer(workers=1).start()
-            assert engine._WARM_STATE_PROVIDER is marker
+            assert execute._WARM_STATE_PROVIDER is marker
             with ServeClient(server.host, server.port) as client:
                 assert client.compile_job(Job(benchmark="BV", seed=31, **SMALL)).ok
                 stats = client.stats()
             assert stats["warm_state"]["cold_builds"] == 1  # the worker's registry
             server.shutdown()
-            assert engine._WARM_STATE_PROVIDER is marker
+            assert execute._WARM_STATE_PROVIDER is marker
 
             registry = WarmStateRegistry()
             coordinator = FarmCoordinator([Job(benchmark="BV", seed=32, **SMALL)]).start()
@@ -463,7 +462,7 @@ class TestServerLifecycle:
             finally:
                 coordinator.shutdown()
             assert registry.stats()["cold_builds"] == 1  # it was the provider...
-            assert engine._WARM_STATE_PROVIDER is marker  # ...and is no longer
+            assert execute._WARM_STATE_PROVIDER is marker  # ...and is no longer
         finally:
             set_warm_state_provider(previous)
 
