@@ -28,7 +28,7 @@ Runs any of the paper's figures/tables through the orchestration engine::
     repro clean-cache --watch --interval 300 --max-mb 512   # eviction daemon
 
 Every run memoizes its per-job results in an on-disk cache (default
-``.repro-cache/``, sharded by config-hash prefix), so re-running an
+``.repro-cache/``, one sqlite file keyed by config hash), so re-running an
 experiment — or running a different experiment that shares cells with a
 previous one — only compiles what is missing.  Each experiment emits
 ``<name>.json`` / ``<name>.csv`` / ``<name>.txt`` artifacts plus a
@@ -797,21 +797,9 @@ def _sweep_ttl(cache: ResultCache, args: argparse.Namespace) -> str:
 
 def _sweep_ranked(cache: ResultCache, args: argparse.Namespace) -> str:
     """One access-ranked eviction pass down to ``--max-mb``."""
-    max_bytes = max(1, int(args.max_mb * 1048576))
-    if args.dry_run:
-        ranking = cache.eviction_ranking()
-        total = sum(entry["bytes"] for entry in ranking)
-        removed = freed = 0
-        for entry in ranking:
-            if total - freed <= max_bytes:
-                break
-            freed += entry["bytes"]
-            removed += 1
-        verb, kept = "would evict", total - freed
-    else:
-        result = cache.evict_ranked(max_bytes)
-        removed, freed, kept = result["removed"], result["freed_bytes"], result["total_bytes"]
-        verb = "evicted"
+    result = cache.evict_ranked(max(1, int(args.max_mb * 1048576)), dry_run=args.dry_run)
+    removed, freed, kept = result["removed"], result["freed_bytes"], result["total_bytes"]
+    verb = "would evict" if args.dry_run else "evicted"
     return (
         f"{verb} {removed} access-ranked {_entry_word(removed)}"
         f" ({freed / 1048576:.2f} MiB) to fit {args.max_mb:g} MB;"
@@ -967,11 +955,7 @@ def _cache_stats_summary(cache_dir: str, as_json: bool = False) -> int:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
     print(f"cache {stats['cache_dir']}:")
-    print(
-        f"  entries:      {stats['entries']}"
-        f" ({stats['total_bytes'] / 1048576:.2f} MiB in {stats['shards']} shards)"
-    )
-    print(f"  tmp litter:   {stats['tmp_files']}")
+    print(f"  entries:      {stats['entries']} ({stats['total_bytes'] / 1048576:.2f} MiB)")
     print(f"  corrupt:      {stats['corrupt_entries']}")
     for label, mtime in (("oldest", stats["oldest_mtime"]), ("newest", stats["newest_mtime"])):
         if mtime is not None:

@@ -1,7 +1,7 @@
 """Parallel experiment-orchestration engine with on-disk result caching.
 
 Every cell of the paper's tables and figures is a hashable job; the engine
-plans a job list against an on-disk JSON cache, executes the misses
+plans a job list against an on-disk sqlite result cache, executes the misses
 in-process or over leased local worker processes, keeps the run's books in a
 resumable checkpoint and writes JSON/CSV artifacts.  It is six modules, one
 per concern, each loaded on first use, plus two small shared ones:

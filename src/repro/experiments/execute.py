@@ -173,7 +173,7 @@ def _run_sensitivity_job(job: Job) -> AnyRecord:
     reference backend.  The sweep series land in the record's ``extra`` dict
     under ``<series>@<value>`` keys (the primary backend) and
     ``<backend>:<series>@<value>`` keys (any further non-reference backends)
-    so they survive the JSON cache and the CSV artifacts.
+    so they survive the result cache and the CSV artifacts.
     """
     params = dict(job.params)
     base_noise = job.noise_model()

@@ -24,7 +24,7 @@ import math
 import os
 import threading
 import time
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -466,14 +466,24 @@ class RunLedger:
         if self.store is not None:
             self.store.put(key, self.plan.pending[key], payload)
 
-    def settle(self, queue: LeaseQueue, *, force: bool = False) -> bool:
-        """After a transition of ``queue``: mirror its failures (a late
-        completion may rescue one), flush, and say whether the run is over:
-        all finished, or a failure under ``on_error="raise"`` (forces it)."""
-        self.errors = {error.key: error for error in queue.failed_errors()}
+    def settle(self, queue: LeaseQueue, keys: Iterable[str], *, force: bool = False) -> bool:
+        """After a transition of ``keys`` in ``queue``: mirror their failures
+        (a late completion may rescue one), flush, and say whether the run
+        is over: all finished, or a failure under ``on_error="raise"``
+        (forces the flush)."""
+        for key in keys:
+            error = queue.failed_error(key)
+            if error is None:
+                self.errors.pop(key, None)
+            else:
+                self.errors[key] = error
         over = queue.done() or (bool(self.errors) and queue.policy.on_error == "raise")
         self.flush(force=force or over)
         return over
+
+    def failed(self) -> list[JobError]:
+        """The permanent failures, in job order."""
+        return [self.errors[key] for key in self.plan.pending if key in self.errors]
 
     def flush(self, *, force: bool = True) -> None:
         """Write the checkpoint.  A routine flush (``force=False``) within
@@ -492,11 +502,12 @@ class RunLedger:
                 self._trailing.cancel()
                 self._trailing = None
             self._last_flush = time.monotonic()
-            payloads, failed = dict(self.payloads), dict(self.errors)
+            payloads, failed = dict(self.payloads), self.failed()
+            failed_keys = {error.key for error in failed}
             remaining = [
                 {"key": key, "benchmark": job.benchmark, "kind": job.kind}
                 for key, job in self.plan.pending.items()
-                if key not in payloads and key not in failed
+                if key not in payloads and key not in failed_keys
             ]
             finished = not remaining and not self.interrupted
             document = checkpoint_document(
@@ -507,7 +518,7 @@ class RunLedger:
                 cache_hits=self.plan.cache_hits,
                 cached_keys=self._cached_keys,
                 completed_keys=[key for key in self.plan.pending if key in payloads],
-                failed=list(failed.values()),
+                failed=failed,
                 pending_entries=remaining,
                 serialized_jobs=self._serialized_jobs,
             )
@@ -590,7 +601,7 @@ class RunLedger:
             workers=workers,
             seconds=time.perf_counter() - self._started,
             failed=len(self.errors),
-            errors=list(self.errors.values()),
+            errors=self.failed(),
             corrupt_entries=store.corrupt_seen - self._corrupt_base if store is not None else 0,
             interrupted=self.interrupted,
             cache_write_errors=write_errors,
@@ -679,7 +690,7 @@ def run_jobs_report(
             else:
                 queue.complete(key, "in-process")
                 ledger.complete(key, payload)
-            ledger.settle(queue, force=job_error is not None)
+            ledger.settle(queue, (key,))
             finished += 1
             note = f"{finished}/{len(queue)} jobs executed"
             error = ledger.errors.get(key)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol
@@ -184,7 +184,7 @@ class FarmCoordinator(FramedServer):
     # results
     # ------------------------------------------------------------------ #
     def errors(self) -> list[JobError]:
-        return list(self.ledger.errors.values())
+        return self.ledger.failed()
 
     def records(self) -> list[AnyRecord]:
         """Records in original job order — the engine's one reassembly."""
@@ -265,7 +265,7 @@ class FarmCoordinator(FramedServer):
                 counts = self.queue.counts()
                 done = counts[COMPLETED] + counts[FAILED]
                 self.progress(f"{done}/{len(self.queue)} jobs executed")
-        self._after_transition()
+        self._after_transition((key,))
 
     def lease_failed(self, key: str, worker_id: str, error: JobError, *, requeued: bool) -> None:
         self._journal(
@@ -282,17 +282,17 @@ class FarmCoordinator(FramedServer):
                 f"{error.benchmark} failed ({error.error_type});"
                 f" {'re-queued' if requeued else 'budget exhausted'}"
             )
-        self._after_transition(force=not requeued)
+        self._after_transition((key,))
 
     def leases_expired(self, transitions: list[tuple[str, str]]) -> None:
         for key, outcome in transitions:
             self._journal({"event": "expire", "key": key, "outcome": outcome})
             if self.progress is not None:
                 self.progress(f"lease expired: {key[:12]}… ({outcome})")
-        self._after_transition(force=True)
+        self._after_transition([key for key, _ in transitions], force=True)
 
-    def _after_transition(self, *, force: bool = False) -> None:
-        if self.ledger.settle(self.queue, force=force):
+    def _after_transition(self, keys: Iterable[str], *, force: bool = False) -> None:
+        if self.ledger.settle(self.queue, keys, force=force):
             self._done.set()
 
     def _expiry_loop(self) -> None:

@@ -415,6 +415,12 @@ class LeaseQueue:
             failed = sorted(self._failed.values(), key=lambda entry: entry.position)
             return [entry.error for entry in failed if entry.error]
 
+    def failed_error(self, key: str) -> JobError | None:
+        """``key``'s permanent failure, or None while it has none."""
+        with self._lock:
+            entry = self._failed.get(key)
+            return entry.error if entry is not None else None
+
     def entry_state(self, key: str) -> str | None:
         with self._lock:
             entry = self._entries.get(key)

@@ -20,13 +20,21 @@ workers after their parent is killed.
 
 :func:`strip_timing` drops a record payload's wall-clock keys, so served,
 cached and batch payloads compare byte for byte.
+
+:func:`cache_clock` pins the result cache's clock, so the puts and gets
+inside it stamp a chosen last use; :func:`rot_cache_entry` and
+:func:`drop_cache_entry` change a cache row behind the store's back, through
+a raw ``sqlite3`` connection.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import sqlite3
 import time
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -34,6 +42,7 @@ import numpy as np
 from repro.chaos import CHAOS_ENV, reset_chaos
 from repro.circuits import Circuit, Simulator, statevectors_equal
 from repro.compiler.result import CompilationResult
+from repro.experiments import cache as cache_module
 from repro.hardware import Topology
 from repro.highway import HighwayLayout
 
@@ -48,6 +57,9 @@ __all__ = [
     "nx_topology",
     "nx_highway",
     "strip_timing",
+    "cache_clock",
+    "rot_cache_entry",
+    "drop_cache_entry",
 ]
 
 
@@ -216,3 +228,36 @@ def strip_timing(payload: Mapping[str, object]) -> dict[str, object]:
         for k, v in payload.items()
         if k != "seconds" and not k.endswith("_seconds")
     }
+
+
+@contextlib.contextmanager
+def cache_clock(stamp: float) -> Iterator[None]:
+    """Every put and get inside stamps ``stamp`` as the entry's last use."""
+    with mock.patch.object(cache_module, "_clock", lambda: stamp):
+        yield
+
+
+def _write_cache_row(cache: cache_module.ResultCache, sql: str, params: tuple) -> None:
+    with contextlib.closing(sqlite3.connect(cache.db_path)) as conn, conn:
+        assert conn.execute(sql, params).rowcount == 1
+
+
+def rot_cache_entry(
+    cache: cache_module.ResultCache,
+    key: str,
+    record: str | None = "{not json",
+    *,
+    cache_version: int | None = None,
+) -> None:
+    """Overwrite ``key``'s stored record text and/or its cache version."""
+    _write_cache_row(
+        cache,
+        "UPDATE entries SET record = COALESCE(?, record),"
+        " cache_version = COALESCE(?, cache_version) WHERE key = ?",
+        (record, cache_version, key),
+    )
+
+
+def drop_cache_entry(cache: cache_module.ResultCache, key: str) -> None:
+    """Delete ``key``'s row, as an eviction in another process would."""
+    _write_cache_row(cache, "DELETE FROM entries WHERE key = ?", (key,))

@@ -1,29 +1,23 @@
 """Concurrent-access tests for :class:`ResultCache`.
 
-Three bug classes this file pins down:
+Two bug classes this file pins down:
 
-* the access-log **compaction race** — the historic read→aggregate→replace
-  cycle lost lines appended between the read and the replace, and two
-  concurrent compactors could double-count; compaction is now serialised by
-  an O_EXCL lock file and renames the live log aside before aggregating, so
-  every line lands in exactly one file;
-* **mtime-reset survival** — LRU eviction and TTL sweeps ranked entries by
-  ``st_mtime`` alone, so tooling that resets mtimes on restore (CI cache
-  actions) made the entire cache look idle; recency is now also persisted
-  in the access log and the effective last-use is the newer of the two;
+* **mtime-reset survival** — LRU eviction and TTL sweeps once ranked entries
+  by file ``st_mtime``, so tooling that resets mtimes on restore (CI cache
+  actions) made the entire cache look idle; recency now lives in the
+  store's ``last_use`` column, which no file mtime can touch;
 * plain **multi-process hammering** — N processes sharing one cache
-  directory must not corrupt entries or lose log records.
+  directory must not corrupt entries or lose hit counts.
 """
 
 import json
 import multiprocessing
 import os
+import sys
+import threading
 import time
 
-import pytest
-
-from helpers import strip_timing
-from repro.experiments import engine
+from helpers import cache_clock, strip_timing
 from repro.experiments.engine import Job, ResultCache, config_key
 
 JOB = Job(benchmark="QFT", chiplet_width=4, rows=1, cols=2)
@@ -63,7 +57,6 @@ class TestMultiProcessHammer:
     def test_concurrent_put_get_no_corruption(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         keys = keys_for(6)
-        ResultCache(cache_dir)  # pre-create so readers can log accesses
         for index, key in enumerate(keys):
             ResultCache(cache_dir).put(key, JOB, payload_for(index))
 
@@ -97,96 +90,52 @@ class TestMultiProcessHammer:
         assert access["misses"] == 0
 
 
-# --------------------------------------------------------------------------
-# compaction under concurrency
+def _read_in_a_forked_child(cache: ResultCache, key: str) -> None:
+    assert cache._conn is None  # the parent closed it before the fork
+    assert cache.get(key) is not None  # the child opens a connection of its own
 
 
-def _compact_and_append(cache_dir: str, keys: list[str], rounds: int) -> None:
-    cache = ResultCache(cache_dir)
-    for round_index in range(rounds):
-        cache.get(keys[round_index % len(keys)])
-        cache._compact_access_log()
-
-
-class TestCompactionConcurrency:
-    def test_compaction_loses_nothing_single_process(self, tmp_path):
+class TestOneConnectionPerStore:
+    def test_threads_sharing_one_store_lose_no_hit(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         keys = keys_for(4)
         for index, key in enumerate(keys):
             cache.put(key, JOB, payload_for(index))
-        for _ in range(25):
-            for key in keys:
-                assert cache.get(key) is not None
-        cache._compact_access_log()
+
+        def read_all():
+            for _ in range(25):
+                for key in keys:
+                    assert cache.get(key) is not None
+
+        threads = [threading.Thread(target=read_all) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         access = cache.access_stats()
-        assert access["hits"] == 25 * len(keys)
-        assert access["misses"] == 0
-        # compacting twice (idempotent) changes nothing
-        cache._compact_access_log()
-        assert cache.access_stats()["hits"] == 25 * len(keys)
-        # per-key counts survive compaction
-        top = {entry["key"]: entry["hits"] for entry in access["top_entries"]}
-        assert top == {key: 25 for key in keys}
+        assert access["hits"] == 4 * 25 * len(keys)
+        assert {entry["hits"] for entry in access["top_entries"]} == {4 * 25}
 
-    def test_concurrent_compactors_and_appenders(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        keys = keys_for(4)
-        seed_cache = ResultCache(cache_dir)
-        for index, key in enumerate(keys):
-            seed_cache.put(key, JOB, payload_for(index))
-
-        rounds = 40
-        processes = [
-            multiprocessing.Process(
-                target=_compact_and_append, args=(cache_dir, keys, rounds)
-            )
-            for _ in range(4)
-        ]
-        for process in processes:
-            process.start()
-        for process in processes:
-            process.join(timeout=120)
-            assert process.exitcode == 0
-
-        cache = ResultCache(cache_dir)
-        cache._compact_access_log()
-        access = cache.access_stats()
-        # every get() was a hit and every line survived some interleaving of
-        # 4 concurrent compactors
-        assert access["hits"] == 4 * rounds
-        assert access["misses"] == 0
-        # no litter left behind: neither lock nor aside files
-        leftovers = [
-            path.name
-            for path in (tmp_path / "cache").iterdir()
-            if path.name.startswith(".access.log.")
-        ]
-        assert leftovers == []
-
-    def test_stale_lock_is_removed(self, tmp_path):
+    def test_no_connection_crosses_a_fork(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         key = keys_for(1)[0]
         cache.put(key, JOB, payload_for(0))
-        cache.get(key)
-        lock = cache.access_log_path.with_name(".access.log.lock")
-        lock.touch()
-        os.utime(lock, (1, 1))  # ancient -> crashed compactor debris
-        cache._compact_access_log()  # claims nothing, removes the debris
-        assert not lock.exists()
-        # a fresh compaction then succeeds
-        cache._compact_access_log()
-        assert cache.access_stats()["hits"] == 1
-
-    def test_live_lock_skips_compaction_without_data_loss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        key = keys_for(1)[0]
-        cache.put(key, JOB, payload_for(0))
-        cache.get(key)
-        lock = cache.access_log_path.with_name(".access.log.lock")
-        lock.touch()  # fresh: another process is compacting right now
-        cache._compact_access_log()
-        assert cache.access_stats()["hits"] == 1  # log untouched
-        lock.unlink()
+        assert cache._conn is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=_read_in_a_forked_child, args=(cache, key)
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert cache._conn is None  # closed in the parent too, before the fork
+        assert cache.get(key) is not None  # and reopened on the next use
+        assert cache.access_stats()["hits"] == 2
 
 
 # --------------------------------------------------------------------------
@@ -195,7 +144,7 @@ class TestCompactionConcurrency:
 
 class TestMtimeResetRecency:
     def _reset_all_mtimes(self, cache: ResultCache) -> None:
-        for path in cache.entries():
+        for path in cache.cache_dir.iterdir():
             os.utime(path, (1, 1))  # 1970: the pathological restore
 
     def test_sweep_spares_logged_recent_entries_after_mtime_reset(self, tmp_path):
@@ -203,32 +152,30 @@ class TestMtimeResetRecency:
         keys = keys_for(4)
         for index, key in enumerate(keys):
             cache.put(key, JOB, payload_for(index))
-        # entries 0 and 1 are "in use" per the access log
+        # entries 0 and 1 are "in use"
         cache.get(keys[0])
         cache.get(keys[1])
         self._reset_all_mtimes(cache)
 
-        # by mtime alone everything is decades stale; the log must save the
-        # two used entries (puts logged recency for all four, so rank by the
-        # get timestamps: sweep with a cutoff newer than the puts)
+        # by mtime alone everything is decades stale; the stored last use
+        # must save every entry (a cutoff in the future still sweeps all)
         result = cache.sweep_older_than(0.0, now=time.time() + 10.0, dry_run=True)
-        assert result["removed"] == 4  # sanity: cutoff in the future sweeps all
+        assert result["removed"] == 4
 
         swept = cache.sweep_older_than(3600.0)
-        assert swept["removed"] == 0  # every entry has logged recency < 1h old
+        assert swept["removed"] == 0  # every entry was used < 1h ago
 
     def test_sweep_uses_log_recency_not_mtime(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         keys = keys_for(2)
-        for index, key in enumerate(keys):
-            cache.put(key, JOB, payload_for(index))
-        self._reset_all_mtimes(cache)
-        # rewrite the access log so entry 0 was last used 2 days ago and
-        # entry 1 just now — recency must come from the log, not st_mtime
         now = time.time()
-        cache.access_log_path.write_text(
-            f"P {keys[0]} {now - 2 * 86400:.6f}\nP {keys[1]} {now:.6f}\n"
-        )
+        # entry 0 was last used 2 days ago and entry 1 just now — recency
+        # must come from the store, not st_mtime
+        with cache_clock(now - 2 * 86400):
+            cache.put(keys[0], JOB, payload_for(0))
+        with cache_clock(now):
+            cache.put(keys[1], JOB, payload_for(1))
+        self._reset_all_mtimes(cache)
         result = cache.sweep_older_than(86400.0)
         assert result["removed"] == 1
         assert cache.get(keys[1]) is not None
@@ -237,31 +184,27 @@ class TestMtimeResetRecency:
     def test_eviction_order_follows_logged_recency_after_mtime_reset(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         keys = keys_for(3)
-        for index, key in enumerate(keys):
-            cache.put(key, JOB, payload_for(index))
-        self._reset_all_mtimes(cache)
         now = time.time()
-        # log says: keys[1] oldest, then keys[2], keys[0] most recent
-        cache.access_log_path.write_text(
-            f"P {keys[1]} {now - 300:.6f}\n"
-            f"P {keys[2]} {now - 200:.6f}\n"
-            f"P {keys[0]} {now - 100:.6f}\n"
-        )
-        entry_size = cache.path_for(keys[0]).stat().st_size
-        # cap so exactly one entry must go: the log's LRU pick is keys[1]
+        # keys[1] oldest, then keys[2], keys[0] most recent
+        for key, age in ((keys[1], 300), (keys[2], 200), (keys[0], 100)):
+            with cache_clock(now - age):
+                cache.put(key, JOB, payload_for(0))
+        self._reset_all_mtimes(cache)
+        entry_size = cache.eviction_ranking()[0]["bytes"]
+        # cap so exactly one entry must go: the LRU pick is keys[1]
         capped = ResultCache(tmp_path / "cache", max_bytes=int(entry_size * 2.5))
-        capped._evict_to_cap()
+        with cache_clock(now - 100):  # re-put keys[0] at its own stamp: the cap applies
+            capped.put(keys[0], JOB, payload_for(0))
         assert capped.peek(keys[1]) is None
         assert capped.peek(keys[0]) is not None
         assert capped.peek(keys[2]) is not None
 
-    def test_mtime_alone_still_works_without_log(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache", record_access=False)
+    def test_put_time_alone_ranks_unserved_entries(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
         keys = keys_for(2)
-        for index, key in enumerate(keys):
-            cache.put(key, JOB, payload_for(index))
-        old = time.time() - 10 * 86400
-        os.utime(cache.path_for(keys[0]), (old, old))
+        with cache_clock(time.time() - 10 * 86400):
+            cache.put(keys[0], JOB, payload_for(0))
+        cache.put(keys[1], JOB, payload_for(1))
         result = cache.sweep_older_than(86400.0)
         assert result["removed"] == 1
         assert cache.peek(keys[1]) is not None

@@ -8,11 +8,11 @@ the operator's preview of what the daemon will delete.
 """
 
 import json
-import os
 import time
 
 import pytest
 
+from helpers import cache_clock
 from repro.cli import main
 from repro.experiments.engine import Job, ResultCache, config_key
 
@@ -27,15 +27,15 @@ def _payload(seed):
 
 @pytest.fixture()
 def warm_cache(tmp_path):
-    """Four entries with distinct hit counts and mtimes, oldest first."""
+    """Four entries with distinct hit counts and last uses, oldest first."""
     cache = ResultCache(tmp_path / "cache")
     keys = []
     now = time.time()
     for seed in range(4):
         job = _job(seed)
         key = config_key(job)
-        path = cache.put(key, job, _payload(seed))
-        os.utime(path, (now - 1000 + seed, now - 1000 + seed))
+        with cache_clock(now - 1000 + seed):
+            cache.put(key, job, _payload(seed))
         keys.append(key)
     # seed 2 gets two hits, seed 3 one hit; 0 and 1 stay cold
     cache.get(keys[2])
@@ -77,6 +77,14 @@ class TestEvictionRanking:
         assert cache.peek(keys[1]) is None
         assert cache.peek(keys[2]) is not None
         assert cache.peek(keys[3]) is not None
+
+    def test_evict_ranked_dry_run_counts_what_the_real_pass_removes(self, warm_cache):
+        cache, keys = warm_cache
+        cap = cache.eviction_ranking()[-1]["bytes"] * 2
+        preview = cache.evict_ranked(cap, dry_run=True)
+        assert len(cache) == 4  # nothing deleted
+        assert cache.evict_ranked(cap) == preview
+        assert preview["removed"] == 2 and cache.evicted == 2
 
     def test_evict_ranked_is_a_noop_under_the_cap(self, warm_cache):
         cache, _keys = warm_cache

@@ -430,8 +430,8 @@ class TestDegradedCache:
     def test_put_degrades_to_pass_through_under_enospc(self, tmp_path):
         set_chaos(parse_chaos_spec("enospc:op=put,sticky=1"))
         cache = ResultCache(tmp_path / "cache")
-        path = cache.put("k1", JOB, PAYLOAD)
-        assert not path.exists()  # nothing persisted...
+        cache.put("k1", JOB, PAYLOAD)
+        assert cache.peek("k1") is None  # nothing persisted...
         assert cache.write_errors == 1 and cache.degraded  # ...but counted
         cache.put("k2", JOB, PAYLOAD)
         assert cache.write_errors == 2
@@ -441,8 +441,8 @@ class TestDegradedCache:
         cache = ResultCache(tmp_path / "cache")
         cache.put("k1", JOB, PAYLOAD)
         assert cache.degraded
-        second = cache.put("k2", JOB, PAYLOAD)
-        assert second.exists()  # the fault budget ran out; writes persist again
+        cache.put("k2", JOB, PAYLOAD)
+        assert cache.peek("k2") is not None  # the fault budget ran out; writes persist again
         assert cache.write_errors == 1
 
     def test_report_summary_surfaces_degradation(self):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import set_chaos_spec, strip_timing
+from helpers import cache_clock, set_chaos_spec, strip_timing
 from repro.cli import build_parser, main
 from repro.experiments.engine import ResultCache
 
@@ -428,28 +428,13 @@ class TestDryRun:
 class TestCleanCacheTtl:
     def _age_half_of_the_cache(self, dirs, days=40):
         cache = ResultCache(dirs["cache"])
-        entries = cache.entries()
-        stamp = time.time() - days * 86400
-        aged = entries[: len(entries) // 2 or 1]
-        aged_keys = {path.stem for path in aged}
-        for path in aged:
-            os.utime(path, (stamp, stamp))
-        # recency is mtime-independent too: the access log's P/H lines count
-        # as last use, so aging an entry means aging its logged timestamps
-        log = cache.access_log_path
-        if log.exists():
-            lines = []
-            for line in log.read_text().splitlines():
-                parts = line.split()
-                timestamped = (
-                    len(parts) == 3 and parts[0] in ("H", "M", "P")
-                ) or (len(parts) == 4 and parts[0] == "A")
-                if timestamped and parts[1] in aged_keys:
-                    parts[-1] = f"{stamp:.6f}"
-                    line = " ".join(parts)
-                lines.append(line)
-            log.write_text("\n".join(lines) + "\n")
-        return len(entries), len(aged)
+        keys = sorted(entry["key"] for entry in cache.eviction_ranking())
+        aged = keys[: len(keys) // 2 or 1]
+        # a get under a pinned clock stamps that moment as the last use
+        with cache_clock(time.time() - days * 86400):
+            for key in aged:
+                assert cache.get(key) is not None
+        return len(keys), len(aged)
 
     def test_older_than_removes_only_aged_entries(self, dirs, capsys):
         assert _run_fig12(dirs) == 0

@@ -9,9 +9,14 @@ import csv
 import hashlib
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+from helpers import cache_clock, rot_cache_entry
 from repro.experiments.engine import (
     CACHE_VERSION,
     Job,
@@ -90,25 +95,25 @@ class TestCache:
     def test_cache_version_mismatch_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_jobs([TINY], cache=cache)
-        path = cache.path_for(config_key(TINY))
-        entry = json.loads(path.read_text())
-        entry["cache_version"] = CACHE_VERSION + 1
-        path.write_text(json.dumps(entry))
+        rot_cache_entry(cache, config_key(TINY), None, cache_version=CACHE_VERSION + 1)
         assert cache.get(config_key(TINY)) is None
+        # a skew is not rot: the row stays and nothing counts as corrupt
+        assert cache.corrupt_seen == 0
+        assert len(cache) == 1 and cache.stats()["corrupt_entries"] == 0
 
     def test_corrupt_entry_is_a_miss_and_gets_recomputed(self, tmp_path):
         cache = ResultCache(tmp_path)
         records1, _ = run_jobs_report([TINY], cache=cache)
-        cache.path_for(config_key(TINY)).write_text("{not json")
+        rot_cache_entry(cache, config_key(TINY))
         records2, report = run_jobs_report([TINY], cache=cache)
         assert report.executed == 1
         assert _dicts(records1) == _dicts(records2)
 
     def test_non_dict_json_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_jobs([TINY], cache=cache)
         for garbage in ("null", "[]", '"str"'):
-            cache.path_for(config_key(TINY)).write_text(garbage)
+            run_jobs([TINY], cache=cache)  # (re)stores the entry a get just dropped
+            rot_cache_entry(cache, config_key(TINY), garbage)
             assert cache.get(config_key(TINY)) is None
 
     def test_completed_jobs_are_cached_even_when_a_later_job_fails(self, tmp_path):
@@ -137,8 +142,7 @@ class TestCache:
     def test_corrupt_entries_are_dropped_and_surfaced_in_the_report(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_jobs([TINY], cache=cache)
-        path = cache.path_for(config_key(TINY))
-        path.write_text("{not json")
+        rot_cache_entry(cache, config_key(TINY))
         _, report = run_jobs_report([TINY], cache=cache)
         assert report.corrupt_entries == 1
         assert report.executed == 1
@@ -154,78 +158,115 @@ def _fake_payload(label: str) -> dict:
     return {"benchmark": label, "padding": "x" * 64}
 
 
-class TestShardedCache:
-    """Layout, LRU eviction and temp-litter hygiene."""
+#: Puts ever new entries into the cache at ``sys.argv[1]`` until killed.
+_PUT_LOOP = """
+import sys
+from repro.experiments.engine import Job, ResultCache
+cache = ResultCache(sys.argv[1])
+job = Job(benchmark="BV")
+index = 0
+while True:
+    cache.put(f"{index:064x}", job, {"benchmark": "BV", "index": index, "pad": "x" * 4096})
+    index += 1
+"""
 
-    def test_entries_are_sharded_by_hash_prefix(self, tmp_path):
+
+class TestShardedCache:
+    """The store's layout, LRU eviction and crash safety."""
+
+    def test_entries_live_in_one_database_file(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = _fake_key("a")
-        path = cache.put(key, TINY, _fake_payload("a"))
-        assert path == tmp_path / key[:2] / f"{key}.json"
-        assert path.is_file()
-        assert cache.entries() == [path]
+        cache.put(key, TINY, _fake_payload("a"))
+        assert cache.db_path == tmp_path / "cache.sqlite"
+        assert [entry["key"] for entry in cache.eviction_ranking()] == [key]
+        assert not any(path.is_dir() for path in tmp_path.iterdir())
         assert cache.get(key) == _fake_payload("a")
 
-    def test_clear_spans_shards_and_legacy_entries(self, tmp_path):
+    def test_clear_removes_every_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(_fake_key("a"), TINY, _fake_payload("a"))
         cache.put(_fake_key("b"), TINY, _fake_payload("b"))
         assert cache.clear() == 2
         assert len(cache) == 0
-        # shard directories are pruned too
-        assert not any(p.is_dir() for p in tmp_path.iterdir())
+        assert cache.get(_fake_key("a")) is None
 
     def test_lru_eviction_removes_oldest_entries_first(self, tmp_path):
         cache = ResultCache(tmp_path)
-        p1 = cache.put(_fake_key("one"), TINY, _fake_payload("one"))
-        cache.max_bytes = int(p1.stat().st_size * 2.5)
-        os.utime(p1, (1000, 1000))
-        p2 = cache.put(_fake_key("two"), TINY, _fake_payload("two"))
-        os.utime(p2, (2000, 2000))
-        p3 = cache.put(_fake_key("three"), TINY, _fake_payload("three"))
-        assert not p1.exists()  # oldest evicted
-        assert p2.exists() and p3.exists()
+        with cache_clock(1000):
+            cache.put(_fake_key("one"), TINY, _fake_payload("one"))
+        cache.max_bytes = int(cache.eviction_ranking()[0]["bytes"] * 2.5)
+        with cache_clock(2000):
+            cache.put(_fake_key("two"), TINY, _fake_payload("two"))
+        with cache_clock(3000):
+            cache.put(_fake_key("three"), TINY, _fake_payload("three"))
+        assert cache.peek(_fake_key("one")) is None  # oldest evicted
+        assert cache.peek(_fake_key("two")) is not None
+        assert cache.peek(_fake_key("three")) is not None
         assert cache.evicted == 1
 
     def test_get_refreshes_lru_rank(self, tmp_path):
         cache = ResultCache(tmp_path)
-        p1 = cache.put(_fake_key("one"), TINY, _fake_payload("one"))
-        p2 = cache.put(_fake_key("two"), TINY, _fake_payload("two"))
-        os.utime(p1, (1000, 1000))
-        os.utime(p2, (2000, 2000))
-        assert cache.get(_fake_key("one")) is not None  # touches p1
-        cache.max_bytes = int(p1.stat().st_size * 2.5)
-        p3 = cache.put(_fake_key("three"), TINY, _fake_payload("three"))
-        assert p1.exists() and p3.exists()
-        assert not p2.exists()  # p2 became the least recently used
+        with cache_clock(1000):
+            cache.put(_fake_key("one"), TINY, _fake_payload("one"))
+        with cache_clock(2000):
+            cache.put(_fake_key("two"), TINY, _fake_payload("two"))
+        with cache_clock(3000):
+            assert cache.get(_fake_key("one")) is not None  # refreshes "one"
+        cache.max_bytes = int(cache.eviction_ranking()[0]["bytes"] * 2.5)
+        with cache_clock(4000):
+            cache.put(_fake_key("three"), TINY, _fake_payload("three"))
+        assert cache.peek(_fake_key("one")) is not None
+        assert cache.peek(_fake_key("three")) is not None
+        assert cache.peek(_fake_key("two")) is None  # "two" became the least recently used
 
-    def test_stale_tmp_litter_swept_on_put(self, tmp_path):
-        # two keys in the same shard: the second put sweeps the first's litter
-        key1, key2 = "ab" + "1" * 62, "ab" + "2" * 62
-        cache = ResultCache(tmp_path)
-        first = cache.put(key1, TINY, _fake_payload("one"))
-        stale = first.parent / f".{'ab' + '3' * 62}.json.tmp-12345"
-        stale.write_text("partial write from a crashed run")
-        os.utime(stale, (1000, 1000))
-        fresh = first.parent / f".{'ab' + '4' * 62}.json.tmp-67890"
-        fresh.write_text("a concurrent writer mid-put")
-        root_stale = tmp_path / f".{'cd' + '5' * 62}.json.tmp-777"
-        root_stale.write_text("legacy-layout litter")
-        os.utime(root_stale, (1000, 1000))
-        cache.put(key2, TINY, _fake_payload("two"))
-        assert not stale.exists()
-        assert not root_stale.exists()  # the cache root is always swept too
-        assert fresh.exists()  # young files are never swept by put()
+    def test_a_killed_writer_leaves_every_entry_whole(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        writer = subprocess.Popen([sys.executable, "-c", _PUT_LOOP, str(cache_dir)], env=env)
+        try:
+            cache = ResultCache(cache_dir)
+            deadline = time.monotonic() + 60
+            while len(cache) < 20 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert len(cache) >= 20
+        finally:
+            writer.send_signal(signal.SIGKILL)
+            writer.wait()
+        cache = ResultCache(cache_dir)  # the store opens after the crash
+        keys = [entry["key"] for entry in cache.eviction_ranking()]
+        assert len(keys) >= 20
+        for key in keys:
+            record = cache.peek(key)
+            assert record is not None and record["pad"] == "x" * 4096
+            assert f"{record['index']:064x}" == key
+        assert cache.stats()["corrupt_entries"] == 0
 
-    def test_clear_removes_all_tmp_litter(self, tmp_path):
+    def test_clear_leaves_no_entry_and_no_side_file(self, tmp_path):
         cache = ResultCache(tmp_path)
-        path = cache.put(_fake_key("a"), TINY, _fake_payload("a"))
-        litter_shard = path.parent / f".{_fake_key('x')}.json.tmp-1"
-        litter_shard.write_text("x")
-        litter_root = tmp_path / f".{_fake_key('y')}.json.tmp-2"
-        litter_root.write_text("y")
-        cache.clear()
-        assert not litter_shard.exists() and not litter_root.exists()
+        cache.put(_fake_key("a"), TINY, _fake_payload("a"))
+        assert cache.get(_fake_key("a")) is not None
+        assert (tmp_path / "cache.sqlite-wal").exists()  # the write-ahead log
+        assert cache.clear() == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cache.sqlite"]
+        assert len(cache) == 0  # (a read reopens the store)
+
+    def test_sharded_json_entries_of_the_old_layout_only_miss(self, tmp_path):
+        key = _fake_key("a")
+        legacy = tmp_path / key[:2] / f"{key}.json"
+        legacy.parent.mkdir()
+        legacy.write_text(json.dumps({"cache_version": CACHE_VERSION, "record": {"x": 1}}))
+        cache = ResultCache(tmp_path)
+        assert cache.get(key) is None
+        assert len(cache) == 0
+        assert legacy.exists()
+
+    def test_a_database_that_cannot_open_degrades_puts_to_pass_through(self, tmp_path):
+        (tmp_path / "cache.sqlite").mkdir()  # sqlite cannot open a directory
+        cache = ResultCache(tmp_path)
+        cache.put(_fake_key("a"), TINY, _fake_payload("a"))
+        assert cache.write_errors == 1 and cache.degraded
+        assert cache.get(_fake_key("a")) is None
 
     def test_non_positive_max_bytes_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
@@ -237,12 +278,11 @@ class TestShardedCache:
         cache = ResultCache(tmp_path)
         cache.put(_fake_key("a"), TINY, _fake_payload("a"))
         cache.put(_fake_key("b"), TINY, _fake_payload("b"))
-        cache.path_for(_fake_key("b")).write_text("{rotten")
+        rot_cache_entry(cache, _fake_key("b"), "{rotten")
         stats = cache.stats()
         assert stats["entries"] == 2
         assert stats["corrupt_entries"] == 1
         assert stats["total_bytes"] > 0
-        assert stats["tmp_files"] == 0
         assert stats["oldest_mtime"] <= stats["newest_mtime"]
 
 

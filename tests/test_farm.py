@@ -289,10 +289,38 @@ class TestLeaseQueue:
         # the entry every claimer ranks None is left for a plain claim
         assert [lease.key for lease in queue.claim("w2", 9)] == [keys[2]]
 
-    def test_draining_visits_each_entry_a_bounded_number_of_times(self, monkeypatch):
-        # claim, complete and the ledger's settle stay O(1) per job: 4,096
-        # no-op jobs must not cost the quadratic scans of a full-queue walk
+    @staticmethod
+    def _noop_sweep(monkeypatch, n, *, failing):
+        """``n`` jobs of a no-op kind; with ``failing``, every odd seed raises."""
         from repro.experiments import engine
+
+        def noop(job):
+            from repro.experiments.records import ComparisonRecord
+
+            if failing and job.seed % 2:
+                raise RuntimeError("odd seed")
+            return ComparisonRecord(
+                benchmark=job.benchmark, architecture="noop", num_data_qubits=1,
+                num_physical_qubits=1, baseline_depth=1.0, mech_depth=1.0,
+                baseline_eff_cnots=1.0, mech_eff_cnots=1.0, highway_qubit_fraction=0.0,
+            )
+
+        monkeypatch.setitem(engine.EXECUTORS, "noop", noop)
+        return [Job(benchmark="BV", kind="noop", seed=seed) for seed in range(n)]
+
+    def test_draining_visits_each_entry_a_bounded_number_of_times(self, monkeypatch):
+        self._drain_counting_visits(monkeypatch, failing=False)
+
+    def test_draining_failing_jobs_visits_each_entry_a_bounded_number_of_times(
+        self, monkeypatch
+    ):
+        self._drain_counting_visits(monkeypatch, failing=True)
+
+    def _drain_counting_visits(self, monkeypatch, *, failing):
+        # claim, complete, fail and the ledger's settle stay O(1) per job:
+        # 4,096 no-op jobs (with ``failing``, half of them fail) must not cost
+        # the quadratic scans of a full-queue walk or of a sort of every
+        # failed entry
         from repro.farm import queue as queue_module
 
         n = 4096
@@ -302,27 +330,49 @@ class TestLeaseQueue:
             visits = 0
 
             def __getattribute__(self, name):
-                if name == "state":
+                if name in ("state", "position", "error"):
                     CountingEntry.visits += 1
                     if CountingEntry.visits > budget:
                         raise AssertionError(f"more than {budget} entry visits for {n} jobs")
                 return super().__getattribute__(name)
 
-        def noop(job):
-            from repro.experiments.records import ComparisonRecord
-
-            return ComparisonRecord(
-                benchmark=job.benchmark, architecture="noop", num_data_qubits=1,
-                num_physical_qubits=1, baseline_depth=1.0, mech_depth=1.0,
-                baseline_eff_cnots=1.0, mech_eff_cnots=1.0, highway_qubit_fraction=0.0,
-            )
-
         monkeypatch.setattr(queue_module, "QueueEntry", CountingEntry)
-        monkeypatch.setitem(engine.EXECUTORS, "noop", noop)
-        jobs = [Job(benchmark="BV", kind="noop", seed=seed) for seed in range(n)]
-        records, report = run_jobs_report(jobs)
-        assert len(records) == n and report.executed == n
+        jobs = self._noop_sweep(monkeypatch, n, failing=failing)
+        records, report = run_jobs_report(jobs, policy=JobPolicy(on_error="record"))
+        assert report.executed == n
+        assert len(records) == (n // 2 if failing else n)
+        assert report.failed == n - len(records)
+        assert [error.key for error in report.errors] == [
+            config_key(job) for job in jobs if failing and job.seed % 2
+        ]
         assert n <= CountingEntry.visits <= budget
+
+    def test_checkpoint_writes_do_not_grow_with_the_number_of_failures(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.experiments import ledger as ledger_module
+
+        monkeypatch.setattr(ledger_module, "_CHECKPOINT_FLUSH_SECONDS", 60.0)
+        written = []
+        atomic_write = ledger_module._atomic_write_json
+
+        def counting_write(path, document):
+            written.append(path)
+            atomic_write(path, document)
+
+        monkeypatch.setattr(ledger_module, "_atomic_write_json", counting_write)
+        writes = []
+        for n in (8, 64):
+            written.clear()
+            checkpoint = tmp_path / f"sweep-{n}.checkpoint.json"
+            jobs = self._noop_sweep(monkeypatch, n, failing=True)
+            _, report = run_jobs_report(
+                jobs, policy=JobPolicy(on_error="record"), checkpoint=checkpoint
+            )
+            assert report.failed == n // 2
+            assert json.loads(checkpoint.read_text())["finished"] is True
+            writes.append(len(written))
+        assert writes[0] == writes[1]  # 4 failures or 32: the same writes
 
     def test_reseed_on_retry_is_applied_coordinator_side(self):
         job = _job()

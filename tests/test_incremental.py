@@ -8,11 +8,11 @@ real compilation happens here (the CLI end-to-end flows live in
 """
 
 import json
-import os
 import time
 
 import pytest
 
+from helpers import cache_clock
 from repro.experiments import engine
 from repro.experiments.engine import (
     CHECKPOINT_VERSION,
@@ -46,6 +46,11 @@ def _dummy_record(job: Job) -> ComparisonRecord:
         highway_qubit_fraction=0.25,
         extra={"seed": float(job.seed)},
     )
+
+
+def _last_use(cache: ResultCache, key: str) -> float:
+    (entry,) = [entry for entry in cache.eviction_ranking() if entry["key"] == key]
+    return entry["last_use"]
 
 
 def _boom(job: Job) -> ComparisonRecord:
@@ -277,27 +282,22 @@ class TestReviewRegressions:
 
     def test_peek_classifies_like_get_without_touching_mtime(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_jobs([OK1], cache=cache)
-        key = config_key(OK1)
-        path = cache.path_for(key)
         stamp = time.time() - 5000
-        os.utime(path, (stamp, stamp))
+        with cache_clock(stamp):
+            run_jobs([OK1], cache=cache)
+        key = config_key(OK1)
         peeked = cache.peek(key)
         assert peeked is not None
-        assert abs(path.stat().st_mtime - stamp) < 1.0  # peek left the mtime alone
+        assert _last_use(cache, key) == stamp  # peek left the recency alone
         assert cache.peek(config_key(OK2)) is None  # miss classification matches get
         assert cache.get(key) == peeked  # and a real get returns the same payload
-        assert path.stat().st_mtime > stamp + 1000  # which *does* refresh recency
+        assert _last_use(cache, key) > stamp + 1000  # which *does* refresh recency
 
     def test_unrefreshed_plan_does_not_shield_entries_from_a_ttl_sweep(self, tmp_path):
-        # record_access=False so mtime is the only recency source here — with
-        # the access log on, the put timestamps would (correctly) shield the
-        # entries from the sweep regardless of the mtime aging below
-        cache = ResultCache(tmp_path, record_access=False)
-        run_jobs([OK1, OK2], cache=cache)
+        cache = ResultCache(tmp_path)
         now = time.time()
-        for path in cache.entries():
-            os.utime(path, (now - 5000, now - 5000))
+        with cache_clock(now - 5000):
+            run_jobs([OK1, OK2], cache=cache)
         # a dry-run preview plans without refreshing...
         plan = plan_jobs([OK1, OK2], cache=cache, refresh=False)
         assert plan.cache_hits == 2
@@ -313,9 +313,8 @@ class TestReviewRegressions:
 
     def test_plan_jobs_default_is_read_only(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_jobs([OK1], cache=cache)
-        path = cache.path_for(config_key(OK1))
         stamp = time.time() - 5000
-        os.utime(path, (stamp, stamp))
+        with cache_clock(stamp):
+            run_jobs([OK1], cache=cache)
         plan_jobs([OK1], cache=cache)  # defaults must not refresh recency
-        assert abs(path.stat().st_mtime - stamp) < 1.0
+        assert _last_use(cache, config_key(OK1)) == stamp

@@ -9,6 +9,7 @@ import warnings
 
 import pytest
 
+from helpers import drop_cache_entry
 from repro.backends import available_backends
 from repro.cli import main
 from repro.experiments.engine import (
@@ -330,7 +331,7 @@ class TestResumeOnlyFailed:
         failed_key, kept_key, dropped_key = keys
         cache = ResultCache(cache_dir)
         for key in (failed_key, dropped_key):
-            cache.path_for(key).unlink()
+            drop_cache_entry(cache, key)
         doc["completed"] = []
         doc["cached"] = [kept_key]
         doc["failed"] = [{
@@ -362,7 +363,7 @@ class TestResumeOnlyFailed:
         doc["cached"] = []
         doc["completed"] = [kept_key]
         path.write_text(json.dumps(doc))
-        ResultCache(tmp_path / "cache").path_for(kept_key).unlink()
+        drop_cache_entry(ResultCache(tmp_path / "cache"), kept_key)
         assert main(["resume", str(path), "--only-failed", "--quiet"]) == 0
         assert "2 jobs: 0 cached, 2 executed" in capsys.readouterr().out
 

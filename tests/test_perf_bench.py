@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from helpers import drop_cache_entry
 from repro.cli import main
 from repro.experiments.engine import Job, ResultCache, noise_to_items
 from repro.hardware.noise import DEFAULT_NOISE
@@ -610,13 +611,6 @@ class TestCacheAccessTelemetry:
         assert not cache_dir.exists()
         assert cache.access_stats()["recorded"] == 0
 
-    def test_record_access_off_keeps_log_empty(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache", record_access=False)
-        cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
-        cache.get("aa11")
-        assert not cache.access_log_path.exists()
-        assert cache.access_stats()["recorded"] == 0
-
     def test_peek_is_silent(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
@@ -628,9 +622,22 @@ class TestCacheAccessTelemetry:
         cache = ResultCache(tmp_path / "cache")
         cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
         cache.get("aa11")
-        assert cache.access_log_path.exists()
+        cache.get("bb22")
+        assert cache.access_stats()["recorded"] == 2
         cache.clear()
-        assert not cache.access_log_path.exists()
+        assert cache.access_stats()["recorded"] == 0
+
+    def test_top_entries_only_list_live_cache_entries(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
+        cache.put("bb22", _job(1), {"kind": "compare", "record": {"x": 2.0}})
+        cache.get("aa11")
+        cache.get("aa11")
+        cache.get("bb22")
+        drop_cache_entry(cache, "bb22")  # evicted / swept entry
+        stats = cache.access_stats()
+        assert stats["top_entries"] == [{"key": "aa11", "hits": 2}]
+        assert stats["tracked_entries"] == 1
 
     def test_stats_embeds_access_summary(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -657,49 +664,6 @@ class TestCacheAccessTelemetry:
         cache.get("aa11")
         assert main(["cache-stats", "--cache-dir", str(tmp_path / "cache")]) == 0
         assert "hit rate" in capsys.readouterr().out
-
-
-class TestAccessLogCompaction:
-    def test_compaction_preserves_totals_and_counts(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
-        for _ in range(3):
-            cache.get("aa11")
-        cache.get("bb22")
-        before = cache.access_stats()
-        cache._compact_access_log()
-        text = cache.access_log_path.read_text()
-        assert text.startswith("T ") and "A aa11 3" in text
-        assert cache.access_stats() == before
-        # further accesses append on top of the compacted history
-        cache.get("aa11")
-        after = cache.access_stats()
-        assert after["hits"] == 4 and after["misses"] == 1
-        assert after["top_entries"] == [{"key": "aa11", "hits": 4}]
-
-    def test_compaction_triggers_past_size_cap(self, tmp_path, monkeypatch):
-        import repro.experiments.cache as cache_module
-
-        monkeypatch.setattr(cache_module, "_ACCESS_LOG_MAX_BYTES", 64)
-        monkeypatch.setattr(cache_module, "_ACCESS_COMPACT_EVERY", 8)
-        cache = ResultCache(tmp_path / "cache")
-        cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
-        for _ in range(64):
-            cache.get("aa11")
-        assert cache.access_log_path.stat().st_size < 64 + 8 * len("H aa11\n")
-        stats = cache.access_stats()
-        assert stats["hits"] == 64
-
-    def test_top_entries_only_list_live_cache_entries(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
-        cache.put("bb22", _job(1), {"kind": "compare", "record": {"x": 2.0}})
-        cache.get("aa11")
-        cache.get("bb22")
-        cache.path_for("bb22").unlink()  # evicted / swept entry
-        stats = cache.access_stats()
-        assert stats["top_entries"] == [{"key": "aa11", "hits": 1}]
-        assert stats["tracked_entries"] == 2
 
 
 class TestZeroMatchComparisonFails:

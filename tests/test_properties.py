@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
-import os
 import tempfile
 import time
 
@@ -19,7 +18,7 @@ from repro.highway import measurement_based_ghz
 from repro.metrics import count_operations, geometric_mean, improvement
 from repro.programs import random_two_qubit_circuit
 
-from helpers import assert_all_two_qubit_ops_coupled, assert_semantically_equivalent
+from helpers import assert_all_two_qubit_ops_coupled, assert_semantically_equivalent, cache_clock
 
 # shared small devices (building them is comparatively expensive)
 TINY_ARRAY = ChipletArray("square", 3, 1, 2)
@@ -198,14 +197,14 @@ class TestCompilerProperties:
 
 
 # --------------------------------------------------------------------------- #
-# result-cache invariants (LRU cap, TTL sweep, recency, shard migration)
+# result-cache invariants (LRU cap, TTL sweep, recency)
 # --------------------------------------------------------------------------- #
 _CACHE_JOB = Job(benchmark="BV")
 _CACHE_PAYLOAD = {"benchmark": "BV", "architecture": "prop-1x1"}
 
 
 def _cache_key(index: int) -> str:
-    """A distinct, shardable (hex) config key per index."""
+    """A distinct (hex) config key per index."""
     return f"{index:02x}" * 32
 
 
@@ -218,18 +217,16 @@ class TestResultCacheProperties:
     def test_ttl_sweep_never_evicts_entries_newer_than_the_cutoff(self, ages, max_age):
         """Exactly the entries strictly older than ``now - max_age`` go."""
         with tempfile.TemporaryDirectory() as tmp:
-            cache = ResultCache(tmp, record_access=False)  # mtime-only recency
+            cache = ResultCache(tmp)
             now = time.time()
-            paths = {}
             for index, age in enumerate(ages):
-                key = _cache_key(index)
-                path = cache.put(key, _CACHE_JOB, _CACHE_PAYLOAD)
-                os.utime(path, (now - age, now - age))
-                paths[key] = (path, age)
+                with cache_clock(now - age):
+                    cache.put(_cache_key(index), _CACHE_JOB, _CACHE_PAYLOAD)
             result = cache.sweep_older_than(max_age, now=now)
-            for path, age in paths.values():
-                assert path.exists() == (age <= max_age), (age, max_age)
-            assert result["removed"] == sum(1 for _, age in paths.values() if age > max_age)
+            for index, age in enumerate(ages):
+                survived = cache.peek(_cache_key(index)) is not None
+                assert survived == (age <= max_age), (age, max_age)
+            assert result["removed"] == sum(1 for age in ages if age > max_age)
             assert result["scanned"] == len(ages)
 
     @given(
@@ -239,11 +236,11 @@ class TestResultCacheProperties:
     @settings(max_examples=20, deadline=None)
     def test_ttl_dry_run_removes_nothing_but_counts_identically(self, ages, max_age):
         with tempfile.TemporaryDirectory() as tmp:
-            cache = ResultCache(tmp, record_access=False)  # mtime-only recency
+            cache = ResultCache(tmp)
             now = time.time()
             for index, age in enumerate(ages):
-                path = cache.put(_cache_key(index), _CACHE_JOB, _CACHE_PAYLOAD)
-                os.utime(path, (now - age, now - age))
+                with cache_clock(now - age):
+                    cache.put(_cache_key(index), _CACHE_JOB, _CACHE_PAYLOAD)
             preview = cache.sweep_older_than(max_age, dry_run=True, now=now)
             assert len(cache) == len(ages)  # nothing deleted
             real = cache.sweep_older_than(max_age, now=now)
@@ -254,19 +251,18 @@ class TestResultCacheProperties:
     def test_lru_cap_evicts_oldest_first_and_never_the_newest(self, n_entries, cap_entries):
         """After a capped put, survivors are exactly the most recently used."""
         with tempfile.TemporaryDirectory() as tmp:
-            uncapped = ResultCache(tmp, record_access=False)  # mtime-only recency
+            uncapped = ResultCache(tmp)
             now = time.time()
-            size = None
             for index in range(n_entries):
-                path = uncapped.put(_cache_key(index), _CACHE_JOB, _CACHE_PAYLOAD)
-                # distinct mtimes: index 0 is the least recently used
-                stamp = now - (n_entries - index)
-                os.utime(path, (stamp, stamp))
-                size = path.stat().st_size
-            capped = ResultCache(tmp, max_bytes=size * cap_entries, record_access=False)
+                # distinct last uses: index 0 is the least recently used
+                with cache_clock(now - (n_entries - index)):
+                    uncapped.put(_cache_key(index), _CACHE_JOB, _CACHE_PAYLOAD)
+            size = uncapped.eviction_ranking()[0]["bytes"]
+            capped = ResultCache(tmp, max_bytes=size * cap_entries)
             newest = _cache_key(n_entries)
-            capped.put(newest, _CACHE_JOB, _CACHE_PAYLOAD)  # mtime ~now, triggers eviction
-            survivors = {path.name[: -len(".json")] for path in capped.entries()}
+            with cache_clock(now):
+                capped.put(newest, _CACHE_JOB, _CACHE_PAYLOAD)  # triggers eviction
+            survivors = {entry["key"] for entry in capped.eviction_ranking()}
             expected = {
                 _cache_key(index)
                 for index in range(n_entries + 1)
@@ -281,13 +277,13 @@ class TestResultCacheProperties:
         self, n_entries, data
     ):
         with tempfile.TemporaryDirectory() as tmp:
-            cache = ResultCache(tmp, record_access=False)  # mtime-only recency
+            cache = ResultCache(tmp)
             now = time.time()
-            for index in range(n_entries):
-                path = cache.put(_cache_key(index), _CACHE_JOB, _CACHE_PAYLOAD)
-                os.utime(path, (now - 1000, now - 1000))
+            with cache_clock(now - 1000):
+                for index in range(n_entries):
+                    cache.put(_cache_key(index), _CACHE_JOB, _CACHE_PAYLOAD)
             touched = data.draw(st.integers(0, n_entries - 1))
-            assert cache.get(_cache_key(touched)) == _CACHE_PAYLOAD  # refreshes mtime
+            assert cache.get(_cache_key(touched)) == _CACHE_PAYLOAD  # refreshes recency
             cache.sweep_older_than(500, now=time.time())
-            survivors = {path.name[: -len(".json")] for path in cache.entries()}
+            survivors = {entry["key"] for entry in cache.eviction_ranking()}
             assert survivors == {_cache_key(touched)}

@@ -124,7 +124,7 @@ print(sorted(m for m in sys.modules if m.startswith(("repro.farm", "repro.serve"
     assert run_python(code) == "[]"
 
 
-#: Modules a sweep's set-up, a cache read or a plain run never needs.
+#: Modules a sweep's set-up never needs: opening a cache touches no disk.
 DEFERRED = (
     "csv",
     "repro.chaos",
@@ -132,6 +132,7 @@ DEFERRED = (
     "repro.experiments.ledger",
     "repro.experiments.records",
     "signal",
+    "sqlite3",
     "traceback",
 )
 
