@@ -165,15 +165,9 @@ def _add_farm_options(parser: argparse.ArgumentParser) -> None:
         metavar="TEMPLATE",
         help="launch each of the --jobs workers with this shell command template"
         " instead of forking it (runs a coordinator even with one worker);"
-        " placeholders: {host} {port} {index} {workers} (e.g. 'ssh node{index}"
-        " python -m repro farm-worker --connect {host}:{port} --workers {workers}')",
-    )
-    parser.add_argument(
-        "--worker-threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="executor threads inside each worker (default 1)",
+        " placeholders: {host} {port} {index} (e.g. 'ssh node{index}"
+        " python -m repro farm-worker --connect {host}:{port}'); each worker"
+        " process runs one job at a time",
     )
     parser.add_argument("--host", default="127.0.0.1", help="coordinator bind address")
     parser.add_argument(
@@ -649,24 +643,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="coordinator address to join",
     )
     worker.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="executor threads in this worker process (default 1)",
-    )
-    worker.add_argument(
         "--worker-id",
         default=None,
         metavar="ID",
         help="stable identity for leases/heartbeats (default: <hostname>-<pid>)",
-    )
-    worker.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max leases per claim (default: --workers)",
     )
     worker.add_argument(
         "--connect-timeout",
@@ -1365,9 +1345,6 @@ def _validate_common_flags(args: argparse.Namespace) -> int | None:
     if args.jobs < 0:
         print("error: --jobs must be >= 0 (0 = one worker per CPU)", file=sys.stderr)
         return 2
-    if args.worker_threads < 1:
-        print("error: --worker-threads must be at least 1", file=sys.stderr)
-        return 2
     if not (args.lease_seconds > 0):
         print("error: --lease-seconds must be positive", file=sys.stderr)
         return 2
@@ -1375,9 +1352,7 @@ def _validate_common_flags(args: argparse.Namespace) -> int | None:
         from .farm.launcher import render_worker_command
 
         try:
-            command = render_worker_command(
-                args.worker_command, index=0, host="127.0.0.1", port=0, workers=1
-            )
+            command = render_worker_command(args.worker_command, index=0, host="127.0.0.1", port=0)
             if not command.strip():
                 raise ValueError("the template is empty")
         except ValueError as exc:
@@ -1431,9 +1406,9 @@ def _execute(
 
     launcher: WorkerLauncher
     if args.worker_command is not None:
-        launcher = CommandWorkerLauncher(args.worker_command, threads=args.worker_threads)
+        launcher = CommandWorkerLauncher(args.worker_command)
     else:
-        launcher = LocalWorkerLauncher(threads=args.worker_threads, log_dir=args.worker_log_dir)
+        launcher = LocalWorkerLauncher(log_dir=args.worker_log_dir)
     return run_farm(
         jobs, launcher=launcher, workers=workers, host=args.host, port=args.port,
         lease_seconds=args.lease_seconds, **options,
@@ -1661,12 +1636,6 @@ def _cmd_farm_worker(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
-    if args.batch is not None and args.batch < 1:
-        print("error: --batch must be at least 1", file=sys.stderr)
-        return 2
     if not (args.connect_timeout > 0):
         print("error: --connect-timeout must be positive", file=sys.stderr)
         return 2
@@ -1679,9 +1648,7 @@ def _cmd_farm_worker(args: argparse.Namespace) -> int:
     return main_loop_with_retry(
         host,
         int(port_text),
-        workers=args.workers,
         worker_id=args.worker_id,
-        batch=args.batch,
         connect_timeout=args.connect_timeout,
         max_connect_seconds=args.max_connect_seconds,
         progress=progress,

@@ -285,14 +285,16 @@ def _deadline(seconds: float | None):
     """Raise :class:`JobTimeoutError` in the body after ``seconds`` of wall
     clock.
 
-    On the main thread (in-process runs) the timer is SIGALRM-based.  Off
-    the main thread — farm workers (behind ``repro run --jobs N`` too), serve
-    workers, or any embedding that dispatches jobs from a thread pool — a
-    monotonic-deadline watchdog thread schedules the timeout asynchronously
-    instead: SIGALRM cannot be armed there, and the historic behaviour was to
-    silently run the body un-timed.  The watchdog raise lands at the next
-    bytecode boundary of the timed thread, which for compile jobs (bytecode-
-    rich, short native calls) tracks the deadline closely.
+    On the main thread the timer is SIGALRM-based, and it interrupts even a
+    body blocked in a system call.  In-process runs and every farm and serve
+    worker run their jobs there.  Off the main thread — an embedding that
+    dispatches jobs from a thread pool — a monotonic-deadline watchdog thread
+    schedules the timeout asynchronously instead: SIGALRM cannot be armed
+    there, and the historic behaviour was to silently run the body un-timed.
+    The watchdog raise lands at the next bytecode boundary of the timed
+    thread, which for compile jobs (bytecode-rich, short native calls)
+    tracks the deadline closely, but not for a body blocked in a sleep or a
+    system call.
     """
     if seconds is None or seconds <= 0:
         yield

@@ -680,9 +680,9 @@ def run_jobs_report(
     queue = LeaseQueue(ledger.plan.pending, policy=policy, lease_seconds=math.inf)
     finished = 0
     with ledger.interruptible():
-        while leases := queue.claim("in-process", 1):
-            key = leases[0].key
-            _, payload = _execute_keyed((key, leases[0].job, leases[0].policy))
+        while lease := queue.claim("in-process"):
+            key = lease.key
+            _, payload = _execute_keyed((key, lease.job, lease.policy))
             job_error = payload.get("job_error")
             if isinstance(job_error, dict):
                 if queue.fail(key, "in-process", JobError(**job_error)):

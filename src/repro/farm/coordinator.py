@@ -243,17 +243,16 @@ class FarmCoordinator(FramedServer):
     def lease_done(self) -> bool:
         return self.queue.done()
 
-    def leases_granted(self, worker_id: str, leases: list[Lease]) -> None:
-        for lease in leases:
-            self._journal(
-                {
-                    "event": "lease",
-                    "key": lease.key,
-                    "worker": worker_id,
-                    "attempt": lease.attempt,
-                    "deadline_unix": lease.deadline_unix,
-                }
-            )
+    def lease_granted(self, worker_id: str, lease: Lease) -> None:
+        self._journal(
+            {
+                "event": "lease",
+                "key": lease.key,
+                "worker": worker_id,
+                "attempt": lease.attempt,
+                "deadline_unix": lease.deadline_unix,
+            }
+        )
 
     def lease_completed(
         self, key: str, worker_id: str, result: dict[str, Any], *, accepted: bool, warm: bool
@@ -306,7 +305,7 @@ class LeaseHost(Protocol):
 
     def lease_done(self) -> bool: ...  # noqa: E704
 
-    def leases_granted(self, worker_id: str, leases: list[Lease]) -> None: ...  # noqa: E704
+    def lease_granted(self, worker_id: str, lease: Lease) -> None: ...  # noqa: E704
 
     def lease_completed(  # noqa: E704
         self, key: str, worker_id: str, result: dict[str, Any], *, accepted: bool, warm: bool
@@ -388,24 +387,24 @@ class LeaseDesk:
             self.host.leases_expired(transitions)
 
     def _claim(self, request: ServeRequest) -> ServeResponse:
-        worker_id, max_jobs = parse_claim(request)
+        worker_id = parse_claim(request)
         self._heard(worker_id, request, busy=False)
         # expirations reach the host before the claim can re-lease the
         # same keys (the claim's own opportunistic expiry would hide them)
         self.expire()
-        leases = self.queue.claim(
+        lease = self.queue.claim(
             worker_id,
-            max_jobs,
             wait=0.0 if self.host.lease_done() else CLAIM_WAIT_SECONDS,
             rank=self._rank_for(worker_id),
         )
-        if leases:
+        if lease is not None:
             with self._lock:
                 self._workers[worker_id].busy = True
-            self.host.leases_granted(worker_id, leases)
+            self.host.lease_granted(worker_id, lease)
         return request.reply(
             {
-                "leases": [lease.to_dict() for lease in leases],
+                # protocol v2 keeps its list; it holds at most one lease
+                "leases": [lease.to_dict()] if lease is not None else [],
                 "done": self.host.lease_done(),
                 "lease_seconds": self.queue.lease_seconds,
             }

@@ -4,10 +4,11 @@ A launcher answers one question: *given a coordinator address, start worker
 number ``index`` somewhere and hand back a process-like handle*.  The
 built-in :class:`LocalWorkerLauncher` forks workers on this machine
 (``repro run --jobs N``); :class:`CommandWorkerLauncher` renders a
-user-supplied command template (``{host}``/``{port}``/``{index}``/
-``{workers}`` placeholders) through the shell, which is enough to wrap
-``ssh``, ``kubectl run``, a batch scheduler, or anything else that can
-eventually execute ``repro farm-worker --connect HOST:PORT``.
+user-supplied command template (``{host}``/``{port}``/``{index}``
+placeholders) through the shell, which is enough to wrap ``ssh``,
+``kubectl run``, a batch scheduler, or anything else that can eventually
+execute ``repro farm-worker --connect HOST:PORT``.  Every worker process
+runs one job at a time; a run's parallelism is its number of workers.
 
 Handles only need ``poll()`` (None while running), ``terminate()`` and
 ``kill()`` — exactly the :class:`subprocess.Popen` surface — so the driver
@@ -96,27 +97,19 @@ class LocalWorkerLauncher:
     """Fork workers on this host.
 
     The child runs :func:`~repro.farm.worker.run_worker` from the parent's
-    memory, with no interpreter start-up or re-import.  ``threads`` is each
-    worker's executor-thread count; ``log_dir`` captures each worker's
-    stdout + stderr to ``worker-<index>.log``, otherwise output is
-    discarded; ``max_devices`` gives each worker its own warm-state
-    registry of that size (``repro serve``).  Launch before the server
-    starts any thread: a child inherits every lock as it was at the fork,
-    so a lock another thread held then stays held forever.  The compile
-    path is imported here, before the first fork, so no child imports
-    anything.  A child ends itself once this process is gone.
+    memory, with no interpreter start-up or re-import.  ``log_dir``
+    captures each worker's stdout + stderr to ``worker-<index>.log``,
+    otherwise output is discarded; ``max_devices`` gives each worker its
+    own warm-state registry of that size (``repro serve``).  Launch before
+    the server starts any thread: a child inherits every lock as it was at
+    the fork, so a lock another thread held then stays held forever.  The
+    compile path is imported here, before the first fork, so no child
+    imports anything.  A child ends itself once this process is gone.
     """
 
     def __init__(
-        self,
-        *,
-        threads: int = 1,
-        log_dir: str | Path | None = None,
-        max_devices: int | None = None,
+        self, *, log_dir: str | Path | None = None, max_devices: int | None = None
     ) -> None:
-        if threads < 1:
-            raise ValueError("threads must be at least 1")
-        self.threads = threads
         self.log_dir = Path(log_dir) if log_dir is not None else None
         self.max_devices = max_devices
 
@@ -172,7 +165,6 @@ def _worker_child(
         code = run_worker(
             host,
             port,
-            workers=launcher.threads,
             worker_id=local_worker_id(index, os.getpid()),
             progress=note,
             registry=registry,
@@ -195,44 +187,38 @@ def _worker_child(
             os._exit(code)
 
 
-def render_worker_command(template: str, *, index: int, host: str, port: int, workers: int) -> str:
+def render_worker_command(template: str, *, index: int, host: str, port: int) -> str:
     """Substitute the launcher placeholders into a command template."""
     try:
-        return template.format(host=host, port=port, index=index, workers=workers)
+        return template.format(host=host, port=port, index=index)
     except (KeyError, IndexError) as exc:
         raise ValueError(
             f"bad worker command template {template!r}: unknown placeholder {exc};"
-            " available: {host} {port} {index} {workers}"
+            " available: {host} {port} {index}"
         ) from exc
 
 
 class CommandWorkerLauncher:
     """Launch workers through an arbitrary shell command template.
 
-    The template receives ``{host}``, ``{port}``, ``{index}`` and
-    ``{workers}``; e.g.::
+    The template receives ``{host}``, ``{port}`` and ``{index}``; e.g.::
 
         repro run table2 --jobs 4 --worker-command \\
           'ssh node{index} REPRO_CACHE=/shared/.repro-cache \\
-           python -m repro farm-worker --connect {host}:{port} --workers {workers}'
+           python -m repro farm-worker --connect {host}:{port}'
 
     The spawned shell process is the handle — for remote launchers like
     ``ssh`` that means "the worker is up while the connection lives", which
     is exactly the liveness signal the driver wants.
     """
 
-    def __init__(self, template: str, *, threads: int = 1) -> None:
+    def __init__(self, template: str) -> None:
         if not template.strip():
             raise ValueError("worker command template must be non-empty")
-        if threads < 1:
-            raise ValueError("threads must be at least 1")
         self.template = template
-        self.threads = threads
 
     def launch(self, index: int, host: str, port: int) -> subprocess.Popen[bytes]:
-        command = render_worker_command(
-            self.template, index=index, host=host, port=port, workers=self.threads
-        )
+        command = render_worker_command(self.template, index=index, host=host, port=port)
         return subprocess.Popen(  # noqa: S602 - the template is operator-supplied
             command,
             shell=True,

@@ -38,7 +38,8 @@ entries sit in a heap keyed by their insertion position (a re-queued entry
 regains its place ahead of later ones), the per-state counts and the failed
 entries are kept as entries move, and the expiry scan runs only once some
 live lease may be past its deadline — never for an in-process run, whose
-leases last forever.  Only a ranked claim weighs every pending entry.
+leases last forever.  Only a ranked claim weighs every pending entry, and
+it takes their minimum instead of sorting them.
 """
 
 from __future__ import annotations
@@ -209,80 +210,80 @@ class LeaseQueue:
     def claim(
         self,
         worker_id: str,
-        max_jobs: int,
         *,
         wait: float = 0.0,
         rank: Callable[[Job], int | None] | None = None,
-    ) -> list[Lease]:
-        """Hand out up to ``max_jobs`` leases, oldest entry first.
+    ) -> Lease | None:
+        """Lease the oldest pending entry to ``worker_id``; None when none is.
 
         Expired leases are reclaimed first (opportunistically — the expiry
         thread does the same on its own cadence), so a claim arriving just
-        after a worker died can pick its jobs straight back up.  With
+        after a worker died can pick its job straight back up.  With
         nothing to hand out, the claim waits up to ``wait`` seconds for the
         next transition and tries once more, without reclaiming: an expiry
-        the caller did not see must not happen during a wait.  ``rank`` orders the pending
-        entries for this claimer (lower first, insertion order breaking
-        ties); an entry it ranks ``None`` is left for another worker.
+        the caller did not see must not happen during a wait.  ``rank``
+        picks the entry for this claimer instead (lowest rank, insertion
+        order breaking ties); an entry it ranks ``None`` is left for
+        another worker.
         """
         with self._lock:
             now = time.time()
             self.expire(now=now)
-            leases = self._claim(worker_id, max_jobs, now, rank)
-            if not leases and wait > 0:
+            lease = self._claim(worker_id, now, rank)
+            if lease is None and wait > 0:
                 self._lock.wait(wait)
-                leases = self._claim(worker_id, max_jobs, time.time(), rank)
-            return leases
+                lease = self._claim(worker_id, time.time(), rank)
+            return lease
 
-    def _claim(
-        self,
-        worker_id: str,
-        max_jobs: int,
-        now: float,
-        rank: Callable[[Job], int | None] | None,
-    ) -> list[Lease]:
-        wanted = max(1, max_jobs)
-        chosen: list[QueueEntry] = []
+    def _take(self, rank: Callable[[Job], int | None] | None) -> QueueEntry | None:
+        """The pending entry a claim takes, removed from the heap."""
         if rank is None:
-            while self._pending and len(chosen) < wanted:
+            while self._pending:
                 entry = self._pending_entry(*heapq.heappop(self._pending))
                 if entry is not None:
-                    chosen.append(entry)
-        else:
-            # a ranked claim weighs every pending entry and rebuilds the heap
-            # from the live items it leaves (a sorted list is a heap)
-            live = sorted(item for item in self._pending if self._pending_entry(*item))
-            ranked = sorted(
-                (order, position, key)
-                for position, key in live
-                if (order := rank(self._entries[key].job)) is not None
-            )
-            chosen = [self._entries[key] for _, _, key in ranked[:wanted]]
-            taken = {entry.key for entry in chosen}
-            self._pending = [item for item in live if item[1] not in taken]
-        leases: list[Lease] = []
-        for entry in chosen:
-            attempt = entry.attempts_started
-            entry.attempts_started += 1
-            self._move(entry, LEASED)
-            entry.worker = worker_id
-            entry.deadline = now + self.lease_seconds
-            self._next_deadline = min(self._next_deadline, entry.deadline)
-            job = entry.job
-            if attempt and self._policy(entry).reseed_on_retry:
-                # the queue reseeds: the result still lands under the
-                # original config key (the lease's ``key``)
-                job = job.with_(seed=job.seed + attempt)
-            leases.append(
-                Lease(
-                    key=entry.key,
-                    job=job_to_dict(job),
-                    attempt=attempt,
-                    policy=self._worker_policy(entry),
-                    deadline_unix=entry.deadline,
-                )
-            )
-        return leases
+                    return entry
+            return None
+        # a ranked claim weighs every pending entry, takes the least and
+        # rebuilds the heap from the live items it leaves
+        live = [item for item in self._pending if self._pending_entry(*item)]
+        best = min(
+            (
+                (order, item)
+                for item in live
+                if (order := rank(self._entries[item[1]].job)) is not None
+            ),
+            default=None,
+        )
+        if best is not None:
+            live.remove(best[1])
+        heapq.heapify(live)
+        self._pending = live
+        return self._entries[best[1][1]] if best is not None else None
+
+    def _claim(
+        self, worker_id: str, now: float, rank: Callable[[Job], int | None] | None
+    ) -> Lease | None:
+        entry = self._take(rank)
+        if entry is None:
+            return None
+        attempt = entry.attempts_started
+        entry.attempts_started += 1
+        self._move(entry, LEASED)
+        entry.worker = worker_id
+        entry.deadline = now + self.lease_seconds
+        self._next_deadline = min(self._next_deadline, entry.deadline)
+        job = entry.job
+        if attempt and self._policy(entry).reseed_on_retry:
+            # the queue reseeds: the result still lands under the original
+            # config key (the lease's ``key``)
+            job = job.with_(seed=job.seed + attempt)
+        return Lease(
+            key=entry.key,
+            job=job_to_dict(job),
+            attempt=attempt,
+            policy=self._worker_policy(entry),
+            deadline_unix=entry.deadline,
+        )
 
     def complete(self, key: str, worker_id: str) -> bool:
         """Mark ``key`` done; True when the result should be kept.

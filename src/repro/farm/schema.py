@@ -96,14 +96,12 @@ def _with_warm_state(body: dict[str, Any], warm_state: dict[str, Any] | None) ->
     return body
 
 
-def claim_request(
-    worker_id: str, max_jobs: int, *, warm_state: dict[str, Any] | None = None
-) -> ServeRequest:
+def claim_request(worker_id: str, *, warm_state: dict[str, Any] | None = None) -> ServeRequest:
     return ServeRequest(
         op="claim",
         request_id=_next_id("claim"),
         protocol=FARM_PROTOCOL_VERSION,
-        body=_with_warm_state({"worker_id": worker_id, "max_jobs": max_jobs}, warm_state),
+        body=_with_warm_state({"worker_id": worker_id}, warm_state),
     )
 
 
@@ -165,13 +163,9 @@ def _body_str(request: ServeRequest, name: str) -> str:
     return value
 
 
-def parse_claim(request: ServeRequest) -> tuple[str, int]:
-    """``(worker_id, max_jobs)`` of a ``claim`` request."""
-    worker_id = _body_str(request, "worker_id")
-    max_jobs = (request.body or {}).get("max_jobs", 1)
-    if not isinstance(max_jobs, int) or max_jobs < 1:
-        raise ServeProtocolError("claim 'max_jobs' must be a positive int")
-    return worker_id, max_jobs
+def parse_claim(request: ServeRequest) -> str:
+    """The ``worker_id`` of a ``claim`` request."""
+    return _body_str(request, "worker_id")
 
 
 def parse_complete(request: ServeRequest) -> tuple[str, str, dict[str, Any]]:

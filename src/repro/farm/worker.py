@@ -1,28 +1,30 @@
 """The farm worker loop behind ``repro farm-worker``.
 
-A worker is deliberately dumb: it claims a batch of leases, executes each
-through :func:`repro.experiments.execute._execute_keyed` — the *same*
-one-attempt entry point an in-process run uses on its own lease queue, so a
-farm-built record payload is byte-identical to a local one — and reports
-``complete`` or ``fail`` per lease.  The coordinator's or server's
+A worker is deliberately dumb: it claims one lease at a time, executes it on
+its own main thread through :func:`repro.experiments.execute._execute_keyed`
+— the *same* one-attempt entry point an in-process run uses on its own lease
+queue, so a farm-built record payload is byte-identical to a local one — and
+reports ``complete`` or ``fail``.  The coordinator's or server's
 :class:`~repro.farm.queue.LeaseQueue` owns the retry budget and the reseed,
-so the worker never loops on a failing job.
+so the worker never loops on a failing job.  Compiles are pure Python and
+hold the GIL, so a farm runs in parallel across worker processes, never
+across threads of one.  On the main thread the engine's ``_deadline`` arms
+SIGALRM, which cuts off even a job blocked in a system call.
 
-While jobs are in flight a background thread heartbeats their keys on its
-own connection at a third of the coordinator's lease horizon; a worker that
-dies (even ``SIGKILL``, which runs no handlers) simply stops heartbeating
-and its leases return to the queue when they expire.  A claim with nothing
-to hand out waits on the coordinator's queue, so an idle worker picks up
-new or re-queued work at once.
+While a job runs, a background thread heartbeats its key on its own
+connection at a third of the coordinator's lease horizon; a worker that dies
+(even ``SIGKILL``, which runs no handlers) simply stops heartbeating and its
+lease returns to the queue when it expires.  A claim with nothing to hand
+out waits on the coordinator's queue, so an idle worker picks up new or
+re-queued work at once.
 
-A forked worker (``repro run --jobs N``, ``repro resume --jobs N``,
-``repro serve``) knows its parent's pid: the claim loop and the heartbeat
-thread end the process, chaos report flushed, once the parent is gone, so
-no worker outlives a killed coordinator or server for long.  A serve worker
-also carries its own warm-state registry.
-
-Timeouts work inside worker threads because the engine's ``_deadline`` falls
-back to an async-exception watchdog off the main thread.
+The heartbeat thread also ends the process, chaos report flushed, once the
+coordinator has answered no claim, report or heartbeat for longer than one
+lease: by then it is gone or has given the job away, so no result of this
+worker can be accepted.  A forked worker (``repro run --jobs N``, ``repro
+resume --jobs N``, ``repro serve``) knows its parent's pid and ends as soon
+as the parent is gone.  Both checks run even while a job stalls the main
+thread.  A serve worker also carries its own warm-state registry.
 """
 
 from __future__ import annotations
@@ -33,17 +35,18 @@ import signal
 import socket
 import sys
 import threading
+import time
 from collections.abc import Callable
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from typing import Any, NoReturn
+from typing import NoReturn
 
 from ..chaos import active_controller
 from ..experiments.execute import _execute_keyed, load_compile_path, set_warm_state_provider
 from ..experiments.jobs import job_from_dict
 from ..serve.client import ServeClient
 from ..serve.retry import BackoffPolicy, retry_call
-from ..serve.schema import ServeProtocolError, ServeResponse
+from ..serve.schema import ServeProtocolError, ServeRequest, ServeResponse
 from ..serve.state import WarmStateRegistry
+from .queue import LEASE_SECONDS
 from .schema import (
     Lease,
     claim_request,
@@ -67,8 +70,8 @@ def flush_chaos_report() -> None:
         chaos.flush_report()
 
 
-def _exit_orphaned(note: Callable[[str], None]) -> NoReturn:
-    note("parent process is gone; exiting")
+def _exit_orphaned(note: Callable[[str], None], reason: str) -> NoReturn:
+    note(f"{reason}; exiting")
     try:
         flush_chaos_report()
     finally:
@@ -76,8 +79,9 @@ def _exit_orphaned(note: Callable[[str], None]) -> NoReturn:
 
 
 class _Heartbeat:
-    """Background lease-renewal on a dedicated connection; for a forked
-    worker it also watches the parent, even while a job stalls the main
+    """Background lease renewal on a dedicated connection.  It ends the
+    process once the coordinator falls silent for a lease or, for a forked
+    worker, once the parent is gone, even while a job stalls the main
     thread."""
 
     def __init__(
@@ -93,20 +97,22 @@ class _Heartbeat:
         self.worker_id = worker_id
         self.orphaned = orphaned
         self.note = note
-        #: Until the first claim reports the lease horizon.
-        self.interval = 1.0
-        self.keys: set[str] = set()
-        self.lock = threading.Lock()
+        #: The coordinator's lease horizon, from the last claim reply.
+        self.lease_seconds: float | None = None
+        #: The key of the lease the main thread is running, if any.
+        self.key: str | None = None
+        #: When the coordinator last answered a claim, report or heartbeat.
+        self.heard_at = time.monotonic()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
-    def track(self, keys: list[str]) -> None:
-        with self.lock:
-            self.keys.update(keys)
+    @property
+    def interval(self) -> float:
+        # a second until the first claim reply reports the lease horizon
+        return 1.0 if self.lease_seconds is None else max(0.2, self.lease_seconds / 3.0)
 
-    def release(self, key: str) -> None:
-        with self.lock:
-            self.keys.discard(key)
+    def heard(self) -> None:
+        self.heard_at = time.monotonic()
 
     def start(self) -> None:
         self._thread = threading.Thread(
@@ -123,29 +129,30 @@ class _Heartbeat:
     def _loop(self) -> None:
         while not self._stop.wait(self.interval):
             if self.orphaned():
-                _exit_orphaned(self.note)
-            with self.lock:
-                keys = sorted(self.keys)
-            if not keys:
-                continue
-            try:
-                with ServeClient(
-                    self.host, self.port, timeout=10.0, site="worker-hb"
-                ) as client:
-                    client.request(heartbeat_request(self.worker_id, keys))
-            except (OSError, ServeProtocolError):
-                # the coordinator will either come back or expire us; the
-                # main loop notices a dead coordinator on its next report
-                continue
+                _exit_orphaned(self.note, "parent process is gone")
+            key = self.key
+            if key is not None:
+                try:
+                    with ServeClient(
+                        self.host, self.port, timeout=self.interval, site="worker-hb"
+                    ) as client:
+                        client.request(heartbeat_request(self.worker_id, [key]))
+                    self.heard()
+                except (OSError, ServeProtocolError):
+                    pass  # a drop shorter than a lease heals on a later beat
+            silent = time.monotonic() - self.heard_at
+            horizon = self.lease_seconds or LEASE_SECONDS
+            if silent > horizon:
+                _exit_orphaned(
+                    self.note, f"coordinator silent for {silent:.1f}s, over one {horizon:g}s lease"
+                )
 
 
 def run_worker(
     host: str,
     port: int,
     *,
-    workers: int = 1,
     worker_id: str | None = None,
-    batch: int | None = None,
     progress: Callable[[str], None] | None = None,
     registry: WarmStateRegistry | None = None,
     parent_pid: int | None = None,
@@ -161,10 +168,7 @@ def run_worker(
     Returns a process exit code: ``0`` when the queue drained, ``1`` when the
     coordinator became unreachable (the worker cannot finish on its own).
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     worker_id = worker_id or default_worker_id()
-    batch = batch if batch is not None else workers
 
     def note(message: str) -> None:
         if progress is not None:
@@ -173,50 +177,48 @@ def run_worker(
     def orphaned() -> bool:
         return parent_pid is not None and os.getppid() != parent_pid
 
-    # import before any thread starts, so the executor threads never race
-    # on a first import (a forked worker inherits it already loaded)
+    # import before the first job, so its timeout does not count the import
+    # (a forked worker inherits it already loaded)
     load_compile_path()
     heartbeat = _Heartbeat(host, port, worker_id, orphaned, note)
     heartbeat.start()
     previous = set_warm_state_provider(registry.get) if registry is not None else None
     executed = 0
     try:
-        with (
-            # the backoff policy + request retries make the worker survive a
-            # mid-run coordinator connection drop: a failed claim/report is
-            # resent on a fresh connection with the same request_id and the
-            # coordinator's dedup log replays the answer it already computed
-            ServeClient(
-                host,
-                port,
-                timeout=300.0,
-                site="worker",
-                connect_policy=BackoffPolicy(max_total_seconds=connect_seconds),
-                request_retries=4,
-            ) as client,
-            ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-farm-exec"
-            ) as pool,
-        ):
+        # the backoff policy + request retries make the worker survive a
+        # mid-run coordinator connection drop: a failed claim/report is
+        # resent on a fresh connection with the same request_id and the
+        # coordinator's dedup log replays the answer it already computed
+        with ServeClient(
+            host,
+            port,
+            timeout=300.0,
+            site="worker",
+            connect_policy=BackoffPolicy(max_total_seconds=connect_seconds),
+            request_retries=4,
+        ) as client:
+
+            def ask(request: ServeRequest) -> ServeResponse:
+                response = client.request(request)
+                heartbeat.heard()
+                return response
+
             while not orphaned():
                 warm_state = registry.stats() if registry is not None else None
-                response = client.request(
-                    claim_request(worker_id, batch, warm_state=warm_state)
-                )
+                response = ask(claim_request(worker_id, warm_state=warm_state))
                 if not response.ok:
                     note(f"claim rejected: {response.error}")
                     return 1
                 payload = response.payload
-                leases = [parse_lease(item) for item in payload.get("leases", [])]
-                if not leases:
-                    if payload.get("done"):
-                        note(f"queue drained after {executed} job(s); exiting")
-                        return 0
-                    continue  # the claim already waited on the queue
-                lease_seconds = float(payload.get("lease_seconds", 15.0))
-                heartbeat.interval = max(0.2, lease_seconds / 3.0)
-                heartbeat.track([lease.key for lease in leases])
-                executed += _run_batch(client, pool, leases, worker_id, heartbeat, note, registry)
+                heartbeat.lease_seconds = float(payload.get("lease_seconds", LEASE_SECONDS))
+                leases = payload.get("leases", [])
+                if leases:
+                    lease = parse_lease(leases[0])
+                    executed += _run_lease(ask, lease, worker_id, heartbeat, note, registry)
+                elif payload.get("done"):
+                    note(f"queue drained after {executed} job(s); exiting")
+                    return 0
+                # else the claim already waited on the queue
             note("parent process is gone; exiting")
             return 1
     except (OSError, ServeProtocolError) as exc:
@@ -228,54 +230,40 @@ def run_worker(
             set_warm_state_provider(previous)
 
 
-def _run_batch(
-    client: ServeClient,
-    pool: ThreadPoolExecutor,
-    leases: list[Lease],
+def _run_lease(
+    ask: Callable[[ServeRequest], ServeResponse],
+    lease: Lease,
     worker_id: str,
     heartbeat: _Heartbeat,
     note: Callable[[str], None],
     registry: WarmStateRegistry | None,
 ) -> int:
-    """Execute one claimed batch; report each job as soon as it finishes."""
-    warm = {
-        lease.key: registry is not None and job_from_dict(lease.job) in registry
-        for lease in leases
-    }
-    futures: dict[Future[tuple[str, dict[str, Any]]], Lease] = {
-        pool.submit(_execute_keyed, (lease.key, lease.job, lease.policy)): lease
-        for lease in leases
-    }
-    executed = 0
-    remaining = set(futures)
-    while remaining:
-        finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-        for future in finished:
-            lease = futures[future]
-            key, payload = future.result()  # _execute_keyed never raises
-            heartbeat.release(key)
-            if "job_error" in payload:
-                job_error = payload["job_error"]
-                response = client.request(fail_request(worker_id, key, dict(job_error)))
-                _check(response)
-                note(
-                    f"attempt {lease.attempt + 1} failed:"
-                    f" {job_error.get('benchmark')} ({job_error.get('error_type')})"
-                )
-            else:
-                response = client.request(
-                    complete_request(
-                        worker_id,
-                        key,
-                        payload,
-                        warm=warm[key],
-                        warm_state=registry.stats() if registry is not None else None,
-                    )
-                )
-                _check(response)
-                executed += 1
-                note(f"completed {lease.job.get('benchmark')} (attempt {lease.attempt + 1})")
-    return executed
+    """Execute one lease on this thread and report it; 1 when it completed."""
+    warm = registry is not None and job_from_dict(lease.job) in registry
+    heartbeat.key = lease.key
+    key, payload = _execute_keyed((lease.key, lease.job, lease.policy))  # never raises
+    heartbeat.key = None
+    job_error = payload.get("job_error")
+    if job_error is not None:
+        _check(ask(fail_request(worker_id, key, dict(job_error))))
+        note(
+            f"attempt {lease.attempt + 1} failed:"
+            f" {job_error.get('benchmark')} ({job_error.get('error_type')})"
+        )
+        return 0
+    _check(
+        ask(
+            complete_request(
+                worker_id,
+                key,
+                payload,
+                warm=warm,
+                warm_state=registry.stats() if registry is not None else None,
+            )
+        )
+    )
+    note(f"completed {lease.job.get('benchmark')} (attempt {lease.attempt + 1})")
+    return 1
 
 
 def _check(response: ServeResponse) -> None:
@@ -293,9 +281,7 @@ def main_loop_with_retry(
     host: str,
     port: int,
     *,
-    workers: int = 1,
     worker_id: str | None = None,
-    batch: int | None = None,
     connect_attempts: int = 20,
     connect_timeout: float = 2.0,
     max_connect_seconds: float = 30.0,
@@ -329,11 +315,4 @@ def main_loop_with_retry(
         if progress is not None:
             progress(f"coordinator never came up at {host}:{port}: {exc}")
         return 1
-    return run_worker(
-        host,
-        port,
-        workers=workers,
-        worker_id=worker_id,
-        batch=batch,
-        progress=progress,
-    )
+    return run_worker(host, port, worker_id=worker_id, progress=progress)

@@ -26,7 +26,8 @@ work queue (:mod:`repro.farm`).  A v2 request carries ``protocol: 2`` and an
 op-specific ``body`` object instead of ``job``/``policy``:
 
 ``claim``
-    A worker asks the coordinator for up to ``max_jobs`` leases.
+    A worker asks the coordinator for one lease; the reply's ``leases``
+    list holds at most one.
 ``complete`` / ``fail``
     A worker reports one finished lease (its record payload, or the
     structured ``job_error`` of a job that exhausted its single attempt).
@@ -114,9 +115,6 @@ _OPS_BY_PROTOCOL: dict[int, tuple[str, ...]] = {
         *_CONTROL_OPS,
     ),
 }
-
-#: Kept for backward compatibility: the v1 op tuple under its historic name.
-_OPS = _OPS_BY_PROTOCOL[SERVE_PROTOCOL_VERSION]
 
 #: Version stamp of the shared queue-stats block (see :func:`work_stats`).
 WORK_STATS_VERSION = 1

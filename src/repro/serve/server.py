@@ -13,7 +13,8 @@ processes over the farm's lease queue
 (:class:`~repro.farm.coordinator.LeaseDesk`, the same
 ``claim``/``complete``/``fail`` protocol a farm coordinator speaks):
 
-* a worker runs one attempt of :func:`repro.experiments.execute._execute_keyed`
+* a worker runs one job at a time, one attempt of
+  :func:`repro.experiments.execute._execute_keyed` on its main thread
   — the *same* entry point every run uses, so a served compile produces
   the record payload, cache key and (queue-counted) error a ``repro run``
   would;
@@ -510,7 +511,7 @@ class CompileServer(FramedServer):
     def lease_done(self) -> bool:
         return False  # a server's queue never drains for good
 
-    def leases_granted(self, worker_id: str, leases: list[Any]) -> None:
+    def lease_granted(self, worker_id: str, lease: Any) -> None:
         pass
 
     def lease_completed(

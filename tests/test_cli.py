@@ -247,7 +247,7 @@ class TestFaultTolerance:
     @pytest.mark.parametrize(
         ("flags", "message"),
         [
-            (("--worker-threads", "0"), "--worker-threads must be at least 1"),
+            (("--worker-command", "ssh {workers}"), "--worker-command: bad worker command"),
             (("--lease-seconds", "0"), "--lease-seconds must be positive"),
             (("--lease-seconds", "nan"), "--lease-seconds must be positive"),
             (("--worker-command", " "), "--worker-command: the template is empty"),
@@ -286,6 +286,23 @@ class TestCoordinatedRun:
         assert exc.value.code == 2
         args = build_parser().parse_args(["farm-worker", "--connect", "127.0.0.1:7464"])
         assert (args.command, args.connect) == ("farm-worker", "127.0.0.1:7464")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "table2", "--worker-threads", "2"],
+            ["resume", "run.checkpoint.json", "--worker-threads", "2"],
+            ["farm-worker", "--connect", "h:1", "--workers", "2"],
+            ["farm-worker", "--connect", "h:1", "--batch", "2"],
+        ],
+        ids=["run", "resume", "farm-worker-workers", "farm-worker-batch"],
+    )
+    def test_per_worker_thread_options_are_gone(self, argv, capsys):
+        # a worker process runs one job at a time: no thread or batch knobs
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_worker_command_runs_a_coordinator_with_one_worker(
         self, tmp_path, monkeypatch, capsys

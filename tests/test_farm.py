@@ -98,7 +98,7 @@ class TestProtocolV2Schema:
         assert request.body is None
 
     def test_request_round_trips_through_the_wire(self):
-        request = claim_request("w1", 3)
+        request = claim_request("w1")
         decoded = decode_line(encode_message(request), ServeRequest)
         assert decoded == request
         assert decoded.protocol == FARM_PROTOCOL_VERSION
@@ -128,29 +128,12 @@ class TestProtocolV2Schema:
             parse_lease({"job": {}, "attempt": 0, "policy": {}, "deadline_unix": 0})
 
     def test_parsers_invert_constructors(self):
-        assert parse_claim(claim_request("w1", 4)) == ("w1", 4)
+        assert parse_claim(claim_request("w1")) == "w1"
         assert parse_complete(complete_request("w1", "k", {"a": 1})) == ("w1", "k", {"a": 1})
         worker, key, err = parse_fail(fail_request("w1", "k", {"message": "x"}))
         assert (worker, key, err) == ("w1", "k", {"message": "x"})
         assert parse_heartbeat(heartbeat_request("w1", ["a", "b"])) == ("w1", ["a", "b"])
         assert progress_request().op == "progress"
-
-    def test_parse_claim_defaults_and_validates_max_jobs(self):
-        request = ServeRequest(
-            op="claim",
-            request_id="r1",
-            protocol=FARM_PROTOCOL_VERSION,
-            body={"worker_id": "w1"},
-        )
-        assert parse_claim(request) == ("w1", 1)
-        bad = ServeRequest(
-            op="claim",
-            request_id="r2",
-            protocol=FARM_PROTOCOL_VERSION,
-            body={"worker_id": "w1", "max_jobs": 0},
-        )
-        with pytest.raises(ServeProtocolError, match="positive int"):
-            parse_claim(bad)
 
     def test_work_stats_schema_is_versioned_and_validated(self):
         stats = work_stats(total=4, queue_depth=1, in_flight=2, completed=1, failed=0)
@@ -170,7 +153,7 @@ class TestLeaseQueue:
 
     def test_claim_hands_out_single_attempt_policies(self):
         queue, _keys = self._queue(retries=2)
-        (lease,) = queue.claim("w1", 1)
+        lease = queue.claim("w1")
         assert lease.policy == {
             "timeout": None,
             "retries": 0,
@@ -179,15 +162,14 @@ class TestLeaseQueue:
         }
         assert lease.attempt == 0
 
-    def test_claim_respects_max_jobs_and_insertion_order(self):
+    def test_claims_hand_out_one_lease_in_insertion_order(self):
         queue, keys = self._queue(n=3)
-        leases = queue.claim("w1", 2)
-        assert [lease.key for lease in leases] == keys[:2]
+        assert [queue.claim("w1").key for _ in range(2)] == keys[:2]
         assert queue.counts() == {PENDING: 1, LEASED: 2, COMPLETED: 0, FAILED: 0}
 
     def test_complete_is_idempotent(self):
         queue, keys = self._queue(n=1)
-        queue.claim("w1", 1)
+        queue.claim("w1")
         assert queue.complete(keys[0], "w1") is True
         assert queue.complete(keys[0], "w1") is False  # duplicate: no double-store
         assert queue.entry_state(keys[0]) == COMPLETED
@@ -196,9 +178,9 @@ class TestLeaseQueue:
     def test_fail_requeues_until_the_budget_is_exhausted(self):
         queue, keys = self._queue(n=1, retries=1)
         key = keys[0]
-        queue.claim("w1", 1)
+        queue.claim("w1")
         assert queue.fail(key, "w1", _error(key)) is True  # attempt 1 of 2: requeue
-        (lease,) = queue.claim("w2", 1)
+        lease = queue.claim("w2")
         assert lease.attempt == 1
         assert queue.fail(key, "w2", _error(key, attempts=2)) is False  # budget gone
         assert queue.entry_state(key) == FAILED
@@ -209,7 +191,7 @@ class TestLeaseQueue:
         queue, keys = self._queue(n=1, retries=1)
         key = keys[0]
         for worker in ("w1", "w2"):
-            queue.claim(worker, 1)
+            queue.claim(worker)
             queue.fail(key, worker, _error(key))  # each report: attempts=1, seconds=0.1
         (error,) = queue.failed_errors()
         assert error.attempts == 2
@@ -219,9 +201,9 @@ class TestLeaseQueue:
     def test_stale_failure_from_an_expired_lease_is_ignored(self):
         queue, keys = self._queue(n=1, retries=3, lease_seconds=0.01)
         key = keys[0]
-        queue.claim("w1", 1)
+        queue.claim("w1")
         time.sleep(0.02)
-        (lease,) = queue.claim("w2", 1)  # expiry reclaims, re-leases to w2
+        lease = queue.claim("w2")  # expiry reclaims, re-leases to w2
         assert lease.attempt == 1
         assert queue.fail(key, "w1", _error(key)) is False  # w1 is stale
         assert queue.entry_state(key) == LEASED
@@ -229,10 +211,10 @@ class TestLeaseQueue:
     def test_expiry_preserves_the_attempt_count(self):
         queue, keys = self._queue(n=1, retries=1, lease_seconds=0.01)
         key = keys[0]
-        queue.claim("w1", 1)
+        queue.claim("w1")
         transitions = queue.expire(now=time.time() + 1)
         assert transitions == [(key, "requeued")]
-        (lease,) = queue.claim("w2", 1)
+        lease = queue.claim("w2")
         assert lease.attempt == 1  # the lost attempt still counted
         transitions = queue.expire(now=time.time() + 10)
         assert transitions == [(key, "failed")]
@@ -240,12 +222,12 @@ class TestLeaseQueue:
         assert error.error_type == "WorkerLostError"
         assert error.attempts == 2
         # the budget is spent: nothing left to claim
-        assert queue.claim("w3", 1) == []
+        assert queue.claim("w3") is None
 
     def test_late_complete_from_a_presumed_dead_worker_is_salvaged(self):
         queue, keys = self._queue(n=1, retries=0, lease_seconds=0.01)
         key = keys[0]
-        queue.claim("w1", 1)
+        queue.claim("w1")
         queue.expire(now=time.time() + 1)  # w1 presumed dead -> permanent failure
         assert queue.entry_state(key) == FAILED
         assert queue.complete(key, "w1") is True  # the late result rescues it
@@ -254,25 +236,30 @@ class TestLeaseQueue:
 
     def test_heartbeat_extends_only_the_callers_live_leases(self):
         queue, keys = self._queue(n=2, lease_seconds=0.05)
-        queue.claim("w1", 1)
-        queue.claim("w2", 1)
+        queue.claim("w1")
+        queue.claim("w2")
         assert queue.heartbeat("w1", keys) == 1  # w2's lease is not w1's to extend
         time.sleep(0.06)
         assert queue.heartbeat("w1", [keys[0]]) == 1  # still leased until expire runs
 
+    @staticmethod
+    def _claim_keys(queue, worker, n, rank=None):
+        """The keys of ``n`` successive single claims, None once one is empty."""
+        leases = [queue.claim(worker, rank=rank) for _ in range(n)]
+        return [lease.key if lease is not None else None for lease in leases]
+
     def test_claim_order_is_insertion_order_and_a_requeue_keeps_its_place(self):
         queue, keys = self._queue(n=4, retries=1)
         a, b, c, d = keys
-        assert [lease.key for lease in queue.claim("w1", 2)] == [a, b]
+        assert self._claim_keys(queue, "w1", 2) == [a, b]
         assert queue.fail(b, "w1", _error(b)) is True
         assert queue.fail(a, "w1", _error(a)) is True
         # both re-queued entries come back ahead of the later ones, in order
-        assert [lease.key for lease in queue.claim("w2", 3)] == [a, b, c]
+        assert self._claim_keys(queue, "w2", 3) == [a, b, c]
         assert queue.complete(a, "w2") is True
         readded = queue.add(a, _job(seed=0))  # a finished key starts over at the back
         assert readded.state == PENDING
-        assert [lease.key for lease in queue.claim("w2", 2)] == [d, a]
-        assert queue.claim("w2", 1) == []
+        assert self._claim_keys(queue, "w2", 3) == [d, a, None]
 
     def test_ranked_claims_order_by_rank_then_insertion(self):
         queue, keys = self._queue(n=5, retries=1)
@@ -281,13 +268,11 @@ class TestLeaseQueue:
         def ranked(job):
             return rank[config_key(job)]
 
-        assert [lease.key for lease in queue.claim("w1", 2, rank=ranked)] == [keys[1], keys[3]]
+        assert self._claim_keys(queue, "w1", 2, ranked) == [keys[1], keys[3]]
         assert queue.fail(keys[3], "w1", _error(keys[3])) is True
-        assert [lease.key for lease in queue.claim("w1", 9, rank=ranked)] == [
-            keys[3], keys[0], keys[4]
-        ]
+        assert self._claim_keys(queue, "w1", 4, ranked) == [keys[3], keys[0], keys[4], None]
         # the entry every claimer ranks None is left for a plain claim
-        assert [lease.key for lease in queue.claim("w2", 9)] == [keys[2]]
+        assert self._claim_keys(queue, "w2", 2) == [keys[2], None]
 
     @staticmethod
     def _noop_sweep(monkeypatch, n, *, failing):
@@ -382,10 +367,10 @@ class TestLeaseQueue:
             policy=JobPolicy(retries=1, reseed_on_retry=True),
             lease_seconds=15.0,
         )
-        (first,) = queue.claim("w1", 1)
+        first = queue.claim("w1")
         assert first.job["seed"] == job.seed
         queue.fail(key, "w1", _error(key))
-        (second,) = queue.claim("w1", 1)
+        second = queue.claim("w1")
         assert second.key == key  # the result still lands under the original key
         assert second.job["seed"] == job.seed + 1
 
@@ -415,7 +400,7 @@ class TestCoordinatorOverTcp:
         coordinator, cache = farm
         with ServeClient(coordinator.host, coordinator.port) as client:
             while True:
-                payload = client.request(claim_request("w1", 2)).payload
+                payload = client.request(claim_request("w1")).payload
                 leases = [parse_lease(item) for item in payload["leases"]]
                 if not leases:
                     assert payload["done"] is True
@@ -439,7 +424,7 @@ class TestCoordinatorOverTcp:
     def test_progress_reply_reuses_the_work_stats_schema(self, farm):
         coordinator, _cache = farm
         with ServeClient(coordinator.host, coordinator.port) as client:
-            client.request(claim_request("w1", 1))
+            client.request(claim_request("w1"))
             payload = client.request(progress_request()).payload
         queue = payload["queue"]
         assert queue["work_stats_version"] == WORK_STATS_VERSION
@@ -458,11 +443,11 @@ class TestCoordinatorOverTcp:
     def test_reported_failure_consumes_the_budget_and_journals(self, farm):
         coordinator, _cache = farm
         with ServeClient(coordinator.host, coordinator.port) as client:
-            (lease_dict,) = client.request(claim_request("w1", 1)).payload["leases"]
+            (lease_dict,) = client.request(claim_request("w1")).payload["leases"]
             key = lease_dict["key"]
             error = _error(key).__dict__
             assert client.request(fail_request("w1", key, dict(error))).payload["requeued"] is True
-            (again,) = client.request(claim_request("w1", 1)).payload["leases"]
+            (again,) = client.request(claim_request("w1")).payload["leases"]
             assert again["key"] == key
             assert again["attempt"] == 1
             assert (
@@ -492,7 +477,7 @@ class TestCoordinatorOverTcp:
         try:
             assert coordinator.wait(timeout=0.5) is True  # done before any worker
             with ServeClient(coordinator.host, coordinator.port) as client:
-                reply = client.request(claim_request("w1", 4)).payload
+                reply = client.request(claim_request("w1")).payload
             assert reply["leases"] == []
             assert reply["done"] is True
             assert len(coordinator.records()) == 1
@@ -504,21 +489,18 @@ class TestCoordinatorOverTcp:
 class TestLauncher:
     def test_render_worker_command_substitutes_placeholders(self):
         command = render_worker_command(
-            "ssh node{index} repro farm-worker --connect {host}:{port} --workers {workers}",
+            "ssh node{index} repro farm-worker --connect {host}:{port}",
             index=3,
             host="10.0.0.1",
             port=7464,
-            workers=2,
         )
-        assert command == "ssh node3 repro farm-worker --connect 10.0.0.1:7464 --workers 2"
+        assert command == "ssh node3 repro farm-worker --connect 10.0.0.1:7464"
 
     def test_render_worker_command_rejects_unknown_placeholders(self):
-        with pytest.raises(ValueError, match="unknown placeholder"):
-            render_worker_command("run {cluster}", index=0, host="h", port=1, workers=1)
-
-    def test_local_launcher_validates_threads(self):
-        with pytest.raises(ValueError, match="threads"):
-            LocalWorkerLauncher(threads=0)
+        # {workers} went with the per-worker thread count: one job per process
+        for template in ("run {cluster}", "run {workers}"):
+            with pytest.raises(ValueError, match="unknown placeholder"):
+                render_worker_command(template, index=0, host="h", port=1)
 
 
 class TestRunFarm:
@@ -526,7 +508,7 @@ class TestRunFarm:
         jobs = [_job(seed=0), _job(seed=1), _job(seed=2)]
         records, report = run_farm(
             jobs,
-            launcher=LocalWorkerLauncher(threads=2, log_dir=tmp_path / "logs"),
+            launcher=LocalWorkerLauncher(log_dir=tmp_path / "logs"),
             workers=1,
             cache=ResultCache(tmp_path / "cache"),
             policy=JobPolicy(timeout=300, retries=1),
@@ -550,7 +532,7 @@ class TestRunFarm:
         cache = ResultCache(tmp_path / "cache")
         records, _report = run_farm(
             jobs,
-            launcher=LocalWorkerLauncher(threads=1),
+            launcher=LocalWorkerLauncher(),
             workers=1,
             cache=cache,
         )

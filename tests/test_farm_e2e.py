@@ -11,6 +11,8 @@ the subsystem:
 * ``SIGKILL``-ing the coordinator mid-run leaves a checkpoint (compacted
   from the delta journal on every transition) that ``repro resume`` finishes
   to the same artifacts an uninterrupted run produces;
+* a worker started by ``--worker-command`` ends within three leases of a
+  ``SIGKILL``-ed coordinator, even mid-job;
 * the batch engine flushes its checkpoint on ``SIGTERM`` (not only on
   KeyboardInterrupt), then dies with the default signal disposition.
 
@@ -19,9 +21,11 @@ makes "mid-job" deterministic: stalled benchmarks sleep before compiling,
 giving the test a window to kill things.
 """
 
+import contextlib
 import csv
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -249,6 +253,52 @@ class TestCoordinatorCrashResume:
         )
         assert (out_dir / "table2.txt").read_bytes() == (solo_out / "table2.txt").read_bytes()
         assert load_checkpoint(checkpoint).finished is True
+
+
+class TestCommandWorkerEndsWithItsCoordinator:
+    def test_worker_exits_within_three_leases_of_a_sigkilled_coordinator(self, tmp_path):
+        # a --worker-command worker has no parent pid to watch: it ends once
+        # the coordinator has been silent for a lease, even while its job
+        # stalls the main thread
+        lease_seconds = 2.0
+        out_dir = tmp_path / "farm"
+        journal = out_dir / "table2.checkpoint.journal.jsonl"
+        worker_command = (
+            f"exec {shlex.quote(sys.executable)} -m repro farm-worker"
+            " --connect {host}:{port} --quiet"
+        )
+        coordinator = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "run", "table2",
+                "--scale", "small", "--benchmarks", "QFT",
+                "--jobs", "1", "--lease-seconds", str(lease_seconds), "--quiet",
+                "--worker-command", worker_command,
+                "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(out_dir),
+            ],
+            env=_subprocess_env(stall="job-stall:QFT,seconds=60"),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        workers = []
+        try:
+
+            def _leased():
+                events = read_journal(journal) if journal.exists() else []
+                return any(event["event"] == "lease" for event in events)
+
+            _wait_for(_leased, timeout=60, message="the worker to claim a lease")
+            # the shell execs the worker, so the launcher's child is the worker
+            workers = child_pids(coordinator.pid)
+            assert len(workers) == 1, workers
+            coordinator.send_signal(signal.SIGKILL)
+            coordinator.wait(timeout=10)
+            assert wait_until_gone(workers, 3 * lease_seconds) == []
+        finally:
+            if coordinator.poll() is None:
+                coordinator.kill()
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestSigtermCheckpointFlush:

@@ -201,20 +201,24 @@ class TestRetries:
 
 
 class TestTimeout:
-    def test_straggler_is_timed_out_and_recorded(self):
+    # in process and on forked farm workers alike, the job runs on its
+    # process's main thread, where the deadline interrupts even a sleep
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_straggler_is_timed_out_and_recorded(self, workers):
         job = Job(benchmark="S", kind="slow")
         start = time.perf_counter()
         _, report = run_jobs_report(
-            [OK1, job], policy=JobPolicy(timeout=0.2, on_error="record")
+            [OK1, job], workers=workers, policy=JobPolicy(timeout=0.2, on_error="record")
         )
         assert time.perf_counter() - start < 4.0  # did not sit out the full sleep
         assert report.failed == 1
         assert report.errors[0].error_type == "JobTimeoutError"
 
-    def test_timeout_applies_per_attempt(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_timeout_applies_per_attempt(self, workers):
         job = Job(benchmark="S", kind="slow")
         _, report = run_jobs_report(
-            [job], policy=JobPolicy(timeout=0.1, retries=1, on_error="record")
+            [job], workers=workers, policy=JobPolicy(timeout=0.1, retries=1, on_error="record")
         )
         assert report.errors[0].attempts == 2
 
