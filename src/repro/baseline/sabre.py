@@ -109,24 +109,15 @@ class SabreRouter:
         # sums score bit-identically to the historic per-candidate loop;
         # otherwise that loop runs to preserve its rounding near ties.
         # (``inf.is_integer()`` is False, so a disconnected pair opts out.)
-        self._exact_distances = all(
-            d.is_integer() for row in self._distance for d in row
+        self._exact_distances = topology.distances_are_integral(
+            cross_chip_weight=cross_chip_weight
         )
         self._coupled = topology.coupling_rows()
         # Every normalized edge once, ascending lexicographically (the
         # historic sorted-set-of-tuples candidate order), plus per-qubit
-        # incident edge ids and the matching far endpoints.
-        n = topology.num_qubits
-        edges = sorted(topology.edges())
-        self._edge_u = [u for u, _ in edges]
-        self._edge_v = [v for _, v in edges]
-        self._edge_ids: list[list[int]] = [[] for _ in range(n)]
-        self._neighbours: list[list[int]] = [[] for _ in range(n)]
-        for index, (u, v) in enumerate(edges):
-            self._edge_ids[u].append(index)
-            self._edge_ids[v].append(index)
-            self._neighbours[u].append(v)
-            self._neighbours[v].append(u)
+        # incident edge ids and the matching far endpoints; the topology
+        # caches them, so a warm device builds them once.
+        self._edge_u, self._edge_v, self._edge_ids, self._neighbours = topology.edge_tables()
 
     # ------------------------------------------------------------------ #
     # public entry point

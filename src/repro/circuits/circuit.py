@@ -18,7 +18,14 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import gates as g
-from .gates import Barrier, Gate, GateError, Measurement
+from .gates import (
+    Barrier,
+    Gate,
+    GateError,
+    Measurement,
+    trusted_barrier,
+    trusted_measure,
+)
 
 __all__ = ["Circuit", "CircuitError"]
 
@@ -326,8 +333,13 @@ def _rebuild_trusted(op: Gate, new_qubits: tuple[int, ...]) -> Gate:
 
     ``new_qubits`` must be a tuple of distinct built-in ``int``s (routers remap
     through injective logical-to-physical layouts, so distinctness holds by
-    construction); measurements and barriers still take the validating path.
+    construction).  Like :func:`_rebuild`, a measurement keeps only its
+    classical bit.
     """
     if type(op) is Gate:
         return Gate.trusted(op.name, new_qubits, op.params, op.condition)
+    if type(op) is Measurement:
+        return trusted_measure(new_qubits[0], op.cbit)
+    if type(op) is Barrier:
+        return trusted_barrier(new_qubits)
     return _rebuild(op, new_qubits)

@@ -7,7 +7,8 @@ mid-circuit measurements used by the highway protocol).  This module defines a
 small, explicit gate vocabulary that is shared by the circuit container, the
 commutation analysis, the simulator and both compilers.
 
-Every gate is an immutable :class:`Gate` instance.  Gates know
+Every gate is an immutable :class:`Gate` value (a ``__slots__`` class:
+measurements and barriers are its subclasses).  Gates know
 
 * their *name* (a lower-case mnemonic such as ``"cx"``),
 * the qubits they act on (``qubits``; for controlled gates the control comes
@@ -16,15 +17,19 @@ Every gate is an immutable :class:`Gate` instance.  Gates know
 * whether they are *diagonal* in the computational basis on each qubit, which
   is what the commutation rules need,
 * a unitary matrix (for the gates the statevector simulator supports).
+
+The public constructors validate and coerce their arguments.  The compilers
+build hundreds of thousands of gates per sweep from fields that are already
+validated, so :meth:`Gate.trusted`, :func:`trusted_measure` and
+:func:`trusted_barrier` store them without re-checking.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, cast
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,6 +63,8 @@ __all__ = [
     "barrier",
     "multi_target_cx",
     "multi_target_cp",
+    "trusted_measure",
+    "trusted_barrier",
 ]
 
 
@@ -86,7 +93,6 @@ _CONTROL_DIAGONAL = CONTROLLED_GATES | _DIAGONAL_GATES
 _MULTI_TARGET_GATES = frozenset({"mcx", "mcp"})
 
 
-@dataclass(frozen=True)
 class Gate:
     """A quantum gate applied to one or more qubits.
 
@@ -105,31 +111,50 @@ class Gate:
         only when the XOR (parity) of the listed classical bits equals
         ``value``.  This models the dynamic-circuit Pauli corrections used by
         the measurement-based GHZ preparation and the highway protocol.
+
+    A gate is an immutable value: assigning or deleting a field raises
+    ``AttributeError``, and equality and hashing compare the fields of two
+    instances of the same class (a ``Gate`` never equals a ``Measurement``).
     """
+
+    __slots__ = ("condition", "name", "params", "qubits")
 
     name: str
     qubits: tuple[int, ...]
-    params: tuple[float, ...] = field(default=())
-    condition: tuple[tuple[int, ...], int] | None = field(default=None)
+    params: tuple[float, ...]
+    condition: tuple[tuple[int, ...], int] | None
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    #: Kind flags, fixed per class.
+    is_measurement = False
+    is_barrier = False
+
+    def __init__(
+        self,
+        name: str,
+        qubits: Iterable[int],
+        params: Iterable[float] = (),
+        condition: tuple[Iterable[int], int] | None = None,
+    ) -> None:
+        if not name:
             raise GateError("gate name must be a non-empty string")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.condition is not None:
-            cbits, value = self.condition
-            object.__setattr__(
-                self, "condition", (tuple(int(c) for c in cbits), int(value) & 1)
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise GateError(f"gate {self.name} has repeated qubits: {self.qubits}")
-        if self.name in ONE_QUBIT_GATES and len(self.qubits) != 1:
-            raise GateError(f"{self.name} acts on exactly one qubit, got {self.qubits}")
-        if self.name in TWO_QUBIT_GATES and len(self.qubits) != 2:
-            raise GateError(f"{self.name} acts on exactly two qubits, got {self.qubits}")
-        if self.name in _MULTI_TARGET_GATES and len(self.qubits) < 2:
-            raise GateError(f"{self.name} needs a control and at least one target")
+        qs = tuple(int(q) for q in qubits)
+        ps = tuple(float(p) for p in params)
+        normalised: tuple[tuple[int, ...], int] | None = None
+        if condition is not None:
+            cbits, value = condition
+            normalised = (tuple(int(c) for c in cbits), int(value) & 1)
+        if len(set(qs)) != len(qs):
+            raise GateError(f"gate {name} has repeated qubits: {qs}")
+        if name in ONE_QUBIT_GATES and len(qs) != 1:
+            raise GateError(f"{name} acts on exactly one qubit, got {qs}")
+        if name in TWO_QUBIT_GATES and len(qs) != 2:
+            raise GateError(f"{name} acts on exactly two qubits, got {qs}")
+        if name in _MULTI_TARGET_GATES and len(qs) < 2:
+            raise GateError(f"{name} needs a control and at least one target")
+        _set_name(self, name)
+        _set_qubits(self, qs)
+        _set_params(self, ps)
+        _set_condition(self, normalised)
 
     @classmethod
     def trusted(
@@ -146,14 +171,40 @@ class Gate:
         be a tuple of distinct built-in ``int``s and ``params`` an
         already-coerced float tuple, exactly as found on an existing gate.
         Always builds a plain ``Gate`` — subclasses (measurements, barriers)
-        carry extra invariants and go through their validating constructors.
+        carry extra invariants; :func:`trusted_measure` and
+        :func:`trusted_barrier` are their hot paths.
         """
-        gate = object.__new__(Gate)
-        object.__setattr__(gate, "name", name)
-        object.__setattr__(gate, "qubits", qubits)
-        object.__setattr__(gate, "params", params)
-        object.__setattr__(gate, "condition", condition)
+        gate = _new(Gate)
+        _set_name(gate, name)
+        _set_qubits(gate, qubits)
+        _set_params(gate, params)
+        _set_condition(gate, condition)
         return gate
+
+    # ------------------------------------------------------------------ #
+    # value semantics
+    # ------------------------------------------------------------------ #
+    def _fields(self) -> tuple[object, ...]:
+        return (self.name, self.qubits, self.params, self.condition)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == cast(Gate, other)._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: gates are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: gates are immutable")
+
+    def __reduce__(self) -> tuple[object, ...]:
+        # pickle and copy rebuild through the constructor, which takes the
+        # fields in this order: the default protocol would assign the slots
+        return (self.__class__, self._fields())
 
     # ------------------------------------------------------------------ #
     # classification helpers
@@ -162,14 +213,6 @@ class Gate:
     def num_qubits(self) -> int:
         """Number of qubits the gate acts on."""
         return len(self.qubits)
-
-    @property
-    def is_measurement(self) -> bool:
-        return False
-
-    @property
-    def is_barrier(self) -> bool:
-        return False
 
     @property
     def is_one_qubit(self) -> bool:
@@ -244,7 +287,7 @@ class Gate:
         """Return a copy of the gate conditioned on the parity of ``cbits``.
 
         The gate's own fields are already validated/coerced, so only the
-        condition is normalised here (the exact coercion ``__post_init__``
+        condition is normalised here (the exact coercion the constructor
         would apply) before taking the trusted construction path.
         """
         return Gate.trusted(
@@ -270,10 +313,9 @@ class Gate:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         params = f", params={self.params}" if self.params else ""
-        return f"Gate({self.name!r}, qubits={self.qubits}{params})"
+        return f"{type(self).__name__}({self.name!r}, qubits={self.qubits}{params})"
 
 
-@dataclass(frozen=True)
 class Measurement(Gate):
     """A computational-basis measurement of a single qubit.
 
@@ -283,26 +325,41 @@ class Measurement(Gate):
     circuit.
     """
 
-    cbit: int = -1
+    __slots__ = ("cbit",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if self.name != "measure":
+    cbit: int
+
+    is_measurement = True
+
+    def __init__(
+        self,
+        name: str,
+        qubits: Iterable[int],
+        params: tuple[float, ...] = (),
+        condition: tuple[tuple[int, ...], int] | None = None,
+        cbit: int = -1,
+    ) -> None:
+        qs = tuple(int(q) for q in qubits)
+        if name != "measure":
             raise GateError("Measurement must be named 'measure'")
-        if len(self.qubits) != 1:
+        if len(qs) != 1:
             raise GateError("Measurement acts on exactly one qubit")
-        if self.cbit < 0:
-            object.__setattr__(self, "cbit", self.qubits[0])
+        _set_name(self, name)
+        _set_qubits(self, qs)
+        _set_params(self, params)
+        _set_condition(self, condition)
+        _set_cbit(self, qs[0] if cbit < 0 else cbit)
 
-    @property
-    def is_measurement(self) -> bool:
-        return True
+    def _fields(self) -> tuple[object, ...]:
+        return (self.name, self.qubits, self.params, self.condition, self.cbit)
 
     def matrix(self) -> np.ndarray:
         raise GateError("measurements have no unitary matrix")
 
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Measurement(qubits={self.qubits}, cbit={self.cbit})"
 
-@dataclass(frozen=True)
+
 class Barrier(Gate):
     """A scheduling barrier across a set of qubits.
 
@@ -310,19 +367,62 @@ class Barrier(Gate):
     commutation analysis from moving operations across them.
     """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if self.name != "barrier":
-            raise GateError("Barrier must be named 'barrier'")
-        if not self.qubits:
-            raise GateError("Barrier must span at least one qubit")
+    __slots__ = ()
 
-    @property
-    def is_barrier(self) -> bool:
-        return True
+    is_barrier = True
+
+    def __init__(
+        self,
+        name: str,
+        qubits: Iterable[int],
+        params: tuple[float, ...] = (),
+        condition: tuple[tuple[int, ...], int] | None = None,
+    ) -> None:
+        qs = tuple(int(q) for q in qubits)
+        if name != "barrier":
+            raise GateError("Barrier must be named 'barrier'")
+        if not qs:
+            raise GateError("Barrier must span at least one qubit")
+        _set_name(self, name)
+        _set_qubits(self, qs)
+        _set_params(self, params)
+        _set_condition(self, condition)
 
     def matrix(self) -> np.ndarray:
         raise GateError("barriers have no unitary matrix")
+
+
+# Instances are built by storing straight into the slots: the descriptors'
+# setters bypass the immutability guard in ``__setattr__``.
+_new = object.__new__
+_set_name = Gate.__dict__["name"].__set__
+_set_qubits = Gate.__dict__["qubits"].__set__
+_set_params = Gate.__dict__["params"].__set__
+_set_condition = Gate.__dict__["condition"].__set__
+_set_cbit = Measurement.__dict__["cbit"].__set__
+
+
+def trusted_measure(qubit: int, cbit: int) -> Measurement:
+    """``measure(qubit, cbit)`` without validation, for protocol builders
+    whose ``qubit`` and ``cbit >= 0`` are already built-in ``int``s."""
+    gate = _new(Measurement)
+    _set_name(gate, "measure")
+    _set_qubits(gate, (qubit,))
+    _set_params(gate, ())
+    _set_condition(gate, None)
+    _set_cbit(gate, cbit)
+    return gate
+
+
+def trusted_barrier(qubits: tuple[int, ...]) -> Barrier:
+    """``barrier(qubits)`` without validation: a non-empty tuple of
+    built-in ``int``s."""
+    gate = _new(Barrier)
+    _set_name(gate, "barrier")
+    _set_qubits(gate, qubits)
+    _set_params(gate, ())
+    _set_condition(gate, None)
+    return gate
 
 
 # ---------------------------------------------------------------------- #

@@ -20,7 +20,7 @@ heuristics only influence decisions, never the metric itself.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from ..circuits import gates as g
 from ..circuits.circuit import Circuit, _rebuild_trusted
@@ -129,37 +129,46 @@ class MechScheduler:
     # emission helpers
     # ------------------------------------------------------------------ #
     def _emit(self, op: Gate, weight: float) -> None:
+        """Emit a 2-qubit operation costing ``weight`` (a SWAP, whose weight
+        is not :meth:`_emit_ops`'s rule)."""
         # direct op-list append: the scheduler only emits on validated
         # physical positions, so the per-qubit range check is redundant
         self._out.operations.append(op)
         clock = self._clock
-        qubits = op.qubits
-        if op.is_barrier:
-            sync = max((clock[q] for q in qubits), default=0.0)
-            for q in qubits:
-                clock[q] = sync
-            return
-        if len(qubits) == 2:
-            ca, cb = clock[qubits[0]], clock[qubits[1]]
-            start = ca if ca >= cb else cb
-        elif len(qubits) == 1:
-            start = clock[qubits[0]]
-        else:
-            start = max(clock[q] for q in qubits)
-        finish = start + weight
-        for q in qubits:
-            clock[q] = finish
+        a, b = op.qubits
+        ca, cb = clock[a], clock[b]
+        clock[a] = clock[b] = (ca if ca >= cb else cb) + weight
 
-    def _emit_plain(self, op: Gate) -> None:
-        """Emit an operation with the paper's default weights."""
-        if op.is_barrier:
-            self._emit(op, 0.0)
-        elif op.is_measurement:
-            self._emit(op, self.noise.meas_latency)
-        elif op.num_qubits >= 2:
-            self._emit(op, 1.0)
-        else:
-            self._emit(op, 0.0)
+    def _emit_ops(self, ops: Iterable[Gate]) -> None:
+        """Emit operations with the paper's weights, in one loop.
+
+        A measurement costs ``meas_latency``, a 1-qubit gate nothing and any
+        other gate 1; an operation starts when the last of its qubits is free.
+        A barrier syncs its qubits' clocks.  Entrance selection reads these
+        clocks, so the arithmetic must not change: the reported depth is
+        recomputed from the circuit, but the choices made here are not.
+        """
+        append = self._out.operations.append
+        clock = self._clock
+        meas_latency = self.noise.meas_latency
+        for op in ops:
+            append(op)
+            qubits = op.qubits
+            if op.is_barrier:
+                sync = max(clock[q] for q in qubits)
+                for q in qubits:
+                    clock[q] = sync
+            elif len(qubits) == 1:
+                if op.is_measurement:
+                    clock[qubits[0]] += meas_latency
+            elif len(qubits) == 2:
+                a, b = qubits
+                ca, cb = clock[a], clock[b]
+                clock[a] = clock[b] = (ca if ca >= cb else cb) + 1.0
+            else:
+                finish = max(clock[q] for q in qubits) + 1.0
+                for q in qubits:
+                    clock[q] = finish
 
     def _emit_swap(self, a: int, b: int) -> None:
         """Emit a SWAP between two data positions and update the mapping."""
@@ -194,7 +203,7 @@ class MechScheduler:
     def _execute_single(self, unit: SingleUnit) -> None:
         op = unit.op
         if op.is_barrier or op.is_measurement or op.num_qubits == 1:
-            self._emit_plain(_rebuild_trusted(op, tuple(self._l2p[q] for q in op.qubits)))
+            self._emit_ops((_rebuild_trusted(op, tuple(self._l2p[q] for q in op.qubits)),))
             return
         if op.num_qubits != 2:
             raise SchedulerError(f"unsupported operation {op}")
@@ -224,7 +233,7 @@ class MechScheduler:
             self._apply_swaps(swaps)
             a = self._l2p[op.qubits[0]]
             b = self._l2p[op.qubits[1]]
-        self._emit_plain(_rebuild_trusted(op, (a, b)))
+        self._emit_ops((_rebuild_trusted(op, (a, b)),))
         self._stats["regular_two_qubit_gates"] += 1.0
 
     # ------------------------------------------------------------------ #
@@ -285,8 +294,7 @@ class MechScheduler:
             required_members=sorted(required),
         )
         self._next_cbit = max(self._next_cbit, prep.next_cbit)
-        for op in prep.operations:
-            self._emit_plain(op)
+        self._emit_ops(prep.operations)
         self._stats["ghz_preparations"] += 1.0
 
         members = list(prep.members)
@@ -294,14 +302,13 @@ class MechScheduler:
 
         # --- Hadamard conjugation for target-shared groups --------------- #
         if kind == "target":
-            self._emit_plain(g.h(hub_phys))
+            self._emit_ops((Gate.trusted("h", (hub_phys,)),))
 
         # --- cat-entangler ------------------------------------------------ #
         entangle_cbit = self._fresh_cbits(1)
-        for op in cat_entangler(
-            hub_phys, hub_entrance, other_members, cbit=entangle_cbit
-        ):
-            self._emit_plain(op)
+        self._emit_ops(
+            cat_entangler(hub_phys, hub_entrance, other_members, cbit=entangle_cbit)
+        )
 
         # --- fan-out, one spoke at a time (dynamic shuttle period) -------- #
         dead_members = {hub_entrance}  # measured out by the cat-entangler
@@ -321,7 +328,7 @@ class MechScheduler:
                         raise SchedulerError(f"entrance {entrance} has no parking spot")
                     self._apply_swaps(self.router.swaps_to_position(hub_now, parking))
                     hub_now = self._l2p[hub]
-                self._emit_plain(g.cx(hub_now, entrance))
+                self._emit_ops((g.cx(hub_now, entrance),))
                 other_members.append(entrance)
                 dead_members.discard(entrance)
             spoke_phys = self._l2p[spoke]
@@ -332,21 +339,21 @@ class MechScheduler:
                 self._apply_swaps(self.router.swaps_to_position(spoke_phys, parking))
                 spoke_phys = self._l2p[spoke]
             fan_name, fan_params = self._fan_out_gate(gate_name, params, kind)
-            for op in fan_out([(entrance, spoke_phys)], gate_name=fan_name, params=fan_params):
-                self._emit_plain(op)
+            self._emit_ops(
+                fan_out([(entrance, spoke_phys)], gate_name=fan_name, params=fan_params)
+            )
 
         # --- cat-disentangler (ends this gate's use of the shuttle) ------- #
         hub_phys = self._l2p[hub]
         disentangle_ops, _ = cat_disentangler(
             hub_phys, other_members, cbit_base=self._fresh_cbits(len(other_members))
         )
-        for op in disentangle_ops:
-            self._emit_plain(op)
+        self._emit_ops(disentangle_ops)
 
         # the closing Hadamard of the target-shared conjugation wraps the whole
         # protocol, including the disentangler's Z correction on the hub
         if kind == "target":
-            self._emit_plain(g.h(hub_phys))
+            self._emit_ops((Gate.trusted("h", (hub_phys,)),))
 
         release = max(self._clock[q] for q in route.nodes)
         self.manager.claim(route.nodes, release)

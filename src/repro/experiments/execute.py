@@ -59,11 +59,13 @@ def _verify_enabled() -> bool:
 #: Optional provider of resident per-device state, installed by each forked
 #: compile worker of ``repro serve`` (:mod:`repro.serve`).  Maps a
 #: :class:`Job` to an object with ``array``/``layout``/``router`` attributes
-#: matching the job's device configuration, or ``None`` for the cold path.
-#: Process-global; a forked farm worker inherits its parent's, which is
-#: harmless because warm state is a pure function of the device
-#: configuration.  Read it here, never through a re-export: a re-exported
-#: binding would not follow :func:`set_warm_state_provider`.
+#: matching the job's device configuration, or ``None`` for a per-job
+#: rebuild.  With none installed, jobs use the process's default
+#: :class:`~repro.experiments.devices.WarmStateRegistry`.  Process-global; a
+#: forked farm worker inherits its parent's, which is harmless because warm
+#: state is a pure function of the device configuration.  Read it here,
+#: never through a re-export: a re-exported binding would not follow
+#: :func:`set_warm_state_provider`.
 _WARM_STATE_PROVIDER: Callable[[Job], Any] | None = None
 
 
@@ -111,14 +113,20 @@ def _compile_job(job: Job) -> CompiledSet:
     the job may produce a record; a ``VerificationError`` propagates through
     the engine's normal :class:`JobError` fault path.
 
-    When a warm-state provider is installed (:func:`set_warm_state_provider`)
-    the resident array/layout/router replace the cold per-job rebuild — the
-    serve path's whole point; with no provider every job builds its own.
+    The array, highway layout and router come from warm device state, built
+    once per device configuration and reused by every later job on that
+    device: from the installed provider (:func:`set_warm_state_provider`;
+    each serve worker installs its own registry), else from this process's
+    :func:`~repro.experiments.devices.default_registry`.  Reuse cannot change
+    a result, because the state is a pure function of the device
+    configuration.  A provider that returns ``None`` makes the job build its
+    own.
     """
+    from .devices import default_registry
     from .runner import compile_many
 
     provider = _WARM_STATE_PROVIDER
-    state = provider(job) if provider is not None else None
+    state = provider(job) if provider is not None else default_registry().get(job)
     if state is not None:
         array = state.array
         layout = state.layout

@@ -126,7 +126,8 @@ _CHECKPOINT_FLUSH_SECONDS = 1.0
 
 def _atomic_write_json(path: Path, document: Mapping[str, object]) -> None:
     chaos = active_controller()
-    data = (json.dumps(document, indent=1, sort_keys=False) + "\n").encode("utf-8")
+    # no indent: an indented dump runs the pure-Python encoder, this one the C one
+    data = (json.dumps(document, separators=(",", ":")) + "\n").encode("utf-8")
     if chaos is not None:
         chaos.on_fs_op("checkpoint", str(path))
         # a torn-tail clause simulates a non-atomic writer dying mid-write:

@@ -39,9 +39,10 @@ import time
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 from ..experiments.cache import ResultCache
+from ..experiments.devices import DeviceKey, device_key
 from ..experiments.execute import _raise_job_error
 from ..experiments.jobs import Job
 from ..experiments.ledger import (
@@ -52,7 +53,6 @@ from ..experiments.ledger import (
     journal_path_for,
 )
 from ..experiments.policy import JobError, JobPolicy
-from ..experiments.runner import AnyRecord
 from ..serve.schema import (
     FARM_PROTOCOL_VERSION,
     ServeProtocolError,
@@ -61,10 +61,12 @@ from ..serve.schema import (
     work_stats,
 )
 from ..serve.server import FramedServer, Respond
-from ..serve.state import DeviceKey, device_key
 from .launcher import WorkerHandle, WorkerLauncher, stop_workers
 from .queue import COMPLETED, FAILED, LEASE_SECONDS, LEASED, PENDING, LeaseQueue
 from .schema import Lease, parse_claim, parse_complete, parse_fail, parse_heartbeat
+
+if TYPE_CHECKING:
+    from ..experiments.records import AnyRecord
 
 __all__ = [
     "CLAIM_WAIT_SECONDS",

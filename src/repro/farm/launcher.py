@@ -27,9 +27,9 @@ import time
 from pathlib import Path
 from typing import Any, NoReturn, Protocol
 
+from ..experiments.devices import WarmStateRegistry
 from ..experiments.execute import load_compile_path
 from ..serve.server import close_listeners
-from ..serve.state import WarmStateRegistry
 from .queue import LEASE_SECONDS
 from .worker import exit_on_sigterm, flush_chaos_report, run_worker
 

@@ -40,12 +40,12 @@ from collections.abc import Callable
 from typing import NoReturn
 
 from ..chaos import active_controller
+from ..experiments.devices import WarmStateRegistry
 from ..experiments.execute import _execute_keyed, load_compile_path, set_warm_state_provider
 from ..experiments.jobs import job_from_dict
 from ..serve.client import ServeClient
 from ..serve.retry import BackoffPolicy, retry_call
 from ..serve.schema import ServeProtocolError, ServeRequest, ServeResponse
-from ..serve.state import WarmStateRegistry
 from .queue import LEASE_SECONDS
 from .schema import (
     Lease,

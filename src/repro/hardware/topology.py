@@ -22,6 +22,9 @@ __all__ = ["Topology", "TopologyError"]
 
 Coordinate = tuple[int, int]
 
+#: ``(edge_u, edge_v, edge_ids, neighbours)``: see :meth:`Topology.edge_tables`.
+EdgeTables = tuple[list[int], list[int], list[list[int]], list[list[int]]]
+
 _NO_NEIGHBOURS: Mapping[int, bool] = MappingProxyType({})
 
 
@@ -119,7 +122,9 @@ class Topology:
         )
         self._neighbors = {q: tuple(sorted(nbrs)) for q, nbrs in adjacency.items()}
         self._dist_rows: dict[float, list[list[float]]] = {}
+        self._integral: dict[float, bool] = {}
         self._coupling_rows: list[list[bool]] | None = None
+        self._edge_tables: EdgeTables | None = None
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -169,6 +174,26 @@ class Topology:
                 rows[a][b] = rows[b][a] = True
             self._coupling_rows = rows
         return self._coupling_rows
+
+    def edge_tables(self) -> EdgeTables:
+        """Every edge once as flat tables for routers' inner loops, cached.
+
+        Edge ``i`` is ``(edge_u[i], edge_v[i])``, the edges ascending
+        lexicographically; ``edge_ids[q]`` lists the ids of ``q``'s edges in
+        that order and ``neighbours[q]`` their far endpoints.  Read-only.
+        """
+        if self._edge_tables is None:
+            n = self.num_qubits
+            edges = sorted(self._edges)
+            edge_ids: list[list[int]] = [[] for _ in range(n)]
+            neighbours: list[list[int]] = [[] for _ in range(n)]
+            for index, (u, v) in enumerate(edges):
+                edge_ids[u].append(index)
+                edge_ids[v].append(index)
+                neighbours[u].append(v)
+                neighbours[v].append(u)
+            self._edge_tables = ([u for u, _ in edges], [v for _, v in edges], edge_ids, neighbours)
+        return self._edge_tables
 
     def is_cross_chip(self, a: int, b: int) -> bool:
         """Whether the coupler between ``a`` and ``b`` is a cross-chip link."""
@@ -223,6 +248,16 @@ class Topology:
             rows = self._compute_distances(key)
             self._dist_rows[key] = rows
         return rows
+
+    def distances_are_integral(self, *, cross_chip_weight: float = 1.0) -> bool:
+        """Whether every distance of :meth:`distance_rows` is an exact
+        integer, cached (``inf`` is not, so a disconnected device is not)."""
+        key = float(cross_chip_weight)
+        integral = self._integral.get(key)
+        if integral is None:
+            rows = self.distance_rows(cross_chip_weight=key)
+            integral = self._integral[key] = all(d.is_integer() for row in rows for d in row)
+        return integral
 
     def distance(self, a: int, b: int, *, cross_chip_weight: float = 1.0) -> float:
         return self.distance_rows(cross_chip_weight=cross_chip_weight)[a][b]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
 from ..circuits import gates as g
-from ..circuits.gates import Gate
+from ..circuits.gates import Gate, trusted_barrier, trusted_measure
 from ..circuits.library import bridge_cnot
 
 __all__ = ["GhzPrepPlan", "measurement_based_ghz", "tree_ghz", "chain_ghz", "extend_ghz"]
@@ -96,6 +96,9 @@ def measurement_based_ghz(
     -------
     GhzPrepPlan
         The operations plus which qubits are GHZ members afterwards.
+
+    The qubits and ``cbit_base`` must be built-in ``int``s (the scheduler's
+    validated positions): the operations take the trusted construction paths.
     """
     path = list(path)
     if not path:
@@ -138,13 +141,13 @@ def measurement_based_ghz(
     # Step 3: measure the odd positions.
     cbit = cbit_base
     for qubit in measured:
-        plan.operations.append(g.measure(qubit, cbit))
+        plan.operations.append(trusted_measure(qubit, cbit))
         plan.measurement_cbits[qubit] = cbit
         cbit += 1
     if measured:
         # the corrections below are classically conditioned on these outcomes;
         # a barrier makes that timing dependency visible to the depth metric.
-        plan.operations.append(g.barrier(path))
+        plan.operations.append(trusted_barrier(tuple(path)))
 
     # Step 4: parity-conditioned X corrections on the even positions.  The
     # member at path position 2j needs an X exactly when the XOR of the
@@ -152,8 +155,8 @@ def measurement_based_ghz(
     for j, qubit in enumerate(members):
         if j == 0:
             continue
-        controlling = [plan.measurement_cbits[path[i]] for i in range(1, 2 * j, 2)]
-        plan.operations.append(g.x(qubit).with_condition(controlling, 1))
+        controlling = tuple(plan.measurement_cbits[path[i]] for i in range(1, 2 * j, 2))
+        plan.operations.append(Gate.trusted("x", (qubit,), (), (controlling, 1)))
 
     # Step 5: absorb the trailing qubit of an even-length path (still in |0>)
     # with a single extension CNOT from the last member.
@@ -175,7 +178,7 @@ def measurement_based_ghz(
         position = path.index(qubit)
         neighbour = path[position - 1] if position > 0 else path[position + 1]
         plan.operations.append(
-            g.x(qubit).with_condition([plan.measurement_cbits[qubit]], 1)
+            Gate.trusted("x", (qubit,), (), ((plan.measurement_cbits[qubit],), 1))
         )
         plan.operations.extend(
             _entangling_cnot(neighbour, qubit, lookup(neighbour, qubit))
@@ -193,7 +196,7 @@ def measurement_based_ghz(
         if qubit in member_set:
             continue
         plan.operations.append(
-            g.x(qubit).with_condition([plan.measurement_cbits[qubit]], 1)
+            Gate.trusted("x", (qubit,), (), ((plan.measurement_cbits[qubit],), 1))
         )
 
     plan.members = members

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from ..circuits import gates as g
-from ..circuits.gates import Gate
+from ..circuits.gates import Gate, trusted_barrier, trusted_measure
 
 __all__ = ["ProtocolPlan", "cat_entangler", "fan_out", "cat_disentangler", "highway_multi_target"]
 
@@ -51,18 +51,23 @@ def cat_entangler(
     *,
     cbit: int,
 ) -> list[Gate]:
-    """Stage 1: share the control's value with every remaining GHZ member."""
+    """Stage 1: share the control's value with every remaining GHZ member.
+
+    Qubits and ``cbit`` are the scheduler's validated ints, so everything
+    after the entangling CNOT takes the trusted construction paths.
+    """
     ops: list[Gate] = [g.cx(control_data, control_entrance)]
-    ops.append(g.measure(control_entrance, cbit))
+    ops.append(trusted_measure(control_entrance, cbit))
+    condition = ((cbit,), 1)
     if other_members:
         # the X corrections are conditioned on the measurement outcome; the
         # barrier exposes that classical dependency to the depth metric.
-        ops.append(g.barrier([control_entrance, *other_members]))
+        ops.append(trusted_barrier((control_entrance, *other_members)))
     for member in other_members:
-        ops.append(g.x(member).with_condition([cbit], 1))
+        ops.append(Gate.trusted("x", (member,), (), condition))
     # measure + reset: the consumed entrance must be back in |0> before the
     # next shuttle re-uses it for a fresh GHZ preparation
-    ops.append(g.x(control_entrance).with_condition([cbit], 1))
+    ops.append(Gate.trusted("x", (control_entrance,), (), condition))
     return ops
 
 
@@ -93,19 +98,23 @@ def cat_disentangler(
     *,
     cbit_base: int,
 ) -> tuple[list[Gate], list[int]]:
-    """Stage 3: X-basis measurements of the members, parity Z on the control."""
+    """Stage 3: X-basis measurements of the members, parity Z on the control.
+
+    Qubits and ``cbit_base`` are the scheduler's validated ints, so every
+    operation takes the trusted construction paths.
+    """
     ops: list[Gate] = []
     cbits: list[int] = []
     cbit = cbit_base
     for member in members:
-        ops.append(g.h(member))
-        ops.append(g.measure(member, cbit))
+        ops.append(Gate.trusted("h", (member,)))
+        ops.append(trusted_measure(member, cbit))
         # measure + reset so the next shuttle finds this highway qubit in |0>
-        ops.append(g.x(member).with_condition([cbit], 1))
+        ops.append(Gate.trusted("x", (member,), (), ((cbit,), 1)))
         cbits.append(cbit)
         cbit += 1
     if cbits:
-        ops.append(g.z(control_data).with_condition(cbits, 1))
+        ops.append(Gate.trusted("z", (control_data,), (), (tuple(cbits), 1)))
     return ops, cbits
 
 

@@ -1,12 +1,13 @@
 """Warm-state compile server: ``repro serve`` / ``repro submit``.
 
-The batch engine pays device-state construction (chiplet array, highway
-layout, router distance tables) once per job *process*.  The serve path
-keeps that state resident in a long-lived server so interactive and
-repeated compiles pay it once per *device configuration*:
+A long-lived server answers repeated compiles from the result cache and
+leases first-time compiles to forked workers, each of which keeps its
+device state (chiplet array, highway layout, router distance tables)
+resident, so a device configuration is built once per worker:
 
 * :mod:`~repro.serve.schema` — newline-JSON wire protocol, versioned;
-* :mod:`~repro.serve.state` — per-device warm state and its LRU registry;
+* :mod:`~repro.serve.state` — per-device warm state and its LRU registry
+  (re-exported from :mod:`repro.experiments.devices`);
 * :mod:`~repro.serve.server` — socket server that answers cache hits
   itself and leases misses to forked workers, which run one attempt each
   of the engine's own ``_execute_keyed`` (same cache keys, same payloads);

@@ -16,7 +16,9 @@ import time
 
 import pytest
 
-from helpers import cache_clock, rot_cache_entry
+from helpers import cache_clock, rot_cache_entry, strip_timing
+from repro.experiments import devices
+from repro.experiments.devices import WarmStateRegistry
 from repro.experiments.engine import (
     CACHE_VERSION,
     Job,
@@ -30,6 +32,7 @@ from repro.experiments.engine import (
     record_to_payload,
     run_jobs,
     run_jobs_report,
+    set_warm_state_provider,
     write_artifacts,
 )
 from repro.experiments.fig13_sensitivity import sensitivity_results_from_records
@@ -342,6 +345,57 @@ class TestExecution:
         assert [x for x, _ in result.depth_vs_latency] == [1.0, 4.0]
         assert [x for x, _ in result.eff_vs_meas_error] == [1.0, 3.0]
         assert [x for x, _ in result.eff_vs_cross_error] == [4.0, 8.0]
+
+
+#: Eight jobs on two devices: four benchmarks on each of two chiplet widths.
+TWO_DEVICE_JOBS = [
+    Job(benchmark=name, chiplet_width=width, rows=1, cols=2, seed=seed)
+    for width in (3, 4)
+    for seed, name in enumerate(("BV", "QFT", "QAOA", "VQE"))
+]
+
+
+def _payloads(records):
+    return [json.dumps(strip_timing(record_to_payload(r)), sort_keys=True) for r in records]
+
+
+class TestWarmStateOnRunPaths:
+    """With no provider installed, every run path reuses device state."""
+
+    @pytest.fixture
+    def fresh_per_job(self):
+        """Payloads with a fresh registry per job: every device built cold."""
+        previous = set_warm_state_provider(lambda job: WarmStateRegistry().get(job))
+        try:
+            records, report = run_jobs_report(TWO_DEVICE_JOBS)
+        finally:
+            set_warm_state_provider(previous)
+        assert report.executed == len(TWO_DEVICE_JOBS)
+        return _payloads(records)
+
+    def test_in_process_run_builds_each_device_once(self, monkeypatch, fresh_per_job):
+        registry = WarmStateRegistry()
+        monkeypatch.setattr(devices, "_DEFAULT", registry)
+        records, report = run_jobs_report(TWO_DEVICE_JOBS)
+        assert report.executed == len(TWO_DEVICE_JOBS)
+        stats = registry.stats()
+        assert (stats["cold_builds"], stats["warm_hits"]) == (2, 6)
+        assert _payloads(records) == fresh_per_job
+
+    def test_forked_workers_match_a_fresh_registry_per_job(self, fresh_per_job):
+        records, report = run_jobs_report(TWO_DEVICE_JOBS, workers=2)
+        assert report.executed == len(TWO_DEVICE_JOBS)
+        assert _payloads(records) == fresh_per_job
+
+    def test_a_forked_child_starts_with_a_fresh_default_registry(self):
+        parent = devices.default_registry()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            fresh = devices._DEFAULT is None and devices.default_registry() is not parent
+            os._exit(0 if fresh else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert devices.default_registry() is parent
 
 
 class TestArtifacts:

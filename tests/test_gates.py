@@ -1,6 +1,8 @@
 """Unit tests for the gate vocabulary (repro.circuits.gates)."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -121,6 +123,106 @@ class TestConditions:
     def test_condition_value_normalised_mod_two(self):
         gate = g.z(0).with_condition([1], 3)
         assert gate.condition == ((1,), 1)
+
+
+class TestValueSemantics:
+    """Gates are immutable values: compared, hashed and copied by their fields."""
+
+    SAMPLES = [
+        g.h(0),
+        g.cp(0.25, 1, 2),
+        g.multi_target_cx(0, [1, 3]),
+        g.x(4).with_condition([2, 5], 1),
+        g.measure(3, cbit=9),
+        g.barrier([0, 1, 2]),
+    ]
+
+    def test_equal_fields_make_equal_gates_with_equal_hashes(self):
+        assert Gate("cx", (0, 1)) == g.cx(0, 1)
+        assert hash(Gate("cx", (0, 1))) == hash(g.cx(0, 1))
+        assert g.measure(2, cbit=5) == Measurement("measure", (2,), cbit=5)
+        assert hash(g.measure(2, cbit=5)) == hash(Measurement("measure", (2,), cbit=5))
+        assert g.barrier([1, 2]) == Barrier("barrier", (1, 2))
+        assert len({g.cx(0, 1), Gate("cx", [0, 1]), g.cx(1, 0)}) == 2
+
+    def test_different_fields_differ(self):
+        assert g.cx(0, 1) != g.cx(1, 0)
+        assert g.rz(0.5, 0) != g.rz(0.25, 0)
+        assert g.x(0) != g.x(0).with_condition([1], 1)
+        assert g.measure(0, cbit=1) != g.measure(0, cbit=2)
+        assert g.h(0) != ("h", (0,), (), None)
+
+    def test_equality_holds_only_within_one_class(self):
+        gate = Gate("measure", (0,))
+        measurement = Measurement("measure", (0,), cbit=0)
+        assert gate != measurement and measurement != gate
+        assert Gate("barrier", (0, 1)) != Barrier("barrier", (0, 1))
+        assert len({Gate("barrier", (0, 1)), Barrier("barrier", (0, 1))}) == 2
+
+    @pytest.mark.parametrize("gate", SAMPLES, ids=repr)
+    def test_assignment_raises_attribute_error(self, gate):
+        for name in ("name", "qubits", "params", "condition"):
+            with pytest.raises(AttributeError):
+                setattr(gate, name, getattr(gate, name))
+        with pytest.raises(AttributeError):
+            gate.extra = 1
+        with pytest.raises(AttributeError):
+            del gate.qubits
+
+    def test_measurement_cbit_is_read_only(self):
+        with pytest.raises(AttributeError):
+            g.measure(0).cbit = 3
+
+    @pytest.mark.parametrize("gate", SAMPLES, ids=repr)
+    def test_pickle_and_deepcopy_round_trip(self, gate):
+        for copied in (pickle.loads(pickle.dumps(gate)), copy.deepcopy(gate), copy.copy(gate)):
+            assert type(copied) is type(gate)
+            assert copied == gate and hash(copied) == hash(gate)
+            assert copied.condition == gate.condition
+        assert pickle.loads(pickle.dumps(g.measure(3, cbit=9))).cbit == 9
+        assert copy.deepcopy(g.measure(3, cbit=9)).cbit == 9
+
+    def test_trusted_equals_the_validating_constructor(self):
+        assert Gate.trusted("cx", (0, 1)) == Gate("cx", (0, 1))
+        assert Gate.trusted("rz", (2,), (0.5,)) == Gate("rz", (2,), (0.5,))
+        condition = ((1, 2), 1)
+        assert Gate.trusted("x", (0,), (), condition) == Gate("x", (0,), (), condition)
+        assert type(Gate.trusted("h", (0,))) is Gate
+        assert hash(Gate.trusted("swap", (3, 4))) == hash(g.swap(3, 4))
+
+    def test_constructor_coerces_fields(self):
+        gate = Gate("cp", [np.int64(1), 2], [np.float32(0.5)], ([np.int64(3)], 5))
+        assert gate.qubits == (1, 2) and gate.params == (0.5,)
+        assert type(gate.params[0]) is float
+        assert gate.condition == ((3,), 1)
+        assert all(type(q) is int for q in (*gate.qubits, *gate.condition[0]))
+
+    def test_measurement_and_barrier_validation(self):
+        with pytest.raises(GateError):
+            Measurement("m", (0,))
+        with pytest.raises(GateError):
+            Measurement("measure", (0, 1))
+        with pytest.raises(GateError):
+            Barrier("fence", (0,))
+        with pytest.raises(GateError):
+            Barrier("barrier", ())
+        assert Measurement("measure", (4,)).cbit == 4
+
+    def test_kind_flags(self):
+        assert not g.h(0).is_measurement and not g.h(0).is_barrier
+        assert g.measure(0).is_measurement and not g.measure(0).is_barrier
+        assert g.barrier([0]).is_barrier and not g.barrier([0]).is_measurement
+
+    def test_with_condition_normalises_and_keeps_the_gate(self):
+        base = g.rz(0.5, 3)
+        gate = base.with_condition([np.int64(1), 2.0], 5)
+        assert gate.condition == ((1, 2), 1)
+        assert all(type(c) is int for c in gate.condition[0])
+        assert (gate.name, gate.qubits, gate.params) == (base.name, base.qubits, base.params)
+        assert type(gate) is Gate
+        assert gate == Gate("rz", (3,), (0.5,), ((1, 2), 1))
+        assert base.condition is None  # the original is untouched
+        assert g.x(0).with_condition([4], 0).condition == ((4,), 0)
 
 
 class TestDiagonality:

@@ -84,6 +84,16 @@ def test_entry_points_import_no_compiler(module):
     assert run_python(f"import {module}; {LOADED_COMPILE_PATH}") == "[]"
 
 
+def test_farm_coordinator_imports_no_compiler():
+    # its record type is an annotation and device_key lives in the engine
+    code = (
+        "import sys, repro.farm.coordinator;"
+        " print(sorted(m for m in sys.modules if m.startswith("
+        "('repro.compiler', 'repro.baseline', 'repro.experiments.runner'))))"
+    )
+    assert run_python(code) == "[]"
+
+
 def test_fig15_job_list_imports_no_compiler():
     # the circuit width comes from the highway layouts, not a compiler
     code = (
