@@ -194,7 +194,7 @@ class _Replayer:
         )
 
     # ------------------------------------------------------------------ #
-    # clock (mirrors the scheduler's `_emit_ops` and `_emit` weights)
+    # clock (mirrors the scheduler's `_emit_ops` and `_emit_swap` weights)
     # ------------------------------------------------------------------ #
     def _advance(self, op: Gate) -> float:
         clock = self.clock

@@ -342,4 +342,4 @@ def _rebuild_trusted(op: Gate, new_qubits: tuple[int, ...]) -> Gate:
         return trusted_measure(new_qubits[0], op.cbit)
     if type(op) is Barrier:
         return trusted_barrier(new_qubits)
-    return _rebuild(op, new_qubits)
+    raise TypeError(f"cannot rebuild a {type(op).__name__}")

@@ -128,17 +128,6 @@ class MechScheduler:
     # ------------------------------------------------------------------ #
     # emission helpers
     # ------------------------------------------------------------------ #
-    def _emit(self, op: Gate, weight: float) -> None:
-        """Emit a 2-qubit operation costing ``weight`` (a SWAP, whose weight
-        is not :meth:`_emit_ops`'s rule)."""
-        # direct op-list append: the scheduler only emits on validated
-        # physical positions, so the per-qubit range check is redundant
-        self._out.operations.append(op)
-        clock = self._clock
-        a, b = op.qubits
-        ca, cb = clock[a], clock[b]
-        clock[a] = clock[b] = (ca if ca >= cb else cb) + weight
-
     def _emit_ops(self, ops: Iterable[Gate]) -> None:
         """Emit operations with the paper's weights, in one loop.
 
@@ -171,9 +160,17 @@ class MechScheduler:
                     clock[q] = finish
 
     def _emit_swap(self, a: int, b: int) -> None:
-        """Emit a SWAP between two data positions and update the mapping."""
-        # positions come from the router's (validated-int, distinct) chains
-        self._emit(Gate.trusted("swap", (a, b)), _SWAP_WEIGHT)
+        """Emit a SWAP between two data positions and update the mapping.
+
+        A SWAP costs :data:`_SWAP_WEIGHT`, not :meth:`_emit_ops`'s weight of
+        a 2-qubit gate.
+        """
+        # positions come from the router's (validated-int, distinct) chains,
+        # so the append skips the circuit's per-qubit range check
+        self._out.operations.append(Gate.trusted("swap", (a, b)))
+        clock = self._clock
+        ca, cb = clock[a], clock[b]
+        clock[a] = clock[b] = (ca if ca >= cb else cb) + _SWAP_WEIGHT
         la = self._p2l.get(a)
         lb = self._p2l.get(b)
         if la is not None:

@@ -40,7 +40,14 @@ if TYPE_CHECKING:
     from ..hardware.array import ChipletArray
     from ..highway.layout import HighwayLayout
 
-__all__ = ["DeviceKey", "DeviceState", "WarmStateRegistry", "default_registry", "device_key"]
+__all__ = [
+    "DEFAULT_REGISTRY_DEVICES",
+    "DeviceKey",
+    "DeviceState",
+    "WarmStateRegistry",
+    "default_registry",
+    "device_key",
+]
 
 #: Hashable identity of everything the warm state depends on.
 DeviceKey = tuple[str, int, int, int, Any, int]
@@ -153,15 +160,22 @@ class WarmStateRegistry:
             self._states.clear()
 
 
+#: Capacity of :func:`default_registry`.  Every figure sweep lists its jobs
+#: grouped by device, so one resident device would serve it; four keep every
+#: device of a sweep that interleaves four structures (``perfbench``'s
+#: ``sweep-cache``) resident, while bounding what a process holds: a
+#: paper-scale device keeps 2.4-10.5 MiB of tables.
+DEFAULT_REGISTRY_DEVICES = 4
+
 _DEFAULT: WarmStateRegistry | None = None
 
 
 def default_registry() -> WarmStateRegistry:
-    """This process's registry (8 devices) for jobs run with no provider
-    installed, created on first use."""
+    """This process's registry (:data:`DEFAULT_REGISTRY_DEVICES` devices) for
+    jobs run with no provider installed, created on first use."""
     global _DEFAULT
     if _DEFAULT is None:
-        _DEFAULT = WarmStateRegistry()
+        _DEFAULT = WarmStateRegistry(max_devices=DEFAULT_REGISTRY_DEVICES)
     return _DEFAULT
 
 

@@ -59,11 +59,11 @@ def _verify_enabled() -> bool:
 #: Optional provider of resident per-device state, installed by each forked
 #: compile worker of ``repro serve`` (:mod:`repro.serve`).  Maps a
 #: :class:`Job` to an object with ``array``/``layout``/``router`` attributes
-#: matching the job's device configuration, or ``None`` for a per-job
-#: rebuild.  With none installed, jobs use the process's default
-#: :class:`~repro.experiments.devices.WarmStateRegistry`.  Process-global; a
-#: forked farm worker inherits its parent's, which is harmless because warm
-#: state is a pure function of the device configuration.  Read it here,
+#: matching the job's device configuration.  With none installed, jobs use
+#: the process's default :class:`~repro.experiments.devices.WarmStateRegistry`.
+#: Process-global; a forked farm worker inherits its parent's, which is
+#: harmless because warm state is a pure function of the device
+#: configuration.  Read it here,
 #: never through a re-export: a re-exported binding would not follow
 #: :func:`set_warm_state_provider`.
 _WARM_STATE_PROVIDER: Callable[[Job], Any] | None = None
@@ -74,9 +74,10 @@ def set_warm_state_provider(
 ) -> Callable[[Job], Any] | None:
     """Install (or clear, with ``None``) the warm device-state provider.
 
-    Returns the previously installed provider so embedders can restore it.
-    The provider must return state whose device configuration matches the
-    job's — the warm path trusts it; results stay byte-identical because the
+    With none installed, jobs use the process's default registry.  Returns
+    the previously installed provider so embedders can restore it.  The
+    provider must return state whose device configuration matches the job's
+    — the warm path trusts it; results stay byte-identical because the
     resident state is a pure function of that configuration.
     """
     global _WARM_STATE_PROVIDER
@@ -119,27 +120,17 @@ def _compile_job(job: Job) -> CompiledSet:
     each serve worker installs its own registry), else from this process's
     :func:`~repro.experiments.devices.default_registry`.  Reuse cannot change
     a result, because the state is a pure function of the device
-    configuration.  A provider that returns ``None`` makes the job build its
-    own.
+    configuration.
     """
     from .devices import default_registry
     from .runner import compile_many
 
-    provider = _WARM_STATE_PROVIDER
-    state = provider(job) if provider is not None else default_registry().get(job)
-    if state is not None:
-        array = state.array
-        layout = state.layout
-        router = state.router
-    else:
-        array = job.build_array()
-        layout = None
-        router = None
+    state = (_WARM_STATE_PROVIDER or default_registry().get)(job)
     compiled = compile_many(
         job.benchmark,
-        array,
-        layout=layout,
-        router=router,
+        state.array,
+        layout=state.layout,
+        router=state.router,
         compilers=job.compilers,
         noise=job.noise_model(),
         highway_density=job.highway_density,

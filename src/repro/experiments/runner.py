@@ -228,10 +228,9 @@ def compile_many(
         Extra arguments forwarded to the benchmark circuit builder.
     layout:
         A pre-built highway layout for ``array`` at ``highway_density``
-        (warm-state serving keeps one resident per device).  ``None`` — every
-        batch caller — rebuilds it, the historic behaviour; the compiled
-        output is identical either way because the layout is a pure function
-        of the device configuration.
+        (every engine job passes its device's warm state).  ``None`` builds
+        it here; the compiled output is identical either way because the
+        layout is a pure function of the device configuration.
     router:
         A pre-warmed :class:`~repro.compiler.local_router.LocalRouter` for
         the same device, offered to every backend as a ``router`` knob

@@ -35,6 +35,8 @@ from repro.experiments.engine import (
     set_warm_state_provider,
 )
 from repro.experiments.execute import _deadline, _execute_keyed
+from repro.experiments.records import record_to_payload
+from repro.experiments.runner import backend_stat_extras, compile_many
 from repro.serve import (
     SERVE_PROTOCOL_VERSION,
     CompileServer,
@@ -60,6 +62,28 @@ def batch_payload(job):
     _, payload = _execute_keyed((config_key(job), job_to_dict(job), None))
     assert "job_error" not in payload, payload
     return payload
+
+
+def per_job_build_payload(job):
+    """The payload of a compare ``job`` compiled on a device built for it
+    alone: a fresh array, with the highway layout built inside
+    ``compile_many`` and the router built by each backend."""
+    compiled = compile_many(
+        job.benchmark,
+        job.build_array(),
+        layout=None,
+        router=None,
+        compilers=job.compilers,
+        noise=job.noise_model(),
+        highway_density=job.highway_density,
+        num_data_qubits=job.num_data_qubits,
+        min_components=job.min_components,
+        baseline_trials=job.baseline_trials,
+        seed=job.seed,
+        benchmark_kwargs=dict(job.benchmark_kwargs) or None,
+    )
+    extra = backend_stat_extras(compiled)
+    return record_to_payload(compiled.comparison_record(job.noise_model(), extra=extra))
 
 
 # --------------------------------------------------------------------------
@@ -208,11 +232,12 @@ class TestWarmStateRegistry:
             WarmStateRegistry(max_devices=0)
 
     def test_warm_state_matches_cold_compile(self):
-        """The acceptance property at the provider level: warm-state compiles
-        produce exactly the batch payload (timing stripped)."""
+        """The acceptance property at the provider level: a compile on a
+        registry's resident state produces exactly the payload of a compile
+        on a device built for the job alone (timing stripped)."""
         registry = WarmStateRegistry()
         job = Job(benchmark="QFT", **SMALL)
-        cold = batch_payload(job)
+        cold = per_job_build_payload(job)
         previous = set_warm_state_provider(registry.get)
         try:
             warm = batch_payload(job)
