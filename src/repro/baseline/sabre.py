@@ -15,9 +15,26 @@ algorithm from scratch so the reproduction runs offline:
 SWAPs are emitted as ``swap`` macros; metric accounting counts each as three
 CNOTs, exactly as the paper does.
 
-The decision loop runs on plain Python ints and lists while staying
+:meth:`SabreRouter.run` builds the dependency DAG, lets one of three decision
+paths turn it into events (an executed node index, or ``~edge`` for a SWAP)
+and replays the events into the routed circuit.  All three are
 **output-identical** to the original gate-by-gate implementation (the golden
-suite in ``tests/test_routing_equivalence.py`` pins this):
+suite and the differential tests in ``tests/test_routing_equivalence.py`` pin
+this):
+
+* the compiled kernel (``_sabre_kernel.c``, built on the first route in a
+  process by :mod:`repro.baseline.kernel`) runs whenever every distance is an
+  exact integer — hop counts, possibly with integer cross-chip weights, so
+  nearly always — and a C compiler and the Python headers are available;
+* the interpreted loop (:meth:`SabreRouter._decide`) with the cached delta
+  scorer (:class:`_DeltaScorer`) runs on exact distances when the kernel
+  cannot be built, and is the kernel's test oracle;
+* the interpreted loop with the historic per-candidate scorer
+  (:meth:`SabreRouter._score_swaps_scalar`) runs when a distance is not an
+  exact integer, because there the summation order can flip a tie at the
+  1e-12 threshold.
+
+The interpreted loop runs on plain Python ints and lists:
 
 * the logical<->physical mapping is a pair of lists, and distances and
   couplings are the topology's cached row lists;
@@ -26,9 +43,6 @@ suite in ``tests/test_routing_equivalence.py`` pins this):
   change of the pairs of ``u``'s occupant when it moves to ``v``.  The terms
   are cached and invalidated only where a SWAP or a front change can move
   them (see :class:`_DeltaScorer`), so a decision mostly re-reads cached sums;
-  when a distance is not an exact integer the historic per-candidate loop
-  (:meth:`SabreRouter._score_swaps_scalar`) scores instead, because there the
-  summation order can flip a tie at the 1e-12 threshold;
 * the executable front is drained generation by generation through a ready
   queue — after a SWAP only the blocked gates touching the swapped qubits are
   re-examined — instead of re-scanning ``sorted(front)`` until a full pass
@@ -36,11 +50,15 @@ suite in ``tests/test_routing_equivalence.py`` pins this):
 * the extended set is only re-derived when a gate actually executed since the
   previous SWAP (its membership depends on the front layer alone, not on the
   mapping), and its BFS walks the DAG's cached successor lists.
+
+The kernel does the same work in C, except that it recomputes each
+candidate's delta from the partner lists on every decision instead of caching
+it; in C that costs less than the cache bookkeeping would.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from ..circuits.circuit import Circuit, _rebuild_trusted
 from ..circuits.dag import DependencyDag
@@ -167,23 +185,91 @@ class SabreRouter:
         ops: list[Gate] = [node.op for node in dag]
         successors = dag.successor_lists()
         in_degree = dag.in_degrees()
-        num_nodes = len(dag)
         # NOTE: ``front`` must stay a plain set with the same add/discard
         # history as the historic implementation — the extended-set BFS seeds
         # from ``list(front)``, whose iteration order decides which lookahead
         # gates make the size cut.
-        front: set[int] = {i for i in range(num_nodes) if in_degree[i] == 0}
+        front: set[int] = {i for i in range(len(ops)) if in_degree[i] == 0}
+        route = _compiled_route() if self._exact_distances else None
+        if route is None:
+            events = self._decide(ops, successors, in_degree, front, l2p[:], p2l[:])
+        else:
+            events = route(
+                ops, successors, in_degree, front, l2p, p2l, self._distance,
+                self._edge_u, self._edge_v, self._edge_ids, self.extended_set_size,
+                self.extended_set_weight, self.decay_factor, self.decay_reset_interval,
+                self._rng.integers,
+            )
+
+        # replay the decisions: every emitted qubit index is an l2p value or
+        # a topology edge endpoint, both < num_physical by construction, so
+        # gates go straight onto the op list
+        out = Circuit(num_physical, name=f"{circuit.name}@{self.topology.name}")
+        out_append = out.operations.append
+        edge_u = self._edge_u
+        edge_v = self._edge_v
+        swaps_inserted = 0
+        for event in events:
+            if event >= 0:
+                op = ops[event]
+                qubits = op.qubits
+                if len(qubits) == 1:
+                    mapped: tuple[int, ...] = (l2p[qubits[0]],)
+                elif len(qubits) == 2:
+                    mapped = (l2p[qubits[0]], l2p[qubits[1]])
+                else:
+                    mapped = tuple(l2p[q] for q in qubits)
+                out_append(_rebuild_trusted(op, mapped))
+                continue
+            a, b = edge_u[~event], edge_v[~event]
+            out_append(Gate.trusted("swap", (a, b)))
+            swaps_inserted += 1
+            la, lb = p2l[a], p2l[b]
+            if la >= 0:
+                l2p[la] = b
+            if lb >= 0:
+                l2p[lb] = a
+            p2l[a], p2l[b] = lb, la
+
+        final_layout = {
+            logical: physical for logical, physical in enumerate(l2p) if physical >= 0
+        }
+        return CompilationResult(
+            circuit=out,
+            topology=self.topology,
+            initial_layout=dict(layout),
+            final_layout=final_layout,
+            compiler="baseline",
+            stats={"swaps_inserted": float(swaps_inserted)},
+        )
+
+    # ------------------------------------------------------------------ #
+    # heuristic machinery
+    # ------------------------------------------------------------------ #
+    def _decide(
+        self,
+        ops: Sequence[Gate],
+        successors: Sequence[Sequence[int]],
+        in_degree: list[int],
+        front: set[int],
+        l2p: list[int],
+        p2l: list[int],
+    ) -> list[int]:
+        """The interpreted decision loop: the compiled kernel's fallback and
+        oracle, and the only path for non-integral distances.
+
+        Returns the same events as the kernel — an executed node index, or
+        ``~edge`` (``-(edge + 1)``) for a SWAP — and mutates its arguments.
+        """
+        num_nodes = len(ops)
+        num_physical = len(p2l)
         executed = 0
+        events: list[int] = []
+        emit = events.append
         # each node's qubit pair when it is a 2-qubit node (the extended set's
         # membership test), else None
         node_pairs = [op.qubits if len(op.qubits) == 2 else None for op in ops]
-
-        out = Circuit(num_physical, name=f"{circuit.name}@{self.topology.name}")
-        # direct op-list append: every emitted qubit index is an l2p value or
-        # a topology edge endpoint, both < num_physical by construction
-        out_append = out.operations.append
         decay = [1.0] * num_physical
-        swaps_inserted = 0
         steps_since_progress = 0
         coupled = self._coupled
         edge_u = self._edge_u
@@ -235,17 +321,12 @@ class SabreRouter:
                         buckets[a].discard(index)
                         buckets[b].discard(index)
                         blocked_pairs.pop(index, None)
-                        mapped: tuple[int, ...] = (a, b)
                     elif len(qubits) > 2 and not (op.is_barrier or op.is_measurement):
                         raise ValueError(
                             "baseline router only handles 1- and 2-qubit "
                             f"operations; got {op}"
                         )
-                    elif len(qubits) == 1:
-                        mapped = (l2p[qubits[0]],)
-                    else:
-                        mapped = tuple(l2p[q] for q in qubits)
-                    out_append(_rebuild_trusted(op, mapped))
+                    emit(index)
                     executed += 1
                     front_dirty = True
                     front.discard(index)
@@ -287,8 +368,7 @@ class SabreRouter:
                 )
             edge = candidates[self._pick_swap(scores)]
             a, b = edge_u[edge], edge_v[edge]
-            out_append(Gate.trusted("swap", (a, b)))
-            swaps_inserted += 1
+            emit(~edge)
             la, lb = p2l[a], p2l[b]
             if la >= 0:
                 l2p[la] = b
@@ -311,22 +391,8 @@ class SabreRouter:
                 # nothing executed, but the SWAP carried a front qubit off the
                 # front's positions: the candidate set moved
                 candidates = self._candidate_edges(front_qubits, l2p)
+        return events
 
-        final_layout = {
-            logical: physical for logical, physical in enumerate(l2p) if physical >= 0
-        }
-        return CompilationResult(
-            circuit=out,
-            topology=self.topology,
-            initial_layout=dict(layout),
-            final_layout=final_layout,
-            compiler="baseline",
-            stats={"swaps_inserted": float(swaps_inserted)},
-        )
-
-    # ------------------------------------------------------------------ #
-    # heuristic machinery
-    # ------------------------------------------------------------------ #
     @staticmethod
     def _front_pairs(ops: Sequence[Gate], front: set[int]) -> list[tuple[int, ...]]:
         """Logical qubit pairs of the blocked 2-qubit front gates.
@@ -459,6 +525,14 @@ class SabreRouter:
             elif abs(score - best_score) <= _TIE_EPS:
                 best.append(i)
         return best[self._rng.integers(len(best))] if len(best) > 1 else best[0]
+
+
+def _compiled_route() -> Callable[..., list[int]] | None:
+    """The compiled decision loop's entry point, or None without it."""
+    from .kernel import load
+
+    module = load()
+    return None if module is None else module.route
 
 
 class _DeltaScorer:

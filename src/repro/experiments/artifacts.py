@@ -100,9 +100,10 @@ def write_artifacts(
         "records": rows,
         "errors": [asdict(error) for error in (errors or ())],
     }
+    # one write: json.dump would stream the indented encoder's many small
+    # chunks to the file one by one
     with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=1, sort_keys=False)
-        handle.write("\n")
+        handle.write(json.dumps(document, indent=1) + "\n")
 
     core = [
         "benchmark",

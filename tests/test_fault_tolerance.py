@@ -8,6 +8,7 @@ failed.  Fake executors keep these tests fast: no real compilation happens
 except where the multiprocessing pool path is exercised explicitly.
 """
 
+import io
 import json
 import os
 import time
@@ -283,6 +284,19 @@ class TestErrorArtifacts:
         assert doc["errors"][0]["error_type"] == "RuntimeError"
         csv_text = paths["csv"].read_text()
         assert "error" in csv_text and "poisoned job POISON" in csv_text
+
+    def test_json_artifact_bytes_match_the_streamed_encoding(self, tmp_path):
+        # written in one call, the document keeps the bytes that
+        # json.dump(document, handle, indent=1) plus a newline streamed
+        jobs = [Job(benchmark="BV", chiplet_width=3, rows=1, cols=2), BAD]
+        records, report = run_jobs_report(jobs, policy=JobPolicy(on_error="record"))
+        assert len(records) == 1 and len(report.errors) == 1
+        paths = write_artifacts("demo", records, tmp_path, errors=report.errors)
+        written = paths["json"].read_text(encoding="utf-8")
+        streamed = io.StringIO()
+        json.dump(json.loads(written), streamed, indent=1)
+        streamed.write("\n")
+        assert written == streamed.getvalue()
 
     def test_error_row_traceback_is_package_relative(self, monkeypatch, tmp_path):
         # the same failure writes the same row from any checkout

@@ -5,9 +5,10 @@ sequence, operation counts, depth, effective CNOTs, final layout — that the
 *pre-vectorization* SABRE router and MECH scheduler produced for fixed-seed
 GHZ/QFT/QAOA inputs at two device sizes, for **every registered backend**
 (the PR-4 contract surface).  The optimized hot paths must reproduce those
-circuits bit for bit, which is what keeps every paper figure unchanged.  A
-differential test also routes every coupling structure through both SABRE
-scorers, the cached delta scorer and the historic scalar loop.
+circuits bit for bit, which is what keeps every paper figure unchanged.
+Differential tests also route every coupling structure through each pair of
+SABRE decision paths: the compiled kernel (``repro.baseline.kernel``), the
+interpreted loop with its cached delta scorer, and the historic scalar loop.
 
 If a future PR changes routing behaviour *on purpose*, regenerate with::
 
@@ -18,8 +19,12 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import sys
+import tempfile
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,8 +36,12 @@ from generate_goldens import (  # noqa: E402  (path inserted above)
     build_case_circuit,
     record_result,
 )
+from helpers import strip_timing  # noqa: E402
 from repro.backends import available_backends, get_backend  # noqa: E402
+from repro.baseline import kernel  # noqa: E402
 from repro.baseline.sabre import SabreRouter, _DeltaScorer  # noqa: E402
+from repro.experiments.engine import Job, config_key, job_to_dict  # noqa: E402
+from repro.experiments.execute import _execute_keyed  # noqa: E402
 from repro.hardware.array import ChipletArray  # noqa: E402
 from repro.highway.layout import HighwayLayout  # noqa: E402
 from repro.programs import build_benchmark, qft_circuit  # noqa: E402
@@ -228,8 +237,9 @@ class TestPartialLayoutRejected:
     "structure", ["square", "hexagon", "heavy_square", "heavy_hexagon"]
 )
 def test_exact_path_matches_scalar_fallback(structure, program, seed):
-    """Whole-router differential: the cached delta scorer against the historic
-    scalar loop, forced on the same integral distances."""
+    """Whole-router differential: the exact path (the compiled kernel, or the
+    cached delta scorer without one) against the historic scalar loop, forced
+    on the same integral distances."""
     array = ChipletArray(structure, 4, 1, 2)
     width = HighwayLayout(array, density=1).num_data_qubits
     kwargs = {"seed": seed} if program != "QFT" else {}
@@ -241,3 +251,184 @@ def test_exact_path_matches_scalar_fallback(structure, program, seed):
     fast_ops = [(op.name, op.qubits) for op in fast.run(circuit).circuit]
     scalar_ops = [(op.name, op.qubits) for op in scalar.run(circuit).circuit]
     assert fast_ops == scalar_ops
+
+
+STRUCTURES = ("square", "hexagon", "heavy_square", "heavy_hexagon")
+
+
+@pytest.fixture(scope="module")
+def compiled_kernel():
+    """The built kernel; the tests that compare against it skip without a
+    C compiler (CI's smoke job asserts that it builds)."""
+    module = kernel.load()
+    if module is None:
+        pytest.skip("no C compiler or Python headers to build the SABRE kernel")
+    return module
+
+
+@pytest.fixture
+def interpreted(monkeypatch):
+    """Route as a process without a C compiler does: the loader yields
+    nothing."""
+    monkeypatch.setattr(kernel, "load", lambda: None)
+
+
+def _routed(router, circuit):
+    """The op list, the final layout and the router RNG's next draw, which
+    shows that tied decisions consumed the same draws."""
+    result = router.run(circuit)
+    ops = [(op.name, op.qubits, op.params) for op in result.circuit]
+    return ops, result.final_layout, router._rng.integers(1 << 30)
+
+
+def _kernel_and_interpreted(monkeypatch, array, circuit, **kwargs):
+    compiled = _routed(SabreRouter(array.topology, **kwargs), circuit)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "load", lambda: None)
+        interpreted = _routed(SabreRouter(array.topology, **kwargs), circuit)
+    return compiled, interpreted
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("program", ["QFT", "QAOA", "VQE", "BV"])
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_kernel_matches_interpreted_loop(structure, program, seed, compiled_kernel, monkeypatch):
+    array = ChipletArray(structure, 4, 1, 2)
+    width = HighwayLayout(array, density=1).num_data_qubits
+    kwargs = {"seed": seed} if program != "QFT" else {}
+    circuit = build_benchmark(program, width, **kwargs)
+    compiled, interpreted = _kernel_and_interpreted(monkeypatch, array, circuit, seed=seed)
+    assert compiled == interpreted
+
+
+@pytest.mark.parametrize(
+    "width, rows, router_kwargs",
+    [
+        (7, 2, {"seed": 5}),
+        (7, 2, {"seed": 2, "extended_set_size": 7, "decay_reset_interval": 3}),
+        (7, 2, {"seed": 1, "extended_set_weight": 0.25, "decay_factor": 0.01}),
+        # commutation-aware routing of a wider QFT does not finish on either path
+        (4, 2, {"seed": 4, "respect_commutation": True}),
+    ],
+    ids=["square7-2x2", "lookahead-7-reset-3", "weight-decay", "commutation-aware-square4-2x2"],
+)
+def test_kernel_matches_interpreted_loop_on_larger_devices(
+    width, rows, router_kwargs, compiled_kernel, monkeypatch
+):
+    array = ChipletArray("square", width, rows, 2)
+    circuit = qft_circuit(HighwayLayout(array, density=1).num_data_qubits)
+    compiled, interpreted = _kernel_and_interpreted(monkeypatch, array, circuit, **router_kwargs)
+    assert compiled == interpreted
+
+
+@pytest.mark.parametrize(
+    "case", GOLDENS["cases"], ids=[c["case"] for c in GOLDENS["cases"]]
+)
+def test_interpreted_path_matches_golden(case, environments, interpreted):
+    test_routed_output_matches_golden(case, environments)
+
+
+def test_kernel_is_what_routes_by_default(compiled_kernel, monkeypatch):
+    calls = []
+
+    def counting_route(*args):
+        calls.append(args)
+        return compiled_kernel.route(*args)
+
+    monkeypatch.setattr(kernel, "load", lambda: SimpleNamespace(route=counting_route))
+    topology = ChipletArray("square", 4, 1, 2).topology
+    SabreRouter(topology).run(qft_circuit(8))
+    assert len(calls) == 1
+    # non-integral distances keep the historic scalar loop
+    SabreRouter(topology, cross_chip_weight=1.5).run(qft_circuit(8))
+    assert len(calls) == 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM timers")
+def test_a_signal_interrupts_the_kernel(compiled_kernel, monkeypatch):
+    """Job timeouts (SIGALRM) still cut off a route: the kernel checks for
+    signals on every decision instead of running to the end first."""
+    armed = []
+
+    def route_with_alarm(*args):
+        armed.append(time.perf_counter())
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        return compiled_kernel.route(*args)
+
+    def alarm(signum, frame):
+        raise TimeoutError
+
+    array = ChipletArray("square", 7, 3, 3)  # about a second in the kernel
+    circuit = qft_circuit(HighwayLayout(array, density=1).num_data_qubits)
+    monkeypatch.setattr(kernel, "load", lambda: SimpleNamespace(route=route_with_alarm))
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        with pytest.raises(TimeoutError):
+            SabreRouter(array.topology).run(circuit)
+        assert time.perf_counter() - armed[0] < 0.5
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _payloads(jobs):
+    """Each job's record payload without wall-clock keys, as JSON."""
+    return [
+        json.dumps(strip_timing(_execute_keyed((config_key(job), job_to_dict(job), None))[1]))
+        for job in jobs
+    ]
+
+
+def test_payloads_without_a_compiler_are_identical(compiled_kernel, monkeypatch):
+    jobs = [
+        Job(program, structure=structure, chiplet_width=4, rows=1, cols=2, seed=seed)
+        for seed, (structure, program) in enumerate(zip(STRUCTURES, ("QFT", "QAOA", "VQE", "BV")))
+    ]
+    compiled = _payloads(jobs)
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    assert _payloads(jobs) == compiled
+
+
+@pytest.fixture
+def fresh_loader(tmp_path, monkeypatch):
+    """An empty kernel cache and temp dir, and a loader that has not tried
+    yet; the process's own loader state comes back afterwards."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    load = kernel.load
+    load.cache_clear()
+    yield tmp_path
+    load.cache_clear()
+
+
+def test_failed_build_falls_back_once_per_process(fresh_loader, monkeypatch):
+    attempts = []
+
+    def missing_compiler():
+        attempts.append(1)
+        return [str(fresh_loader / "no-such-cc")]
+
+    monkeypatch.setattr(kernel, "compiler", missing_compiler)
+    jobs = [
+        Job("QAOA", structure="square", chiplet_width=4, rows=1, cols=2, seed=seed)
+        for seed in range(3)
+    ]
+    failed = _payloads(jobs)
+    assert all("job_error" not in payload for payload in failed)
+    assert kernel.load() is None
+    assert attempts == [1]  # one attempt per process, not one per job
+    assert not [path for path in fresh_loader.rglob("*") if path.is_file()]  # no partial file
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    assert failed == _payloads(jobs)
+
+
+def test_unwritable_cache_dir_builds_in_the_temp_dir(fresh_loader, monkeypatch, compiled_kernel):
+    blocker = fresh_loader / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    module = kernel.load()
+    assert module is not None
+    directory = Path(module.__file__).parent
+    assert directory.parent == fresh_loader / "tmp"
+    assert directory.name.startswith("repro-kernels-")

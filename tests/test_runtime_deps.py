@@ -12,6 +12,7 @@ the compile path before the fork.  Each case runs in a fresh interpreter.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -57,8 +58,13 @@ records, report = run_jobs_report(jobs)
 assert len(records) == 4 and not report.errors, report
 assert measure_calibration(repeats=1) > 0
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "networkx")))
+print(sys.modules["repro.baseline.kernel"].load() is not None)
 """
-    assert run_python(code, REPRO_VERIFY="1") == "[]"
+    from repro.baseline import kernel
+
+    # the compiled SABRE kernel routes here whenever this interpreter can build it
+    expected = ["[]", str(kernel.load() is not None)]
+    assert run_python(code, REPRO_VERIFY="1").splitlines() == expected
 
 
 #: Package prefixes of the compile path.
@@ -118,6 +124,21 @@ print(report.cache_hits)
     assert run_python(code).splitlines()[0] == "0"  # the first run compiles
     assert run_python(code).splitlines() == ["2", "[]"]
     assert (tmp_path / "artifacts" / "sweep.json").exists()
+
+
+def test_cli_and_cached_run_neither_load_nor_build_the_kernel(tmp_path):
+    code = f"""
+import sys
+import repro.cli
+from repro.experiments.engine import Job, run_jobs_report
+_, report = run_jobs_report([Job("BV", chiplet_width=3)], cache={str(tmp_path / "cache")!r})
+print(report.cache_hits, "repro.baseline.kernel" in sys.modules)
+"""
+    kernels = tmp_path / "xdg"
+    assert run_python(code, XDG_CACHE_HOME=str(kernels)).split()[0] == "0"  # executes
+    shutil.rmtree(kernels, ignore_errors=True)
+    assert run_python(code, XDG_CACHE_HOME=str(kernels)) == "1 False"
+    assert not kernels.exists()
 
 
 def test_in_process_run_loads_the_lease_queue_alone(tmp_path):
