@@ -4,7 +4,8 @@ The paper's baseline is Qiskit at optimisation level 3, whose routing stage is
 SABRE (Li, Ding, Xie; ASPLOS 2019).  This module implements the same
 algorithm from scratch so the reproduction runs offline:
 
-* maintain the *front layer* of the commutation-aware dependency DAG,
+* maintain the *front layer* of the dependency DAG, in program order (as
+  mainstream transpilers route),
 * execute every front-layer gate whose two logical qubits sit on coupled
   physical qubits,
 * otherwise score every candidate SWAP (an edge touching a front-layer qubit)
@@ -92,10 +93,6 @@ class SabreRouter:
     cross_chip_weight:
         Distance weight of cross-chip edges; 1.0 treats them like on-chip
         edges (Qiskit's behaviour when given a flat coupling map).
-    respect_commutation:
-        Whether the routing DAG may reorder commuting gates.  Mainstream
-        transpilers route in strict program order, so the baseline defaults to
-        ``False``; set ``True`` to study a commutation-aware baseline.
     seed:
         Tie-breaking randomisation seed.
     """
@@ -109,7 +106,6 @@ class SabreRouter:
         decay_factor: float = 0.001,
         decay_reset_interval: int = 5,
         cross_chip_weight: float = 1.0,
-        respect_commutation: bool = False,
         seed: int = 0,
     ) -> None:
         self.topology = topology
@@ -118,7 +114,6 @@ class SabreRouter:
         self.decay_factor = decay_factor
         self.decay_reset_interval = decay_reset_interval
         self.cross_chip_weight = cross_chip_weight
-        self.respect_commutation = respect_commutation
         self._rng = default_rng(seed)
         self._distance = topology.distance_rows(cross_chip_weight=cross_chip_weight)
         # When every distance is an exactly representable integer (the
@@ -181,7 +176,7 @@ class SabreRouter:
                             f" which is used by {op}"
                         )
 
-        dag = DependencyDag(circuit, commutation_aware=self.respect_commutation)
+        dag = DependencyDag(circuit, commutation_aware=False)
         ops: list[Gate] = [node.op for node in dag]
         successors = dag.successor_lists()
         in_degree = dag.in_degrees()

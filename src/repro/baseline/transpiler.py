@@ -49,7 +49,6 @@ class BaselineCompiler:
         layout_strategy: str = "compact",
         extended_set_size: int = 20,
         cross_chip_weight: float = 1.0,
-        respect_commutation: bool = False,
         seed: int = 0,
     ) -> None:
         if trials < 1:
@@ -60,7 +59,6 @@ class BaselineCompiler:
         self.layout_strategy = layout_strategy
         self.extended_set_size = extended_set_size
         self.cross_chip_weight = cross_chip_weight
-        self.respect_commutation = respect_commutation
         self.seed = seed
 
     def compile(
@@ -81,7 +79,6 @@ class BaselineCompiler:
                 self.topology,
                 extended_set_size=self.extended_set_size,
                 cross_chip_weight=self.cross_chip_weight,
-                respect_commutation=self.respect_commutation,
                 seed=self.seed + trial,
             )
             chosen_layout = layout

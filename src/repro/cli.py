@@ -22,10 +22,9 @@ Runs any of the paper's figures/tables through the orchestration engine::
     repro run fig12 --worker-command 'ssh node{index} ...'   # remote workers
     repro farm-worker --connect 127.0.0.1:7464   # join a running coordinator
     repro list
-    repro cache-stats [--json]           # size/health + hit-rate telemetry
-    repro cache-stats --rank access      # the daemon's exact eviction order
+    repro cache-stats [--json]           # size and health of the result cache
     repro clean-cache --older-than 30    # TTL sweep (add --dry-run to preview)
-    repro clean-cache --watch --interval 300 --max-mb 512   # eviction daemon
+    repro clean-cache --max-mb 512       # LRU pass down to a size cap
 
 Every run memoizes its per-job results in an on-disk cache (default
 ``.repro-cache/``, one sqlite file keyed by config hash), so re-running an
@@ -66,7 +65,7 @@ from typing import TYPE_CHECKING, Any
 from .backends import DEFAULT_COMPILERS, available_backends, backend_descriptions
 from . import chaos
 from .experiments.artifacts import write_artifacts
-from .experiments.cache import ResultCache
+from .experiments.cache import _LRU_CAP, ResultCache
 from .experiments.jobs import SCALE_TIERS, Job, config_key
 from .experiments.plan import plan_jobs, plan_summary
 from .experiments.policy import JobPolicy
@@ -571,21 +570,13 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--json",
         action="store_true",
-        help="print the full stats document (per-entry access counts,"
-        " hit-rate summary) as JSON",
-    )
-    stats.add_argument(
-        "--rank",
-        choices=["access"],
-        default=None,
-        help="print the access-ranked eviction order instead of the summary:"
-        " exactly the order `clean-cache --max-mb` evicts in (fewest recorded"
-        " hits first, ties broken by least-recent use, then by entry name)",
+        help="print the stats document as JSON",
     )
 
     clean = sub.add_parser(
         "clean-cache",
-        help="delete cached results: everything, or only entries older than a TTL",
+        help="delete cached results: everything, entries older than a TTL, or"
+        " the least recently used down to a size cap",
     )
     clean.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     clean.add_argument(
@@ -601,36 +592,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="MB",
-        help="also evict access-ranked entries (fewest recorded hits first,"
-        " least recently used breaking ties) until the cache fits under MB"
-        " — `cache-stats --rank access` previews the exact order",
+        help="also evict least recently used entries until the cache fits"
+        " under MB, in the order a capped put evicts in",
     )
     clean.add_argument(
         "--dry-run",
         action="store_true",
         help="report what would be removed without deleting anything",
     )
-    clean.add_argument(
-        "--watch",
-        action="store_true",
-        help="run as an eviction daemon: repeat the sweep every --interval"
-        " seconds until interrupted (SIGINT/SIGTERM exit cleanly)",
-    )
-    clean.add_argument(
-        "--interval",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help="sweep period for --watch (default 300)",
-    )
-    clean.add_argument(
-        "--max-cycles",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --watch, exit after N sweep cycles (mainly for CI smoke runs)",
-    )
-
     worker = sub.add_parser(
         "farm-worker",
         help="one farm worker: join a run's coordinator, claim leases, execute,"
@@ -775,13 +744,14 @@ def _sweep_ttl(cache: ResultCache, args: argparse.Namespace) -> str:
     )
 
 
-def _sweep_ranked(cache: ResultCache, args: argparse.Namespace) -> str:
-    """One access-ranked eviction pass down to ``--max-mb``."""
-    result = cache.evict_ranked(max(1, int(args.max_mb * 1048576)), dry_run=args.dry_run)
+def _sweep_lru(cache: ResultCache, args: argparse.Namespace) -> str:
+    """One LRU pass down to ``--max-mb``: the put-time cap's own statement."""
+    max_bytes = max(1, int(args.max_mb * 1048576))
+    result = cache._sweep(_LRU_CAP, max_bytes, dry_run=args.dry_run)
     removed, freed, kept = result["removed"], result["freed_bytes"], result["total_bytes"]
     verb = "would evict" if args.dry_run else "evicted"
     return (
-        f"{verb} {removed} access-ranked {_entry_word(removed)}"
+        f"{verb} {removed} least recently used {_entry_word(removed)}"
         f" ({freed / 1048576:.2f} MiB) to fit {args.max_mb:g} MB;"
         f" {kept / 1048576:.2f} MiB kept in {args.cache_dir}"
     )
@@ -795,27 +765,7 @@ def _cmd_clean_cache(args: argparse.Namespace) -> int:
     if args.max_mb is not None and not (args.max_mb > 0):
         print("error: --max-mb must be positive", file=sys.stderr)
         return 2
-    if args.max_cycles is not None and not args.watch:
-        print("error: --max-cycles requires --watch", file=sys.stderr)
-        return 2
     cache = ResultCache(args.cache_dir)
-
-    if args.watch:
-        if not (args.interval > 0):
-            print("error: --interval must be positive", file=sys.stderr)
-            return 2
-        if args.dry_run:
-            print("error: --watch performs real evictions; drop --dry-run", file=sys.stderr)
-            return 2
-        if args.older_than is None and args.max_mb is None:
-            print(
-                "error: --watch needs at least one policy:"
-                " --older-than DAYS and/or --max-mb MB",
-                file=sys.stderr,
-            )
-            return 2
-        return _eviction_daemon(cache, args)
-
     if args.older_than is None and args.max_mb is None:
         # historic behaviour: a bare clean-cache empties the cache
         if args.dry_run:
@@ -828,104 +778,7 @@ def _cmd_clean_cache(args: argparse.Namespace) -> int:
     if args.older_than is not None:
         print(_sweep_ttl(cache, args))
     if args.max_mb is not None:
-        print(_sweep_ranked(cache, args))
-    return 0
-
-
-def _eviction_daemon(cache: ResultCache, args: argparse.Namespace) -> int:
-    """``clean-cache --watch``: periodic TTL + access-ranked eviction.
-
-    Runs until SIGINT/SIGTERM (clean exit) or ``--max-cycles`` sweeps — the
-    latter is how CI exercises one daemon cycle against a shared cache.
-    """
-    import signal as _signal
-
-    stop = {"flag": False}
-
-    def _request_stop(signum: int, frame: object) -> None:
-        stop["flag"] = True
-
-    previous = {}
-    for signame in ("SIGINT", "SIGTERM"):
-        signum = getattr(_signal, signame, None)
-        if signum is not None:
-            try:
-                previous[signum] = _signal.signal(signum, _request_stop)
-            except (ValueError, OSError):  # pragma: no cover - non-main thread
-                pass
-    policies = []
-    if args.older_than is not None:
-        policies.append(f"ttl {args.older_than:g}d")
-    if args.max_mb is not None:
-        policies.append(f"cap {args.max_mb:g}MB")
-    print(
-        f"eviction daemon on {args.cache_dir}: {', '.join(policies)},"
-        f" every {args.interval:g}s"
-        + (f", {args.max_cycles} cycle(s)" if args.max_cycles is not None else ""),
-        file=sys.stderr,
-    )
-    cycles = 0
-    try:
-        while not stop["flag"]:
-            stamp = time.strftime("%H:%M:%S")
-            if args.older_than is not None:
-                print(f"[{stamp}] {_sweep_ttl(cache, args)}")
-            if args.max_mb is not None:
-                print(f"[{stamp}] {_sweep_ranked(cache, args)}")
-            cycles += 1
-            if args.max_cycles is not None and cycles >= args.max_cycles:
-                break
-            deadline = time.monotonic() + args.interval
-            while not stop["flag"] and time.monotonic() < deadline:
-                time.sleep(min(0.2, args.interval))
-    finally:
-        for signum, handler in previous.items():
-            try:
-                _signal.signal(signum, handler)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-    print(f"eviction daemon stopped after {cycles} cycle(s)", file=sys.stderr)
-    return 0
-
-
-def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    if args.rank == "access":
-        return _cmd_cache_rank(args)
-    return _cache_stats_summary(args.cache_dir, args.json)
-
-
-def _cmd_cache_rank(args: argparse.Namespace) -> int:
-    """``cache-stats --rank access``: the daemon's exact eviction order."""
-    ranking = ResultCache(args.cache_dir).eviction_ranking()
-    if args.json:
-        document = [
-            {
-                "rank": index + 1,
-                "key": entry["key"],
-                "hits": entry["hits"],
-                "last_use": entry["last_use"],
-                "bytes": entry["bytes"],
-            }
-            for index, entry in enumerate(ranking)
-        ]
-        print(json.dumps(document, indent=2))
-        return 0
-    if not ranking:
-        print(f"cache {args.cache_dir}: empty (nothing to rank)")
-        return 0
-    total = sum(entry["bytes"] for entry in ranking)
-    print(
-        f"eviction order for {args.cache_dir} ({len(ranking)}"
-        f" {_entry_word(len(ranking))}, {total / 1048576:.2f} MiB;"
-        " evicted first at the top):"
-    )
-    print(f"  {'rank':>4}  {'key':<18} {'hits':>5}  {'last use':<19} {'KiB':>8}")
-    for index, entry in enumerate(ranking, start=1):
-        stamp = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(entry["last_use"]))
-        print(
-            f"  {index:>4}  {entry['key'][:16] + '…':<18}"
-            f" {entry['hits']:>5}  {stamp:<19} {entry['bytes'] / 1024:>8.1f}"
-        )
+        print(_sweep_lru(cache, args))
     return 0
 
 
@@ -941,18 +794,6 @@ def _cache_stats_summary(cache_dir: str, as_json: bool = False) -> int:
         if mtime is not None:
             stamp = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(mtime))
             print(f"  {label}:       {stamp}")
-    access = stats["access"]
-    if access["recorded"]:
-        rate = access["hit_rate"]
-        print(
-            f"  accesses:     {access['recorded']}"
-            f" ({access['hits']} hits / {access['misses']} misses,"
-            f" {rate:.1%} hit rate)"
-        )
-        for entry in access["top_entries"][:5]:
-            print(f"    {entry['key'][:16]}…  {entry['hits']} hits")
-    else:
-        print("  accesses:     none recorded")
     return 0
 
 
@@ -1788,7 +1629,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "compilers":
             return _cmd_compilers(args.json)
         if args.command == "cache-stats":
-            return _cmd_cache_stats(args)
+            return _cache_stats_summary(args.cache_dir, args.json)
         if args.command == "clean-cache":
             return _cmd_clean_cache(args)
         if args.command == "farm-worker":

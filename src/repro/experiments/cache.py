@@ -1,9 +1,9 @@
 """The result cache: one WAL-mode sqlite file of record payloads.
 
 :class:`ResultCache` memoizes each job's record payload under the job's
-:func:`~repro.experiments.jobs.config_key` in one ``entries`` table, with an
-LRU size cap, a TTL sweep, access-ranked eviction and the hit/miss tallies
-``repro cache-stats`` reports.  It needs only the job codecs, and it opens
+:func:`~repro.experiments.jobs.config_key` in one ``entries`` table with one
+recency order, each entry's ``last_use``: an LRU size cap on every put and a
+TTL sweep evict by it.  It needs only the job codecs, and it opens
 (and imports) ``sqlite3`` on first use, so opening a cache (a sweep's
 set-up, ``repro cache-stats``, ``repro clean-cache``) loads neither the
 planner, the executors nor sqlite.
@@ -37,41 +37,25 @@ _SCHEMA_VERSION = 1
 _SCHEMA = (
     "CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY,"
     " cache_version INTEGER NOT NULL, job TEXT NOT NULL, record TEXT NOT NULL,"
-    " bytes INTEGER NOT NULL, hits INTEGER NOT NULL DEFAULT 0, last_use REAL NOT NULL)",
-    "CREATE TABLE IF NOT EXISTS totals (id INTEGER PRIMARY KEY CHECK (id = 0),"
-    " misses INTEGER NOT NULL)",
-    "INSERT OR IGNORE INTO totals VALUES (0, 0)",
+    " bytes INTEGER NOT NULL, last_use REAL NOT NULL)",
     f"PRAGMA user_version = {_SCHEMA_VERSION}",
 )
-#: A hit: refresh the entry's rank and hand back its record in one statement.
-_HIT = (
-    "UPDATE entries SET hits = hits + 1, last_use = ?"
-    " WHERE key = ? AND cache_version = ? RETURNING record"
-)
+#: A hit: refresh the entry's last use and hand back its record in one statement.
+_HIT = "UPDATE entries SET last_use = ? WHERE key = ? AND cache_version = ? RETURNING record"
 _PUT = (
     "INSERT INTO entries (key, cache_version, job, record, bytes, last_use)"
     " VALUES (?, ?, ?, ?, ?, ?) ON CONFLICT (key) DO UPDATE SET"
     " cache_version = excluded.cache_version, job = excluded.job,"
     " record = excluded.record, bytes = excluded.bytes, last_use = excluded.last_use"
 )
-#: Access-ranked eviction order, first victim first.
-_RANKED_ORDER = "hits, last_use, key"
-
-
-def _over_cap(order: str) -> str:
-    """The entries an eviction in ``order`` removes to get under a cap (the
-    clause's one parameter): each entry whose bytes, plus those of every
-    entry after it, exceed the cap."""
-    reverse = ", ".join(f"{column} DESC" for column in order.split(", "))
-    return (
-        "key IN (SELECT key FROM (SELECT key,"
-        f" SUM(bytes) OVER (ORDER BY {reverse}) AS kept FROM entries) WHERE kept > ?)"
-    )
-
-
-#: The removal policies, as ``WHERE`` clauses of one parameter each.
-_LRU_CAP = _over_cap("last_use, key")
-_RANKED_CAP = _over_cap(_RANKED_ORDER)
+#: The removal policies, as ``WHERE`` clauses of one parameter each.  The
+#: LRU cap removes each entry whose bytes, plus those of every entry used
+#: after it (ties by key), exceed the cap; the TTL sweep removes each entry
+#: last used before the cutoff.
+_LRU_CAP = (
+    "key IN (SELECT key FROM (SELECT key,"
+    " SUM(bytes) OVER (ORDER BY last_use DESC, key DESC) AS kept FROM entries) WHERE kept > ?)"
+)
 _TTL = "last_use < ?"
 
 
@@ -142,7 +126,8 @@ class ResultCache:
 
     ``max_bytes`` caps the summed size of the stored key and JSON texts:
     after a put, least-recently-used entries (a :meth:`get` refreshes an
-    entry's last use) are evicted until the total fits.  A row whose record
+    entry's last use) are evicted until the total fits; ``repro clean-cache
+    --max-mb`` runs the same pass on demand.  A row whose record
     does not decode is deleted on discovery and counted in
     :attr:`corrupt_seen`, so cache rot surfaces in
     :class:`~repro.experiments.ledger.RunReport` instead of silently
@@ -157,7 +142,7 @@ class ResultCache:
         self.max_bytes = max_bytes
         #: Corrupt entries discovered (and removed) by this instance.
         self.corrupt_seen = 0
-        #: Entries evicted by this instance (LRU cap and ranked eviction).
+        #: Entries evicted by this instance's put-time LRU cap.
         self.evicted = 0
         #: put() calls that failed at the filesystem or database (ENOSPC,
         #: read-only mount, permissions) and degraded to pass-through instead.
@@ -212,8 +197,8 @@ class ResultCache:
     def get(self, key: str) -> dict[str, object] | None:
         """The cached record payload for ``key``, or None on a miss.
 
-        A hit counts one hit for the entry and refreshes its last use; a
-        miss counts one miss (see :meth:`access_stats`).  A row whose record
+        A hit refreshes the entry's last use, the recency both the LRU cap
+        and the TTL sweep read; a miss writes nothing.  A row whose record
         does not decode is deleted and counted; a row of another
         ``cache_version`` is a plain miss.
         """
@@ -229,8 +214,6 @@ class ResultCache:
                 if rows and record is None:
                     conn.execute("DELETE FROM entries WHERE key = ?", (key,))
                     self.corrupt_seen += 1
-                if record is None:
-                    conn.execute("UPDATE totals SET misses = misses + 1")
                 return record
             except sqlite3.OperationalError:
                 return None
@@ -238,8 +221,7 @@ class ResultCache:
     def peek(self, key: str) -> dict[str, object] | None:
         """Like :meth:`get`, but strictly read-only.
 
-        No recency refresh, no corrupt-entry deletion, no hit or miss
-        counted — the classification (hit or miss) matches what :meth:`get`
+        No recency refresh and no corrupt-entry deletion — the classification (hit or miss) matches what :meth:`get`
         would return, which is what dry-run planning needs without
         perturbing the LRU/TTL state it is previewing.
         """
@@ -300,41 +282,6 @@ class ResultCache:
             conn = self._connect(create=False)
             return conn.execute(sql, params).fetchall() if conn is not None else []
 
-    def access_stats(self, *, top: int = 10) -> dict[str, object]:
-        """Hit/miss tallies and the most-served entries.
-
-        A shared farm cache ranks entries by how often they are actually
-        served (``top_entries``), not only by recency.  An entry's hits go
-        with it when it is evicted or swept; ``tracked_entries`` counts the
-        entries served at least once.  Returns zero counts for a cache that
-        was never written.
-        """
-        hits = tracked = misses = 0
-        top_entries: list[dict[str, object]] = []
-        rows = self._query(
-            "SELECT TOTAL(hits), COUNT(*), (SELECT misses FROM totals)"
-            " FROM entries WHERE hits > 0"
-        )
-        if rows:
-            hits, tracked, misses = int(rows[0][0]), rows[0][1], rows[0][2]
-            top_entries = [
-                {"key": key, "hits": count}
-                for key, count in self._query(
-                    "SELECT key, hits FROM entries WHERE hits > 0"
-                    " ORDER BY hits DESC, key LIMIT ?",
-                    (max(top, 0),),
-                )
-            ]
-        total = hits + misses
-        return {
-            "recorded": total,
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / total) if total else None,
-            "tracked_entries": tracked,
-            "top_entries": top_entries,
-        }
-
     def sweep_older_than(
         self,
         max_age_seconds: float,
@@ -348,51 +295,20 @@ class ResultCache:
         :meth:`get` that served it) is strictly older than
         ``now - max_age_seconds``; entries at or newer than the cutoff are
         never touched.  ``dry_run`` counts what a sweep would remove without
-        deleting anything.  Returns ``{"scanned", "removed", "freed_bytes"}``.
+        deleting anything.  Returns ``{"scanned", "removed", "freed_bytes",
+        "total_bytes"}``, the last one the size left after the sweep.
         """
         # NaN would make every last-use-vs-cutoff comparison False and
         # delete the whole cache, so it must not pass the range check
         if math.isnan(max_age_seconds) or max_age_seconds < 0:
             raise ValueError(f"max_age_seconds must be >= 0, got {max_age_seconds}")
         cutoff = (time.time() if now is None else now) - max_age_seconds
-        with self._lock:
-            conn = self._connect(create=False)
-            if conn is None:
-                return {"scanned": 0, "removed": 0, "freed_bytes": 0}
-            conn.execute("BEGIN" if dry_run else "BEGIN IMMEDIATE")
-            with conn:
-                scanned = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
-                removed, freed = _remove(conn, _TTL, cutoff, dry_run=dry_run)
-        return {"scanned": scanned, "removed": removed, "freed_bytes": freed}
+        return self._sweep(_TTL, cutoff, dry_run=dry_run)
 
-    def eviction_ranking(self) -> list[dict[str, object]]:
-        """Every entry in the exact order ranked eviction removes them.
-
-        Least-*served* first: fewest hits, ties broken by the oldest last
-        use (the same recency as the LRU cap and the TTL sweep), final ties
-        by key, so the order is fully deterministic.  This is the order the
-        eviction daemon (``repro clean-cache --watch --max-mb``) walks and
-        ``repro cache-stats --rank access`` prints.
-        """
-        return [
-            {"key": key, "hits": hits, "last_use": last_use, "bytes": size}
-            for key, hits, last_use, size in self._query(
-                f"SELECT key, hits, last_use, bytes FROM entries ORDER BY {_RANKED_ORDER}"
-            )
-        ]
-
-    def evict_ranked(self, max_bytes: int, *, dry_run: bool = False) -> dict[str, int]:
-        """Evict the head of :meth:`eviction_ranking` until under ``max_bytes``.
-
-        Unlike the per-put LRU cap, this is the farm daemon's access-ranked
-        pass: a hot entry served hundreds of times outlives a fresher entry
-        nothing ever asked for.  ``dry_run`` counts what the pass would
-        remove without deleting anything.  Returns ``{"scanned", "removed",
-        "freed_bytes", "total_bytes"}`` with ``total_bytes`` the
-        post-eviction size.
-        """
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
+    def _sweep(self, where: str, parameter: float, *, dry_run: bool) -> dict[str, int]:
+        """One pass of a removal policy outside a put, in one transaction
+        (``repro clean-cache --max-mb`` runs the put cap's :data:`_LRU_CAP`
+        through it): the counts :meth:`sweep_older_than` returns."""
         with self._lock:
             conn = self._connect(create=False)
             if conn is None:
@@ -402,9 +318,7 @@ class ResultCache:
                 scanned, total = conn.execute(
                     "SELECT COUNT(*), TOTAL(bytes) FROM entries"
                 ).fetchone()
-                removed, freed = _remove(conn, _RANKED_CAP, max_bytes, dry_run=dry_run)
-            if not dry_run:
-                self.evicted += removed
+                removed, freed = _remove(conn, where, parameter, dry_run=dry_run)
         return {
             "scanned": scanned,
             "removed": removed,
@@ -417,9 +331,9 @@ class ResultCache:
         return rows[0][0] if rows else 0
 
     def clear(self) -> int:
-        """Delete every entry and the access tallies; returns the number of
-        entries removed.  The connection closes afterwards, so the last one
-        out checkpoints the write-ahead log and removes its side files."""
+        """Delete every entry; returns the number of entries removed.  The
+        connection closes afterwards, so the last one out checkpoints the
+        write-ahead log and removes its side files."""
         with self._lock:
             conn = self._connect(create=False)
             if conn is None:
@@ -427,7 +341,6 @@ class ResultCache:
             conn.execute("BEGIN IMMEDIATE")
             with conn:
                 removed = conn.execute("DELETE FROM entries").rowcount
-                conn.execute("UPDATE totals SET misses = 0")
             self._close()
         return removed
 
@@ -443,7 +356,6 @@ class ResultCache:
             "max_bytes": self.max_bytes,
             "oldest_mtime": min(uses, default=None),
             "newest_mtime": max(uses, default=None),
-            "access": self.access_stats(),
         }
 
 

@@ -24,7 +24,8 @@ cached and batch payloads compare byte for byte.
 :func:`cache_clock` pins the result cache's clock, so the puts and gets
 inside it stamp a chosen last use; :func:`rot_cache_entry` and
 :func:`drop_cache_entry` change a cache row behind the store's back, through
-a raw ``sqlite3`` connection.
+a raw ``sqlite3`` connection; :func:`cache_rows` reads every row's key, size
+and last use the same way.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
     "cache_clock",
     "rot_cache_entry",
     "drop_cache_entry",
+    "cache_rows",
 ]
 
 
@@ -261,3 +263,14 @@ def rot_cache_entry(
 def drop_cache_entry(cache: cache_module.ResultCache, key: str) -> None:
     """Delete ``key``'s row, as an eviction in another process would."""
     _write_cache_row(cache, "DELETE FROM entries WHERE key = ?", (key,))
+
+
+def cache_rows(cache: cache_module.ResultCache) -> list[tuple[str, int, float]]:
+    """Every entry's ``(key, bytes, last_use)``, least recently used first
+    (the order the LRU cap evicts in); none when no database exists."""
+    if not cache.db_path.is_file():
+        return []
+    with contextlib.closing(sqlite3.connect(cache.db_path)) as conn:
+        return conn.execute(
+            "SELECT key, bytes, last_use FROM entries ORDER BY last_use, key"
+        ).fetchall()

@@ -5,7 +5,7 @@ import pytest
 from repro.baseline import BaselineCompiler, SabreRouter, compact_layout, initial_layout, trivial_layout
 from repro.circuits import Circuit
 from repro.hardware import ChipletArray
-from repro.programs import qft_circuit, random_two_qubit_circuit
+from repro.programs import random_two_qubit_circuit
 
 from helpers import assert_all_two_qubit_ops_coupled, assert_semantically_equivalent, nx_topology
 
@@ -84,16 +84,6 @@ class TestSabreRouting:
         circuit = Circuit(2).cx(0, 1)
         with pytest.raises(ValueError):
             SabreRouter(small_array.topology).run(circuit, layout={0: 3, 1: 3})
-
-    def test_commutation_aware_mode_runs(self, small_array):
-        circuit = qft_circuit(6, measure=False)
-        strict = BaselineCompiler(small_array.topology).compile(circuit)
-        relaxed = BaselineCompiler(
-            small_array.topology, respect_commutation=True
-        ).compile(circuit)
-        assert_all_two_qubit_ops_coupled(relaxed)
-        assert relaxed.circuit.num_ops("cx", "cp", "swap") > 0
-        assert strict.compiler == relaxed.compiler == "baseline"
 
     def test_trials_keep_best_result(self, small_array):
         circuit = random_two_qubit_circuit(6, 40, seed=4)

@@ -7,7 +7,8 @@ Two bug classes this file pins down:
   actions) made the entire cache look idle; recency now lives in the
   store's ``last_use`` column, which no file mtime can touch;
 * plain **multi-process hammering** — N processes sharing one cache
-  directory must not corrupt entries or lose hit counts.
+  directory must not corrupt entries, and every read of an entry stored
+  before the readers start must return it.
 """
 
 import json
@@ -17,7 +18,7 @@ import sys
 import threading
 import time
 
-from helpers import cache_clock, strip_timing
+from helpers import cache_clock, cache_rows, strip_timing
 from repro.experiments.engine import Job, ResultCache, config_key
 
 JOB = Job(benchmark="QFT", chiplet_width=4, rows=1, cols=2)
@@ -49,8 +50,7 @@ def _reader(cache_dir: str, keys: list[str], rounds: int) -> None:
     for _ in range(rounds):
         for key in keys:
             record = cache.get(key)
-            if record is not None:
-                assert record["benchmark"] == "QFT"
+            assert record is not None and record["benchmark"] == "QFT"
 
 
 class TestMultiProcessHammer:
@@ -81,13 +81,6 @@ class TestMultiProcessHammer:
         for key in keys:
             record = cache.get(key)
             assert record is not None and record["benchmark"] == "QFT"
-        # the log recorded every read that went through get(): 3 hammers x
-        # 10 rounds x 6 keys + 2 readers x 20 rounds x 6 keys + the checks
-        # just above; no interleaving may lose lines
-        access = cache.access_stats()
-        expected_gets = 3 * 10 * 6 + 2 * 20 * 6 + 6
-        assert access["hits"] == expected_gets
-        assert access["misses"] == 0
 
 
 def _read_in_a_forked_child(cache: ResultCache, key: str) -> None:
@@ -102,10 +95,12 @@ class TestOneConnectionPerStore:
         for index, key in enumerate(keys):
             cache.put(key, JOB, payload_for(index))
 
+        served = []
+
         def read_all():
             for _ in range(25):
                 for key in keys:
-                    assert cache.get(key) is not None
+                    served.append(cache.get(key) is not None)
 
         threads = [threading.Thread(target=read_all) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -118,9 +113,8 @@ class TestOneConnectionPerStore:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        access = cache.access_stats()
-        assert access["hits"] == 4 * 25 * len(keys)
-        assert {entry["hits"] for entry in access["top_entries"]} == {4 * 25}
+        # every get returned a record: no interleaving lost one
+        assert served == [True] * (4 * 25 * len(keys))
 
     def test_no_connection_crosses_a_fork(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -135,7 +129,6 @@ class TestOneConnectionPerStore:
         assert child.exitcode == 0
         assert cache._conn is None  # closed in the parent too, before the fork
         assert cache.get(key) is not None  # and reopened on the next use
-        assert cache.access_stats()["hits"] == 2
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +183,7 @@ class TestMtimeResetRecency:
             with cache_clock(now - age):
                 cache.put(key, JOB, payload_for(0))
         self._reset_all_mtimes(cache)
-        entry_size = cache.eviction_ranking()[0]["bytes"]
+        entry_size = cache_rows(cache)[0][1]
         # cap so exactly one entry must go: the LRU pick is keys[1]
         capped = ResultCache(tmp_path / "cache", max_bytes=int(entry_size * 2.5))
         with cache_clock(now - 100):  # re-put keys[0] at its own stamp: the cap applies

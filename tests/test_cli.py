@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import cache_clock, set_chaos_spec, strip_timing
+from helpers import cache_clock, cache_rows, set_chaos_spec, strip_timing
 from repro.cli import build_parser, main
 from repro.experiments.engine import ResultCache
 
@@ -445,7 +445,7 @@ class TestDryRun:
 class TestCleanCacheTtl:
     def _age_half_of_the_cache(self, dirs, days=40):
         cache = ResultCache(dirs["cache"])
-        keys = sorted(entry["key"] for entry in cache.eviction_ranking())
+        keys = sorted(key for key, _, _ in cache_rows(cache))
         aged = keys[: len(keys) // 2 or 1]
         # a get under a pinned clock stamps that moment as the last use
         with cache_clock(time.time() - days * 86400):

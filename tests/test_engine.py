@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from helpers import cache_clock, rot_cache_entry, strip_timing
+from helpers import cache_clock, cache_rows, rot_cache_entry, strip_timing
 from repro.experiments import devices
 from repro.experiments.devices import WarmStateRegistry
 from repro.experiments.engine import (
@@ -182,7 +182,7 @@ class TestShardedCache:
         key = _fake_key("a")
         cache.put(key, TINY, _fake_payload("a"))
         assert cache.db_path == tmp_path / "cache.sqlite"
-        assert [entry["key"] for entry in cache.eviction_ranking()] == [key]
+        assert [row[0] for row in cache_rows(cache)] == [key]
         assert not any(path.is_dir() for path in tmp_path.iterdir())
         assert cache.get(key) == _fake_payload("a")
 
@@ -198,7 +198,7 @@ class TestShardedCache:
         cache = ResultCache(tmp_path)
         with cache_clock(1000):
             cache.put(_fake_key("one"), TINY, _fake_payload("one"))
-        cache.max_bytes = int(cache.eviction_ranking()[0]["bytes"] * 2.5)
+        cache.max_bytes = int(cache_rows(cache)[0][1] * 2.5)
         with cache_clock(2000):
             cache.put(_fake_key("two"), TINY, _fake_payload("two"))
         with cache_clock(3000):
@@ -216,7 +216,7 @@ class TestShardedCache:
             cache.put(_fake_key("two"), TINY, _fake_payload("two"))
         with cache_clock(3000):
             assert cache.get(_fake_key("one")) is not None  # refreshes "one"
-        cache.max_bytes = int(cache.eviction_ranking()[0]["bytes"] * 2.5)
+        cache.max_bytes = int(cache_rows(cache)[0][1] * 2.5)
         with cache_clock(4000):
             cache.put(_fake_key("three"), TINY, _fake_payload("three"))
         assert cache.peek(_fake_key("one")) is not None
@@ -237,7 +237,7 @@ class TestShardedCache:
             writer.send_signal(signal.SIGKILL)
             writer.wait()
         cache = ResultCache(cache_dir)  # the store opens after the crash
-        keys = [entry["key"] for entry in cache.eviction_ranking()]
+        keys = [row[0] for row in cache_rows(cache)]
         assert len(keys) >= 20
         for key in keys:
             record = cache.peek(key)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from helpers import cache_clock
+from helpers import cache_clock, cache_rows
 from repro.experiments import engine
 from repro.experiments.engine import (
     CHECKPOINT_VERSION,
@@ -49,8 +49,8 @@ def _dummy_record(job: Job) -> ComparisonRecord:
 
 
 def _last_use(cache: ResultCache, key: str) -> float:
-    (entry,) = [entry for entry in cache.eviction_ranking() if entry["key"] == key]
-    return entry["last_use"]
+    (last_use,) = [last_use for row_key, _, last_use in cache_rows(cache) if row_key == key]
+    return last_use
 
 
 def _boom(job: Job) -> ComparisonRecord:

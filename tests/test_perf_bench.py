@@ -1,6 +1,6 @@
-"""Tests for the PR-5 performance subsystem: phase timers, the ``repro
-bench`` suites/documents/comparisons, the CLI command, and the cache access
-telemetry behind ``repro cache-stats --json``."""
+"""Tests for the performance subsystem: phase timers, the ``repro bench``
+suites/documents/comparisons, the CLI command, and what reads of the result
+cache write (``repro cache-stats --json`` reports the cache)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from helpers import drop_cache_entry
+from helpers import cache_clock, cache_rows
 from repro.cli import main
 from repro.experiments.engine import Job, ResultCache, noise_to_items
 from repro.hardware.noise import DEFAULT_NOISE
@@ -593,77 +593,36 @@ def _job(seed=0):
 
 
 class TestCacheAccessTelemetry:
-    def test_hits_and_misses_logged(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
-        assert cache.get("aa11") is not None
-        assert cache.get("aa11") is not None
-        assert cache.get("bb22") is None
-        stats = cache.access_stats()
-        assert stats["hits"] == 2 and stats["misses"] == 1
-        assert stats["hit_rate"] == pytest.approx(2 / 3)
-        assert stats["top_entries"] == [{"key": "aa11", "hits": 2}]
+    """A read writes nothing but a hit's last use, and only :meth:`get` writes it."""
 
     def test_read_against_missing_cache_creates_nothing(self, tmp_path):
         cache_dir = tmp_path / "never-written"
         cache = ResultCache(cache_dir)
         assert cache.get("aa11") is None
+        assert cache.peek("aa11") is None
         assert not cache_dir.exists()
-        assert cache.access_stats()["recorded"] == 0
 
     def test_peek_is_silent(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
-        cache.peek("aa11")
-        cache.peek("bb22")
-        assert cache.access_stats()["recorded"] == 0
-
-    def test_clear_removes_log(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
-        cache.get("aa11")
-        cache.get("bb22")
-        assert cache.access_stats()["recorded"] == 2
-        cache.clear()
-        assert cache.access_stats()["recorded"] == 0
-
-    def test_top_entries_only_list_live_cache_entries(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
-        cache.put("bb22", _job(1), {"kind": "compare", "record": {"x": 2.0}})
-        cache.get("aa11")
-        cache.get("aa11")
-        cache.get("bb22")
-        drop_cache_entry(cache, "bb22")  # evicted / swept entry
-        stats = cache.access_stats()
-        assert stats["top_entries"] == [{"key": "aa11", "hits": 2}]
-        assert stats["tracked_entries"] == 1
-
-    def test_stats_embeds_access_summary(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
-        cache.get("aa11")
-        assert cache.stats()["access"]["hits"] == 1
+        with cache_clock(1000.0):
+            cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
+        assert cache.peek("aa11") is not None
+        assert cache_rows(cache)[0][2] == 1000.0  # last use unchanged
+        # so a TTL sweep after the peek still removes the entry
+        assert cache.sweep_older_than(500.0, now=2000.0)["removed"] == 1
+        assert cache.peek("aa11") is None
 
     def test_cache_stats_cli_json(self, tmp_path, capsys):
         cache = ResultCache(tmp_path / "cache")
         cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
-        cache.get("aa11")
-        cache.get("cc33")
+        assert cache.get("aa11") is not None
+        assert cache.get("cc33") is None
         code = main(["cache-stats", "--cache-dir", str(tmp_path / "cache"), "--json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["entries"] == 1
-        assert doc["access"]["hits"] == 1
-        assert doc["access"]["misses"] == 1
-        assert doc["access"]["hit_rate"] == pytest.approx(0.5)
-
-    def test_cache_stats_cli_human_mentions_accesses(self, tmp_path, capsys):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put("aa11", _job(), {"kind": "compare", "record": {"x": 1.0}})
-        cache.get("aa11")
-        assert main(["cache-stats", "--cache-dir", str(tmp_path / "cache")]) == 0
-        assert "hit rate" in capsys.readouterr().out
+        assert doc["corrupt_entries"] == 0
+        assert "access" not in doc  # no hit or miss tallies are kept
 
 
 class TestZeroMatchComparisonFails:

@@ -18,7 +18,12 @@ from repro.highway import measurement_based_ghz
 from repro.metrics import count_operations, geometric_mean, improvement
 from repro.programs import random_two_qubit_circuit
 
-from helpers import assert_all_two_qubit_ops_coupled, assert_semantically_equivalent, cache_clock
+from helpers import (
+    assert_all_two_qubit_ops_coupled,
+    assert_semantically_equivalent,
+    cache_clock,
+    cache_rows,
+)
 
 # shared small devices (building them is comparatively expensive)
 TINY_ARRAY = ChipletArray("square", 3, 1, 2)
@@ -257,12 +262,12 @@ class TestResultCacheProperties:
                 # distinct last uses: index 0 is the least recently used
                 with cache_clock(now - (n_entries - index)):
                     uncapped.put(_cache_key(index), _CACHE_JOB, _CACHE_PAYLOAD)
-            size = uncapped.eviction_ranking()[0]["bytes"]
+            size = cache_rows(uncapped)[0][1]
             capped = ResultCache(tmp, max_bytes=size * cap_entries)
             newest = _cache_key(n_entries)
             with cache_clock(now):
                 capped.put(newest, _CACHE_JOB, _CACHE_PAYLOAD)  # triggers eviction
-            survivors = {entry["key"] for entry in capped.eviction_ranking()}
+            survivors = {key for key, _, _ in cache_rows(capped)}
             expected = {
                 _cache_key(index)
                 for index in range(n_entries + 1)
@@ -285,5 +290,5 @@ class TestResultCacheProperties:
             touched = data.draw(st.integers(0, n_entries - 1))
             assert cache.get(_cache_key(touched)) == _CACHE_PAYLOAD  # refreshes recency
             cache.sweep_older_than(500, now=time.time())
-            survivors = {entry["key"] for entry in cache.eviction_ranking()}
+            survivors = {key for key, _, _ in cache_rows(cache)}
             assert survivors == {_cache_key(touched)}
