@@ -95,6 +95,20 @@ class TestEvictionRanking:
         assert "evicted 2 " in capsys.readouterr().out
         assert _survivors(cache) == {keys[0], keys[3]}
 
+    def test_evict_ranked_dry_run_counts_what_the_real_pass_removes(self, warm_cache, capsys):
+        """A ``--max-mb`` preview touches no row, not even a last use, and the
+        count it prints is the LRU head the real pass then removes."""
+        cache, keys = warm_cache
+        rows = cache_rows(cache)
+        cap = rows[-1][1] * 2 + 10  # room for the newest two
+        assert _clean(cache, "--max-mb", _mb(cap), "--dry-run") == 0
+        assert "would evict 2 " in capsys.readouterr().out
+        assert cache_rows(cache) == rows
+        assert _clean(cache, "--max-mb", _mb(cap)) == 0
+        assert "evicted 2 " in capsys.readouterr().out
+        assert cache_rows(cache) == rows[2:]
+        assert keys[0] not in _survivors(cache)
+
 
 class TestCleanCacheCli:
     def test_max_mb_dry_run_matches_the_real_eviction(self, warm_cache, capsys):
