@@ -1468,7 +1468,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_farm_worker(args: argparse.Namespace) -> int:
     """``repro farm-worker``: join a coordinator and work until it drains."""
-    from .farm.worker import main_loop_with_retry
+    from .farm.worker import exit_on_sigterm, run_worker
 
     host, sep, port_text = args.connect.rpartition(":")
     if not sep or not host or not port_text.isdigit():
@@ -1486,13 +1486,14 @@ def _cmd_farm_worker(args: argparse.Namespace) -> int:
     progress = (
         None if args.quiet else (lambda msg: print(f"[farm-worker] {msg}", file=sys.stderr))
     )
-    return main_loop_with_retry(
+    exit_on_sigterm()
+    return run_worker(
         host,
         int(port_text),
         worker_id=args.worker_id,
-        connect_timeout=args.connect_timeout,
-        max_connect_seconds=args.max_connect_seconds,
         progress=progress,
+        connect_seconds=args.max_connect_seconds,
+        connect_timeout=args.connect_timeout,
     )
 
 

@@ -8,11 +8,10 @@ density).  A :class:`WarmStateRegistry` therefore caches one
 to every compile of that device: reuse cannot change any output, it only
 takes the rebuild off each job's path.
 
-Every run path compiles through a registry: ``repro serve`` workers install
-their own ``--max-devices`` registry as the engine's warm-state provider
-(:func:`repro.experiments.execute.set_warm_state_provider`), and with no
-provider installed a job uses this process's :func:`default_registry`.  A
-forked child starts with no default registry, so it never shares a registry
+Every job compiles through its process's one registry,
+:func:`default_registry`: :data:`DEFAULT_REGISTRY_DEVICES` devices, or
+``--max-devices`` in a ``repro serve`` worker, which sizes it before its
+first job.  A forked child starts with no registry, so it never shares one
 (or its lock) with its parent; its first job creates a fresh one.
 
 Thread-safety: a single lock guards the LRU map.  State construction happens
@@ -97,10 +96,8 @@ class DeviceState:
 class WarmStateRegistry:
     """LRU cache of :class:`DeviceState`, keyed by device configuration.
 
-    ``get`` is a warm-state provider
-    (:func:`repro.experiments.engine.set_warm_state_provider` accepts it
-    directly): given a job it returns resident state, building and caching
-    it on first sight of a device.
+    Given a job, ``get`` returns resident state, building and caching it on
+    first sight of a device.
     """
 
     def __init__(self, max_devices: int = 8) -> None:
@@ -155,10 +152,6 @@ class WarmStateRegistry:
                 "device_keys": [list(key) for key in self._states],
             }
 
-    def clear(self) -> None:
-        with self._lock:
-            self._states.clear()
-
 
 #: Capacity of :func:`default_registry`.  Every figure sweep lists its jobs
 #: grouped by device, so one resident device would serve it; four keep every
@@ -170,12 +163,14 @@ DEFAULT_REGISTRY_DEVICES = 4
 _DEFAULT: WarmStateRegistry | None = None
 
 
-def default_registry() -> WarmStateRegistry:
-    """This process's registry (:data:`DEFAULT_REGISTRY_DEVICES` devices) for
-    jobs run with no provider installed, created on first use."""
+def default_registry(max_devices: int | None = None) -> WarmStateRegistry:
+    """This process's one registry, created on first use with
+    :data:`DEFAULT_REGISTRY_DEVICES` devices.  ``max_devices`` sizes it (a
+    serve worker's ``--max-devices``): a registry of another size is
+    replaced by an empty one of that size."""
     global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = WarmStateRegistry(max_devices=DEFAULT_REGISTRY_DEVICES)
+    if _DEFAULT is None or (max_devices is not None and _DEFAULT.max_devices != max_devices):
+        _DEFAULT = WarmStateRegistry(max_devices=max_devices or DEFAULT_REGISTRY_DEVICES)
     return _DEFAULT
 
 

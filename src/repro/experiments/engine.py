@@ -12,8 +12,8 @@ per concern, each loaded on first use, plus two small shared ones:
 * :mod:`repro.experiments.plan` — :func:`plan_jobs`,
   :class:`ExecutionPlan` and :func:`plan_summary`;
 * :mod:`repro.experiments.execute` — one job attempt
-  (``_execute_keyed``), the executors, the ``_deadline`` timeout, the
-  warm-state provider and :func:`load_compile_path`;
+  (``_execute_keyed``), the executors, the ``_deadline`` timeout and
+  :func:`load_compile_path`;
 * :mod:`repro.experiments.ledger` — :class:`RunLedger`, :class:`RunReport`,
   the checkpoint and journal helpers and :func:`run_jobs_report`;
 * :mod:`repro.experiments.artifacts` — :func:`write_artifacts`,
@@ -29,8 +29,7 @@ This module re-exports their public names (PEP 562, :mod:`repro._lazy`), so
 cache modules only: a sweep's set-up never compiles the run loop or the
 executors, a fully cached run never loads the executors, and nothing loads
 the chaos runtime unless ``REPRO_CHAOS`` is set.  Private names are imported
-from their own module; a mutable global such as the warm-state provider is
-read there, never through a re-export.
+from their own module.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ _EXPORTS = {
     "JobExecutionError": ".execute",
     "JobTimeoutError": ".execute",
     "load_compile_path": ".execute",
-    "set_warm_state_provider": ".execute",
     "CHECKPOINT_VERSION": ".ledger",
     "Checkpoint": ".ledger",
     "CheckpointError": ".ledger",
@@ -122,7 +120,6 @@ __all__ = [
     "repair_journal",
     "run_jobs",
     "run_jobs_report",
-    "set_warm_state_provider",
     "write_artifacts",
 ]
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
@@ -130,13 +127,7 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 if TYPE_CHECKING:
     from .artifacts import error_row, record_row, write_artifacts
     from .cache import ResultCache
-    from .execute import (
-        VERIFY_ENV,
-        JobExecutionError,
-        JobTimeoutError,
-        load_compile_path,
-        set_warm_state_provider,
-    )
+    from .execute import VERIFY_ENV, JobExecutionError, JobTimeoutError, load_compile_path
     from .jobs import (
         CACHE_VERSION,
         EXECUTORS,

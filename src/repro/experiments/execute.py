@@ -4,7 +4,9 @@
 farm worker and a serve worker all call it with a lease from a
 :class:`~repro.farm.queue.LeaseQueue`; it makes one attempt under the
 lease's timeout and returns the record payload or a captured
-:class:`~repro.experiments.policy.JobError`, never an exception.
+:class:`~repro.experiments.policy.JobError`, never an exception.  Every
+compile takes its device state from the process's one registry,
+:func:`~repro.experiments.devices.default_registry`.
 
 Nothing here is imported by planning, the cache or the artifacts, so a fully
 cached run never loads this module, and this module loads the compile path
@@ -22,7 +24,7 @@ import time
 from collections.abc import Callable
 from dataclasses import asdict
 from importlib import import_module
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from ..backends.registry import DEFAULT_COMPILERS
 from ..chaos import active_controller
@@ -39,7 +41,6 @@ __all__ = [
     "JobExecutionError",
     "JobTimeoutError",
     "load_compile_path",
-    "set_warm_state_provider",
 ]
 
 #: Environment variable that, when set truthy, makes every compile job run
@@ -54,36 +55,6 @@ VERIFY_ENV = "REPRO_VERIFY"
 def _verify_enabled() -> bool:
     value = os.environ.get(VERIFY_ENV, "")
     return value.strip().lower() not in ("", "0", "false", "no", "off")
-
-
-#: Optional provider of resident per-device state, installed by each forked
-#: compile worker of ``repro serve`` (:mod:`repro.serve`).  Maps a
-#: :class:`Job` to an object with ``array``/``layout``/``router`` attributes
-#: matching the job's device configuration.  With none installed, jobs use
-#: the process's default :class:`~repro.experiments.devices.WarmStateRegistry`.
-#: Process-global; a forked farm worker inherits its parent's, which is
-#: harmless because warm state is a pure function of the device
-#: configuration.  Read it here,
-#: never through a re-export: a re-exported binding would not follow
-#: :func:`set_warm_state_provider`.
-_WARM_STATE_PROVIDER: Callable[[Job], Any] | None = None
-
-
-def set_warm_state_provider(
-    provider: Callable[[Job], Any] | None,
-) -> Callable[[Job], Any] | None:
-    """Install (or clear, with ``None``) the warm device-state provider.
-
-    With none installed, jobs use the process's default registry.  Returns
-    the previously installed provider so embedders can restore it.  The
-    provider must return state whose device configuration matches the job's
-    — the warm path trusts it; results stay byte-identical because the
-    resident state is a pure function of that configuration.
-    """
-    global _WARM_STATE_PROVIDER
-    previous = _WARM_STATE_PROVIDER
-    _WARM_STATE_PROVIDER = provider
-    return previous
 
 
 #: The modules a job execution needs beyond this one: the runner (circuits,
@@ -116,16 +87,15 @@ def _compile_job(job: Job) -> CompiledSet:
 
     The array, highway layout and router come from warm device state, built
     once per device configuration and reused by every later job on that
-    device: from the installed provider (:func:`set_warm_state_provider`;
-    each serve worker installs its own registry), else from this process's
-    :func:`~repro.experiments.devices.default_registry`.  Reuse cannot change
-    a result, because the state is a pure function of the device
-    configuration.
+    device, in this process's one
+    :func:`~repro.experiments.devices.default_registry` (a serve worker
+    sizes it to ``--max-devices``).  Reuse cannot change a result, because
+    the state is a pure function of the device configuration.
     """
     from .devices import default_registry
     from .runner import compile_many
 
-    state = (_WARM_STATE_PROVIDER or default_registry().get)(job)
+    state = default_registry().get(job)
     compiled = compile_many(
         job.benchmark,
         state.array,

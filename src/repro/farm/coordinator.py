@@ -525,12 +525,13 @@ def run_farm(
                 progress(f"coordinator listening on {coordinator.host}:{coordinator.port}")
             while not coordinator.wait(timeout=poll_seconds):
                 if handles and all(handle.poll() is not None for handle in handles):
-                    raise FarmAbortedError(
-                        "every farm worker exited while work remains; see the"
-                        f" journal at {coordinator.journal_path} for the last"
-                        " transitions",
-                        checkpoint,
-                    )
+                    message = "every farm worker exited while work remains"
+                    if coordinator.journal_path is not None:
+                        message += (
+                            f"; see the journal at {coordinator.journal_path}"
+                            " for the last transitions"
+                        )
+                    raise FarmAbortedError(message, checkpoint)
     finally:
         stop_workers(handles)
         coordinator.shutdown()

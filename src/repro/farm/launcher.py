@@ -27,7 +27,6 @@ import time
 from pathlib import Path
 from typing import Any, NoReturn, Protocol
 
-from ..experiments.devices import WarmStateRegistry
 from ..experiments.execute import load_compile_path
 from ..serve.server import close_listeners
 from .queue import LEASE_SECONDS
@@ -99,8 +98,9 @@ class LocalWorkerLauncher:
     The child runs :func:`~repro.farm.worker.run_worker` from the parent's
     memory, with no interpreter start-up or re-import.  ``log_dir``
     captures each worker's stdout + stderr to ``worker-<index>.log``,
-    otherwise output is discarded; ``max_devices`` gives each worker its
-    own warm-state registry of that size (``repro serve``).  Launch before
+    otherwise output is discarded; ``max_devices`` sizes each worker's
+    warm-state registry and has it report that registry (``repro serve``;
+    a farm worker reports none).  Launch before
     the server starts any thread: a child inherits every lock as it was at
     the fork, so a lock another thread held then stays held forever.  The
     compile path is imported here, before the first fork, so no child
@@ -159,15 +159,12 @@ def _worker_child(
         def note(message: str) -> None:
             os.write(2, f"[farm-worker] {message}\n".encode())
 
-        registry = None
-        if launcher.max_devices is not None:
-            registry = WarmStateRegistry(max_devices=launcher.max_devices)
         code = run_worker(
             host,
             port,
             worker_id=local_worker_id(index, os.getpid()),
             progress=note,
-            registry=registry,
+            max_devices=launcher.max_devices,
             parent_pid=parent_pid,
             # the server is this worker's parent: a reconnect that fails
             # for about a lease period means it is gone

@@ -24,12 +24,12 @@ lease: by then it is gone or has given the job away, so no result of this
 worker can be accepted.  A forked worker (``repro run --jobs N``, ``repro
 resume --jobs N``, ``repro serve``) knows its parent's pid and ends as soon
 as the parent is gone.  Both checks run even while a job stalls the main
-thread.  A serve worker also carries its own warm-state registry.
+thread.  Jobs compile on the process's one warm-state registry; a serve
+worker sizes it to ``--max-devices`` and reports it with its claims.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import signal
 import socket
@@ -40,11 +40,11 @@ from collections.abc import Callable
 from typing import NoReturn
 
 from ..chaos import active_controller
-from ..experiments.devices import WarmStateRegistry
-from ..experiments.execute import _execute_keyed, load_compile_path, set_warm_state_provider
+from ..experiments.devices import WarmStateRegistry, default_registry
+from ..experiments.execute import _execute_keyed, load_compile_path
 from ..experiments.jobs import job_from_dict
 from ..serve.client import ServeClient
-from ..serve.retry import BackoffPolicy, retry_call
+from ..serve.retry import BackoffPolicy
 from ..serve.schema import ServeProtocolError, ServeRequest, ServeResponse
 from .queue import LEASE_SECONDS
 from .schema import (
@@ -154,19 +154,25 @@ def run_worker(
     *,
     worker_id: str | None = None,
     progress: Callable[[str], None] | None = None,
-    registry: WarmStateRegistry | None = None,
+    max_devices: int | None = None,
     parent_pid: int | None = None,
     connect_seconds: float = 30.0,
+    connect_timeout: float = 2.0,
 ) -> int:
-    """Claim-execute-report until the coordinator says the run is done.
+    """Connect, then claim-execute-report until the coordinator says the run
+    is done.
 
-    ``registry`` is the engine's warm-state provider while the loop runs,
-    and its counters ride on every claim and completion.  ``parent_pid``
-    marks a forked worker: it ends once its parent is gone.
-    ``connect_seconds`` bounds each reconnect to the coordinator.
+    ``max_devices`` sizes the process's warm-state registry (a serve
+    worker's ``--max-devices``), and only then do its counters ride on every
+    claim and completion: a farm worker reports none, so the coordinator
+    hands out work in plain queue order.  ``parent_pid`` marks a forked
+    worker: it ends once its parent is gone.  Every connect, the first (the
+    coordinator may still be binding) and each reconnect, backs off for up
+    to ``connect_seconds``, and ``connect_timeout`` bounds each dial.
 
     Returns a process exit code: ``0`` when the queue drained, ``1`` when the
-    coordinator became unreachable (the worker cannot finish on its own).
+    coordinator never came up or became unreachable (the worker cannot
+    finish on its own).
     """
     worker_id = worker_id or default_worker_id()
 
@@ -177,57 +183,62 @@ def run_worker(
     def orphaned() -> bool:
         return parent_pid is not None and os.getppid() != parent_pid
 
+    registry = default_registry(max_devices) if max_devices is not None else None
+    # the backoff policy + request retries make the worker survive a
+    # mid-run coordinator connection drop: a failed claim/report is resent
+    # on a fresh connection with the same request_id and the coordinator's
+    # dedup log replays the answer it already computed
+    client = ServeClient(
+        host,
+        port,
+        timeout=300.0,
+        connect_timeout=connect_timeout,
+        site="worker",
+        connect_policy=BackoffPolicy(cap=2.0, max_total_seconds=connect_seconds),
+        request_retries=4,
+    )
+    try:
+        client.connect()
+    except OSError as exc:
+        note(f"coordinator never came up at {host}:{port}: {exc}")
+        return 1
     # import before the first job, so its timeout does not count the import
     # (a forked worker inherits it already loaded)
     load_compile_path()
     heartbeat = _Heartbeat(host, port, worker_id, orphaned, note)
     heartbeat.start()
-    previous = set_warm_state_provider(registry.get) if registry is not None else None
+
+    def ask(request: ServeRequest) -> ServeResponse:
+        response = client.request(request)
+        heartbeat.heard()
+        return response
+
     executed = 0
     try:
-        # the backoff policy + request retries make the worker survive a
-        # mid-run coordinator connection drop: a failed claim/report is
-        # resent on a fresh connection with the same request_id and the
-        # coordinator's dedup log replays the answer it already computed
-        with ServeClient(
-            host,
-            port,
-            timeout=300.0,
-            site="worker",
-            connect_policy=BackoffPolicy(max_total_seconds=connect_seconds),
-            request_retries=4,
-        ) as client:
-
-            def ask(request: ServeRequest) -> ServeResponse:
-                response = client.request(request)
-                heartbeat.heard()
-                return response
-
-            while not orphaned():
-                warm_state = registry.stats() if registry is not None else None
-                response = ask(claim_request(worker_id, warm_state=warm_state))
-                if not response.ok:
-                    note(f"claim rejected: {response.error}")
-                    return 1
-                payload = response.payload
-                heartbeat.lease_seconds = float(payload.get("lease_seconds", LEASE_SECONDS))
-                leases = payload.get("leases", [])
-                if leases:
-                    lease = parse_lease(leases[0])
-                    executed += _run_lease(ask, lease, worker_id, heartbeat, note, registry)
-                elif payload.get("done"):
-                    note(f"queue drained after {executed} job(s); exiting")
-                    return 0
-                # else the claim already waited on the queue
-            note("parent process is gone; exiting")
-            return 1
+        while not orphaned():
+            warm_state = registry.stats() if registry is not None else None
+            response = ask(claim_request(worker_id, warm_state=warm_state))
+            if not response.ok:
+                note(f"claim rejected: {response.error}")
+                return 1
+            payload = response.payload
+            heartbeat.lease_seconds = float(payload.get("lease_seconds", LEASE_SECONDS))
+            leases = payload.get("leases", [])
+            if leases:
+                lease = parse_lease(leases[0])
+                executed += _run_lease(ask, lease, worker_id, heartbeat, note, registry)
+            elif payload.get("done"):
+                note(f"queue drained after {executed} job(s); exiting")
+                return 0
+            # else the claim already waited on the queue
+        note("parent process is gone; exiting")
+        return 1
     except (OSError, ServeProtocolError) as exc:
         note(f"lost the coordinator: {type(exc).__name__}: {exc}")
         return 1
     finally:
         heartbeat.stop()
-        if registry is not None:
-            set_warm_state_provider(previous)
+        client.close()
 
 
 def _run_lease(
@@ -275,44 +286,3 @@ def exit_on_sigterm() -> None:
     """Turn the SIGTERM that stops a drained worker into ``SystemExit(0)``,
     so the chaos report flushes instead of the process dying mid-frame."""
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
-
-
-def main_loop_with_retry(
-    host: str,
-    port: int,
-    *,
-    worker_id: str | None = None,
-    connect_attempts: int = 20,
-    connect_timeout: float = 2.0,
-    max_connect_seconds: float = 30.0,
-    progress: Callable[[str], None] | None = None,
-) -> int:
-    """``run_worker`` with a patient first connect (coordinator may still be binding).
-
-    The wait runs under the shared capped-exponential-backoff policy:
-    ``connect_timeout`` bounds each dial, ``connect_attempts`` and
-    ``max_connect_seconds`` bound the whole wait (whichever budget runs
-    out first).
-    """
-    with contextlib.suppress(ValueError):  # not the main thread: leave signals alone
-        exit_on_sigterm()
-    policy = BackoffPolicy(
-        initial=0.1,
-        cap=2.0,
-        max_attempts=max(1, connect_attempts),
-        max_total_seconds=max_connect_seconds,
-    )
-
-    def dial() -> None:
-        with contextlib.closing(
-            socket.create_connection((host, port), timeout=connect_timeout)
-        ):
-            pass
-
-    try:
-        retry_call(dial, policy=policy)
-    except OSError as exc:
-        if progress is not None:
-            progress(f"coordinator never came up at {host}:{port}: {exc}")
-        return 1
-    return run_worker(host, port, worker_id=worker_id, progress=progress)

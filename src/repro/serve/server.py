@@ -20,10 +20,11 @@ processes over the farm's lease queue
   would;
 * compiles run off this process's GIL, so a hit never waits behind one;
 * every request for one uncached key shares one execution (single-flight);
-* each worker keeps its own :class:`~repro.serve.state.WarmStateRegistry`
-  as the engine's warm-state provider, and a claim prefers work on the
-  devices the claiming worker holds, so repeat compiles against one device
-  configuration skip array/layout/router construction;
+* each worker sizes its process's one
+  :class:`~repro.serve.state.WarmStateRegistry` to ``max_devices`` and
+  reports it, and a claim prefers work on the devices the claiming worker
+  holds, so repeat compiles against one device configuration skip
+  array/layout/router construction;
 * a killed worker heals by lease expiry, within the request policy's retry
   budget; with no worker left, compile requests get an error reply.
 
@@ -319,7 +320,7 @@ class CompileServer(FramedServer):
         ``retries`` bound the lease attempts of a compile (the queue owns
         the budget, as in the farm).
     max_devices:
-        Warm-state LRU capacity of each worker (distinct device
+        Warm-state LRU capacity of each worker's registry (distinct device
         configurations resident).
     """
 

@@ -1,8 +1,8 @@
 """Warm per-device compile state: re-exported from :mod:`repro.experiments.devices`.
 
 Every run path keeps its device state warm, not only ``repro serve``, so the
-registry lives in the engine; each serve worker still installs its own
-``--max-devices`` :class:`WarmStateRegistry` as the engine's provider.
+registry lives in the engine: one per process, which each serve worker sizes
+to ``--max-devices``.
 """
 
 from __future__ import annotations

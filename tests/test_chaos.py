@@ -10,6 +10,8 @@ counters), and torn-journal/corrupt-checkpoint quarantine.
 import errno
 import json
 import socket
+import threading
+import time
 
 import pytest
 
@@ -625,16 +627,48 @@ class TestHardenedCoordinator(TestHardenedServer):
 
 class TestWorkerConnectBudget:
     def test_worker_gives_up_within_budget_against_dead_port(self):
-        from repro.farm.worker import main_loop_with_retry
+        from repro.farm.worker import run_worker
 
         notes = []
-        code = main_loop_with_retry(
+        start = time.monotonic()
+        code = run_worker(
             "127.0.0.1",
             1,  # nothing listens on port 1
-            connect_attempts=3,
             connect_timeout=0.2,
-            max_connect_seconds=0.5,
+            connect_seconds=0.5,
             progress=notes.append,
         )
         assert code == 1
         assert any("never came up" in note for note in notes)
+        assert time.monotonic() - start < 2.0  # the 0.5 s budget plus one dial
+
+    def test_every_dial_carries_the_connect_timeout(self, monkeypatch):
+        """The first connect (refused twice while the coordinator "binds")
+        and the reconnect after a dropped frame each dial with
+        ``connect_timeout``, not the 300 s request timeout."""
+        from repro.farm import FarmCoordinator
+        from repro.farm.worker import run_worker
+
+        real = socket.create_connection
+        timeouts = []
+        refusals = [2]
+
+        def dial(address, timeout=None, *args, **kwargs):
+            # the heartbeat thread dials with its own beat interval
+            if threading.current_thread() is threading.main_thread():
+                timeouts.append(timeout)
+                if refusals[0]:
+                    refusals[0] -= 1
+                    raise ConnectionRefusedError("coordinator still binding")
+            return real(address, timeout, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", dial)
+        # the worker's second frame is dropped, so its client reconnects
+        set_chaos(parse_chaos_spec("conn-drop:after=1,site=worker.,on=send"))
+        with FarmCoordinator([Job("BV", seed=0), Job("BV", seed=1)]) as coordinator:
+            code = run_worker(coordinator.host, coordinator.port, connect_timeout=1.25)
+            dials = list(timeouts)
+        assert code == 0
+        assert chaos_controller().counters() == {"conn-drop@worker.send": 1}
+        assert len(dials) == 4  # two refused, the first connect, the reconnect
+        assert dials == [1.25] * 4

@@ -32,7 +32,6 @@ from repro.experiments.engine import (
     record_to_payload,
     run_jobs,
     run_jobs_report,
-    set_warm_state_provider,
     write_artifacts,
 )
 from repro.experiments.fig13_sensitivity import sensitivity_results_from_records
@@ -360,17 +359,21 @@ def _payloads(records):
 
 
 class TestWarmStateOnRunPaths:
-    """With no provider installed, every run path reuses device state."""
+    """Every run path reuses device state from its process's one registry."""
 
     @pytest.fixture
     def fresh_per_job(self):
         """Payloads with a fresh registry per job: every device built cold."""
-        previous = set_warm_state_provider(lambda job: WarmStateRegistry().get(job))
-        try:
+        registries = []
+
+        def fresh_registry():
+            registries.append(WarmStateRegistry())
+            return registries[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(devices, "default_registry", fresh_registry)
             records, report = run_jobs_report(TWO_DEVICE_JOBS)
-        finally:
-            set_warm_state_provider(previous)
-        assert report.executed == len(TWO_DEVICE_JOBS)
+        assert report.executed == len(registries) == len(TWO_DEVICE_JOBS)
         return _payloads(records)
 
     def test_in_process_run_builds_each_device_once(self, monkeypatch, fresh_per_job):

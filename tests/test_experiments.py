@@ -40,6 +40,36 @@ class TestSettings:
         assert array.num_qubits == 441
         assert setting.num_chiplets == 9
 
+    def test_table1_data_qubit_counts(self):
+        """The data qubits our highway layout leaves on each Table 1 row,
+        beside the paper's label.  7 of the 11 rows miss the label today;
+        matching them changes the layout generator, and this table, on
+        purpose."""
+        from repro.highway.layout import HighwayLayout
+
+        expected = {
+            "program-261": 243,
+            "program-360": 360,
+            "program-495": 477,
+            "program-630": 612,
+            "program-160": 160,
+            "program-240": 240,
+            "program-480": 480,
+            "program-420": 408,
+            "program-312": 306,
+            "program-351": 333,
+            "program-336": 304,
+        }
+        counts = {
+            label: HighwayLayout(
+                setting.build_array(), density=setting.highway_density
+            ).num_data_qubits
+            for label, setting in TABLE1_SETTINGS.items()
+        }
+        assert counts == expected
+        matching = [label for label, count in counts.items() if label == f"program-{count}"]
+        assert matching == ["program-360", "program-160", "program-240", "program-480"]
+
     def test_scaled_setting_shrinks_chiplets(self):
         setting = TABLE1_SETTINGS["program-360"]
         small = scaled_setting(setting, "small")

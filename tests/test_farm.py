@@ -18,6 +18,7 @@ import pytest
 
 from helpers import set_chaos_spec
 from repro.experiments.engine import (
+    FarmAbortedError,
     Job,
     JobError,
     JobPolicy,
@@ -30,7 +31,7 @@ from repro.experiments.engine import (
 )
 from repro.farm import FarmCoordinator, LeaseQueue, LocalWorkerLauncher, run_farm
 from repro.farm import coordinator as farm_coordinator
-from repro.farm.launcher import render_worker_command
+from repro.farm.launcher import CommandWorkerLauncher, render_worker_command
 from repro.farm.queue import COMPLETED, FAILED, LEASED, PENDING
 from repro.farm.schema import (
     Lease,
@@ -486,6 +487,33 @@ class TestCoordinatorOverTcp:
             coordinator.shutdown()
 
 
+class TestFarmWorkerReportsNoWarmState:
+    def test_claims_and_completions_carry_no_warm_state(self, monkeypatch):
+        """A farm worker keeps the coordinator on plain queue order: it
+        reports no devices, so no claim ranks the pending entries."""
+        from repro.farm import run_worker
+        from repro.farm import worker as farm_worker
+
+        bodies = []
+        for name in ("claim_request", "complete_request"):
+            original = getattr(farm_worker, name)
+
+            def recording(*args, _original=original, **kwargs):
+                request = _original(*args, **kwargs)
+                bodies.append(request.body)
+                return request
+
+            monkeypatch.setattr(farm_worker, name, recording)
+        coordinator = FarmCoordinator([_job(seed=0), _job(seed=1)]).start()
+        try:
+            assert run_worker(coordinator.host, coordinator.port) == 0
+            assert coordinator.desk.warm_state(1)["device_keys"] == []
+        finally:
+            coordinator.shutdown()
+        assert len(bodies) >= 4  # at least two claims and two completions
+        assert all("warm_state" not in body for body in bodies)
+
+
 class TestLauncher:
     def test_render_worker_command_substitutes_placeholders(self):
         command = render_worker_command(
@@ -551,6 +579,17 @@ class TestRunFarm:
         with pytest.raises(RuntimeError, match="injected fault"):
             run_farm([_job("BV"), _job("QFT")], launcher=LocalWorkerLauncher(), workers=2)
         assert time.monotonic() - start < 15.0
+
+    def test_abort_without_a_checkpoint_names_no_journal(self):
+        # the launched shell exits at once, so every worker is gone while
+        # the job remains; a run that keeps no checkpoint has no journal
+        with pytest.raises(FarmAbortedError) as caught:
+            run_farm([_job()], launcher=CommandWorkerLauncher("exit 0"), workers=1)
+        message = str(caught.value)
+        assert "every farm worker exited while work remains" in message
+        assert "None" not in message
+        assert "journal" not in message
+        assert caught.value.checkpoint is None
 
     def test_run_farm_validates_workers(self):
         with pytest.raises(ValueError, match="workers"):

@@ -219,7 +219,8 @@ print(sorted(m for m in sys.modules if m.startswith("repro.chaos.")))
     assert run_python(code, REPRO_CHAOS="seed:1") == "['repro.chaos.inject', 'repro.chaos.plan']"
 
 
-#: ``repro.experiments.engine.__all__`` before the engine was split by concern.
+#: ``repro.experiments.engine.__all__`` before the engine was split by concern,
+#: less ``set_warm_state_provider`` (a process has one warm-state registry).
 ENGINE_API = (
     "CACHE_VERSION", "CHECKPOINT_VERSION", "SCALE_TIERS", "VERIFY_ENV", "Checkpoint",
     "CheckpointError", "ExecutionPlan", "FarmAbortedError", "Job", "JobError",
@@ -229,7 +230,7 @@ ENGINE_API = (
     "load_compile_path", "noise_from_items", "noise_to_items", "plan_jobs", "plan_summary",
     "quarantine_checkpoint", "quarantine_path_for", "read_journal", "repair_journal",
     "record_from_payload", "record_to_payload", "record_row", "run_jobs", "run_jobs_report",
-    "set_warm_state_provider", "write_artifacts",
+    "write_artifacts",
 )
 
 

@@ -24,7 +24,7 @@ import pytest
 from helpers import child_pids, set_chaos_spec, strip_timing, wait_until_gone
 from repro import cli
 from repro.backends import available_backends
-from repro.experiments import engine, execute
+from repro.experiments import devices, engine
 from repro.experiments.engine import (
     Job,
     JobPolicy,
@@ -32,7 +32,6 @@ from repro.experiments.engine import (
     ResultCache,
     config_key,
     job_to_dict,
-    set_warm_state_provider,
 )
 from repro.experiments.execute import _deadline, _execute_keyed
 from repro.experiments.records import record_to_payload
@@ -231,18 +230,19 @@ class TestWarmStateRegistry:
         with pytest.raises(ValueError, match="max_devices"):
             WarmStateRegistry(max_devices=0)
 
-    def test_warm_state_matches_cold_compile(self):
-        """The acceptance property at the provider level: a compile on a
+    def test_warm_state_matches_cold_compile(self, monkeypatch):
+        """The acceptance property at the registry level: a compile on a
         registry's resident state produces exactly the payload of a compile
         on a device built for the job alone (timing stripped)."""
         registry = WarmStateRegistry()
+        monkeypatch.setattr(devices, "_DEFAULT", registry)
         job = Job(benchmark="QFT", **SMALL)
         cold = per_job_build_payload(job)
-        previous = set_warm_state_provider(registry.get)
-        try:
-            warm = batch_payload(job)
-        finally:
-            set_warm_state_provider(previous)
+        built = batch_payload(job)
+        warm = batch_payload(job)
+        stats = registry.stats()
+        assert (stats["cold_builds"], stats["warm_hits"]) == (1, 1)
+        assert canonical(built) == canonical(cold)
         assert canonical(warm) == canonical(cold)
 
 
@@ -294,8 +294,8 @@ class TestWorkerThreadTimeout:
         assert outcome == {"ran": True}
 
     def test_timed_out_job_in_worker_thread_yields_job_error(self, monkeypatch):
-        """A served (thread-pooled) job that exceeds its timeout must come
-        back as a JobTimeoutError payload, not hang or crash the worker."""
+        """A job run off the main thread that exceeds its timeout must come
+        back as a JobTimeoutError payload, not hang or crash its thread."""
         monkeypatch.setitem(engine.EXECUTORS, "spin", _spin)
         job = Job(benchmark="SPIN", kind="spin")
         item = (config_key(job), job_to_dict(job), JobPolicy(timeout=0.2).to_dict())
@@ -446,7 +446,6 @@ class TestServerLifecycle:
         assert cache.peek(config_key(job)) is not None
 
     def test_shutdown_request_stops_server(self):
-        before = execute._WARM_STATE_PROVIDER
         server = CompileServer(workers=1).start()
         try:
             with ServeClient(server.host, server.port) as client:
@@ -458,38 +457,34 @@ class TestServerLifecycle:
             assert server._shutdown.is_set()
         finally:
             server.shutdown()
-        # the engine hook is restored to whatever was installed before
-        assert execute._WARM_STATE_PROVIDER is before
 
-    def test_start_restores_previous_provider_on_shutdown(self):
-        """The provider belongs to the worker: the server process compiles
-        nothing and leaves the engine hook alone, while a worker compiles
-        through its own registry and restores the previous provider when
-        its loop ends."""
+    def test_start_restores_previous_provider_on_shutdown(self, monkeypatch):
+        """The registry belongs to the worker: the server process compiles
+        nothing and leaves its own registry alone, while a worker given
+        ``max_devices`` sizes its process's one registry and compiles
+        through it."""
         from repro.farm import FarmCoordinator, run_worker
 
-        marker = object()
-        previous = set_warm_state_provider(marker)
+        before = WarmStateRegistry()
+        monkeypatch.setattr(devices, "_DEFAULT", before)
+        server = CompileServer(workers=1).start()
         try:
-            server = CompileServer(workers=1).start()
-            assert execute._WARM_STATE_PROVIDER is marker
             with ServeClient(server.host, server.port) as client:
                 assert client.compile_job(Job(benchmark="BV", seed=31, **SMALL)).ok
                 stats = client.stats()
-            assert stats["warm_state"]["cold_builds"] == 1  # the worker's registry
-            server.shutdown()
-            assert execute._WARM_STATE_PROVIDER is marker
-
-            registry = WarmStateRegistry()
-            coordinator = FarmCoordinator([Job(benchmark="BV", seed=32, **SMALL)]).start()
-            try:
-                assert run_worker(coordinator.host, coordinator.port, registry=registry) == 0
-            finally:
-                coordinator.shutdown()
-            assert registry.stats()["cold_builds"] == 1  # it was the provider...
-            assert execute._WARM_STATE_PROVIDER is marker  # ...and is no longer
         finally:
-            set_warm_state_provider(previous)
+            server.shutdown()
+        assert stats["warm_state"]["cold_builds"] == 1  # the worker's registry
+        assert devices.default_registry() is before and len(before) == 0
+
+        coordinator = FarmCoordinator([Job(benchmark="BV", seed=32, **SMALL)]).start()
+        try:
+            assert run_worker(coordinator.host, coordinator.port, max_devices=2) == 0
+        finally:
+            coordinator.shutdown()
+        registry = devices.default_registry()
+        assert registry is not before and registry.max_devices == 2
+        assert registry.stats()["cold_builds"] == 1
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="workers"):
@@ -549,6 +544,23 @@ class TestForkedWorkers:
         warm = stats["warm_state"]
         assert warm["cold_builds"] + warm["warm_hits"] == 1
         assert stats["compiles"] == 2
+
+    @pytest.mark.parametrize(
+        ("max_devices", "cold_builds"), [(1, 4), (None, 2)], ids=["one-device", "default"]
+    )
+    def test_max_devices_caps_the_worker_registry(self, max_devices, cold_builds):
+        """Alternating jobs on two devices: a one-device registry rebuilds
+        each time, the default capacity builds each device once."""
+        jobs = [
+            Job(benchmark="BV", chiplet_width=width, rows=1, cols=2, seed=seed)
+            for seed, width in enumerate((3, 4, 3, 4), start=61)
+        ]
+        capacity = {} if max_devices is None else {"max_devices": max_devices}
+        with CompileServer(workers=1, **capacity) as server:
+            responses = [_compile(server, job) for job in jobs]
+            warm = server.stats()["warm_state"]
+        assert all(response.ok for response in responses)
+        assert warm["cold_builds"] == cold_builds
 
     def test_warm_requests_build_no_device(self):
         jobs = [Job(benchmark="BV", seed=seed, **SMALL) for seed in (31, 32, 33)]
