@@ -1,7 +1,7 @@
 """Initial layout (logical-to-physical placement) strategies for the baseline.
 
 The baseline compiler mimics a mainstream SWAP-insertion transpiler.  Its
-initial placement matters mostly through the total routing distance, so two
+initial placement matters mostly through the total routing distance, so three
 simple strategies are provided:
 
 * ``trivial`` — logical qubit ``i`` on physical qubit ``i`` (row-major over

@@ -16,24 +16,26 @@ algorithm from scratch so the reproduction runs offline:
 SWAPs are emitted as ``swap`` macros; metric accounting counts each as three
 CNOTs, exactly as the paper does.
 
-:meth:`SabreRouter.run` builds the dependency DAG, lets one of three decision
+:meth:`SabreRouter.run` builds the dependency DAG, lets one of two decision
 paths turn it into events (an executed node index, or ``~edge`` for a SWAP)
-and replays the events into the routed circuit.  All three are
+and replays the events into the routed circuit.  Both are
 **output-identical** to the original gate-by-gate implementation (the golden
 suite and the differential tests in ``tests/test_routing_equivalence.py`` pin
 this):
 
 * the compiled kernel (``_sabre_kernel.c``, built on the first route in a
-  process by :mod:`repro.baseline.kernel`) runs whenever every distance is an
-  exact integer — hop counts, possibly with integer cross-chip weights, so
-  nearly always — and a C compiler and the Python headers are available;
+  process by :mod:`repro.baseline.kernel`) runs whenever a C compiler and the
+  Python headers are available;
 * the interpreted loop (:meth:`SabreRouter._decide`) with the cached delta
-  scorer (:class:`_DeltaScorer`) runs on exact distances when the kernel
-  cannot be built, and is the kernel's test oracle;
-* the interpreted loop with the historic per-candidate scorer
-  (:meth:`SabreRouter._score_swaps_scalar`) runs when a distance is not an
-  exact integer, because there the summation order can flip a tie at the
-  1e-12 threshold.
+  scorer (:class:`_DeltaScorer`) runs when the kernel cannot be built, and is
+  the kernel's test oracle.
+
+Distances are hop counts on the flat coupling graph, as Qiskit's SABRE sees
+it: cross-chip links cost one hop like on-chip ones (their higher error rate
+enters only the eff-CNOT metric).  Hop counts are exact integers, so float
+sums of them are exact in any order, which is what lets the delta scorer
+cache partial sums; the differential tests check each of its decisions
+against the historic per-candidate scorer.
 
 The interpreted loop runs on plain Python ints and lists:
 
@@ -90,11 +92,11 @@ class SabreRouter:
     decay_factor / decay_reset_interval:
         SABRE's decay on recently swapped physical qubits, discouraging the
         router from moving the same qubit repeatedly.
-    cross_chip_weight:
-        Distance weight of cross-chip edges; 1.0 treats them like on-chip
-        edges (Qiskit's behaviour when given a flat coupling map).
     seed:
         Tie-breaking randomisation seed.
+
+    Raises ``ValueError`` on a disconnected topology: a gate across two
+    components could never be routed.
     """
 
     def __init__(
@@ -105,7 +107,6 @@ class SabreRouter:
         extended_set_weight: float = 0.5,
         decay_factor: float = 0.001,
         decay_reset_interval: int = 5,
-        cross_chip_weight: float = 1.0,
         seed: int = 0,
     ) -> None:
         self.topology = topology
@@ -113,18 +114,14 @@ class SabreRouter:
         self.extended_set_weight = extended_set_weight
         self.decay_factor = decay_factor
         self.decay_reset_interval = decay_reset_interval
-        self.cross_chip_weight = cross_chip_weight
         self._rng = default_rng(seed)
-        self._distance = topology.distance_rows(cross_chip_weight=cross_chip_weight)
-        # When every distance is an exactly representable integer (the
-        # ubiquitous case: hop counts, possibly with integer cross-chip
-        # weights) float addition is exact in any order, so cached partial
-        # sums score bit-identically to the historic per-candidate loop;
-        # otherwise that loop runs to preserve its rounding near ties.
-        # (``inf.is_integer()`` is False, so a disconnected pair opts out.)
-        self._exact_distances = topology.distances_are_integral(
-            cross_chip_weight=cross_chip_weight
-        )
+        self._distance = topology.distance_rows()
+        # row 0 reaches every qubit exactly when the device is connected
+        if float("inf") in self._distance[0]:
+            raise ValueError(
+                f"device {topology.name!r} is disconnected: SABRE needs a"
+                " connected coupling graph"
+            )
         self._coupled = topology.coupling_rows()
         # Every normalized edge once, ascending lexicographically (the
         # historic sorted-set-of-tuples candidate order), plus per-qubit
@@ -185,7 +182,7 @@ class SabreRouter:
         # from ``list(front)``, whose iteration order decides which lookahead
         # gates make the size cut.
         front: set[int] = {i for i in range(len(ops)) if in_degree[i] == 0}
-        route = _compiled_route() if self._exact_distances else None
+        route = _compiled_route()
         if route is None:
             events = self._decide(ops, successors, in_degree, front, l2p[:], p2l[:])
         else:
@@ -251,7 +248,7 @@ class SabreRouter:
         p2l: list[int],
     ) -> list[int]:
         """The interpreted decision loop: the compiled kernel's fallback and
-        oracle, and the only path for non-integral distances.
+        oracle.
 
         Returns the same events as the kernel — an executed node index, or
         ``~edge`` (``-(edge + 1)``) for a SWAP — and mutates its arguments.
@@ -269,14 +266,14 @@ class SabreRouter:
         coupled = self._coupled
         edge_u = self._edge_u
         edge_v = self._edge_v
-        scorer = _DeltaScorer(self, l2p, p2l) if self._exact_distances else None
+        scorer = _DeltaScorer(self, l2p, p2l)
 
         # Rebuilt whenever a gate executes (the front layer changed): the
-        # logical pairs of the blocked front and of the extended set, the
-        # logical qubits of the front, and the candidate SWAPs — the edge ids
-        # touching those qubits' current positions, ascending.
+        # logical pairs of the blocked front (the scorer also takes the
+        # extended set's), the logical qubits of the front, and the candidate
+        # SWAPs — the edge ids touching those qubits' current positions,
+        # ascending.
         front_list: list[tuple[int, ...]] = []
-        ext_list: list[tuple[int, ...]] = []
         front_qubits: set[int] = set()
         candidates: list[int] = []
         front_dirty = True
@@ -285,8 +282,8 @@ class SabreRouter:
         # endpoints: after a SWAP of (a, b) only bucket[a] | bucket[b] can
         # have become executable, so nothing else is re-examined.  The
         # parallel ``blocked_pairs`` map keeps their logical pairs at hand so
-        # exact-path rebuilds need not re-scan the whole front (the scalar
-        # fallback replays the historic front-set scan order).
+        # rebuilds need not re-scan the whole front (exact sums are
+        # order-insensitive, so its order does not matter).
         buckets: list[set[int]] = [set() for _ in range(num_physical)]
         blocked_pairs: dict[int, tuple[int, ...]] = {}
 
@@ -335,14 +332,8 @@ class SabreRouter:
         drain(sorted(front))
         while executed < num_nodes:
             if front_dirty:
-                ext_list = self._extended_pairs(node_pairs, successors, front)
-                if scorer is not None:
-                    # exact sums are order-insensitive, so the maintained
-                    # blocked map replaces the front scan
-                    front_list = list(blocked_pairs.values())
-                    scorer.rebuild(front_list, ext_list)
-                else:
-                    front_list = self._front_pairs(ops, front)
+                front_list = list(blocked_pairs.values())
+                scorer.rebuild(front_list, self._extended_pairs(node_pairs, successors, front))
                 front_qubits = {q for pair in front_list for q in pair}
                 candidates = self._candidate_edges(front_qubits, l2p)
                 front_dirty = False
@@ -351,17 +342,7 @@ class SabreRouter:
                     "router made no progress but no 2-qubit gate is blocked"
                 )
 
-            if scorer is not None:
-                scores = scorer.scores(candidates, decay)
-            else:
-                scores = self._score_swaps_scalar(
-                    [(edge_u[e], edge_v[e]) for e in candidates],
-                    front_list,
-                    ext_list,
-                    l2p,
-                    decay,
-                )
-            edge = candidates[self._pick_swap(scores)]
+            edge = candidates[self._pick_swap(scorer.scores(candidates, decay))]
             a, b = edge_u[edge], edge_v[edge]
             emit(~edge)
             la, lb = p2l[a], p2l[b]
@@ -370,8 +351,7 @@ class SabreRouter:
             if lb >= 0:
                 l2p[lb] = a
             p2l[a], p2l[b] = lb, la
-            if scorer is not None:
-                scorer.swapped(edge)
+            scorer.swapped(edge)
             decay[a] += self.decay_factor
             decay[b] += self.decay_factor
             steps_since_progress += 1
@@ -387,20 +367,6 @@ class SabreRouter:
                 # front's positions: the candidate set moved
                 candidates = self._candidate_edges(front_qubits, l2p)
         return events
-
-    @staticmethod
-    def _front_pairs(ops: Sequence[Gate], front: set[int]) -> list[tuple[int, ...]]:
-        """Logical qubit pairs of the blocked 2-qubit front gates.
-
-        Iterates ``front`` in set order like the historic list comprehension,
-        which keeps the scalar fallback's accumulation sequence identical.
-        """
-        return [
-            ops[i].qubits
-            for i in front
-            if len(ops[i].qubits) == 2
-            and not (ops[i].is_barrier or ops[i].is_measurement)
-        ]
 
     def _extended_pairs(
         self,
@@ -447,58 +413,6 @@ class SabreRouter:
         """
         edge_ids = self._edge_ids
         return sorted({e for q in front_qubits for e in edge_ids[l2p[q]]})
-
-    def _score_swaps_scalar(
-        self,
-        candidates: Sequence[tuple[int, int]],
-        front_pairs: Sequence[tuple[int, ...]],
-        ext_pairs: Sequence[tuple[int, ...]],
-        l2p: Sequence[int],
-        decay: Sequence[float],
-    ) -> list[float]:
-        """The historic per-candidate scoring loop (non-integer distances).
-
-        Kept verbatim so float accumulation order — and therefore tie
-        membership at the 1e-12 threshold — matches the original router when
-        distance sums are not exact.
-        """
-        dist = self._distance
-        blocked_phys = [(l2p[p], l2p[q]) for p, q in front_pairs]
-        ext_phys = [(l2p[p], l2p[q]) for p, q in ext_pairs]
-        n_front = max(len(blocked_phys), 1)
-        n_ext = max(len(ext_phys), 1)
-        base_front = sum(dist[p][q] for p, q in blocked_phys)
-        base_ext = sum(dist[p][q] for p, q in ext_phys)
-
-        touching_front: dict[int, list[tuple[int, int]]] = {}
-        touching_ext: dict[int, list[tuple[int, int]]] = {}
-        for pair in blocked_phys:
-            touching_front.setdefault(pair[0], []).append(pair)
-            touching_front.setdefault(pair[1], []).append(pair)
-        for pair in ext_phys:
-            touching_ext.setdefault(pair[0], []).append(pair)
-            touching_ext.setdefault(pair[1], []).append(pair)
-
-        def delta(pairs_by_qubit: dict[int, list[tuple[int, int]]], a: int, b: int) -> float:
-            affected = {
-                pair
-                for pair in pairs_by_qubit.get(a, []) + pairs_by_qubit.get(b, [])
-            }
-            change = 0.0
-            for p, q in affected:
-                np_ = b if p == a else (a if p == b else p)
-                nq = b if q == a else (a if q == b else q)
-                change += dist[np_][nq] - dist[p][q]
-            return change
-
-        scores = []
-        for a, b in candidates:
-            front_cost = (base_front + delta(touching_front, a, b)) / n_front
-            ext_cost = (base_ext + delta(touching_ext, a, b)) / n_ext
-            scores.append(
-                max(decay[a], decay[b]) * (front_cost + self.extended_set_weight * ext_cost)
-            )
-        return scores
 
     def _pick_swap(self, scores: Sequence[float]) -> int:
         """The historic sequential tie-break over ascending candidates.

@@ -37,7 +37,12 @@ class BaselineCompiler:
         Number of routing trials with different tie-breaking seeds; the best
         result by eff_CNOTs is returned (1 keeps runtime minimal).
     layout_strategy:
-        Initial placement strategy (``"compact"`` or ``"trivial"``).
+        Initial placement strategy (``"compact"``, ``"trivial"`` or
+        ``"noise"``; see :mod:`repro.baseline.layout`).
+    extended_set_size:
+        Number of lookahead 2-qubit gates in SABRE's extended set.
+    seed:
+        Tie-breaking seed of the first trial; trial ``t`` uses ``seed + t``.
     """
 
     def __init__(
@@ -48,7 +53,6 @@ class BaselineCompiler:
         trials: int = 1,
         layout_strategy: str = "compact",
         extended_set_size: int = 20,
-        cross_chip_weight: float = 1.0,
         seed: int = 0,
     ) -> None:
         if trials < 1:
@@ -58,7 +62,6 @@ class BaselineCompiler:
         self.trials = trials
         self.layout_strategy = layout_strategy
         self.extended_set_size = extended_set_size
-        self.cross_chip_weight = cross_chip_weight
         self.seed = seed
 
     def compile(
@@ -78,7 +81,6 @@ class BaselineCompiler:
             router = SabreRouter(
                 self.topology,
                 extended_set_size=self.extended_set_size,
-                cross_chip_weight=self.cross_chip_weight,
                 seed=self.seed + trial,
             )
             chosen_layout = layout

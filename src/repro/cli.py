@@ -1525,13 +1525,14 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
     try:
         # a crash can tear the journal's final line; quarantine the torn
-        # tail (preserved as *.quarantine) and resume from the good prefix
+        # tail (preserved as *.quarantine) and keep the good prefix.  The
+        # journal is an audit log: resuming reads the checkpoint and cache
         repaired = repair_journal(journal_path_for(args.checkpoint))
         if repaired is not None:
             print(
                 f"note: quarantined a torn journal tail"
                 f" ({repaired['quarantined_bytes']} byte(s) →"
-                f" {repaired['quarantine']}); resuming from"
+                f" {repaired['quarantine']}); kept"
                 f" {repaired['kept_events']} intact event(s)",
                 file=sys.stderr,
             )

@@ -188,10 +188,11 @@ def append_journal(path: str | Path, delta: Mapping[str, object]) -> None:
 
     One ``O_APPEND`` write per event — atomic for these short lines on
     POSIX, so a coordinator crash can tear at most the final line (which
-    :func:`read_journal` skips).  The journal is the farm's write-ahead
-    record: every lease/complete/fail/expire lands here *before* the
-    throttled checkpoint compaction, so a crash between flushes loses
-    bookkeeping only, never results (those are already in the cache).
+    :func:`read_journal` skips).  The journal is an audit log: every
+    lease/complete/fail/expire lands here *before* the throttled checkpoint
+    compaction.  ``repro resume`` does not replay it; it reads the
+    checkpoint and the cache, so a crash between flushes loses bookkeeping
+    only, never results (those are already in the cache).
     """
     line = (json.dumps(dict(delta), sort_keys=True, separators=(",", ":")) + "\n").encode(
         "utf-8"

@@ -1,11 +1,11 @@
 """Graph kernels over plain adjacency containers (internal).
 
-The compilers need four queries on a coupling graph: all-pairs hop
-distances, all-pairs distances with weighted cross-chip links, one shortest
-path between two qubits, and connected components.  They are implemented
-here with the standard library only, over insertion-ordered adjacency dicts
-(``adj[u]`` iterates ``u``'s neighbours) or, for the all-pairs kernels,
-neighbour lists indexed by node.
+The compilers need three queries on a coupling graph: all-pairs hop
+distances, one shortest path between two qubits (by hops, or under an edge
+weight), and connected components.  They are implemented here with the
+standard library only, over insertion-ordered adjacency dicts (``adj[u]``
+iterates ``u``'s neighbours) or, for the all-pairs distances, neighbour lists
+indexed by node.
 
 Ties are resolved exactly as networkx resolves them (the reference the
 routing goldens were recorded with): :func:`shortest_path` is a line-by-line
@@ -24,11 +24,10 @@ __all__ = [
     "NoPathError",
     "bfs_distance_rows",
     "connected_components",
-    "dijkstra_distance_rows",
     "shortest_path",
 ]
 
-#: Distance of an unreachable node.  The all-pairs kernels fill their rows
+#: Distance of an unreachable node.  :func:`bfs_distance_rows` fills its rows
 #: with this very object, so ``d is INF`` is a valid (and fast) test.
 INF = float("inf")
 
@@ -64,36 +63,6 @@ def bfs_distance_rows(neighbors: Sequence[Iterable[int]]) -> list[list[float]]:
                         dist[v] = level
                         reached.append(v)
             frontier = reached
-        rows.append(dist)
-    return rows
-
-
-def dijkstra_distance_rows(
-    neighbors: Sequence[Sequence[int]], weights: Sequence[Sequence[float]]
-) -> list[list[float]]:
-    """Weighted all-pairs distances; ``weights[u][i]`` weighs ``u -> neighbors[u][i]``.
-
-    A binary-heap Dijkstra per source.  Each distance is accumulated as
-    ``d[u] + w`` along the path from the source, so it is the same float
-    sum a sparse-matrix Dijkstra produces.
-    """
-    n = len(neighbors)
-    rows = []
-    for source in range(n):
-        dist = [INF] * n
-        dist[source] = 0.0
-        done = [False] * n
-        heap = [(0.0, source)]
-        while heap:
-            du, u = heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            for v, w in zip(neighbors[u], weights[u], strict=False):
-                alt = du + w
-                if alt < dist[v]:
-                    dist[v] = alt
-                    heappush(heap, (alt, v))
         rows.append(dist)
     return rows
 

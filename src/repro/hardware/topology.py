@@ -4,9 +4,8 @@ A :class:`Topology` holds an undirected coupling graph as insertion-ordered
 adjacency dicts: nodes are physical qubits, edges are 2-qubit couplers.  Each
 node carries its grid coordinate and the chiplet it belongs to; each edge is
 labelled on-chip or cross-chip.  The class pre-computes all-pairs
-shortest-path distances (hop counts, and a weighted variant where cross-chip
-edges are more expensive) because both the baseline SABRE-style router and
-the MECH local router consult distances in their inner loops.  The graph
+shortest-path hop counts because both the baseline SABRE-style router and
+the MECH scheduler consult distances in their inner loops.  The graph
 kernels live in :mod:`repro.hardware.graphs`.
 """
 
@@ -121,8 +120,7 @@ class Topology:
             e for e, (a, b) in zip(self._edges, ordered, strict=False) if not adjacency[a][b]
         )
         self._neighbors = {q: tuple(sorted(nbrs)) for q, nbrs in adjacency.items()}
-        self._dist_rows: dict[float, list[list[float]]] = {}
-        self._integral: dict[float, bool] = {}
+        self._dist_rows: list[list[float]] | None = None
         self._coupling_rows: list[list[bool]] | None = None
         self._edge_tables: EdgeTables | None = None
 
@@ -234,59 +232,24 @@ class Topology:
     # ------------------------------------------------------------------ #
     # distances and paths
     # ------------------------------------------------------------------ #
-    def distance_rows(self, *, cross_chip_weight: float = 1.0) -> list[list[float]]:
-        """All-pairs shortest-path distances ``rows[a][b]``, cached.
+    def distance_rows(self) -> list[list[float]]:
+        """All-pairs hop distances ``rows[a][b]``, cached; disconnected pairs
+        are ``inf``."""
+        if self._dist_rows is None:
+            self._dist_rows = graphs.bfs_distance_rows(
+                [list(self._adj[q]) for q in self._qubits]
+            )
+        return self._dist_rows
 
-        Disconnected pairs are ``inf``.  ``cross_chip_weight`` > 1 penalises
-        cross-chip links, which the baseline router uses to mildly prefer
-        on-chip routing when the error model makes cross-chip CNOTs more
-        expensive.
-        """
-        key = float(cross_chip_weight)
-        rows = self._dist_rows.get(key)
-        if rows is None:
-            rows = self._compute_distances(key)
-            self._dist_rows[key] = rows
-        return rows
+    def distance(self, a: int, b: int) -> float:
+        return self.distance_rows()[a][b]
 
-    def distances_are_integral(self, *, cross_chip_weight: float = 1.0) -> bool:
-        """Whether every distance of :meth:`distance_rows` is an exact
-        integer, cached (``inf`` is not, so a disconnected device is not)."""
-        key = float(cross_chip_weight)
-        integral = self._integral.get(key)
-        if integral is None:
-            rows = self.distance_rows(cross_chip_weight=key)
-            integral = self._integral[key] = all(d.is_integer() for row in rows for d in row)
-        return integral
-
-    def distance(self, a: int, b: int, *, cross_chip_weight: float = 1.0) -> float:
-        return self.distance_rows(cross_chip_weight=cross_chip_weight)[a][b]
-
-    def shortest_path(
-        self, a: int, b: int, *, cross_chip_weight: float = 1.0
-    ) -> list[int]:
+    def shortest_path(self, a: int, b: int) -> list[int]:
         """One shortest path from ``a`` to ``b`` (inclusive of both endpoints)."""
         for q in (a, b):
             if q not in self._adj:
                 raise TopologyError(f"qubit {q} is not in the topology")
-        if cross_chip_weight == 1.0:
-            return graphs.shortest_path(self._adj, a, b)
-        adj = self._adj
-
-        def weight(u: int, v: int) -> float:
-            return cross_chip_weight if adj[u][v] else 1.0
-
-        return graphs.shortest_path(adj, a, b, weight)
-
-    def _compute_distances(self, cross_chip_weight: float) -> list[list[float]]:
-        neighbors = [list(self._adj[q]) for q in self._qubits]
-        if cross_chip_weight == 1.0:
-            return graphs.bfs_distance_rows(neighbors)
-        weights = [
-            [cross_chip_weight if cross else 1.0 for cross in self._adj[q].values()]
-            for q in self._qubits
-        ]
-        return graphs.dijkstra_distance_rows(neighbors, weights)
+        return graphs.shortest_path(self._adj, a, b)
 
     # ------------------------------------------------------------------ #
     # derived topologies

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baseline import BaselineCompiler, SabreRouter, compact_layout, initial_layout, trivial_layout
 from repro.circuits import Circuit
-from repro.hardware import ChipletArray
+from repro.hardware import ChipletArray, Topology
 from repro.programs import random_two_qubit_circuit
 
 from helpers import assert_all_two_qubit_ops_coupled, assert_semantically_equivalent, nx_topology
@@ -84,6 +84,19 @@ class TestSabreRouting:
         circuit = Circuit(2).cx(0, 1)
         with pytest.raises(ValueError):
             SabreRouter(small_array.topology).run(circuit, layout={0: 3, 1: 3})
+
+    def test_disconnected_device_rejected(self):
+        """A gate across two components could never be routed: the router
+        refuses such a device up front instead of failing mid-route."""
+        topo = Topology.from_edges(
+            {q: {} for q in range(6)},
+            [(0, 1, False), (1, 2, False), (3, 4, False), (4, 5, False)],
+            name="two-islands",
+        )
+        with pytest.raises(ValueError, match="'two-islands' is disconnected"):
+            SabreRouter(topo)
+        with pytest.raises(ValueError, match="'two-islands' is disconnected"):
+            BaselineCompiler(topo).compile(Circuit(4).cx(0, 3))
 
     def test_trials_keep_best_result(self, small_array):
         circuit = random_two_qubit_circuit(6, 40, seed=4)

@@ -6,9 +6,11 @@ sequence, operation counts, depth, effective CNOTs, final layout — that the
 GHZ/QFT/QAOA inputs at two device sizes, for **every registered backend**
 (the PR-4 contract surface).  The optimized hot paths must reproduce those
 circuits bit for bit, which is what keeps every paper figure unchanged.
-Differential tests also route every coupling structure through each pair of
-SABRE decision paths: the compiled kernel (``repro.baseline.kernel``), the
-interpreted loop with its cached delta scorer, and the historic scalar loop.
+Differential tests also route every coupling structure through both SABRE
+decision paths, the compiled kernel (``repro.baseline.kernel``) and the
+interpreted loop with its cached delta scorer, and check every decision of
+the delta scorer against the historic per-candidate scorer
+(:func:`scalar_scores`, kept here as its oracle).
 
 If a future PR changes routing behaviour *on purpose*, regenerate with::
 
@@ -107,10 +109,66 @@ def test_routed_output_matches_golden(case, environments):
         )
 
 
+def scalar_scores(router, candidates, front_pairs, ext_pairs, l2p, decay):
+    """The historic per-candidate SABRE scorer: the delta scorer's oracle.
+
+    Scores each candidate SWAP ``(a, b)`` from scratch: the front and
+    extended-set base sums count duplicate pairs, the change a SWAP makes
+    counts each affected pair once.
+    """
+    dist = router._distance
+    blocked_phys = [(l2p[p], l2p[q]) for p, q in front_pairs]
+    ext_phys = [(l2p[p], l2p[q]) for p, q in ext_pairs]
+    n_front = max(len(blocked_phys), 1)
+    n_ext = max(len(ext_phys), 1)
+    base_front = sum(dist[p][q] for p, q in blocked_phys)
+    base_ext = sum(dist[p][q] for p, q in ext_phys)
+
+    touching_front = {}
+    touching_ext = {}
+    for pair in blocked_phys:
+        touching_front.setdefault(pair[0], []).append(pair)
+        touching_front.setdefault(pair[1], []).append(pair)
+    for pair in ext_phys:
+        touching_ext.setdefault(pair[0], []).append(pair)
+        touching_ext.setdefault(pair[1], []).append(pair)
+
+    def delta(pairs_by_qubit, a, b):
+        change = 0.0
+        for p, q in set(pairs_by_qubit.get(a, []) + pairs_by_qubit.get(b, [])):
+            np_ = b if p == a else (a if p == b else p)
+            nq = b if q == a else (a if q == b else q)
+            change += dist[np_][nq] - dist[p][q]
+        return change
+
+    scores = []
+    for a, b in candidates:
+        front_cost = (base_front + delta(touching_front, a, b)) / n_front
+        ext_cost = (base_ext + delta(touching_ext, a, b)) / n_ext
+        scores.append(
+            max(decay[a], decay[b]) * (front_cost + router.extended_set_weight * ext_cost)
+        )
+    return scores
+
+
+def tied_best(scores):
+    """The candidates :meth:`SabreRouter._pick_swap` draws among: its
+    sequential tie chain, without the draw."""
+    best_score = float("inf")
+    best = []
+    for i, score in enumerate(scores):
+        if score < best_score - 1e-12:
+            best_score = score
+            best = [i]
+        elif abs(score - best_score) <= 1e-12:
+            best.append(i)
+    return best
+
+
 class TestScalarFallbackEquivalence:
-    """The cached delta scorer (the exact-integer path) and the historic
-    scalar scorer agree bit for bit whenever the distance matrix is integral
-    (the default everywhere)."""
+    """The cached delta scorer and the historic scalar scorer agree bit for
+    bit: hop distances are exact integers, so summation order cannot move a
+    score."""
 
     @staticmethod
     def _shuffled_mapping(topo, num_logical):
@@ -127,7 +185,6 @@ class TestScalarFallbackEquivalence:
         array = ChipletArray("square", 4, 1, 2)
         topo = array.topology
         router = SabreRouter(topo, seed=3)
-        assert router._exact_distances
         circuit = qft_circuit(topo.num_qubits - 4)
         l2p, p2l = self._shuffled_mapping(topo, circuit.num_qubits)
         front_list = [(0, 5), (1, 9), (2, 5), (0, 5)]  # duplicate pair on purpose
@@ -139,7 +196,8 @@ class TestScalarFallbackEquivalence:
         scorer = _DeltaScorer(router, l2p, p2l)
         scorer.rebuild(front_list, ext_list)
         fast = scorer.scores(candidates, decay)
-        scalar = router._score_swaps_scalar(
+        scalar = scalar_scores(
+            router,
             [(router._edge_u[e], router._edge_v[e]) for e in candidates],
             front_list,
             ext_list,
@@ -184,20 +242,6 @@ class TestScalarFallbackEquivalence:
             p2l[a], p2l[b] = lb, la
             scorer.swapped(edge)
 
-    def test_non_integer_distances_use_scalar_path(self):
-        array = ChipletArray("square", 4, 1, 2)
-        router = SabreRouter(array.topology, cross_chip_weight=1.5)
-        # 1.5 is exactly representable, sums may not stay integral -> fallback
-        assert not router._exact_distances
-
-    def test_non_integer_weight_routing_still_works(self):
-        array = ChipletArray("square", 4, 1, 2)
-        router = SabreRouter(array.topology, cross_chip_weight=2.5)
-        circuit = qft_circuit(8)
-        result = router.run(circuit)
-        assert result.stats["swaps_inserted"] >= 0
-        assert result.metrics().depth > 0
-
 
 class TestPartialLayoutRejected:
     """A partial explicit layout must fail loudly (the historic dict-based
@@ -236,21 +280,42 @@ class TestPartialLayoutRejected:
 @pytest.mark.parametrize(
     "structure", ["square", "hexagon", "heavy_square", "heavy_hexagon"]
 )
-def test_exact_path_matches_scalar_fallback(structure, program, seed):
-    """Whole-router differential: the exact path (the compiled kernel, or the
-    cached delta scorer without one) against the historic scalar loop, forced
-    on the same integral distances."""
+def test_exact_path_matches_scalar_fallback(structure, program, seed, monkeypatch):
+    """Per-decision differential on the interpreted loop: at every SWAP the
+    delta scorer and the historic scalar scorer (once the router's fallback,
+    now :func:`scalar_scores`) pick the same candidates as tied for best,
+    over the same front, extended set, mapping and decay.
+
+    The two scores need not be equal: between rebuilds the delta scorer moves
+    its base sums by each SWAP's unique-pair delta, while the scalar scorer
+    re-sums every pair, so a group that repeats a pair shifts all candidates'
+    scores by one constant.
+    """
     array = ChipletArray(structure, 4, 1, 2)
     width = HighwayLayout(array, density=1).num_data_qubits
     kwargs = {"seed": seed} if program != "QFT" else {}
     circuit = build_benchmark(program, width, **kwargs)
-    fast = SabreRouter(array.topology, seed=seed)
-    scalar = SabreRouter(array.topology, seed=seed)
-    assert fast._exact_distances
-    scalar._exact_distances = False
-    fast_ops = [(op.name, op.qubits) for op in fast.run(circuit).circuit]
-    scalar_ops = [(op.name, op.qubits) for op in scalar.run(circuit).circuit]
-    assert fast_ops == scalar_ops
+    router = SabreRouter(array.topology, seed=seed)
+    rebuild, scores = _DeltaScorer.rebuild, _DeltaScorer.scores
+    decisions = []
+
+    def recording_rebuild(scorer, front_pairs, ext_pairs):
+        scorer.oracle_pairs = (list(front_pairs), list(ext_pairs))
+        rebuild(scorer, front_pairs, ext_pairs)
+
+    def checked_scores(scorer, candidates, decay):
+        fast = scores(scorer, candidates, decay)
+        edges = [(router._edge_u[e], router._edge_v[e]) for e in candidates]
+        oracle = scalar_scores(router, edges, *scorer.oracle_pairs, scorer._l2p, decay)
+        assert tied_best(fast) == tied_best(oracle)
+        decisions.append(fast == oracle)
+        return fast
+
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    monkeypatch.setattr(_DeltaScorer, "rebuild", recording_rebuild)
+    monkeypatch.setattr(_DeltaScorer, "scores", checked_scores)
+    result = router.run(circuit)
+    assert len(decisions) == result.stats["swaps_inserted"] > 0
 
 
 STRUCTURES = ("square", "hexagon", "heavy_square", "heavy_hexagon")
@@ -336,9 +401,6 @@ def test_kernel_is_what_routes_by_default(compiled_kernel, monkeypatch):
     monkeypatch.setattr(kernel, "load", lambda: SimpleNamespace(route=counting_route))
     topology = ChipletArray("square", 4, 1, 2).topology
     SabreRouter(topology).run(qft_circuit(8))
-    assert len(calls) == 1
-    # non-integral distances keep the historic scalar loop
-    SabreRouter(topology, cross_chip_weight=1.5).run(qft_circuit(8))
     assert len(calls) == 1
 
 

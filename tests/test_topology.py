@@ -80,29 +80,11 @@ class TestDistances:
         assert np.allclose(d, d.T)
         assert d.shape == (18, 18)
 
-    def test_cross_chip_weighting(self):
-        t = line_topology(4, cross_at=1)
-        assert t.distance(0, 3) == 3
-        assert t.distance(0, 3, cross_chip_weight=5.0) == 7  # 1 + 5 + 1
-
     def test_shortest_path_endpoints(self):
         t = line_topology(6)
         path = t.shortest_path(1, 4)
         assert path[0] == 1 and path[-1] == 4
         assert all(t.is_coupled(a, b) for a, b in zip(path, path[1:], strict=False))
-
-    def test_weighted_shortest_path_avoids_cross_links_when_possible(self):
-        g = nx.Graph()
-        for q in range(4):
-            g.add_node(q)
-        # two routes 0->3: direct cross-chip edge, or 3 on-chip hops
-        g.add_edge(0, 3, cross_chip=True)
-        g.add_edge(0, 1, cross_chip=False)
-        g.add_edge(1, 2, cross_chip=False)
-        g.add_edge(2, 3, cross_chip=False)
-        t = Topology(g)
-        assert t.shortest_path(0, 3) == [0, 3]
-        assert t.shortest_path(0, 3, cross_chip_weight=10.0) == [0, 1, 2, 3]
 
 
 class TestDerived:
